@@ -3,15 +3,18 @@ package rca
 import (
 	"context"
 	"testing"
+
+	"github.com/climate-rca/rca/internal/experiments"
 )
 
 // TestBatchedCatalogBytesIdentical pins the batched execution mode's
 // determinism contract at the outermost boundary: running catalog
 // scenarios with members batched onto lockstep struct-of-arrays VMs
-// (the default WithBatch width) must produce byte-identical
+// (the default batch width) must produce byte-identical
 // FormatOutcome reports at every parallelism level — and identical to
-// the solo-VM reference (WithBatch(1)). Under -race this doubles as
-// the data-race check for the batched worker pools.
+// the solo-VM reference (the experiments.WithBatch(1) test hook).
+// Under -race this doubles as the data-race check for the batched
+// worker pools.
 func TestBatchedCatalogBytesIdentical(t *testing.T) {
 	cfg := CorpusConfig{AuxModules: 25, Seed: 2}
 	scenarios := []Scenario{GOFFGRATCH, WSUBBUG}
@@ -33,7 +36,7 @@ func TestBatchedCatalogBytesIdentical(t *testing.T) {
 	}
 
 	// Solo-VM sequential reference: every member on its own VM.
-	ref := run(WithBatch(1), WithParallelism(1))
+	ref := run(experiments.WithBatch(1), WithParallelism(1))
 	for _, par := range []int{1, 2, 8} {
 		got := run(WithParallelism(par)) // default batching on
 		for i := range scenarios {
@@ -44,7 +47,7 @@ func TestBatchedCatalogBytesIdentical(t *testing.T) {
 		}
 	}
 	// An odd batch width that doesn't divide the set sizes must agree too.
-	got := run(WithBatch(5), WithParallelism(3))
+	got := run(experiments.WithBatch(5), WithParallelism(3))
 	for i := range scenarios {
 		if got[i] != ref[i] {
 			t.Fatalf("%s: batch width 5 output differs from solo reference", scenarios[i].Name())

@@ -19,45 +19,30 @@ import (
 
 	"github.com/climate-rca/rca/internal/corpus"
 	"github.com/climate-rca/rca/internal/experiments"
+	"github.com/climate-rca/rca/internal/lasso"
 	"github.com/climate-rca/rca/internal/metagraph"
 	"github.com/climate-rca/rca/internal/slicing"
 	"github.com/climate-rca/rca/internal/stats"
 )
 
-// benchSetup keeps the benchmark corpus a consistent, moderate size.
-func benchSetup() Setup {
-	return Setup{
-		Corpus:       CorpusConfig{AuxModules: 40, Seed: 2},
-		EnsembleSize: 30,
-		ExpSize:      8,
-	}
-}
-
-// benchSession builds a fresh Session with the benchSetup sizing.
-func benchSession() *Session {
+// benchSession builds a fresh Session over the benchmark corpus, a
+// consistent, moderate size.
+func benchSession(opts ...Option) *Session {
 	return NewSession(CorpusConfig{AuxModules: 40, Seed: 2},
-		WithEnsembleSize(30), WithExpSize(8))
+		append([]Option{WithEnsembleSize(30), WithExpSize(8)}, opts...)...)
 }
 
-// BenchmarkPipelineSixSpecsOneShot runs the six §6 experiments as
-// independent one-shot calls (the seed API): every call regenerates
-// the corpus, re-runs the ensemble and recompiles the metagraph.
-// Compare against BenchmarkPipelineSixSpecsSession.
-func BenchmarkPipelineSixSpecsOneShot(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, spec := range Experiments() {
-			if _, err := RunExperiment(spec, benchSetup()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
+// benchRun runs one scenario on a fresh benchSession: every call
+// regenerates the corpus, re-runs the ensemble and recompiles the
+// metagraph.
+func benchRun(sc Scenario, opts ...Option) (*Outcome, error) {
+	return benchSession(opts...).Run(context.Background(), sc)
 }
 
 // BenchmarkPipelineSixSpecsSession runs the same six experiments on
 // one Session per iteration: the corpus, the ensemble ECT fingerprint
 // and the metagraphs are generated once and shared, and RunAll fans
-// out concurrently — the compile-once, run-many speedup the Session
-// API exists for.
+// out concurrently.
 func BenchmarkPipelineSixSpecsSession(b *testing.B) {
 	var fits, iters uint64
 	for i := 0; i < b.N; i++ {
@@ -74,16 +59,15 @@ func BenchmarkPipelineSixSpecsSession(b *testing.B) {
 }
 
 // BenchmarkPipelineSixSpecsSessionISTA is the same six-spec session
-// with the §3 selection stage pinned to the dense ISTA reference
-// solver instead of the coordinate-screened default. The gap to
+// with the §3 selection stage pinned to the cold dense ISTA reference
+// solver instead of the coordinate-screened engine. The gap to
 // BenchmarkPipelineSixSpecsSession is the lasso-engine win; outputs
 // are pinned bit-identical, so the two benchmarks do exactly the same
 // science.
 func BenchmarkPipelineSixSpecsSessionISTA(b *testing.B) {
 	var fits, iters uint64
 	for i := 0; i < b.N; i++ {
-		s := NewSession(CorpusConfig{AuxModules: 40, Seed: 2},
-			WithEnsembleSize(30), WithExpSize(8), WithLassoSolver(SolverISTA))
+		s := benchSession(experiments.WithLassoSolver(lasso.SolverISTA))
 		if _, err := s.RunAll(context.Background(), Experiments()); err != nil {
 			b.Fatal(err)
 		}
@@ -96,15 +80,14 @@ func BenchmarkPipelineSixSpecsSessionISTA(b *testing.B) {
 }
 
 // BenchmarkPipelineSixSpecsSessionUnbatched is the same six-spec
-// session run with batching disabled (WithBatch(1)): every ensemble
-// and experimental member integrates on its own solo VM. The gap to
+// session run with batching disabled (experiments.WithBatch(1)): every
+// ensemble and experimental member integrates on its own solo VM. The gap to
 // BenchmarkPipelineSixSpecsSession is the lockstep SoA batching win;
 // outputs are pinned bit-identical, so the two benchmarks do exactly
 // the same science.
 func BenchmarkPipelineSixSpecsSessionUnbatched(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := NewSession(CorpusConfig{AuxModules: 40, Seed: 2},
-			WithEnsembleSize(30), WithExpSize(8), WithBatch(1))
+		s := benchSession(experiments.WithBatch(1))
 		if _, err := s.RunAll(context.Background(), Experiments()); err != nil {
 			b.Fatal(err)
 		}
@@ -116,7 +99,7 @@ func runSpec(b *testing.B, spec Scenario, print bool) *Outcome {
 	var out *Outcome
 	var err error
 	for i := 0; i < b.N; i++ {
-		out, err = RunExperiment(spec, benchSetup())
+		out, err = benchRun(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,9 +114,7 @@ func runSpec(b *testing.B, spec Scenario, print bool) *Outcome {
 // rates under selective AVX2/FMA disablement strategies.
 func BenchmarkTable1SelectiveFMA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := RunTable1(Table1Setup{
-			Corpus:        CorpusConfig{AuxModules: 40, Seed: 2},
-			EnsembleSize:  30,
+		rows, err := benchSession().Table1(context.Background(), Table1Setup{
 			ExpSize:       8,
 			TopK:          8,
 			RandomSamples: 4,
@@ -217,7 +198,7 @@ func BenchmarkFigure7GoffGratch(b *testing.B) { runSpec(b, GOFFGRATCH, true) }
 // listing of the bug community (dum__micro_mg_tend et al.).
 func BenchmarkFigure8AVX2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := RunExperiment(AVX2, benchSetup())
+		out, err := benchRun(AVX2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,7 +220,7 @@ func BenchmarkFigure8AVX2(b *testing.B) {
 // distribution of the GOFFGRATCH induced subgraph.
 func BenchmarkFigure10GoffGratchDegrees(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := RunExperiment(GOFFGRATCH, benchSetup())
+		out, err := benchRun(GOFFGRATCH)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -260,7 +241,7 @@ func BenchmarkFigure10GoffGratchDegrees(b *testing.B) {
 // GOFFGRATCH subgraph.
 func BenchmarkFigure11NonBacktracking(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := RunExperiment(GOFFGRATCH, benchSetup())
+		out, err := benchRun(GOFFGRATCH)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -331,9 +312,7 @@ func BenchmarkAblationGNDepth(b *testing.B) {
 			fmt.Printf("\n--- Ablation: G-N depth ---\n")
 		}
 		for _, depth := range []int{1, 2, 3} {
-			s := benchSetup()
-			s.Refine = RefineOptions{GNIterations: depth}
-			out, err := RunExperiment(GOFFGRATCH, s)
+			out, err := benchRun(GOFFGRATCH, WithRefineOptions(RefineOptions{GNIterations: depth}))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -355,9 +334,7 @@ func BenchmarkAblationCentralityChoice(b *testing.B) {
 			fmt.Printf("\n--- Ablation: centrality choice ---\n")
 		}
 		for _, kind := range []string{"eigen-in", "degree", "pagerank", "nonbacktracking"} {
-			s := benchSetup()
-			s.Refine = RefineOptions{Centrality: kind}
-			out, err := RunExperiment(GOFFGRATCH, s)
+			out, err := benchRun(GOFFGRATCH, WithRefineOptions(RefineOptions{Centrality: kind}))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -378,9 +355,7 @@ func BenchmarkAblationCommunityMethod(b *testing.B) {
 			fmt.Printf("\n--- Ablation: community method ---\n")
 		}
 		for _, method := range []string{"girvan-newman", "louvain"} {
-			s := benchSetup()
-			s.Refine = RefineOptions{CommunityMethod: method}
-			out, err := RunExperiment(GOFFGRATCH, s)
+			out, err := benchRun(GOFFGRATCH, WithRefineOptions(RefineOptions{CommunityMethod: method}))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -403,9 +378,7 @@ func BenchmarkAblationCommunitySampling(b *testing.B) {
 			fmt.Printf("\n--- Ablation: community vs whole-graph sampling ---\n")
 		}
 		for _, whole := range []bool{false, true} {
-			s := benchSetup()
-			s.Refine = RefineOptions{WholeGraphSampling: whole}
-			out, err := RunExperiment(RANDMT, s)
+			out, err := benchRun(RANDMT, WithRefineOptions(RefineOptions{WholeGraphSampling: whole}))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -451,7 +424,7 @@ func BenchmarkAblationSliceKind(b *testing.B) {
 // selection methods: lasso vs standardized median distance.
 func BenchmarkAblationSelectionMethods(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := RunExperiment(GOFFGRATCH, benchSetup())
+		out, err := benchRun(GOFFGRATCH)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -84,9 +84,7 @@ func main() {
 		dot       = flag.String("dot", "", "write the induced subgraph (Graphviz) to this file")
 		graded    = flag.Bool("magnitudes", false, "use graded (magnitude-ranked) sampling (§6.3 extension)")
 		parallel  = flag.Int("parallel", 0, "worker pool per investigation: ensemble members and graph kernels (0 = GOMAXPROCS); results are identical at every setting")
-		batch     = flag.Int("batch", 0, "members per batched lockstep VM (0 = default 8, 1 = solo VMs); results are bit-identical at every width")
 		engine    = flag.String("engine", "bytecode", "execution engine: bytecode (compiled register VM, default) | tree (AST-walking oracle); outputs are bit-identical")
-		lassoSv   = flag.String("lasso", "cd", "lasso solver: cd (coordinate-screened, default) | ista (dense reference oracle); outputs are bit-identical")
 		server    = flag.String("server", "", "rcad base URL: run scenarios on a daemon instead of in-process (corpus/ensemble sizing then comes from the daemon's flags)")
 		storeDir  = flag.String("store", "", "artifact store directory: persist corpora, compiled programs and metagraphs so later runs (and rcad daemons) start warm")
 		faults    = flag.String("faults", os.Getenv("RCAD_FAULTS"), "deterministic fault-injection spec for -store I/O, e.g. 'artifact.put:eio@0.1' (default $RCAD_FAULTS)")
@@ -126,6 +124,13 @@ func main() {
 	defer stop()
 
 	if *server != "" {
+		set := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if bad := unforwardable(set); len(bad) > 0 {
+			fmt.Fprintf(os.Stderr, "rca: -server cannot forward -%s (they configure an in-process run)\n",
+				strings.Join(bad, ", -"))
+			os.Exit(2)
+		}
 		c := newClient(*server)
 		var err error
 		switch {
@@ -134,8 +139,6 @@ func main() {
 			// the user set explicitly, so a bare `-table1` reuses the
 			// daemon's cached ensemble instead of forcing the client
 			// defaults onto it.
-			set := map[string]bool{}
-			flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 			var e, r, k int
 			if set["ensemble"] {
 				e = *ensemble
@@ -197,12 +200,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	solver, err := rca.ParseLassoSolver(*lassoSv)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rca:", err)
-		os.Exit(2)
-	}
-
 	ccfg := rca.DefaultCorpus()
 	ccfg.AuxModules = *aux
 	ccfg.Seed = *seed
@@ -212,13 +209,9 @@ func main() {
 		rca.WithExpSize(*runs),
 		rca.WithSampler(strategy),
 		rca.WithEngine(engKind),
-		rca.WithLassoSolver(solver),
 	}
 	if *parallel > 0 {
 		opts = append(opts, rca.WithParallelism(*parallel))
-	}
-	if *batch > 0 {
-		opts = append(opts, rca.WithBatch(*batch))
 	}
 	if *storeDir != "" {
 		store, err := rca.OpenArtifactStore(*storeDir)
@@ -298,6 +291,23 @@ func main() {
 			fmt.Printf("wrote %s\n", *dot)
 		}
 	}
+}
+
+// serverIgnored lists the flags that only configure an in-process run:
+// a -server client cannot forward them to the daemon, so setting one
+// would otherwise be silently ignored.
+var serverIgnored = []string{"dot", "sampler", "magnitudes", "engine", "parallel", "store"}
+
+// unforwardable returns, in serverIgnored order, the explicitly set
+// flags (set holds flag.Visit's names) a -server run would ignore.
+func unforwardable(set map[string]bool) []string {
+	var bad []string
+	for _, name := range serverIgnored {
+		if set[name] {
+			bad = append(bad, name)
+		}
+	}
+	return bad
 }
 
 // resolveScenario picks the investigation: -scenario JSON wins, then

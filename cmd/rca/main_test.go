@@ -1,0 +1,30 @@
+package main
+
+import (
+	"reflect"
+	"testing"
+)
+
+// TestUnforwardable pins the -server flag check: every in-process-only
+// flag the user set is reported, in a fixed order, and the forwarded
+// flags (sizing, scenario selection, search) pass.
+func TestUnforwardable(t *testing.T) {
+	for _, tc := range []struct {
+		set  []string
+		want []string
+	}{
+		{nil, nil},
+		{[]string{"server", "experiment", "aux", "seed", "ensemble", "runs", "topk", "table1"}, nil},
+		{[]string{"server", "dot"}, []string{"dot"}},
+		{[]string{"store", "server", "engine", "sampler", "parallel", "magnitudes", "dot"},
+			[]string{"dot", "sampler", "magnitudes", "engine", "parallel", "store"}},
+	} {
+		set := map[string]bool{}
+		for _, name := range tc.set {
+			set[name] = true
+		}
+		if got := unforwardable(set); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("unforwardable(%v) = %v, want %v", tc.set, got, tc.want)
+		}
+	}
+}

@@ -66,9 +66,7 @@ func main() {
 		runs     = flag.Int("runs", 10, "experimental run count")
 		sampler  = flag.String("sampler", "value", "sampler: value | reach | graded")
 		parallel = flag.Int("parallel", 0, "worker pool per investigation (0 = GOMAXPROCS)")
-		batch    = flag.Int("batch", 0, "members per batched lockstep VM (0 = default 8, 1 = solo VMs)")
 		engine   = flag.String("engine", "bytecode", "execution engine: bytecode (compiled register VM, default) | tree (AST-walking oracle)")
-		lassoSv  = flag.String("lasso", "cd", "lasso solver: cd (coordinate-screened, default) | ista (dense reference oracle)")
 		workers  = flag.Int("workers", 2, "concurrent pipeline executions")
 		queue    = flag.Int("queue", 64, "bounded job-queue capacity")
 		outcomes = flag.Int("outcomes", 128, "in-memory LRU outcome-store capacity")
@@ -114,12 +112,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	solver, err := rca.ParseLassoSolver(*lassoSv)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rcad:", err)
-		os.Exit(2)
-	}
-
 	if *workerID != "" && *storeDir == "" {
 		fmt.Fprintln(os.Stderr, "rcad: -worker-id requires -store")
 		os.Exit(2)
@@ -149,13 +141,9 @@ func main() {
 		rca.WithExpSize(*runs),
 		rca.WithSampler(strategy),
 		rca.WithEngine(engKind),
-		rca.WithLassoSolver(solver),
 	}
 	if *parallel > 0 {
 		opts = append(opts, rca.WithParallelism(*parallel))
-	}
-	if *batch > 0 {
-		opts = append(opts, rca.WithBatch(*batch))
 	}
 	if store != nil {
 		opts = append(opts, rca.WithArtifacts(store))

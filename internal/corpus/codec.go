@@ -9,7 +9,7 @@ import (
 
 // corpusCodecVersion is bumped on any change to the encoding below;
 // the artifact store then treats older blobs as misses.
-const corpusCodecVersion uint32 = 1
+const corpusCodecVersion uint32 = 2
 
 // Encode serializes the corpus — files, manifest and generation
 // configuration — to the deterministic artifact format: same corpus,
@@ -32,7 +32,6 @@ func (c *Corpus) Encode() ([]byte, error) {
 	w.Int(c.cfg.AuxModules)
 	w.Int(c.cfg.AuxVars)
 	w.U64(c.cfg.Seed)
-	w.Int(int(c.cfg.Bug))
 	w.F64(c.cfg.FMAGain)
 	w.F64(c.cfg.AuxFMAGain)
 	w.F64(c.cfg.TurbCoef)
@@ -78,7 +77,6 @@ func Decode(data []byte) (*Corpus, error) {
 	c.cfg.AuxModules = r.Int()
 	c.cfg.AuxVars = r.Int()
 	c.cfg.Seed = r.U64()
-	c.cfg.Bug = Bug(r.Int())
 	c.cfg.FMAGain = r.F64()
 	c.cfg.AuxFMAGain = r.F64()
 	c.cfg.TurbCoef = r.F64()

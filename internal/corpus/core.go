@@ -91,12 +91,8 @@ end module chaos_turb
 `, cfg.TurbCoef))
 
 	// Goff-Gratch saturation vapor pressure; the 8.1328e-3 coefficient
-	// is the GOFFGRATCH bug site.
-	ggCoef := "8.1328e-3"
-	if cfg.Bug == BugGoffGratch {
-		ggCoef = "8.1828e-3"
-	}
-	c.add("wv_saturation.F90", "cam", true, fmt.Sprintf(`
+	// is the GOFFGRATCH bug site (GoffGratchPatch).
+	c.add("wv_saturation.F90", "cam", true, `
 module wv_saturation
   use physconst
   interface svp
@@ -108,7 +104,7 @@ contains
     real :: es
     real :: e1, e2
     e1 = 10.79574 * (1.0 - 373.16 / tt)
-    e2 = %s * (10.0 ** (-(3.49149 * (373.16 / tt - 1.0))) - 1.0)
+    e2 = 8.1328e-3 * (10.0 ** (-(3.49149 * (373.16 / tt - 1.0))) - 1.0)
     es = 1013.246 * 10.0 ** (e1 - e2)
   end function goffgratch_svp
   elemental function svp_ice(tt) result(es)
@@ -117,15 +113,12 @@ contains
     es = goffgratch_svp(tt) * 0.92
   end function svp_ice
 end module wv_saturation
-`, ggCoef))
+`)
 
 	// microp_aero: wsub is deliberately near-isolated (paper §6.1) —
 	// its only stochastic input is the harness-perturbed wpert field.
-	wsubFloor := "0.20"
-	if cfg.Bug == BugWsub {
-		wsubFloor = "2.00" // the transposed-digits typo
-	}
-	c.add("microp_aero.F90", "cam", true, fmt.Sprintf(`
+	// The 0.20 floor is the WSUBBUG site (WsubPatch).
+	c.add("microp_aero.F90", "cam", true, `
 module microp_aero
   use ref_pres
   real :: wsub(:), ccn(:), kvh(:), wpert(:)
@@ -138,13 +131,13 @@ contains
   subroutine aero_run()
     real :: tke(:)
     tke = kvh * 0.6 + wpert + 0.35
-    wsub = max(%s, tke * 0.5)
+    wsub = max(0.20, tke * 0.5)
     call outfld('WSUB', wsub)
     ccn = 20.0 + kvh * 60.0 + wpert * 5.0
     call outfld('CCN3', ccn)
   end subroutine aero_run
 end module microp_aero
-`, wsubFloor))
+`)
 
 	// micro_mg: the Morrison-Gettelman-style microphysics kernel with
 	// the paper's variable cast. The pk/fsens pair is the
@@ -286,16 +279,8 @@ end module cloud_rand_sw
 `)
 
 	// dyn3: the hydrostatic-pressure dynamics kernel (DYN3BUG and
-	// RANDOMBUG sites).
-	pintCoef := "0.5"
-	if cfg.Bug == BugDyn3 {
-		pintCoef = "0.505"
-	}
-	shiftIdx := "1"
-	if cfg.Bug == BugRandomIdx {
-		shiftIdx = "2" // the array-index error feeding state%omega
-	}
-	c.add("dyn3.F90", "cam", true, fmt.Sprintf(`
+	// RANDOMBUG sites: Dyn3Patch, RandomIdxPatch).
+	c.add("dyn3.F90", "cam", true, `
 module dyn3
   use physconst
   use ref_pres
@@ -304,21 +289,21 @@ module dyn3
 contains
   subroutine dyn3_hydro()
     real :: pgf(:), zfac(:)
-    pint = state%%ps * 0.001 + pref * %s
-    zfac = rair * state%%t / (gravit * pint) * 100.0
-    state%%z3 = zfac * 70.0 + shift(zfac, 1) * 5.0
+    pint = state%ps * 0.001 + pref * 0.5
+    zfac = rair * state%t / (gravit * pint) * 100.0
+    state%z3 = zfac * 70.0 + shift(zfac, 1) * 5.0
     pgf = (shift(pint, 1) - pint) * 0.0004
-    state%%u = state%%u * 0.98 + pgf + 0.1
-    state%%v = state%%v * 0.98 - pgf * 0.8
-    omg_tmp = (shift(state%%u, %s) - state%%u) * pint * 0.00002
-    state%%omega = omg_tmp * 0.6 + state%%omega * 0.4
-    omegat = state%%omega * state%%t
-    state%%t = state%%t + state%%omega * 0.0005
-    state%%ps = state%%ps + (sum(state%%u) / size(state%%u)) * 0.01
+    state%u = state%u * 0.98 + pgf + 0.1
+    state%v = state%v * 0.98 - pgf * 0.8
+    omg_tmp = (shift(state%u, 1) - state%u) * pint * 0.00002
+    state%omega = omg_tmp * 0.6 + state%omega * 0.4
+    omegat = state%omega * state%t
+    state%t = state%t + state%omega * 0.0005
+    state%ps = state%ps + (sum(state%u) / size(state%u)) * 0.01
     call outfld('OMEGAT', omegat)
   end subroutine dyn3_hydro
 end module dyn3
-`, pintCoef, shiftIdx))
+`)
 
 	// Surface/diagnostic fields.
 	c.add("cam_diag.F90", "cam", true, `
@@ -348,12 +333,9 @@ end module cam_diag
 `)
 
 	// Land component: snow accumulation (the snowhland internal in
-	// Table 2). The retention coefficient is the LANDBUG site.
-	retain := "0.98"
-	if cfg.Bug == BugLand {
-		retain = "0.90"
-	}
-	c.add("lnd_snow.F90", "lnd", true, fmt.Sprintf(`
+	// Table 2). The retention coefficient is the LANDBUG site
+	// (LandPatch).
+	c.add("lnd_snow.F90", "lnd", true, `
 module lnd_snow
   use physconst
   use physics_types
@@ -365,13 +347,13 @@ contains
     soilw = 0.3
   end subroutine lnd_init
   subroutine lnd_run()
-    snowhland = snowhland * %s + snowl * 0.5 + max(0.0, tmelt - state%%t) * 0.0001
+    snowhland = snowhland * 0.98 + snowl * 0.5 + max(0.0, tmelt - state%t) * 0.0001
     soilw = soilw * 0.99 + snowl * 0.01
     call outfld('SNOWHLND', snowhland)
     call outfld('SOILW', soilw)
   end subroutine lnd_run
 end module lnd_snow
-`, retain))
+`)
 
 	// Feedback coupler: a fraction of auxiliary parameterizations
 	// accumulate a tendency that feeds temperature, so their whole

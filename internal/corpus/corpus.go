@@ -23,53 +23,6 @@ import (
 	"github.com/climate-rca/rca/internal/rng"
 )
 
-// Bug selects a source-level defect to inject (experiments §6). The
-// RAND-MT and AVX2 experiments are configuration changes, not source
-// edits, and are controlled at the harness level instead.
-type Bug int
-
-// Injectable bugs.
-const (
-	BugNone Bug = iota
-	// BugWsub transposes 0.20 to 2.00 in microp_aero's wsub assignment
-	// (§6.1 WSUBBUG).
-	BugWsub
-	// BugGoffGratch changes the water-boiling-temperature coefficient
-	// 8.1328e-3 to 8.1828e-3 in the Goff-Gratch elemental function
-	// (§6.3 GOFFGRATCH).
-	BugGoffGratch
-	// BugDyn3 perturbs a coefficient in the dyn3 hydrostatic pressure
-	// subroutine (§8.2.2 DYN3BUG).
-	BugDyn3
-	// BugRandomIdx simulates the RANDOMBUG array-index error in the
-	// assignment of the derived-type state variable omega (§8.2.1): the
-	// neighbour-coupling shift index is off by one.
-	BugRandomIdx
-	// BugLand perturbs the land model's snow retention coefficient —
-	// the paper notes bugs in the land module were also located
-	// successfully (§6).
-	BugLand
-)
-
-// String names the bug for reports.
-func (b Bug) String() string {
-	switch b {
-	case BugNone:
-		return "NONE"
-	case BugWsub:
-		return "WSUBBUG"
-	case BugGoffGratch:
-		return "GOFFGRATCH"
-	case BugDyn3:
-		return "DYN3BUG"
-	case BugRandomIdx:
-		return "RANDOMBUG"
-	case BugLand:
-		return "LANDBUG"
-	}
-	return fmt.Sprintf("Bug(%d)", int(b))
-}
-
 // Config sizes and parameterizes the corpus.
 type Config struct {
 	// AuxModules is the number of generated auxiliary modules (beyond
@@ -81,8 +34,6 @@ type Config struct {
 	AuxVars int
 	// Seed drives the deterministic structure generator.
 	Seed uint64
-	// Bug is the injected source defect.
-	Bug Bug
 	// FMAGain scales the fused-multiply-add-sensitive kernel in
 	// micro_mg_tend (the deterministic cancellation path that makes
 	// FMA statistically visible, §6.4). Zero selects the default.

@@ -69,39 +69,39 @@ func TestBugInjectionChangesSource(t *testing.T) {
 		t.Fatalf("file %s missing", file)
 		return ""
 	}
+	inject := func(c *Corpus, p Patch) *Corpus {
+		out, err := Apply(c, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 	clean := Generate(Config{AuxModules: 5})
 	if !strings.Contains(find(clean, "microp_aero.F90"), "max(0.20") {
 		t.Fatal("clean wsub floor missing")
 	}
-	ws := Generate(Config{AuxModules: 5, Bug: BugWsub})
+	ws := inject(clean, WsubPatch)
 	if !strings.Contains(find(ws, "microp_aero.F90"), "max(2.00") {
 		t.Fatal("WSUBBUG not injected")
 	}
-	gg := Generate(Config{AuxModules: 5, Bug: BugGoffGratch})
+	gg := inject(clean, GoffGratchPatch)
 	if !strings.Contains(find(gg, "wv_saturation.F90"), "8.1828e-3") {
 		t.Fatal("GOFFGRATCH not injected")
 	}
 	if strings.Contains(find(clean, "wv_saturation.F90"), "8.1828e-3") {
 		t.Fatal("clean corpus contains GOFFGRATCH bug")
 	}
-	d3 := Generate(Config{AuxModules: 5, Bug: BugDyn3})
+	d3 := inject(clean, Dyn3Patch)
 	if !strings.Contains(find(d3, "dyn3.F90"), "pref * 0.505") {
 		t.Fatal("DYN3BUG not injected")
 	}
-	ri := Generate(Config{AuxModules: 5, Bug: BugRandomIdx})
+	ri := inject(clean, RandomIdxPatch)
 	if !strings.Contains(find(ri, "dyn3.F90"), ", 2) - state%u") {
 		t.Fatal("RANDOMBUG not injected")
 	}
-}
-
-func TestBugString(t *testing.T) {
-	for b, want := range map[Bug]string{
-		BugNone: "NONE", BugWsub: "WSUBBUG", BugGoffGratch: "GOFFGRATCH",
-		BugDyn3: "DYN3BUG", BugRandomIdx: "RANDOMBUG",
-	} {
-		if b.String() != want {
-			t.Fatalf("%d = %q", b, b.String())
-		}
+	ld := inject(clean, LandPatch)
+	if !strings.Contains(find(ld, "lnd_snow.F90"), "snowhland * 0.90") {
+		t.Fatal("LANDBUG not injected")
 	}
 }
 

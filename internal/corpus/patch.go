@@ -10,14 +10,14 @@ import (
 	"github.com/climate-rca/rca/internal/fortran"
 )
 
-// This file is the patch engine that opens the closed Bug enum into
-// arbitrary user-composable source defects: a Patch is a small edit to
-// one assignment statement of one named subprogram, located through
-// the FortLite AST (so the target must actually parse as an
-// assignment) and applied to the raw source text (so the rest of the
-// file stays byte-identical). Apply validates every patched file by
-// re-parsing it; a patch can therefore never produce a corpus the
-// interpreter and the metagraph compiler disagree on.
+// This file is the patch engine behind every source defect, prewired
+// or user-composed: a Patch is a small edit to one assignment statement
+// of one named subprogram, located through the FortLite AST (so the
+// target must actually parse as an assignment) and applied to the raw
+// source text (so the rest of the file stays byte-identical). Apply
+// validates every patched file by re-parsing it; a patch can therefore
+// never produce a corpus the interpreter and the metagraph compiler
+// disagree on.
 
 // Patch target lookup errors.
 var (
@@ -222,30 +222,34 @@ func applyOne(c *Corpus, p Patch) error {
 	return nil
 }
 
-// BugPatch maps a legacy Bug enum value onto the equivalent source
-// patch over the clean corpus. Generate(cfg with Bug=b) and
-// Apply(Generate(clean cfg), patch) produce byte-identical source
-// trees — pinned by TestBugPatchEquivalence.
-func BugPatch(b Bug) (Patch, bool) {
-	switch b {
-	case BugWsub:
-		return ReplaceInAssign{Module: "microp_aero", Subprogram: "aero_run",
-			Var: "wsub", Old: "0.20", New: "2.00"}, true
-	case BugGoffGratch:
-		return ReplaceInAssign{Module: "wv_saturation", Subprogram: "goffgratch_svp",
-			Var: "e2", Old: "8.1328e-3", New: "8.1828e-3"}, true
-	case BugDyn3:
-		return ReplaceInAssign{Module: "dyn3", Subprogram: "dyn3_hydro",
-			Var: "pint", Old: "pref * 0.5", New: "pref * 0.505"}, true
-	case BugRandomIdx:
-		return ReplaceInAssign{Module: "dyn3", Subprogram: "dyn3_hydro",
-			Var: "omg_tmp", Old: "shift(state%u, 1)", New: "shift(state%u, 2)"}, true
-	case BugLand:
-		return ReplaceInAssign{Module: "lnd_snow", Subprogram: "lnd_run",
-			Var: "snowhland", Old: "snowhland * 0.98", New: "snowhland * 0.90"}, true
-	}
-	return nil, false
-}
+// The prewired catalog's source defects (§6 and §8.2), as patches over
+// the clean corpus. Each names the exact assignment the paper's defect
+// edits; the experiments layer lifts them into catalog injections.
+var (
+	// WsubPatch transposes 0.20 to 2.00 in microp_aero's wsub
+	// assignment (§6.1 WSUBBUG).
+	WsubPatch = ReplaceInAssign{Module: "microp_aero", Subprogram: "aero_run",
+		Var: "wsub", Old: "0.20", New: "2.00"}
+	// GoffGratchPatch changes the water-boiling-temperature coefficient
+	// 8.1328e-3 to 8.1828e-3 in the Goff-Gratch elemental function
+	// (§6.3 GOFFGRATCH).
+	GoffGratchPatch = ReplaceInAssign{Module: "wv_saturation", Subprogram: "goffgratch_svp",
+		Var: "e2", Old: "8.1328e-3", New: "8.1828e-3"}
+	// Dyn3Patch perturbs a coefficient in the dyn3 hydrostatic pressure
+	// subroutine (§8.2.2 DYN3BUG).
+	Dyn3Patch = ReplaceInAssign{Module: "dyn3", Subprogram: "dyn3_hydro",
+		Var: "pint", Old: "pref * 0.5", New: "pref * 0.505"}
+	// RandomIdxPatch is the RANDOMBUG array-index error in the
+	// assignment feeding the derived-type state variable omega
+	// (§8.2.1): the neighbour-coupling shift index is off by one.
+	RandomIdxPatch = ReplaceInAssign{Module: "dyn3", Subprogram: "dyn3_hydro",
+		Var: "omg_tmp", Old: "shift(state%u, 1)", New: "shift(state%u, 2)"}
+	// LandPatch perturbs the land model's snow retention coefficient —
+	// the paper notes bugs in the land module were also located
+	// successfully (§6).
+	LandPatch = ReplaceInAssign{Module: "lnd_snow", Subprogram: "lnd_run",
+		Var: "snowhland", Old: "snowhland * 0.98", New: "snowhland * 0.90"}
+)
 
 // Fingerprint is a stable hash of the full source tree (file names and
 // contents, in order). Corpora with equal fingerprints are

@@ -6,34 +6,64 @@ import (
 	"testing"
 )
 
-// TestBugPatchEquivalence pins the patch engine to the legacy enum: for
-// every injectable Bug, generating the corpus with the bug baked in and
-// patching the clean corpus must produce byte-identical source trees —
-// the property that lets scenario cache keys subsume the Bug enum.
+// catalogPatches are the prewired catalog's source defects, labeled by
+// experiment name, with the file each edits and its fixed fingerprint.
+var catalogPatches = []struct {
+	name  string
+	patch ReplaceInAssign
+	file  string
+	id    string
+}{
+	{"WSUBBUG", WsubPatch, "microp_aero.F90", "patch:microp_aero/aero_run.wsub:0.20=>2.00"},
+	{"GOFFGRATCH", GoffGratchPatch, "wv_saturation.F90", "patch:wv_saturation/goffgratch_svp.e2:8.1328e-3=>8.1828e-3"},
+	{"DYN3BUG", Dyn3Patch, "dyn3.F90", "patch:dyn3/dyn3_hydro.pint:pref * 0.5=>pref * 0.505"},
+	{"RANDOMBUG", RandomIdxPatch, "dyn3.F90", "patch:dyn3/dyn3_hydro.omg_tmp:shift(state%u, 1)=>shift(state%u, 2)"},
+	{"LANDBUG", LandPatch, "lnd_snow.F90", "patch:lnd_snow/lnd_run.snowhland:snowhland * 0.98=>snowhland * 0.90"},
+}
+
+// TestBugPatchEquivalence pins every catalog patch to the exact edit the
+// paper's defect makes: its fingerprint is fixed (scenario cache keys,
+// artifact addresses and outcome bytes derive from it), and applying
+// it to the clean corpus changes exactly one line of one file, turning
+// Old into New, without mutating the input corpus.
 func TestBugPatchEquivalence(t *testing.T) {
 	cfg := Config{AuxModules: 20, Seed: 3}
 	clean := Generate(cfg)
-	for _, b := range []Bug{BugWsub, BugGoffGratch, BugDyn3, BugRandomIdx, BugLand} {
-		b := b
-		t.Run(b.String(), func(t *testing.T) {
-			p, ok := BugPatch(b)
-			if !ok {
-				t.Fatalf("no patch for %v", b)
+	for _, tc := range catalogPatches {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.patch.ID(); got != tc.id {
+				t.Fatalf("ID = %q, want %q", got, tc.id)
 			}
-			patched, err := Apply(clean, p)
+			patched, err := Apply(clean, tc.patch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bugCfg := cfg
-			bugCfg.Bug = b
-			legacy := Generate(bugCfg)
-			if got, want := patched.Fingerprint(), legacy.Fingerprint(); got != want {
-				for i := range legacy.Files {
-					if legacy.Files[i].Source != patched.Files[i].Source {
-						t.Errorf("file %s differs", legacy.Files[i].Name)
+			for i, f := range clean.Files {
+				got := patched.Files[i].Source
+				if f.Name != tc.file {
+					if got != f.Source {
+						t.Fatalf("file %s changed", f.Name)
+					}
+					continue
+				}
+				before, after := strings.Split(f.Source, "\n"), strings.Split(got, "\n")
+				if len(before) != len(after) {
+					t.Fatalf("%s: line count %d -> %d", f.Name, len(before), len(after))
+				}
+				var changed []int
+				for l := range before {
+					if before[l] != after[l] {
+						changed = append(changed, l)
 					}
 				}
-				t.Fatalf("fingerprint %s != legacy %s", got, want)
+				if len(changed) != 1 {
+					t.Fatalf("%s: %d lines changed, want 1", f.Name, len(changed))
+				}
+				l := changed[0]
+				if strings.Replace(before[l], tc.patch.Old, tc.patch.New, 1) != after[l] {
+					t.Fatalf("%s: edit %q -> %q is not %q=>%q", f.Name, before[l], after[l], tc.patch.Old, tc.patch.New)
+				}
 			}
 			// The clean corpus was not mutated.
 			if clean.Fingerprint() != Generate(cfg).Fingerprint() {
@@ -103,9 +133,7 @@ func TestScaleAssignRewritesAndParses(t *testing.T) {
 // land and the tree must still parse.
 func TestPatchesCompose(t *testing.T) {
 	c := Generate(Config{AuxModules: 5, Seed: 1})
-	p1, _ := BugPatch(BugWsub)
-	p2, _ := BugPatch(BugGoffGratch)
-	patched, err := Apply(c, p1, p2)
+	patched, err := Apply(c, WsubPatch, GoffGratchPatch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,25 +26,31 @@ func TestManySeedsParseAndCompile(t *testing.T) {
 	}
 }
 
-// TestBugInjectionPreservesStructure: every bug variant must parse and
-// produce a graph with the same node count as the clean corpus (bugs
-// are value changes, not structural ones — except RANDOMBUG's shift
-// index, which is also value-level in the graph).
+// TestBugInjectionPreservesStructure: every catalog patch must parse
+// and produce a graph with the same node count as the clean corpus
+// (bugs are value changes, not structural ones — except RANDOMBUG's
+// shift index, which is also value-level in the graph).
 func TestBugInjectionPreservesStructure(t *testing.T) {
-	base := Config{AuxModules: 25, Seed: 3}
-	clean := nodeCount(t, base)
-	for _, bug := range []Bug{BugWsub, BugGoffGratch, BugDyn3, BugRandomIdx} {
-		cfg := base
-		cfg.Bug = bug
-		if got := nodeCount(t, cfg); got != clean {
-			t.Fatalf("%v changed node count: %d vs %d", bug, got, clean)
+	c := Generate(Config{AuxModules: 25, Seed: 3})
+	clean := graphNodes(t, c)
+	for _, tc := range catalogPatches {
+		patched, err := Apply(c, tc.patch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := graphNodes(t, patched); got != clean {
+			t.Fatalf("%s changed node count: %d vs %d", tc.name, got, clean)
 		}
 	}
 }
 
 func nodeCount(t *testing.T, cfg Config) int {
 	t.Helper()
-	c := Generate(cfg)
+	return graphNodes(t, Generate(cfg))
+}
+
+func graphNodes(t *testing.T, c *Corpus) int {
+	t.Helper()
 	mods, err := c.Parse()
 	if err != nil {
 		t.Fatal(err)

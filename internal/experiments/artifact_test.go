@@ -51,9 +51,9 @@ func TestProgramCodecRoundTripCatalog(t *testing.T) {
 	ctx := context.Background()
 	cfg := artifactTestCfg()
 	s := NewSession(cfg, WithEnsembleSize(4), WithExpSize(2))
-	for _, spec := range catalogSpecs {
-		t.Run(spec.Name, func(t *testing.T) {
-			p, err := buildPlan(cfg, spec.Scenario())
+	for _, sc := range catalog {
+		t.Run(sc.Name(), func(t *testing.T) {
+			p, err := buildPlan(cfg, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,8 +89,8 @@ func TestProgramCodecRoundTripCatalog(t *testing.T) {
 func TestCorpusCodecRoundTripCatalog(t *testing.T) {
 	cfg := artifactTestCfg()
 	seen := map[string]bool{}
-	for _, spec := range catalogSpecs {
-		p, err := buildPlan(cfg, spec.Scenario())
+	for _, sc := range catalog {
+		p, err := buildPlan(cfg, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestCorpusCodecRoundTripCatalog(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(enc1, enc2) {
-			t.Fatalf("%s: corpus codec not bit-exact", spec.Name)
+			t.Fatalf("%s: corpus codec not bit-exact", sc.Name())
 		}
 	}
 	if len(seen) < 2 {
@@ -143,17 +143,17 @@ func TestSessionWarmStartFromStore(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	cfg := artifactTestCfg()
-	specs := []Spec{WSUBBUG, GOFFGRATCH, AVX2}
+	specs := []Scenario{WSUBBUG, GOFFGRATCH, AVX2}
 
 	run := func(store *artifact.Store) map[string]string {
 		s := NewSession(cfg, WithEnsembleSize(6), WithExpSize(2), WithArtifacts(store))
 		digests := map[string]string{}
 		for _, spec := range specs {
-			out, err := s.Run(ctx, spec.Scenario())
+			out, err := s.Run(ctx, spec)
 			if err != nil {
-				t.Fatalf("%s: %v", spec.Name, err)
+				t.Fatalf("%s: %v", spec.Name(), err)
 			}
-			digests[spec.Name] = outcomeDigest(out)
+			digests[spec.Name()] = outcomeDigest(out)
 		}
 		return digests
 	}
@@ -189,7 +189,7 @@ func TestSessionStoreCorruptionRebuilds(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	cfg := artifactTestCfg()
-	sc := GOFFGRATCH.Scenario()
+	sc := GOFFGRATCH
 
 	cold, err := artifact.Open(dir)
 	if err != nil {

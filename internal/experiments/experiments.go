@@ -6,20 +6,16 @@
 // and run the Algorithm 5.4 refinement with either simulated
 // (reachability) or real (value-snapshot) sampling.
 //
-// The pipeline is exposed two ways: the staged, compile-once Session
-// (see session.go) that caches the corpus, the ensemble ECT
-// fingerprint and the compiled metagraphs across experiments, and the
-// original one-shot Run/Table1 functions, now thin wrappers over a
-// single-use Session.
+// The pipeline is exposed through the staged, compile-once Session
+// (see session.go), which caches the corpus, the ensemble ECT
+// fingerprint and the compiled metagraphs across experiments.
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"github.com/climate-rca/rca/internal/core"
-	"github.com/climate-rca/rca/internal/corpus"
 	"github.com/climate-rca/rca/internal/coverage"
 	"github.com/climate-rca/rca/internal/ect"
 	"github.com/climate-rca/rca/internal/lasso"
@@ -28,119 +24,35 @@ import (
 	"github.com/climate-rca/rca/internal/stats"
 )
 
-// Spec names one experiment configuration over the closed defect
-// catalog.
-//
-// Deprecated: Spec is the closed-world predecessor of the Scenario
-// interface — it can only express the prewired defects. New code
-// should compose a Scenario from Injections (see NewScenario); legacy
-// Specs convert losslessly with Scenario().
-type Spec struct {
-	Name string
-	// Bug is the injected source defect (source-change experiments).
-	Bug corpus.Bug
-	// Mersenne swaps the model PRNG (RAND-MT).
-	Mersenne bool
-	// FMA enables fused multiply-add in every module (AVX2).
-	FMA bool
-	// CAMOnly restricts the slice to atmosphere-component modules
-	// (the paper's default; Figure 15 lifts it).
-	CAMOnly bool
-	// SelectK is the lasso target support (paper: ~5).
-	SelectK int
-}
-
-// Scenario converts the legacy closed-world Spec into an open-world
-// Scenario: the Bug enum maps to its catalog injection, Mersenne to
-// MersennePRNG, FMA to EnableFMA everywhere. For the prewired catalog
-// (one injection per Spec) the conversion reproduces the legacy
-// pipeline bit-identically. A Spec combining several fields becomes a
-// true multi-defect scenario, whose defect sites are the union over
-// all injections — the legacy path reported only the highest-priority
-// field's sites (Bug over Mersenne over FMA).
-func (s Spec) Scenario() Scenario {
-	var injs []Injection
-	if inj, ok := BugInjection(s.Bug); ok {
-		injs = append(injs, inj)
-	}
-	if s.Mersenne {
-		injs = append(injs, MersennePRNG())
-	}
-	if s.FMA {
-		injs = append(injs, EnableFMA())
-	}
-	return NewScenario(s.Name, ScenarioOptions{CAMOnly: s.CAMOnly, SelectK: s.SelectK}, injs...)
-}
-
-// Standard experiment specs (§6 and supplement §8.2).
+// The paper's prewired experiments (§6 and supplement §8.2).
 var (
-	WSUBBUG    = Spec{Name: "WSUBBUG", Bug: corpus.BugWsub, CAMOnly: true, SelectK: 1}
-	RANDMT     = Spec{Name: "RAND-MT", Mersenne: true, CAMOnly: true, SelectK: 5}
-	GOFFGRATCH = Spec{Name: "GOFFGRATCH", Bug: corpus.BugGoffGratch, CAMOnly: true, SelectK: 5}
-	AVX2       = Spec{Name: "AVX2", FMA: true, CAMOnly: true, SelectK: 5}
-	RANDOMBUG  = Spec{Name: "RANDOMBUG", Bug: corpus.BugRandomIdx, CAMOnly: true, SelectK: 1}
-	DYN3BUG    = Spec{Name: "DYN3BUG", Bug: corpus.BugDyn3, CAMOnly: true, SelectK: 5}
+	WSUBBUG    = NewScenario("WSUBBUG", ScenarioOptions{CAMOnly: true, SelectK: 1}, WsubDefect())
+	RANDMT     = NewScenario("RAND-MT", ScenarioOptions{CAMOnly: true, SelectK: 5}, MersennePRNG())
+	GOFFGRATCH = NewScenario("GOFFGRATCH", ScenarioOptions{CAMOnly: true, SelectK: 5}, GoffGratchDefect())
+	AVX2       = NewScenario("AVX2", ScenarioOptions{CAMOnly: true, SelectK: 5}, EnableFMA())
+	RANDOMBUG  = NewScenario("RANDOMBUG", ScenarioOptions{CAMOnly: true, SelectK: 1}, RandomIdxDefect())
+	DYN3BUG    = NewScenario("DYN3BUG", ScenarioOptions{CAMOnly: true, SelectK: 5}, Dyn3Defect())
 	// AVX2Full is Figure 15: AVX2 without the CAM restriction.
-	AVX2Full = Spec{Name: "AVX2-FULL", FMA: true, CAMOnly: false, SelectK: 5}
+	AVX2Full = NewScenario("AVX2-FULL", ScenarioOptions{SelectK: 5}, EnableFMA())
 	// LANDBUG is the land-module defect the paper mentions locating
 	// (§6, "we have successfully located bugs in the land module as
 	// well"); the slice is necessarily unrestricted.
-	LANDBUG = Spec{Name: "LANDBUG", Bug: corpus.BugLand, CAMOnly: false, SelectK: 2}
+	LANDBUG = NewScenario("LANDBUG", ScenarioOptions{SelectK: 2}, LandDefect())
 )
 
-// catalogSpecs is the single list of every prewired spec (§6 order,
+// catalog is the single list of every prewired scenario (§6 order,
 // then the supplement): the wire format's {"experiment": NAME}
-// references resolve against it. A new prewired Spec must be added
-// here too — TestExperimentCatalogWireParity (root package) pins
+// references resolve against it. A new prewired scenario must be
+// added here too — TestExperimentCatalogWireParity (root package) pins
 // parity with rca.AllExperiments.
-var catalogSpecs = []Spec{WSUBBUG, RANDMT, GOFFGRATCH, AVX2, RANDOMBUG, DYN3BUG, AVX2Full, LANDBUG}
-
-// Setup sizes the one-shot harness.
-type Setup struct {
-	Corpus       corpus.Config
-	EnsembleSize int // default 40
-	ExpSize      int // default 10
-	// Sampler selects the step-7 instrumentation strategy; nil maps
-	// the deprecated SamplerKind/Magnitudes fields (default
-	// ValueSampling).
-	Sampler Sampler
-	// SamplerKind selects step-7 instrumentation: "value" (real
-	// runtime snapshots), "reach" (the paper's reachability
-	// simulation) or "graded" (magnitude-ranked). Default "value".
-	// Unrecognized kinds are rejected with an error (they used to fall
-	// back to value sampling silently).
-	//
-	// Deprecated: set the typed Sampler field instead.
-	SamplerKind string
-	// Magnitudes enables the §6.3 future-work extension: graded
-	// sampling that contracts to the greatest-difference node when
-	// plain contraction would hit a fixed point. Requires value
-	// sampling.
-	//
-	// Deprecated: set Sampler to GradedSampling() instead.
-	Magnitudes bool
-	Refine     core.Options
-}
-
-func (s Setup) withDefaults() Setup {
-	if s.EnsembleSize == 0 {
-		s.EnsembleSize = 40
-	}
-	if s.ExpSize == 0 {
-		s.ExpSize = 10
-	}
-	if s.SamplerKind == "" {
-		s.SamplerKind = "value"
-	}
-	return s
-}
+var catalog = []Scenario{WSUBBUG, RANDMT, GOFFGRATCH, AVX2, RANDOMBUG, DYN3BUG, AVX2Full, LANDBUG}
 
 // Outcome is everything an experiment produces.
 type Outcome struct {
 	// Name labels the investigation (the scenario's display name).
 	Name string
 	// Scenario is the investigation definition that produced this
-	// outcome (a converted Spec for the deprecated one-shot path).
+	// outcome.
 	Scenario Scenario
 	// FailureRate is the UF-ECT failure rate of the experimental set.
 	FailureRate float64
@@ -181,45 +93,6 @@ type Outcome struct {
 	Slice *slicing.Slice
 }
 
-// Run executes the full pipeline for one legacy experiment spec.
-//
-// Deprecated: Run builds a single-use Session per call, regenerating
-// the corpus, the ensemble and the metagraph every time, and cannot
-// express scenarios beyond the closed Spec fields. Use NewSession and
-// Session.Run (or Session.RunAll) with a Scenario to amortize that
-// work across investigations.
-func Run(spec Spec, setup Setup) (*Outcome, error) {
-	return RunScenario(spec.Scenario(), setup)
-}
-
-// RunScenario executes the full pipeline for one scenario on a
-// single-use Session.
-//
-// Deprecated: RunScenario regenerates the corpus, the ensemble and the
-// metagraph every call. Use NewSession and Session.Run to amortize
-// that work across investigations.
-func RunScenario(sc Scenario, setup Setup) (*Outcome, error) {
-	s, err := sessionForSetup(setup)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(context.Background(), sc)
-}
-
-// sessionForSetup translates the legacy Setup into a Session.
-func sessionForSetup(setup Setup) (*Session, error) {
-	setup = setup.withDefaults()
-	sampler, err := SamplerForSetup(setup)
-	if err != nil {
-		return nil, err
-	}
-	return NewSession(setup.Corpus,
-		WithEnsembleSize(setup.EnsembleSize),
-		WithExpSize(setup.ExpSize),
-		WithSampler(sampler),
-		WithRefineOptions(setup.Refine)), nil
-}
-
 // group transposes runs into per-variable samples.
 func group(runs []ect.RunOutput) map[string][]float64 {
 	out := make(map[string][]float64)
@@ -231,6 +104,28 @@ func group(runs []ect.RunOutput) map[string][]float64 {
 	return out
 }
 
+// selectionProblem is the §3 lasso design: control-ensemble runs
+// (label 0) then experimental runs (label 1), one column per output
+// variable in vars order.
+func selectionProblem(vars []string, ens, exp []ect.RunOutput) lasso.Problem {
+	n, d := len(ens)+len(exp), len(vars)
+	x := make([]float64, n*d)
+	y := make([]float64, n)
+	put := func(row int, r ect.RunOutput) {
+		for j, v := range vars {
+			x[row*d+j] = r[v]
+		}
+	}
+	for i, r := range ens {
+		put(i, r)
+	}
+	for i, r := range exp {
+		y[len(ens)+i] = 1
+		put(len(ens)+i, r)
+	}
+	return lasso.Problem{X: x, Y: y, N: n, D: d}
+}
+
 // selectOutputs applies §3: try the lasso with the scenario's target
 // K; when the problem is degenerate (e.g. a single wildly affected
 // variable) fall back to the median-distance ranking.
@@ -239,23 +134,7 @@ func selectOutputs(k int, vars []string, ens, exp []ect.RunOutput,
 	if k <= 0 {
 		k = 5
 	}
-	n := len(ens) + len(exp)
-	d := len(vars)
-	x := make([]float64, n*d)
-	y := make([]float64, n)
-	for i, r := range ens {
-		for j, v := range vars {
-			x[i*d+j] = r[v]
-		}
-	}
-	for i, r := range exp {
-		row := len(ens) + i
-		y[row] = 1
-		for j, v := range vars {
-			x[row*d+j] = r[v]
-		}
-	}
-	sel, _, st, err := lasso.SelectKSolver(lasso.Problem{X: x, Y: y, N: n, D: d}, k, 1500, solver)
+	sel, _, st, err := lasso.SelectK(selectionProblem(vars, ens, exp), k, 1500, solver)
 	if err == nil && len(sel) > 0 {
 		var labels []string
 		for _, j := range sel {

@@ -1,23 +1,26 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"github.com/climate-rca/rca/internal/corpus"
 )
 
-// testSetup keeps CI runtimes modest while retaining the shape of the
+// testSession keeps CI runtimes modest while retaining the shape of the
 // paper's experiments.
-func testSetup() Setup {
-	return Setup{
-		Corpus:       corpus.Config{AuxModules: 40, Seed: 2},
-		EnsembleSize: 30,
-		ExpSize:      8,
-	}
+func testSession(opts ...Option) *Session {
+	return NewSession(corpus.Config{AuxModules: 40, Seed: 2},
+		append([]Option{WithEnsembleSize(30), WithExpSize(8)}, opts...)...)
+}
+
+// testRun runs one scenario on a fresh testSession.
+func testRun(sc Scenario, opts ...Option) (*Outcome, error) {
+	return testSession(opts...).Run(context.Background(), sc)
 }
 
 func TestWSUBBUGPipeline(t *testing.T) {
-	out, err := Run(WSUBBUG, testSetup())
+	out, err := testRun(WSUBBUG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +51,7 @@ func TestWSUBBUGPipeline(t *testing.T) {
 }
 
 func TestGOFFGRATCHPipeline(t *testing.T) {
-	out, err := Run(GOFFGRATCH, testSetup())
+	out, err := testRun(GOFFGRATCH)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func TestGOFFGRATCHPipeline(t *testing.T) {
 }
 
 func TestRANDMTPipeline(t *testing.T) {
-	out, err := Run(RANDMT, testSetup())
+	out, err := testRun(RANDMT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +99,7 @@ func TestRANDMTPipeline(t *testing.T) {
 }
 
 func TestAVX2Pipeline(t *testing.T) {
-	out, err := Run(AVX2, testSetup())
+	out, err := testRun(AVX2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +121,7 @@ func TestAVX2Pipeline(t *testing.T) {
 }
 
 func TestDYN3BUGPipeline(t *testing.T) {
-	out, err := Run(DYN3BUG, testSetup())
+	out, err := testRun(DYN3BUG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +135,7 @@ func TestDYN3BUGPipeline(t *testing.T) {
 }
 
 func TestRANDOMBUGPipeline(t *testing.T) {
-	out, err := Run(RANDOMBUG, testSetup())
+	out, err := testRun(RANDOMBUG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +149,7 @@ func TestRANDOMBUGPipeline(t *testing.T) {
 }
 
 func TestCoverageReportedInOutcome(t *testing.T) {
-	out, err := Run(WSUBBUG, testSetup())
+	out, err := testRun(WSUBBUG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,9 +162,7 @@ func TestCoverageReportedInOutcome(t *testing.T) {
 }
 
 func TestReachabilitySamplerVariant(t *testing.T) {
-	s := testSetup()
-	s.SamplerKind = "reach"
-	out, err := Run(GOFFGRATCH, s)
+	out, err := testRun(GOFFGRATCH, WithSampler(ReachSampling()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,7 @@ import (
 )
 
 func TestMagnitudeRefinementVariant(t *testing.T) {
-	s := testSetup()
-	s.Magnitudes = true
-	out, err := Run(DYN3BUG, s)
+	out, err := testRun(DYN3BUG, WithSampler(GradedSampling()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +19,7 @@ func TestMagnitudeRefinementVariant(t *testing.T) {
 	}
 	// The graded contraction should shrink past the plain fixed point:
 	// the final subgraph is no larger than the plain run's.
-	plain, err := Run(DYN3BUG, testSetup())
+	plain, err := testRun(DYN3BUG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +30,7 @@ func TestMagnitudeRefinementVariant(t *testing.T) {
 }
 
 func TestWriteSliceDot(t *testing.T) {
-	out, err := Run(WSUBBUG, testSetup())
+	out, err := testRun(WSUBBUG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +56,11 @@ func TestVariableContributionsOnModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bugCfg := corpus.Config{AuxModules: 25, Seed: 2, Bug: corpus.BugWsub}
-	bugged, err := model.NewRunner(corpus.Generate(bugCfg))
+	bugCorpus, err := corpus.Apply(ctlCorpus, corpus.WsubPatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bugged, err := model.NewRunner(bugCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestVariableContributionsOnModel(t *testing.T) {
 }
 
 func TestFigure11OnSlice(t *testing.T) {
-	out, err := Run(GOFFGRATCH, testSetup())
+	out, err := testRun(GOFFGRATCH)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestDegreeDistributionAndExponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(WSUBBUG, testSetup())
+	out, err := testRun(WSUBBUG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestDegreeDistributionAndExponent(t *testing.T) {
 }
 
 func TestCommunityInCentralityNoBugs(t *testing.T) {
-	out, err := Run(GOFFGRATCH, testSetup())
+	out, err := testRun(GOFFGRATCH)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +155,11 @@ func TestCommunityInCentralityNoBugs(t *testing.T) {
 }
 
 func TestAVX2FullSliceLarger(t *testing.T) {
-	restricted, err := Run(AVX2, testSetup())
+	restricted, err := testRun(AVX2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(AVX2Full, testSetup())
+	full, err := testRun(AVX2Full)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,38 +21,21 @@ func TestExportLassoFixture(t *testing.T) {
 	if os.Getenv("RCA_EXPORT_FIXTURE") == "" {
 		t.Skip("set RCA_EXPORT_FIXTURE=1 to regenerate internal/lasso/testdata")
 	}
-	setup := testSetup()
-	s := NewSession(setup.Corpus,
-		WithEnsembleSize(setup.EnsembleSize),
-		WithExpSize(setup.ExpSize))
+	s := testSession()
 	ctx := context.Background()
 	fp, err := s.Fingerprint(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vars := fp.Test.Vars()
-	spec := GOFFGRATCH
-	v, err := s.Verdict(ctx, spec.Scenario())
+	sc := GOFFGRATCH
+	v, err := s.Verdict(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(fp.Ensemble) + len(v.ExpRuns)
-	d := len(vars)
-	x := make([]float64, n*d)
-	y := make([]float64, n)
-	for i, r := range fp.Ensemble {
-		for j, name := range vars {
-			x[i*d+j] = r[name]
-		}
-	}
-	for i, r := range v.ExpRuns {
-		row := len(fp.Ensemble) + i
-		y[row] = 1
-		for j, name := range vars {
-			x[row*d+j] = r[name]
-		}
-	}
-	k := spec.SelectK
+	p := selectionProblem(vars, fp.Ensemble, v.ExpRuns)
+	n, d, x, y := p.N, p.D, p.X, p.Y
+	k := sc.Options().SelectK
 	if k <= 0 {
 		k = 5
 	}
@@ -64,7 +47,7 @@ func TestExportLassoFixture(t *testing.T) {
 		Vars []string  `json:"vars"`
 		X    []float64 `json:"x"`
 		Y    []float64 `json:"y"`
-	}{Name: spec.Name, N: n, D: d, K: k, Vars: vars, X: x, Y: y}
+	}{Name: sc.Name(), N: n, D: d, K: k, Vars: vars, X: x, Y: y}
 	buf, err := json.Marshal(&fix)
 	if err != nil {
 		t.Fatal(err)

@@ -332,15 +332,10 @@ func (paramInjection) sites(siteInput) ([]int, []string, error) { return nil, ni
 
 // --- The prewired catalog ------------------------------------------
 
-// fromBugPatch lifts a legacy corpus.BugPatch definition into a
+// fromBugPatch lifts one of corpus's catalog patch literals into a
 // SourceReplace injection, so the corpus package stays the single
 // source of truth for the catalog's patch literals.
-func fromBugPatch(b corpus.Bug, site string) Injection {
-	p, ok := corpus.BugPatch(b)
-	if !ok {
-		panic(fmt.Sprintf("experiments: no patch for bug %v", b))
-	}
-	r := p.(corpus.ReplaceInAssign)
+func fromBugPatch(r corpus.ReplaceInAssign, site string) Injection {
 	return SourceReplace{Module: r.Module, Subprogram: r.Subprogram,
 		Var: r.Var, Occurrence: r.Occurrence, Old: r.Old, New: r.New, Site: site}
 }
@@ -348,41 +343,24 @@ func fromBugPatch(b corpus.Bug, site string) Injection {
 // WsubDefect transposes 0.20 to 2.00 in microp_aero's wsub assignment
 // (§6.1 WSUBBUG). The defect site is every node with canonical name
 // wsub — the paper counts the whole near-isolated wsub region.
-func WsubDefect() Injection { return fromBugPatch(corpus.BugWsub, "wsub") }
+func WsubDefect() Injection { return fromBugPatch(corpus.WsubPatch, "wsub") }
 
 // GoffGratchDefect changes the water-boiling-temperature coefficient
 // 8.1328e-3 to 8.1828e-3 in the Goff-Gratch elemental function (§6.3).
 // The paper's defect site is the function result es, not the edited
 // intermediate e2.
 func GoffGratchDefect() Injection {
-	return fromBugPatch(corpus.BugGoffGratch, "wv_saturation::goffgratch_svp::es")
+	return fromBugPatch(corpus.GoffGratchPatch, "wv_saturation::goffgratch_svp::es")
 }
 
 // Dyn3Defect perturbs a coefficient in the dyn3 hydrostatic pressure
 // subroutine (§8.2.2 DYN3BUG).
-func Dyn3Defect() Injection { return fromBugPatch(corpus.BugDyn3, "") }
+func Dyn3Defect() Injection { return fromBugPatch(corpus.Dyn3Patch, "") }
 
 // RandomIdxDefect is the RANDOMBUG array-index error feeding the
 // derived-type state variable omega (§8.2.1).
-func RandomIdxDefect() Injection { return fromBugPatch(corpus.BugRandomIdx, "") }
+func RandomIdxDefect() Injection { return fromBugPatch(corpus.RandomIdxPatch, "") }
 
 // LandDefect perturbs the land model's snow retention coefficient
 // (§6's land-module defect).
-func LandDefect() Injection { return fromBugPatch(corpus.BugLand, "") }
-
-// BugInjection maps a legacy Bug enum value to its catalog injection.
-func BugInjection(b corpus.Bug) (Injection, bool) {
-	switch b {
-	case corpus.BugWsub:
-		return WsubDefect(), true
-	case corpus.BugGoffGratch:
-		return GoffGratchDefect(), true
-	case corpus.BugDyn3:
-		return Dyn3Defect(), true
-	case corpus.BugRandomIdx:
-		return RandomIdxDefect(), true
-	case corpus.BugLand:
-		return LandDefect(), true
-	}
-	return nil, false
-}
+func LandDefect() Injection { return fromBugPatch(corpus.LandPatch, "") }

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestLANDBUGPipeline(t *testing.T) {
-	out, err := Run(LANDBUG, testSetup())
+	out, err := testRun(LANDBUG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestLANDBUGPipeline(t *testing.T) {
 func TestFirstStepSelection(t *testing.T) {
 	// WSUBBUG's influence is so localized that the direct first-step
 	// comparison is conclusive — the paper's preferred situation.
-	out, err := Run(WSUBBUG, testSetup())
+	out, err := testRun(WSUBBUG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestFirstStepSelection(t *testing.T) {
 	}
 	// GOFFGRATCH propagates everywhere by step 1 — inconclusive, the
 	// distribution methods take over (the paper's common case).
-	gg, err := Run(GOFFGRATCH, testSetup())
+	gg, err := testRun(GOFFGRATCH)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,87 +3,61 @@ package experiments
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/climate-rca/rca/internal/lasso"
 )
 
-// TestLassoWarmMatchesColdOnCatalog pins the warm-started lasso path
-// against its cold differential oracle on the real §6 designs: for
-// every catalog scenario, the classification problem selectOutputs
-// hands to lasso.SelectK (control ensemble vs experimental runs over
-// the ECT variables) must produce a bit-identical result — ranked
-// indices, tuned lambda and fitted weights — whether each lambda on
-// the bisection path fast-forwards through the shared warm prefix or
-// is fitted cold from zero.
+// TestLassoWarmMatchesColdOnCatalog pins the pipeline's lasso engine
+// against its differential oracle on the real §6/§8 designs: for every
+// catalog scenario, the classification problem selectOutputs hands to
+// lasso.SelectK (control ensemble vs experimental runs over the ECT
+// variables) must produce a bit-identical result — ranked indices,
+// tuned lambda, fitted weights, intercept, iteration counts and path
+// statistics — whether each lambda on the bisection path runs the
+// coordinate-screened engine from the shared warm prefix or is fitted
+// cold from zero by dense ISTA.
 func TestLassoWarmMatchesColdOnCatalog(t *testing.T) {
-	setup := testSetup()
-	s := NewSession(setup.Corpus,
-		WithEnsembleSize(setup.EnsembleSize),
-		WithExpSize(setup.ExpSize))
+	s := testSession()
 	ctx := context.Background()
 	fp, err := s.Fingerprint(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vars := fp.Test.Vars()
-	for _, spec := range catalogSpecs {
-		sc := spec.Scenario()
+	for _, sc := range catalog {
 		v, err := s.Verdict(ctx, sc)
 		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
+			t.Fatalf("%s: %v", sc.Name(), err)
 		}
-		n := len(fp.Ensemble) + len(v.ExpRuns)
-		d := len(vars)
-		x := make([]float64, n*d)
-		y := make([]float64, n)
-		for i, r := range fp.Ensemble {
-			for j, name := range vars {
-				x[i*d+j] = r[name]
-			}
-		}
-		for i, r := range v.ExpRuns {
-			row := len(fp.Ensemble) + i
-			y[row] = 1
-			for j, name := range vars {
-				x[row*d+j] = r[name]
-			}
-		}
-		k := spec.SelectK
+		p := selectionProblem(fp.Test.Vars(), fp.Ensemble, v.ExpRuns)
+		k := sc.Options().SelectK
 		if k <= 0 {
 			k = 5
 		}
-		p := lasso.Problem{X: x, Y: y, N: n, D: d}
-		warmSel, warmRes, err := lasso.SelectK(p, k, 1500)
+		cdSel, cdRes, cdSt, err := lasso.SelectK(p, k, 1500, lasso.SolverCD)
 		if err != nil {
-			t.Fatalf("%s: warm: %v", spec.Name, err)
+			t.Fatalf("%s: cd: %v", sc.Name(), err)
 		}
-		coldSel, coldRes, err := lasso.SelectKCold(p, k, 1500)
+		istaSel, istaRes, istaSt, err := lasso.SelectK(p, k, 1500, lasso.SolverISTA)
 		if err != nil {
-			t.Fatalf("%s: cold: %v", spec.Name, err)
+			t.Fatalf("%s: ista: %v", sc.Name(), err)
 		}
-		if len(warmSel) != len(coldSel) {
-			t.Fatalf("%s: warm selected %d vars, cold %d (warm %v cold %v)",
-				spec.Name, len(warmSel), len(coldSel), warmSel, coldSel)
+		if !reflect.DeepEqual(cdSel, istaSel) {
+			t.Fatalf("%s: selections differ: cd %v ista %v", sc.Name(), cdSel, istaSel)
 		}
-		for i := range warmSel {
-			if warmSel[i] != coldSel[i] {
-				t.Fatalf("%s: selection differs at rank %d: warm %v cold %v",
-					spec.Name, i, warmSel, coldSel)
-			}
+		if cdSt != istaSt {
+			t.Fatalf("%s: path stats differ: cd %+v ista %+v", sc.Name(), cdSt, istaSt)
 		}
-		if math.Float64bits(warmRes.Lambda) != math.Float64bits(coldRes.Lambda) {
-			t.Fatalf("%s: tuned lambda differs: warm %v cold %v",
-				spec.Name, warmRes.Lambda, coldRes.Lambda)
+		if math.Float64bits(cdRes.Lambda) != math.Float64bits(istaRes.Lambda) ||
+			math.Float64bits(cdRes.Intercept) != math.Float64bits(istaRes.Intercept) ||
+			cdRes.Iters != istaRes.Iters {
+			t.Fatalf("%s: fits differ: cd %+v ista %+v", sc.Name(), cdRes, istaRes)
 		}
-		if warmRes.Iters != coldRes.Iters {
-			t.Fatalf("%s: iteration count differs: warm %d cold %d",
-				spec.Name, warmRes.Iters, coldRes.Iters)
-		}
-		for j := range warmRes.Weights {
-			if math.Float64bits(warmRes.Weights[j]) != math.Float64bits(coldRes.Weights[j]) {
-				t.Fatalf("%s: weight %d differs: warm %v cold %v",
-					spec.Name, j, warmRes.Weights[j], coldRes.Weights[j])
+		for j := range cdRes.Weights {
+			if math.Float64bits(cdRes.Weights[j]) != math.Float64bits(istaRes.Weights[j]) {
+				t.Fatalf("%s: weight %d differs: cd %v ista %v",
+					sc.Name(), j, cdRes.Weights[j], istaRes.Weights[j])
 			}
 		}
 	}

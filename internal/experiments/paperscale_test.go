@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"github.com/climate-rca/rca/internal/corpus"
@@ -14,11 +15,8 @@ func TestPaperScalePipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale pipeline is slow")
 	}
-	out, err := Run(GOFFGRATCH, Setup{
-		Corpus:       corpus.PaperScale(),
-		EnsembleSize: 25,
-		ExpSize:      6,
-	})
+	out, err := NewSession(corpus.PaperScale(), WithEnsembleSize(25), WithExpSize(6)).
+		Run(context.Background(), GOFFGRATCH)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,9 +184,9 @@ func (p patchJSON) injection() (Injection, error) {
 
 // catalogScenario resolves a prewired experiment by display name.
 func catalogScenario(name string) (Scenario, bool) {
-	for _, spec := range catalogSpecs {
-		if strings.EqualFold(spec.Name, name) {
-			return spec.Scenario(), true
+	for _, sc := range catalog {
+		if strings.EqualFold(sc.Name(), name) {
+			return sc, true
 		}
 	}
 	return nil, false

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"github.com/climate-rca/rca/internal/core"
 	"github.com/climate-rca/rca/internal/metagraph"
 	"github.com/climate-rca/rca/internal/model"
@@ -25,8 +23,7 @@ type RefineInput struct {
 }
 
 // Sampler selects the step-7 instrumentation strategy for the
-// refinement loop. It replaces the stringly-typed Setup.SamplerKind:
-// the three paper variants are ValueSampling (real runtime snapshots),
+// refinement loop. The three paper variants are ValueSampling (real runtime snapshots),
 // ReachSampling (the paper's reachability simulation) and
 // GradedSampling (the §6.3 magnitude-ranked extension).
 type Sampler interface {
@@ -108,29 +105,4 @@ func (gradedSampler) Refine(in RefineInput) (*core.Result, error) {
 	keyOf := func(n int) string { return in.Metagraph.Nodes[n].Key }
 	g := core.MagnitudeSampler(keyOf, ens, exp)
 	return core.RefineWithMagnitudes(in.Slice.Sub, in.Slice.NodeMap, g, in.BugNodes, in.Options)
-}
-
-// SamplerForSetup resolves a Setup's sampler: the typed Sampler field
-// wins; otherwise the deprecated SamplerKind/Magnitudes strings are
-// mapped onto the strategy implementations.
-func SamplerForSetup(s Setup) (Sampler, error) {
-	if s.Sampler != nil {
-		return s.Sampler, nil
-	}
-	kind := s.SamplerKind
-	if kind == "" {
-		kind = "value"
-	}
-	switch kind {
-	case "value":
-		if s.Magnitudes {
-			return GradedSampling(), nil
-		}
-		return ValueSampling(0), nil
-	case "reach":
-		return ReachSampling(), nil
-	case "graded":
-		return GradedSampling(), nil
-	}
-	return nil, fmt.Errorf("experiments: unknown sampler kind %q (want value, reach, or graded)", s.SamplerKind)
 }

@@ -1,11 +1,10 @@
-// The Scenario model: an experiment is no longer one of six prewired
-// Spec values but an ordered set of composable Injections — source
-// patches over named corpus subprograms, a PRNG swap, per-module FMA
-// toggles, ensemble-parameter perturbations — plus slicing options.
-// Every injection carries a stable fingerprint ID(); the concatenated
-// fingerprint replaces the closed (Bug, Mersenne, FMA) tuple as the
-// Session cache key, so user-defined and multi-defect scenarios get
-// the same compile-once caching as the paper's catalog.
+// The Scenario model: an experiment is an ordered set of composable
+// Injections — source patches over named corpus subprograms, a PRNG
+// swap, per-module FMA toggles, ensemble-parameter perturbations — plus
+// slicing options. Every injection carries a stable fingerprint ID();
+// the concatenated fingerprint is the Session cache key, so
+// user-defined and multi-defect scenarios get the same compile-once
+// caching as the paper's catalog.
 package experiments
 
 import (
@@ -87,7 +86,6 @@ func buildPlan(base corpus.Config, sc Scenario) (*plan, error) {
 		params:       make(map[string]bool),
 		patchTargets: make(map[string]bool),
 	}
-	p.cfg.Bug = corpus.BugNone // the enum is dead; defects are patches
 	for _, inj := range sc.Injections() {
 		if inj == nil {
 			continue
@@ -138,9 +136,8 @@ func (p *plan) scenarioKey() string {
 	return fmt.Sprintf("%s|%s|cam=%v;k=%d", p.buildKey(), joinIDs(p.siteIDs), o.CAMOnly, o.SelectK)
 }
 
-// ScenarioFingerprint returns a scenario's stable cache identity — the
-// value that replaces the (Bug, Mersenne, FMA) tuple. Exposed for
-// tests, diagnostics and external caching layers.
+// ScenarioFingerprint returns a scenario's stable cache identity.
+// Exposed for tests, diagnostics and external caching layers.
 func ScenarioFingerprint(base corpus.Config, sc Scenario) (string, error) {
 	p, err := buildPlan(base, sc)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"github.com/climate-rca/rca/internal/corpus"
@@ -217,11 +216,11 @@ func TestScenarioFromJSON(t *testing.T) {
 	}
 }
 
-// TestSpecScenarioConversion pins the deprecated adapter: every
-// prewired Spec converts to a scenario with the same name, options
-// and the catalog injection set.
+// TestSpecScenarioConversion pins a prewired catalog value: RAND-MT
+// has its name, options and catalog injection set, and the wire
+// format's {"experiment": NAME} reference resolves to it.
 func TestSpecScenarioConversion(t *testing.T) {
-	sc := RANDMT.Scenario()
+	sc := RANDMT
 	if sc.Name() != "RAND-MT" {
 		t.Fatalf("name = %q", sc.Name())
 	}
@@ -232,17 +231,8 @@ func TestSpecScenarioConversion(t *testing.T) {
 	if o := sc.Options(); !o.CAMOnly || o.SelectK != 5 {
 		t.Fatalf("options = %+v", o)
 	}
-
-	multi := Spec{Name: "ALL", Bug: corpus.BugWsub, Mersenne: true, FMA: true, SelectK: 2}.Scenario()
-	var ids []string
-	for _, inj := range multi.Injections() {
-		ids = append(ids, inj.ID())
-	}
-	joined := strings.Join(ids, "+")
-	for _, want := range []string{"patch:", "prng:mt19937", "fma:*"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("converted injections %q missing %s", joined, want)
-		}
+	if wire, ok := catalogScenario("rand-mt"); !ok || wire != sc {
+		t.Fatalf("catalog reference resolves to %v, %v", wire, ok)
 	}
 }
 
@@ -302,11 +292,11 @@ func TestVerdictSharedAcrossSlicingOptions(t *testing.T) {
 	s := NewSession(corpus.Config{AuxModules: 10, Seed: 5},
 		WithEnsembleSize(8), WithExpSize(3))
 	ctx := context.Background()
-	a, err := s.Verdict(ctx, AVX2.Scenario())
+	a, err := s.Verdict(ctx, AVX2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Verdict(ctx, AVX2Full.Scenario())
+	b, err := s.Verdict(ctx, AVX2Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +338,7 @@ func TestSiteOverrideSharesBuildCaches(t *testing.T) {
 	s := NewSession(cfg, WithEnsembleSize(8), WithExpSize(3))
 	ctx := context.Background()
 
-	plain := NewScenario("plain", ScenarioOptions{}, fromBugPatch(corpus.BugWsub, ""))
+	plain := NewScenario("plain", ScenarioOptions{}, fromBugPatch(corpus.WsubPatch, ""))
 	sited := NewScenario("sited", ScenarioOptions{}, WsubDefect()) // Site: "wsub"
 
 	a, err := s.Compile(ctx, plain)

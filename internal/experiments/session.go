@@ -41,7 +41,6 @@ type Session struct {
 	expSize  int
 	sampler  Sampler
 	refine   core.Options
-	base     context.Context // deprecated WithContext, checked alongside per-call contexts
 	workers  int
 	parallel int
 	batch    int
@@ -178,20 +177,6 @@ func WithRefineOptions(o core.Options) Option {
 	return func(s *Session) { s.refine = o }
 }
 
-// WithContext attaches a constructor-scoped cancellation context,
-// checked alongside the per-call contexts.
-//
-// Deprecated: pass a context to each call instead (Run, RunAll,
-// Table1, and every stage take one); constructor-scoped cancellation
-// cannot distinguish between investigations.
-func WithContext(ctx context.Context) Option {
-	return func(s *Session) {
-		if ctx != nil {
-			s.base = ctx
-		}
-	}
-}
-
 // WithWorkers bounds RunAll's concurrent fan-out (default GOMAXPROCS).
 func WithWorkers(n int) Option {
 	return func(s *Session) {
@@ -214,8 +199,9 @@ func WithEngine(k model.EngineKind) Option {
 // WithLassoSolver selects the solver engine behind the §3 lasso
 // selection stage: the coordinate-screened engine (the default) or the
 // dense ISTA reference oracle. The engines emit bit-identical iterates
-// — fitted weights, supports and iteration counts all match — so like
-// WithEngine this is purely a throughput knob.
+// — fitted weights, supports and iteration counts all match — so this
+// exists only as the differential-test hook; no CLI or daemon exposes
+// it.
 func WithLassoSolver(sv lasso.Solver) Option {
 	return func(s *Session) { s.solver = sv }
 }
@@ -238,17 +224,17 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// DefaultBatch is the ensemble batching width sessions use unless
-// WithBatch overrides it: members fan into lockstep groups of this
-// many SIMD-style lanes on the batched bytecode VM.
+// DefaultBatch is the ensemble batching width sessions use: members
+// fan into lockstep groups of this many SIMD-style lanes on the
+// batched bytecode VM.
 const DefaultBatch = 8
 
 // WithBatch sets how many ensemble/experimental members integrate in
 // lockstep on one batched VM (default DefaultBatch). WithBatch(1)
 // disables batching — every member runs on its own solo VM, the
 // differential reference. Outputs are pinned bit-identical at every
-// batch width, so like WithParallelism this is purely a throughput
-// knob.
+// batch width; this exists only as the differential-test hook, and no
+// CLI or daemon exposes it.
 func WithBatch(n int) Option {
 	return func(s *Session) {
 		if n > 0 {
@@ -258,16 +244,14 @@ func WithBatch(n int) Option {
 }
 
 // NewSession builds a Session for one corpus configuration. Nothing is
-// generated until a stage needs it. The configuration's Bug field is
-// ignored: the control build is always clean and each scenario's
-// injections define its own defects.
+// generated until a stage needs it. The control build is always clean;
+// each scenario's injections define its own defects.
 func NewSession(cfg corpus.Config, opts ...Option) *Session {
 	s := &Session{
 		cfg:        cfg,
 		ensemble:   40,
 		expSize:    10,
 		sampler:    ValueSampling(0),
-		base:       context.Background(),
 		runners:    make(map[string]*cell[*model.Runner]),
 		compiled:   make(map[string]*cell[*Compiled]),
 		verdicts:   make(map[string]*cell[*Verdict]),
@@ -295,26 +279,13 @@ func NewSession(cfg corpus.Config, opts ...Option) *Session {
 	return s
 }
 
-// check enforces both the per-call context and the deprecated
-// constructor-scoped one.
-func (s *Session) check(ctx context.Context) error {
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
-	return ctxErr(s.base)
-}
-
 // plan lowers a scenario over the session's corpus configuration.
 func (s *Session) plan(sc Scenario) (*plan, error) {
 	return buildPlan(s.cfg, sc)
 }
 
 // cleanPlan is the control build's (injection-free) plan.
-func (s *Session) cleanPlan() *plan {
-	cfg := s.cfg
-	cfg.Bug = corpus.BugNone
-	return &plan{cfg: cfg}
-}
+func (s *Session) cleanPlan() *plan { return &plan{cfg: s.cfg} }
 
 // runnerFor returns the cached model build for one source fingerprint,
 // generating, patching and parsing the corpus on first use.
@@ -340,10 +311,6 @@ func (s *Session) runnerFor(ctx context.Context, key string, cfg corpus.Config, 
 // Engine reports the session's execution engine name ("bytecode" or
 // "tree") — the label rcad's metrics attach to its job counters.
 func (s *Session) Engine() string { return s.engine.String() }
-
-// LassoSolver reports the session's lasso engine name ("cd" or
-// "ista") — the label rcad's metrics attach to the lasso counters.
-func (s *Session) LassoSolver() string { return s.solver.String() }
 
 // LassoStats reports how many §3 selection-stage lasso fits the
 // session has run and the total proximal-gradient iterations they
@@ -398,7 +365,7 @@ func (s *Session) buildsFor(ctx context.Context, p *plan) (*Builds, error) {
 // Builds returns the control and experimental model builds for a
 // scenario.
 func (s *Session) Builds(ctx context.Context, sc Scenario) (*Builds, error) {
-	if err := s.check(ctx); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	p, err := s.plan(sc)
@@ -412,7 +379,7 @@ func (s *Session) Builds(ctx context.Context, sc Scenario) (*Builds, error) {
 // the corpus the interpreter runs and the metagraph compiles. The
 // build is cached like any other stage.
 func (s *Session) Sources(ctx context.Context, sc Scenario) ([]corpus.File, error) {
-	if err := s.check(ctx); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	p, err := s.plan(sc)
@@ -498,7 +465,7 @@ func runSet(ctx context.Context, r *model.Runner, n, offset, par, batch int, bas
 // Fingerprint returns the cached control ensemble and its ECT PCA
 // fingerprint — the scenario-independent state every Verdict shares.
 func (s *Session) Fingerprint(ctx context.Context) (*Fingerprint, error) {
-	if err := s.check(ctx); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	return s.fp.get(ctx, func() (*Fingerprint, error) {
@@ -524,7 +491,7 @@ func (s *Session) Fingerprint(ctx context.Context) (*Fingerprint, error) {
 // part in the experimental runs, so AVX2 and AVX2-FULL share one
 // experimental set.
 func (s *Session) Verdict(ctx context.Context, sc Scenario) (*Verdict, error) {
-	if err := s.check(ctx); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	p, err := s.plan(sc)
@@ -548,7 +515,7 @@ func (s *Session) Verdict(ctx context.Context, sc Scenario) (*Verdict, error) {
 // SelectVariables applies the §3 variable selection to the scenario's
 // verdict (first-step comparison, then lasso/median distances).
 func (s *Session) SelectVariables(ctx context.Context, sc Scenario) (*Selection, error) {
-	if err := s.check(ctx); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	p, err := s.plan(sc)
@@ -586,7 +553,7 @@ func (s *Session) SelectVariables(ctx context.Context, sc Scenario) (*Selection,
 // (source injections plus coverage-affecting configuration), so
 // scenarios sharing a source tree compile once.
 func (s *Session) Compile(ctx context.Context, sc Scenario) (*Compiled, error) {
-	if err := s.check(ctx); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	p, err := s.plan(sc)
@@ -602,7 +569,7 @@ func (s *Session) Compile(ctx context.Context, sc Scenario) (*Compiled, error) {
 // Slice induces the hybrid slice for the scenario from its compiled
 // metagraph and selected variables (§5.1-5.3).
 func (s *Session) Slice(ctx context.Context, sc Scenario) (*Sliced, error) {
-	if err := s.check(ctx); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	p, err := s.plan(sc)
@@ -631,7 +598,7 @@ func (s *Session) Slice(ctx context.Context, sc Scenario) (*Sliced, error) {
 // scenario's slice with the session's sampler strategy, checking the
 // context between refinement iterations.
 func (s *Session) Refine(ctx context.Context, sc Scenario) (*core.Result, error) {
-	if err := s.check(ctx); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	p, err := s.plan(sc)
@@ -745,7 +712,7 @@ func (s *Session) RunAll(ctx context.Context, scs []Scenario) ([]*Outcome, error
 // corpus — the full variable digraph behind Figure 4 and the §6.5
 // module quotient graph.
 func (s *Session) FullMetagraph(ctx context.Context) (*metagraph.Metagraph, error) {
-	if err := s.check(ctx); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	return s.fullMG.get(ctx, func() (*metagraph.Metagraph, error) {
@@ -815,10 +782,9 @@ func (s *Session) Keys(sc Scenario) (Keys, error) {
 // Table1 reproduces the paper's Table 1 selective-FMA study over the
 // session's cached state: the clean build, the ensemble fingerprint
 // (when the sizes agree) and the full metagraph are all reused.
-// setup.Corpus is ignored — the session's corpus configuration
-// applies; a zero EnsembleSize inherits the session's.
+// A zero EnsembleSize inherits the session's.
 func (s *Session) Table1(ctx context.Context, setup Table1Setup) ([]Table1Row, error) {
-	if err := s.check(ctx); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	if setup.EnsembleSize == 0 {

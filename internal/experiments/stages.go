@@ -214,7 +214,7 @@ func refineStage(ctx context.Context, b *Builds, comp *Compiled, sl *Sliced, sam
 }
 
 // assembleOutcome flattens the stage results into the monolithic
-// Outcome the one-shot API has always returned.
+// Outcome Session.Run returns.
 func assembleOutcome(sc Scenario, v *Verdict, sel *Selection, comp *Compiled, sl *Sliced, ref *core.Result) *Outcome {
 	out := &Outcome{
 		Name:            sc.Name(),

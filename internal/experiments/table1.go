@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"github.com/climate-rca/rca/internal/centrality"
-	"github.com/climate-rca/rca/internal/corpus"
 	"github.com/climate-rca/rca/internal/ect"
 	"github.com/climate-rca/rca/internal/metagraph"
 	"github.com/climate-rca/rca/internal/model"
@@ -22,7 +21,6 @@ type Table1Row struct {
 
 // Table1Setup sizes the selective-disablement study (§6.5).
 type Table1Setup struct {
-	Corpus       corpus.Config
 	EnsembleSize int // default 40
 	ExpSize      int // default 12
 	// TopK modules to disable per strategy (paper: 50 of 561).
@@ -81,40 +79,13 @@ func ModuleCentralityRanking(mg *metagraph.Metagraph) []string {
 	return outNames
 }
 
-// Table1 reproduces the selective AVX2 disablement study: the ensemble
-// is generated with FMA disabled everywhere; experimental sets enable
-// FMA everywhere except the modules in each strategy's disable set.
-//
-// Deprecated: Table1 regenerates the corpus, the ensemble and the
-// metagraph on every call. Use Session.Table1 to share them with the
-// rest of a session's pipeline.
-func Table1(setup Table1Setup) ([]Table1Row, error) {
-	setup = setup.withDefaults()
-	c := corpus.Generate(setup.Corpus)
-	runner, err := model.NewRunner(c)
-	if err != nil {
-		return nil, err
-	}
-	ens, err := runner.Ensemble(setup.EnsembleSize, model.RunConfig{})
-	if err != nil {
-		return nil, err
-	}
-	test, err := ect.NewTest(ens, ect.Config{})
-	if err != nil {
-		return nil, err
-	}
-	mg, err := metagraph.Build(runner.Modules)
-	if err != nil {
-		return nil, err
-	}
-	return table1Rows(context.Background(), runner, test, mg, setup, 1, DefaultBatch)
-}
-
 // table1Rows runs the five disablement strategies against
 // already-built state (a clean runner, a fitted ECT test and the full
-// metagraph) — shared by the one-shot Table1 and Session.Table1. The
-// context is honored between ensemble members, so a canceled study
-// stops mid-strategy rather than running all five sweeps.
+// metagraph) for Session.Table1: the ensemble is generated with FMA
+// disabled everywhere; experimental sets enable FMA everywhere except
+// the modules in each strategy's disable set. The context is honored
+// between ensemble members, so a canceled study stops mid-strategy
+// rather than running all five sweeps.
 func table1Rows(ctx context.Context, runner *model.Runner, test *ect.Test, mg *metagraph.Metagraph,
 	setup Table1Setup, par, batch int) ([]Table1Row, error) {
 	c := runner.Corpus

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"github.com/climate-rca/rca/internal/corpus"
@@ -42,9 +43,7 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 1 sweep is slow")
 	}
-	rows, err := Table1(Table1Setup{
-		Corpus:        corpus.Config{AuxModules: 40, Seed: 2},
-		EnsembleSize:  30,
+	rows, err := testSession().Table1(context.Background(), Table1Setup{
 		ExpSize:       8,
 		TopK:          8,
 		RandomSamples: 4,

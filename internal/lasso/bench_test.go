@@ -33,7 +33,7 @@ func BenchmarkSelectK(b *testing.B) {
 	p := pipelineShapedProblem()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SelectK(p, 5, 1500); err != nil {
+		if _, _, _, err := SelectK(p, 5, 1500, SolverCD); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,7 +64,7 @@ func benchSelectKSolver(b *testing.B, solver Solver) {
 	var iters int
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		_, _, st, err := SelectKSolver(p, k, 1500, solver)
+		_, _, st, err := SelectK(p, k, 1500, solver)
 		if err != nil {
 			b.Fatal(err)
 		}

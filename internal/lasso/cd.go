@@ -1,11 +1,8 @@
 package lasso
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// Solver selects the engine SelectKSolver fits each lambda with. Both
+// Solver selects the engine SelectK fits each lambda with. Both
 // engines compute the exact same proximal-gradient iterate sequence —
 // fitted weights, supports and iteration counts are bit-identical —
 // but the coordinate-screened engine (SolverCD, the default) certifies
@@ -27,30 +24,11 @@ const (
 	// no-op, so the emitted iterates are bit-identical to the dense
 	// loop's.
 	SolverCD Solver = iota
-	// SolverISTA is the dense fixed-step proximal-gradient engine —
-	// the original solver, retained as the differential reference
-	// oracle.
+	// SolverISTA is the dense fixed-step proximal-gradient engine,
+	// fitting every lambda from the zero iterate — the original solver,
+	// retained as the differential reference oracle.
 	SolverISTA
 )
-
-// String reports the flag/metrics label for the solver.
-func (s Solver) String() string {
-	if s == SolverISTA {
-		return "ista"
-	}
-	return "cd"
-}
-
-// ParseSolver maps CLI flag values onto solver engines.
-func ParseSolver(s string) (Solver, error) {
-	switch s {
-	case "", "cd":
-		return SolverCD, nil
-	case "ista":
-		return SolverISTA, nil
-	}
-	return SolverCD, fmt.Errorf("lasso: unknown solver %q (want cd or ista)", s)
-}
 
 // cdPath is the per-SelectK state the screened engine shares across
 // every bisection probe: the hoisted design scans, the shared
@@ -212,7 +190,7 @@ func (c *cdPath) refresh(w []float64, lambda float64) (ddrLimit float64) {
 // screenedFrom is the screened engine's tail loop. Its emitted floats
 // — dots, sigmoids, residuals, live gradient entries, the proximal
 // updates and the convergence test — are computed by exactly the
-// expressions fitFrom uses, in the same order; the only difference is
+// expressions fitDense uses, in the same order; the only difference is
 // that screened coordinates' gradient entries are never accumulated
 // and their (provably zero) updates never applied. The screen is
 // maintained conservatively on the side: per iteration one O(n)

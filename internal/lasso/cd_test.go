@@ -7,27 +7,6 @@ import (
 	"testing"
 )
 
-func TestParseSolver(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Solver
-		ok   bool
-	}{
-		{"", SolverCD, true},
-		{"cd", SolverCD, true},
-		{"ista", SolverISTA, true},
-		{"glmnet", SolverCD, false},
-	} {
-		got, err := ParseSolver(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseSolver(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if SolverCD.String() != "cd" || SolverISTA.String() != "ista" {
-		t.Errorf("solver labels: %q, %q", SolverCD, SolverISTA)
-	}
-}
-
 // requireSameFit asserts two results agree to the bit: weights,
 // intercept, lambda and iteration count.
 func requireSameFit(t *testing.T, label string, a, b *Result) {
@@ -60,8 +39,8 @@ func TestDesignHoistBitIdentical(t *testing.T) {
 			t.Fatalf("lam %v: hoisted scans diverge: step %v/%v finite %v/%v",
 				lam, shared.step, fresh.step, shared.finite, fresh.finite)
 		}
-		a := fitFrom(shared, lam, 600, 1e-7, make([]float64, p.D), 0, 0)
-		b := fitFrom(fresh, lam, 600, 1e-7, make([]float64, p.D), 0, 0)
+		a := fitDense(shared, lam, 600, 1e-7)
+		b := fitDense(fresh, lam, 600, 1e-7)
 		requireSameFit(t, "hoist", a, b)
 	}
 }
@@ -110,7 +89,7 @@ func TestSupportTieBreakExact(t *testing.T) {
 // TestSolverCDBitIdentical sweeps randomized designs — separable,
 // noisy, and ill-posed ones where k exceeds the informative count, so
 // selections sit right at the activation threshold — and checks the
-// coordinate-screened engine against the dense ISTA oracle in every
+// coordinate-screened engine against the cold dense ISTA oracle in every
 // observable: ranked selection, tuned lambda, fitted weights,
 // intercept, iteration counts and path statistics. The screen only
 // ever skips work it has certified to be a bitwise no-op, so nothing
@@ -125,8 +104,8 @@ func TestSolverCDBitIdentical(t *testing.T) {
 		p := synthProblem(rng, n, d, informative, gap)
 		k := 1 + rng.Intn(6)
 
-		istaSel, istaRes, istaSt, istaErr := SelectKSolver(p, k, 700, SolverISTA)
-		cdSel, cdRes, cdSt, cdErr := SelectKSolver(p, k, 700, SolverCD)
+		istaSel, istaRes, istaSt, istaErr := SelectK(p, k, 700, SolverISTA)
+		cdSel, cdRes, cdSt, cdErr := SelectK(p, k, 700, SolverCD)
 		if (istaErr == nil) != (cdErr == nil) {
 			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, istaErr, cdErr)
 		}
@@ -150,11 +129,11 @@ func TestSolverCDBitIdentical(t *testing.T) {
 // problem class the pipeline actually feeds the lasso.
 func TestSolverCDBitIdenticalCatalog(t *testing.T) {
 	p, k := catalogProblem(t)
-	istaSel, istaRes, istaSt, err := SelectKSolver(p, k, 1500, SolverISTA)
+	istaSel, istaRes, istaSt, err := SelectK(p, k, 1500, SolverISTA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdSel, cdRes, cdSt, err := SelectKSolver(p, k, 1500, SolverCD)
+	cdSel, cdRes, cdSt, err := SelectK(p, k, 1500, SolverCD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +147,7 @@ func TestSolverCDBitIdenticalCatalog(t *testing.T) {
 }
 
 // FuzzLassoSolvers is the differential fuzzer for the two lasso
-// engines: arbitrary design shapes, seeds and separations, with the
+// engines (screened CD against cold dense ISTA): arbitrary design shapes, seeds and separations, with the
 // full bit-equality contract asserted on every probe — the screened
 // engine's inertness certificates must hold on whatever degenerate
 // geometry the fuzzer finds.
@@ -190,8 +169,8 @@ func FuzzLassoSolvers(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		p := synthProblem(rng, n, d, informative, gap)
 
-		istaSel, istaRes, istaSt, istaErr := SelectKSolver(p, k, 400, SolverISTA)
-		cdSel, cdRes, cdSt, cdErr := SelectKSolver(p, k, 400, SolverCD)
+		istaSel, istaRes, istaSt, istaErr := SelectK(p, k, 400, SolverISTA)
+		cdSel, cdRes, cdSt, cdErr := SelectK(p, k, 400, SolverCD)
 		if (istaErr == nil) != (cdErr == nil) {
 			t.Fatalf("error mismatch: %v vs %v", istaErr, cdErr)
 		}

@@ -94,7 +94,7 @@ func Fit(p Problem, lambda float64, maxIter int, tol float64) (*Result, error) {
 // check gating the sparse-dot fast path and the Lipschitz row-norm
 // bound fixing the ISTA step — that used to be recomputed inside every
 // one of SelectK's ~30 bisection probes. Hoisting them is a pure move:
-// the loops are byte-for-byte the ones fitFrom ran, so the computed
+// the loops are byte-for-byte the ones fitDense ran, so the computed
 // step and finiteness flag (and therefore every fit) are bit-identical
 // (TestDesignHoistBitIdentical pins this).
 type design struct {
@@ -142,30 +142,27 @@ func newDesign(z, y []float64, n, d int, forceDense bool) *design {
 	return ds
 }
 
-// fitStandardized starts the ISTA loop from the zero iterate.
+// fitStandardized runs the ISTA loop over a standardized design.
 func fitStandardized(z, y []float64, n, d int, lambda float64, maxIter int, tol float64, forceDense bool) *Result {
-	return fitFrom(newDesign(z, y, n, d, forceDense), lambda, maxIter, tol, make([]float64, d), 0, 0)
+	return fitDense(newDesign(z, y, n, d, forceDense), lambda, maxIter, tol)
 }
 
-// fitFrom is the ISTA loop over an already-standardized design
-// (SelectK's path search shares one standardization across every
-// lambda), continuing from iterate (w, b) at iteration count start —
-// the warm path resumes here after skipping the shared pure-intercept
-// prefix, and because the loop body is byte-for-byte the cold path's,
-// a continuation from a bit-exact cold iterate reproduces the cold
-// trajectory bit-for-bit. The inner loops are tuned — sparse dot
+// fitDense is the ISTA loop from the zero iterate over an
+// already-standardized design (SelectK's path search shares one
+// standardization across every lambda). The inner loops are tuned — sparse dot
 // products over the iterate's support, one sigmoid per distinct dot,
 // an unrolled gradient update — but every floating-point operation and
 // its order is exactly the original dense loop's, so fitted weights
-// are bit-identical (TestSparseDotMatchesDense pins this). w is
-// retained as the result's weight slice.
-func fitFrom(ds *design, lambda float64, maxIter int, tol float64, w []float64, b float64, start int) *Result {
+// are bit-identical (TestSparseDotMatchesDense pins this).
+func fitDense(ds *design, lambda float64, maxIter int, tol float64) *Result {
 	z, y, n, d := ds.z, ds.y, ds.n, ds.d
 	finite, step, inv := ds.finite, ds.step, ds.inv
+	w := make([]float64, d)
+	var b float64
 	grad := make([]float64, d)
 	nz := make([]int, 0, d)
 	var iters int
-	for iters = start; iters < maxIter; iters++ {
+	for iters = 0; iters < maxIter; iters++ {
 		for j := range grad {
 			grad[j] = 0
 		}
@@ -284,15 +281,14 @@ func (r *Result) Support() []int {
 // only on b_t, and the intercept update never touches lambda. So the
 // cache computes, once per SelectK, the sequence of (b_t, gradient_t)
 // pairs — bit-for-bit the iterates the cold loop would produce — and
-// each lambda's fit fast-forwards along it until the exact KKT
+// each lambda's CD fit fast-forwards along it until the exact KKT
 // condition softThreshold(w_j - step·grad_j/n, step·λ) ≠ 0 admits its
 // first coordinate (the same proximal expression the dense update
 // applies, so the departure iteration is exactly where the cold
 // trajectory's support first becomes nonempty). From that bit-exact
-// iterate the ordinary ISTA loop (fitFrom) finishes the fit, making
-// every warm fit bit-identical to its cold counterpart while the
-// shared prefix — the long stretch the cold path burns re-deriving the
-// same intercept for every lambda — is paid once instead of ~30 times.
+// iterate the screened loop finishes the fit, so the shared prefix —
+// the long stretch a cold fit burns re-deriving the same intercept for
+// every lambda — is paid once instead of ~30 times.
 type pathCache struct {
 	ds     *design
 	bs     []float64   // bs[t] = intercept entering iteration t (bs[0] = 0)
@@ -336,22 +332,12 @@ func (c *pathCache) ensure(t int) {
 	}
 }
 
-// fit runs one lambda's cold-equivalent fit, fast-forwarding through
-// the shared prefix.
-func (c *pathCache) fit(lambda float64, maxIter int, tol float64) *Result {
-	res, w, nb, t := c.prefix(lambda, maxIter, tol)
-	if res != nil {
-		return res
-	}
-	return fitFrom(c.ds, lambda, maxIter, tol, w, nb, t+1)
-}
-
 // prefix fast-forwards one lambda through the shared pure-intercept
 // trajectory. When the fit completes inside the prefix (tolerance or
 // maxIter hit before any coordinate activates) it returns the finished
 // Result; otherwise it returns a nil Result plus the bit-exact iterate
-// (w, b) after the activating iteration t — the state both engine
-// tails (the dense ISTA loop and the screened loop) resume from.
+// (w, b) after the activating iteration t — the state the screened
+// loop resumes from.
 func (c *pathCache) prefix(lambda float64, maxIter int, tol float64) (*Result, []float64, float64, int) {
 	ds := c.ds
 	lamStep := ds.step * lambda
@@ -414,47 +400,22 @@ type PathStats struct {
 
 // SelectK tunes lambda by bisection on the regularization path so that
 // the fitted support has approximately k variables (the paper tunes to
-// "about five"). It returns the selected indices ranked by |weight| and
-// the final fit. If the support cannot be driven exactly to k (the path
-// may jump, as in the GOFFGRATCH experiment where 10 variables come out)
-// the closest achievable support with size >= k is returned.
+// "about five"). It returns the selected indices ranked by |weight|,
+// the final fit and the path statistics. If the support cannot be
+// driven exactly to k (the path may jump, as in the GOFFGRATCH
+// experiment where 10 variables come out) the closest achievable
+// support with size >= k is returned. maxIter <= 0 selects 500.
 //
-// SelectK runs the warm-started ISTA path (the reference oracle; see
-// SelectKSolver for the coordinate-descent default the pipeline uses):
-// the lambda-independent pure-intercept prefix of the ISTA trajectory
-// is computed once and shared across every bisection fit, each of
-// which fast-forwards along it to its exact KKT departure point (see
-// pathCache). SelectKCold runs the same search with cold from-zero
-// fits and is the differential oracle the tests compare against —
-// fits, supports and the tuned lambda are all bit-identical between
-// the two.
-func SelectK(p Problem, k int, maxIter int) ([]int, *Result, error) {
-	sel, res, _, err := selectK(p, k, maxIter, SolverISTA, true)
-	return sel, res, err
-}
-
-// SelectKCold is SelectK without warm starts: every lambda on the
-// bisection path is fitted from the zero iterate by the dense ISTA
-// loop. It exists as the differential oracle for the warm-started
-// path — selections must agree bit-for-bit.
-func SelectKCold(p Problem, k int, maxIter int) ([]int, *Result, error) {
-	sel, res, _, err := selectK(p, k, maxIter, SolverISTA, false)
-	return sel, res, err
-}
-
-// SelectKSolver is SelectK with an explicit solver engine, returning
-// path statistics alongside the selection. SolverCD (the pipeline
-// default) runs the coordinate-screened descent engine; SolverISTA
-// runs the warm-started dense proximal-gradient oracle (identical to
-// SelectK). The engines emit bit-identical iterates — ranked
-// selections, tuned lambdas, fitted weights, intercepts and iteration
-// counts all match exactly (TestSolverCDBitIdentical and
-// FuzzLassoSolvers pin this).
-func SelectKSolver(p Problem, k, maxIter int, solver Solver) ([]int, *Result, PathStats, error) {
-	return selectK(p, k, maxIter, solver, true)
-}
-
-func selectK(p Problem, k int, maxIter int, solver Solver, warm bool) ([]int, *Result, PathStats, error) {
+// solver picks the engine each lambda is fitted with. SolverCD (the
+// pipeline's engine) shares the pure-intercept prefix across the path
+// and runs the coordinate-screened loop; SolverISTA fits every lambda
+// from zero with the dense loop and is the differential oracle. The
+// engines emit bit-identical iterates — ranked selections, tuned
+// lambdas, fitted weights, intercepts and iteration counts all match
+// (TestSolverCDBitIdentical and FuzzLassoSolvers pin this). Designs
+// with non-finite features always take the dense loop: the CD
+// recurrences assume finite Gram columns.
+func SelectK(p Problem, k, maxIter int, solver Solver) ([]int, *Result, PathStats, error) {
 	var st PathStats
 	if k <= 0 {
 		return nil, nil, st, errors.New("lasso: k must be positive")
@@ -488,34 +449,26 @@ func selectK(p Problem, k int, maxIter int, solver Solver, warm bool) ([]int, *R
 	}
 	// The hoisted per-path state: finiteness and the Lipschitz step are
 	// computed once here and shared by every probe (satellite of the
-	// same scan fitFrom used to repeat ~30 times).
+	// same scan fitDense used to repeat ~30 times).
 	ds := newDesign(z, p.Y, p.N, p.D, false)
 	lo, hi := lamMax*1e-4, lamMax
 	var best *Result
 	var bestSup []int
 	bestGap := math.MaxInt32
-	var cache *pathCache
 	var cd *cdPath
 	if solver == SolverCD && ds.finite {
-		// Non-finite designs fall back to the dense ISTA oracle: the
-		// CD recurrences assume finite Gram columns.
 		cd = newCDPath(ds)
-	} else if warm && ds.finite {
-		cache = newPathCache(ds) // non-finite designs keep the dense cold path
 	}
 	for iter := 0; iter < 30; iter++ {
 		mid := math.Sqrt(lo * hi) // geometric bisection
 		var res *Result
-		switch {
-		case cd != nil:
+		if cd != nil {
 			res = cd.fit(mid, maxIter, 1e-7)
-		case cache != nil:
-			res = cache.fit(mid, maxIter, 1e-7)
-		default:
+		} else {
 			// The standardized design and the ISTA trajectory per lambda
 			// are identical to a fresh Fit call; only the standardization
 			// and the hoisted scans are shared across the path.
-			res = fitFrom(ds, mid, maxIter, 1e-7, make([]float64, ds.d), 0, 0)
+			res = fitDense(ds, mid, maxIter, 1e-7)
 		}
 		st.Fits++
 		st.Iters += res.Iters

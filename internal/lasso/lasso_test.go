@@ -1,8 +1,10 @@
 package lasso
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -78,7 +80,7 @@ func TestSelectKFindsInformativeSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	// 12 features, 5 informative; ask for 5 (paper's target).
 	p := synthProblem(rng, 120, 12, 5, 4)
-	sel, res, err := SelectK(p, 5, 3000)
+	sel, res, _, err := SelectK(p, 5, 3000, SolverCD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +100,10 @@ func TestSelectKFindsInformativeSet(t *testing.T) {
 }
 
 func TestSelectKRejectsBadK(t *testing.T) {
-	if _, _, err := SelectK(Problem{X: []float64{1}, Y: []float64{1}, N: 1, D: 1}, 0, 10); err == nil {
-		t.Fatal("k=0 accepted")
+	for _, sv := range []Solver{SolverCD, SolverISTA} {
+		if _, _, _, err := SelectK(Problem{X: []float64{1}, Y: []float64{1}, N: 1, D: 1}, 0, 10, sv); err == nil {
+			t.Fatalf("solver %d: k=0 accepted", sv)
+		}
 	}
 }
 
@@ -137,11 +141,11 @@ func TestFitMonotoneSupportInLambda(t *testing.T) {
 // TestSelectKWarmMatchesCold sweeps randomized designs — including
 // ill-posed ones where k exceeds the informative feature count, so
 // noise picks sit right at the activation threshold — and checks the
-// warm-started path search is bit-identical to the cold oracle in
-// every respect: ranked selection, tuned lambda, fitted weights,
-// intercept and iteration count. Warm fits fast-forward through the
-// shared pure-intercept prefix but reproduce the cold trajectory
-// exactly, so nothing may differ.
+// CD path search, whose fits fast-forward through the shared
+// pure-intercept prefix, against cold from-zero dense ISTA in every
+// respect: ranked selection, tuned lambda, fitted weights, intercept,
+// iteration count and path statistics. It runs with maxIter 0, so it
+// also covers the default iteration budget.
 func TestSelectKWarmMatchesCold(t *testing.T) {
 	rng := uint64(12345)
 	next := func() float64 {
@@ -168,36 +172,23 @@ func TestSelectKWarmMatchesCold(t *testing.T) {
 		}
 		p := Problem{X: x, Y: y, N: n, D: d}
 		k := 1 + trial%5
-		warmSel, warmRes, err := SelectK(p, k, 0)
+		warmSel, warmRes, warmSt, err := SelectK(p, k, 0, SolverCD)
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldSel, coldRes, err := SelectKCold(p, k, 0)
+		coldSel, coldRes, coldSt, err := SelectK(p, k, 0, SolverISTA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(warmSel) != len(coldSel) {
-			t.Fatalf("trial %d: warm %v cold %v", trial, warmSel, coldSel)
+		if !reflect.DeepEqual(warmSel, coldSel) {
+			t.Fatalf("trial %d: selections: cd %v ista %v", trial, warmSel, coldSel)
 		}
-		for i := range warmSel {
-			if warmSel[i] != coldSel[i] {
-				t.Fatalf("trial %d rank %d: warm %v cold %v", trial, i, warmSel, coldSel)
-			}
+		if warmSt != coldSt {
+			t.Fatalf("trial %d: path stats: cd %+v ista %+v", trial, warmSt, coldSt)
 		}
-		if math.Float64bits(warmRes.Lambda) != math.Float64bits(coldRes.Lambda) {
-			t.Fatalf("trial %d: lambda warm %v cold %v", trial, warmRes.Lambda, coldRes.Lambda)
+		if warmSt.Fits == 0 || warmSt.Iters > warmSt.Fits*500 {
+			t.Fatalf("trial %d: path stats %+v outside the default 500-iteration budget", trial, warmSt)
 		}
-		if math.Float64bits(warmRes.Intercept) != math.Float64bits(coldRes.Intercept) {
-			t.Fatalf("trial %d: intercept warm %v cold %v", trial, warmRes.Intercept, coldRes.Intercept)
-		}
-		if warmRes.Iters != coldRes.Iters {
-			t.Fatalf("trial %d: iters warm %d cold %d", trial, warmRes.Iters, coldRes.Iters)
-		}
-		for j := range warmRes.Weights {
-			if math.Float64bits(warmRes.Weights[j]) != math.Float64bits(coldRes.Weights[j]) {
-				t.Fatalf("trial %d: weight %d warm %v cold %v",
-					trial, j, warmRes.Weights[j], coldRes.Weights[j])
-			}
-		}
+		requireSameFit(t, fmt.Sprintf("trial %d", trial), warmRes, coldRes)
 	}
 }

@@ -134,16 +134,22 @@ func TestECTShape(t *testing.T) {
 	check("AVX2", fma, true)
 
 	// Source bugs.
-	for _, bug := range []corpus.Bug{corpus.BugWsub, corpus.BugGoffGratch,
-		corpus.BugDyn3, corpus.BugRandomIdx} {
-		cfg := base
-		cfg.Bug = bug
-		br := runnerFor(t, cfg)
+	clean := corpus.Generate(base)
+	for _, bug := range []corpus.ReplaceInAssign{corpus.WsubPatch, corpus.GoffGratchPatch,
+		corpus.Dyn3Patch, corpus.RandomIdxPatch} {
+		bugged, err := corpus.Apply(clean, bug)
+		if err != nil {
+			t.Fatal(err)
+		}
+		br, err := NewRunner(bugged)
+		if err != nil {
+			t.Fatal(err)
+		}
 		runs, err := br.ExperimentalSet(10, 1000, RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(bug.String(), runs, true)
+		check(bug.ID(), runs, true)
 	}
 }
 

@@ -352,7 +352,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	lfits, liters := s.session.LassoStats()
-	ls := lassoStats{Solver: s.session.LassoSolver(), Fits: lfits, Iters: liters}
+	ls := lassoStats{Fits: lfits, Iters: liters}
 	s.m.write(w, s.session.Engine(), len(s.queue), s.store.len(), s.inflight(), hits, misses, ls, as, rs)
 }
 

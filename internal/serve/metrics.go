@@ -32,12 +32,9 @@ type metrics struct {
 // write renders the counters plus the gauges the server derives live.
 // Every job series carries the session's execution-engine label
 // (engine="bytecode" or engine="tree"), and the bytecode program
-// cache's hit/miss counters are reported alongside. The lasso series
-// additionally carry the session's solver label (solver="cd" or
-// solver="ista").
+// cache's hit/miss counters are reported alongside.
 func (m *metrics) write(w io.Writer, engine string, queueDepth, storeSize, inflight int, compileHits, compileMisses uint64, ls lassoStats, as artifactStats, rs robustStats) {
 	lbl := fmt.Sprintf(`{engine=%q}`, engine)
-	lassoLbl := fmt.Sprintf(`{engine=%q,solver=%q}`, engine, ls.Solver)
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP rcad_%s %s\n# TYPE rcad_%s counter\nrcad_%s%s %d\n", name, help, name, name, lbl, v)
 	}
@@ -55,11 +52,8 @@ func (m *metrics) write(w io.Writer, engine string, queueDepth, storeSize, infli
 	counter("flights_canceled_total", "Executions aborted because every subscriber left.", m.flightsCanceled.Load())
 	counter("compile_cache_hits_total", "Integrations that reused a cached compiled program.", int64(compileHits))
 	counter("compile_cache_misses_total", "Bytecode program compilations.", int64(compileMisses))
-	lassoCounter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP rcad_%s %s\n# TYPE rcad_%s counter\nrcad_%s%s %d\n", name, help, name, name, lassoLbl, v)
-	}
-	lassoCounter("lasso_fits_total", "Selection-stage lasso fits across the session.", int64(ls.Fits))
-	lassoCounter("lasso_fit_iterations_total", "Proximal-gradient iterations consumed by selection-stage lasso fits.", int64(ls.Iters))
+	counter("lasso_fits_total", "Selection-stage lasso fits across the session.", int64(ls.Fits))
+	counter("lasso_fit_iterations_total", "Proximal-gradient iterations consumed by selection-stage lasso fits.", int64(ls.Iters))
 	counter("searches_started_total", "Scenario searches accepted.", m.searchesStarted.Load())
 	counter("searches_completed_total", "Scenario searches finished with a result.", m.searchesCompleted.Load())
 	counter("searches_failed_total", "Scenario searches finished with an error.", m.searchesFailed.Load())
@@ -86,11 +80,10 @@ func (m *metrics) write(w io.Writer, engine string, queueDepth, storeSize, infli
 }
 
 // lassoStats is the lasso slice of the metrics page: the session's
-// solver label and its cumulative fit/iteration counters.
+// cumulative fit/iteration counters.
 type lassoStats struct {
-	Solver string
-	Fits   uint64
-	Iters  uint64
+	Fits  uint64
+	Iters uint64
 }
 
 // artifactStats is the slice of artifact.Stats the metrics page

@@ -86,18 +86,6 @@ type SourceReplace = experiments.SourceReplace
 // right-hand side by a factor (e.g. micro_mg_tend.ratio *= 1.0001).
 type ScaleAssignment = experiments.ScaleAssignment
 
-// Spec names one experiment configuration over the closed defect
-// catalog.
-//
-// Deprecated: Spec predates the Scenario interface and can only
-// express the prewired defects. Compose a Scenario from Injections
-// instead; legacy Specs convert losslessly with Scenario().
-type Spec = experiments.Spec
-
-// Setup sizes an experiment run: corpus scale, ensemble and
-// experimental set sizes, sampler kind and refinement options.
-type Setup = experiments.Setup
-
 // Outcome carries everything one experiment produces: the consistency
 // verdict, selected variables, graph/slice sizes, the refinement trace
 // and whether the defect was located.
@@ -105,13 +93,6 @@ type Outcome = experiments.Outcome
 
 // CorpusConfig sizes the synthetic CESM-like corpus.
 type CorpusConfig = corpus.Config
-
-// Bug selects a prewired injectable source defect.
-//
-// Deprecated: the Bug enum is the closed world the Scenario API
-// opens. Use the catalog injections (WsubDefect, GoffGratchDefect, …)
-// or a custom SourceReplace/ScaleAssignment.
-type Bug = corpus.Bug
 
 // Patch is one source-level edit over a named corpus subprogram — the
 // corpus-layer mechanism behind SourceReplace/ScaleAssignment.
@@ -146,26 +127,14 @@ var (
 // The paper's prewired experiments (§6 and supplement §8.2), as
 // scenario values over the open Injection catalog.
 var (
-	WSUBBUG    = experiments.WSUBBUG.Scenario()
-	RANDMT     = experiments.RANDMT.Scenario()
-	GOFFGRATCH = experiments.GOFFGRATCH.Scenario()
-	AVX2       = experiments.AVX2.Scenario()
-	RANDOMBUG  = experiments.RANDOMBUG.Scenario()
-	DYN3BUG    = experiments.DYN3BUG.Scenario()
-	AVX2Full   = experiments.AVX2Full.Scenario()
-	LANDBUG    = experiments.LANDBUG.Scenario()
-)
-
-// Injectable bugs (for legacy custom Specs).
-//
-// Deprecated: compose injections instead of enum values.
-const (
-	BugNone       = corpus.BugNone
-	BugWsub       = corpus.BugWsub
-	BugGoffGratch = corpus.BugGoffGratch
-	BugDyn3       = corpus.BugDyn3
-	BugRandomIdx  = corpus.BugRandomIdx
-	BugLand       = corpus.BugLand
+	WSUBBUG    = experiments.WSUBBUG
+	RANDMT     = experiments.RANDMT
+	GOFFGRATCH = experiments.GOFFGRATCH
+	AVX2       = experiments.AVX2
+	RANDOMBUG  = experiments.RANDOMBUG
+	DYN3BUG    = experiments.DYN3BUG
+	AVX2Full   = experiments.AVX2Full
+	LANDBUG    = experiments.LANDBUG
 )
 
 // NewScenario composes injections into a runnable scenario.
@@ -195,8 +164,7 @@ func ScenarioFromJSON(data []byte) (Scenario, error) { return experiments.Scenar
 func ScenarioToJSON(sc Scenario) ([]byte, error) { return experiments.ScenarioToJSON(sc) }
 
 // ScenarioFingerprint returns a scenario's stable cache identity over
-// a corpus configuration — the value that replaces the legacy
-// (Bug, Mersenne, FMA) tuple as the Session cache key.
+// a corpus configuration — the value the Session caches key on.
 func ScenarioFingerprint(cfg CorpusConfig, sc Scenario) (string, error) {
 	return experiments.ScenarioFingerprint(cfg, sc)
 }
@@ -230,33 +198,6 @@ func DefaultCorpus() CorpusConfig { return corpus.Default() }
 // PaperScaleCorpus returns a corpus sized like the paper's 561-module
 // quotient graph.
 func PaperScaleCorpus() CorpusConfig { return corpus.PaperScale() }
-
-// RunExperiment executes the full root-cause-analysis pipeline for
-// one scenario.
-//
-// Deprecated: RunExperiment builds a single-use Session per call,
-// regenerating the corpus, the ensemble and the metagraph every time.
-// Use NewSession and Session.Run (or Session.RunAll) to amortize that
-// work across scenarios.
-func RunExperiment(sc Scenario, setup Setup) (*Outcome, error) {
-	return experiments.RunScenario(sc, setup)
-}
-
-// RunSpec executes the pipeline for one legacy closed-world Spec.
-//
-// Deprecated: convert the Spec with Scenario() and use a Session.
-func RunSpec(spec Spec, setup Setup) (*Outcome, error) {
-	return experiments.Run(spec, setup)
-}
-
-// RunTable1 reproduces the paper's Table 1 (selective AVX2/FMA
-// disablement failure rates).
-//
-// Deprecated: use Session.Table1, which shares the ensemble and the
-// metagraph with the rest of the session's pipeline.
-func RunTable1(setup Table1Setup) ([]Table1Row, error) {
-	return experiments.Table1(setup)
-}
 
 // Experiments returns the prewired §6 scenarios in paper order.
 func Experiments() []Scenario {

@@ -1,17 +1,15 @@
 package rca
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestPublicAPIEndToEnd(t *testing.T) {
-	setup := Setup{
-		Corpus:       CorpusConfig{AuxModules: 30, Seed: 2},
-		EnsembleSize: 30,
-		ExpSize:      6,
-	}
-	out, err := RunExperiment(WSUBBUG, setup)
+	session := NewSession(CorpusConfig{AuxModules: 30, Seed: 2},
+		WithEnsembleSize(30), WithExpSize(6))
+	out, err := session.Run(context.Background(), WSUBBUG)
 	if err != nil {
 		t.Fatal(err)
 	}

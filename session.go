@@ -6,7 +6,6 @@ import (
 	"github.com/climate-rca/rca/internal/core"
 	"github.com/climate-rca/rca/internal/ect"
 	"github.com/climate-rca/rca/internal/experiments"
-	"github.com/climate-rca/rca/internal/lasso"
 	"github.com/climate-rca/rca/internal/model"
 )
 
@@ -108,14 +107,6 @@ func WithSampler(s Sampler) Option { return experiments.WithSampler(s) }
 // WithRefineOptions sets the Algorithm 5.4 knobs.
 func WithRefineOptions(o RefineOptions) Option { return experiments.WithRefineOptions(o) }
 
-// WithContext attaches a constructor-scoped cancellation context,
-// checked alongside the per-call contexts.
-//
-// Deprecated: pass a context to each call instead — Run, RunAll,
-// Table1 and every stage take one. Constructor-scoped cancellation
-// cannot distinguish between investigations sharing the session.
-func WithContext(ctx context.Context) Option { return experiments.WithContext(ctx) }
-
 // WithWorkers bounds RunAll's concurrent fan-out (default GOMAXPROCS).
 func WithWorkers(n int) Option { return experiments.WithWorkers(n) }
 
@@ -144,31 +135,6 @@ func ParseEngine(s string) (EngineKind, error) { return model.ParseEngine(s) }
 // rcad's dedup) concurrent job that uses the same sources.
 func WithEngine(k EngineKind) Option { return experiments.WithEngine(k) }
 
-// LassoSolver selects the solver engine behind the §3 lasso variable
-// selection: the coordinate-screened engine (SolverCD, the default) or
-// the dense fixed-step ISTA loop it replaced (SolverISTA, retained as
-// the differential reference oracle). The two emit bit-identical
-// iterates — same fitted weights, supports, iteration counts and
-// FormatOutcome bytes — so like EngineKind the choice is purely a
-// throughput knob.
-type LassoSolver = lasso.Solver
-
-// Lasso solver choices for WithLassoSolver.
-const (
-	SolverCD   = lasso.SolverCD
-	SolverISTA = lasso.SolverISTA
-)
-
-// ParseLassoSolver maps a CLI flag value ("cd" or "ista") onto a lasso
-// solver engine.
-func ParseLassoSolver(s string) (LassoSolver, error) { return lasso.ParseSolver(s) }
-
-// WithLassoSolver selects the session's lasso engine. The default is
-// the coordinate-screened engine, which skips per-iteration gradient
-// work for coordinates certified inert and refreshes its certificates
-// with full KKT passes.
-func WithLassoSolver(sv LassoSolver) Option { return experiments.WithLassoSolver(sv) }
-
 // WithParallelism bounds the worker pool used inside one investigation
 // (default GOMAXPROCS): ensemble and experimental-set members integrate
 // concurrently and the refinement loop's graph kernels (edge
@@ -177,14 +143,6 @@ func WithLassoSolver(sv LassoSolver) Option { return experiments.WithLassoSolver
 // WithParallelism(1) is the sequential reference — so this is purely a
 // wall-clock knob. Contexts are honored between work units.
 func WithParallelism(n int) Option { return experiments.WithParallelism(n) }
-
-// WithBatch sets how many ensemble/experimental members integrate in
-// lockstep on one batched struct-of-arrays VM (default 8). One
-// instruction decode drives all lanes; lanes split off only at
-// data-dependent branches. WithBatch(1) runs every member on its own
-// solo VM — the differential reference. Outputs are bit-identical at
-// every batch width, so this too is purely a wall-clock knob.
-func WithBatch(n int) Option { return experiments.WithBatch(n) }
 
 // ValueSampling instruments refinement nodes with real runtime value
 // snapshots; tol <= 0 selects the default normalized-RMS tolerance.

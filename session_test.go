@@ -54,47 +54,6 @@ func summarize(o *Outcome) outcomeSummary {
 	return s
 }
 
-// legacySpecs are the prewired §6 experiments expressed in the
-// deprecated closed-world Spec form, index-aligned with Experiments().
-var legacySpecs = []Spec{
-	{Name: "WSUBBUG", Bug: BugWsub, CAMOnly: true, SelectK: 1},
-	{Name: "RAND-MT", Mersenne: true, CAMOnly: true, SelectK: 5},
-	{Name: "GOFFGRATCH", Bug: BugGoffGratch, CAMOnly: true, SelectK: 5},
-	{Name: "AVX2", FMA: true, CAMOnly: true, SelectK: 5},
-	{Name: "RANDOMBUG", Bug: BugRandomIdx, CAMOnly: true, SelectK: 1},
-	{Name: "DYN3BUG", Bug: BugDyn3, CAMOnly: true, SelectK: 5},
-}
-
-// TestScenariosMatchDeprecatedSpecPath pins the redesign's determinism
-// acceptance: for every prewired experiment, the scenario value run
-// through Session.Run must be observationally identical to the
-// deprecated closed-world Spec run through RunSpec — opening the enum
-// into injections must not change a single outcome quantity.
-func TestScenariosMatchDeprecatedSpecPath(t *testing.T) {
-	ctx := context.Background()
-	cfg := CorpusConfig{AuxModules: 30, Seed: 2}
-	setup := Setup{Corpus: cfg, EnsembleSize: 24, ExpSize: 6}
-	session := NewSession(cfg, WithEnsembleSize(24), WithExpSize(6))
-	scenarios := Experiments()
-	for i, spec := range legacySpecs {
-		spec, sc := spec, scenarios[i]
-		t.Run(spec.Name, func(t *testing.T) {
-			want, err := RunSpec(spec, setup)
-			if err != nil {
-				t.Fatalf("spec path: %v", err)
-			}
-			got, err := session.Run(ctx, sc)
-			if err != nil {
-				t.Fatalf("scenario path: %v", err)
-			}
-			if !reflect.DeepEqual(summarize(got), summarize(want)) {
-				t.Fatalf("scenario outcome diverges from deprecated Spec path:\nscenario: %+v\nspec:     %+v",
-					summarize(got), summarize(want))
-			}
-		})
-	}
-}
-
 // TestSessionRunAllConcurrent proves the cached corpus, ensemble and
 // metagraphs are safe to share across RunAll's worker goroutines (run
 // under -race in CI) and that the fan-out returns the same outcomes a
@@ -351,17 +310,6 @@ func TestSessionContextCancellationPerCall(t *testing.T) {
 	}
 }
 
-// TestSessionContextCancellationConstructor: the deprecated
-// constructor-scoped context still aborts.
-func TestSessionContextCancellationConstructor(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	session := NewSession(CorpusConfig{AuxModules: 30, Seed: 2}, WithContext(ctx))
-	if _, err := session.Run(context.Background(), WSUBBUG); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-}
-
 // TestSessionTable1 shares the session's ensemble and metagraph with
 // the selective-FMA study.
 func TestSessionTable1(t *testing.T) {
@@ -379,15 +327,6 @@ func TestSessionTable1(t *testing.T) {
 	// disabled-everywhere (the Table 1 shape).
 	if rows[0].FailureRate < rows[len(rows)-1].FailureRate {
 		t.Fatalf("table shape wrong: %+v", rows)
-	}
-}
-
-// TestRunExperimentRejectsUnknownSampler: the stringly-typed kind now
-// fails loudly instead of silently running the value sampler.
-func TestRunExperimentRejectsUnknownSampler(t *testing.T) {
-	setup := Setup{Corpus: CorpusConfig{AuxModules: 25, Seed: 2}, SamplerKind: "bogus"}
-	if _, err := RunExperiment(WSUBBUG, setup); err == nil {
-		t.Fatal("expected unknown-sampler error")
 	}
 }
 
