@@ -16,8 +16,7 @@ import (
 // variables) must produce a bit-identical result — ranked indices,
 // tuned lambda, fitted weights, intercept, iteration counts and path
 // statistics — whether each lambda on the bisection path runs the
-// coordinate-screened engine from the shared warm prefix or is fitted
-// cold from zero by dense ISTA.
+// coordinate-screened engine or is fitted by dense ISTA.
 func TestLassoWarmMatchesColdOnCatalog(t *testing.T) {
 	s := testSession()
 	ctx := context.Background()

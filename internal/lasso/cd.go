@@ -31,264 +31,211 @@ const (
 )
 
 // cdPath is the per-SelectK state the screened engine shares across
-// every bisection probe: the hoisted design scans, the shared
-// pure-intercept prefix cache, and the column l2 norms the screening
-// bound consumes — all lambda-independent, paid once per path.
+// every bisection probe: a column-major copy of the standardized
+// design and the column l2 norms the screening bound consumes — both
+// lambda-independent, paid once per path.
 type cdPath struct {
-	ds      *design
-	pc      *pathCache
+	ds *design
+	// zT[j*n+i] = z[i*d+j]. Every pass over the design walks one
+	// column at a time: the dots add w_j·zT_j into per-row
+	// accumulators, and each gradient entry is one contiguous dot of
+	// the residuals with zT_j. Per accumulator the multiplicands and
+	// the order (rows ascending, columns ascending) are fitDense's, so
+	// the layout changes no emitted float.
+	zT      []float64
 	colNorm []float64 // ‖z_j‖₂, the Cauchy–Schwarz column factors
 
 	// Scratch reused across probes (the path runs on one goroutine).
-	grad    []float64 // full-gradient scratch for refresh passes
-	gradRef []float64 // full gradient at the last refresh
-	budget  []float64 // per-screened-coordinate drift allowance
-	r, rref []float64 // residuals: current iterate / last refresh
-	live    []int     // coordinates whose gradient is tracked exactly
-	state   []int8    // cdScreened / cdLive per coordinate
-
-	// Packed panels: gathering strided z columns per row is what ate
-	// the screening win, so the live columns are copied into a
-	// contiguous n×|live| panel at each refresh (lz, accumulating into
-	// lg), and the active columns into n×|nzCols| (az, with weights
-	// packed into aw each iteration) whenever the support set changes.
-	// Packing changes neither the multiplicands nor the accumulation
-	// order, so every emitted float is unchanged.
-	lz, lg []float64
-	az, aw []float64
-	nzCols []int
+	dot      []float64 // per-row dot accumulators
+	nz       []int     // support columns, ascending
+	grad     []float64 // exact gradient: live entries every iteration, all at a refresh
+	r, rref  []float64 // residuals: current iterate / last refresh
+	live     []int     // coordinates whose gradient is tracked exactly
+	screened []int     // the rest, certified inert since the last refresh
 }
 
-const (
-	cdScreened int8 = iota
-	cdLive
-)
-
 func newCDPath(ds *design) *cdPath {
+	n, d := ds.n, ds.d
 	c := &cdPath{
-		ds:      ds,
-		pc:      newPathCache(ds),
-		colNorm: make([]float64, ds.d),
-		grad:    make([]float64, ds.d),
-		gradRef: make([]float64, ds.d),
-		budget:  make([]float64, ds.d),
-		r:       make([]float64, ds.n),
-		rref:    make([]float64, ds.n),
-		live:    make([]int, 0, ds.d),
-		state:   make([]int8, ds.d),
-		lz:      make([]float64, 0, ds.n*ds.d),
-		lg:      make([]float64, 0, ds.d),
-		az:      make([]float64, 0, ds.n*ds.d),
-		aw:      make([]float64, 0, ds.d),
-		nzCols:  make([]int, 0, ds.d),
+		ds:       ds,
+		zT:       make([]float64, n*d),
+		colNorm:  make([]float64, d),
+		dot:      make([]float64, n),
+		nz:       make([]int, 0, d),
+		grad:     make([]float64, d),
+		r:        make([]float64, n),
+		rref:     make([]float64, n),
+		live:     make([]int, 0, d),
+		screened: make([]int, 0, d),
 	}
-	for i := 0; i < ds.n; i++ {
-		row := ds.z[i*ds.d : (i+1)*ds.d]
-		for j, v := range row {
-			c.colNorm[j] += v * v
+	for j := 0; j < d; j++ {
+		col := c.zT[j*n : j*n+n]
+		var s float64
+		for i := range col {
+			col[i] = ds.z[i*d+j]
+			s += col[i] * col[i]
 		}
-	}
-	for j, s := range c.colNorm {
 		c.colNorm[j] = math.Sqrt(s)
 	}
 	return c
 }
 
-// fit runs one lambda's cold-equivalent fit: the shared prefix
-// fast-forward, then the screened tail loop.
-func (c *cdPath) fit(lambda float64, maxIter int, tol float64) *Result {
-	res, w, nb, t := c.pc.prefix(lambda, maxIter, tol)
-	if res != nil {
-		return res
-	}
-	return c.screenedFrom(lambda, maxIter, tol, w, nb, t+1)
-}
-
-// screenThreshold is the inactivity certificate for coordinate j: a
-// zero weight's proximal update softThreshold(−step·grad_j/n, step·λ)
-// is exactly zero whenever |grad_j| ≤ n·λ (the float expression is a
-// monotone image of that comparison). The screen certifies the real
-// quantity with margin to spare for the float error of an O(n)
-// gradient accumulation, so the certified float update is zero too.
+// screenSafety is the float margin on the inactivity certificate for
+// coordinate j: a zero weight's proximal update
+// softThreshold(−step·grad_j/n, step·λ) is exactly zero whenever
+// |grad_j| ≤ n·λ (the float expression is a monotone image of that
+// comparison). The screen certifies the real quantity with margin to
+// spare for the float error of an O(n) gradient accumulation, so the
+// certified float update is zero too.
 func screenSafety(n int, lambda float64) float64 {
 	return 1e-9*float64(n)*lambda + 1e-10*float64(n)
 }
 
-// refresh recomputes the exact full gradient from the stored residuals
-// (bit-identical to the dense loop: each grad[j] accumulates resid·z
-// in row order, an independent accumulator per column), then rebuilds
-// the screen: every zero-weight coordinate with slack against n·λ is
-// screened with a drift budget of slack/‖z_j‖; active and
-// near-threshold coordinates stay live. Returns the minimum budget —
-// the residual-drift radius within which every screened certificate
-// remains valid.
+// gradCols sets grad[j] = Σ_i r[i]·z_ij for every j in cols: each
+// entry is an independent accumulator summed in row order, exactly as
+// fitDense's per-row update builds it. Four columns run side by side
+// so their add chains overlap; that reorders nothing within a column.
+func (c *cdPath) gradCols(cols []int) {
+	r, n := c.r, c.ds.n
+	k := 0
+	for ; k+4 <= len(cols); k += 4 {
+		z0 := c.zT[cols[k]*n:][:len(r)]
+		z1 := c.zT[cols[k+1]*n:][:len(r)]
+		z2 := c.zT[cols[k+2]*n:][:len(r)]
+		z3 := c.zT[cols[k+3]*n:][:len(r)]
+		var g0, g1, g2, g3 float64
+		for i, ri := range r {
+			g0 += ri * z0[i]
+			g1 += ri * z1[i]
+			g2 += ri * z2[i]
+			g3 += ri * z3[i]
+		}
+		c.grad[cols[k]], c.grad[cols[k+1]], c.grad[cols[k+2]], c.grad[cols[k+3]] = g0, g1, g2, g3
+	}
+	for ; k < len(cols); k++ {
+		zj := c.zT[cols[k]*n:][:len(r)]
+		var g float64
+		for i, ri := range r {
+			g += ri * zj[i]
+		}
+		c.grad[cols[k]] = g
+	}
+}
+
+// refresh completes the exact gradient — the live entries were just
+// produced by the iteration's own pass, so only the screened columns
+// are computed — and rebuilds the screen from it: every zero-weight
+// coordinate with slack against n·λ is screened with a drift budget of
+// slack/‖z_j‖; active and near-threshold coordinates stay live.
+// Returns the minimum budget — the residual-drift radius within which
+// every screened certificate remains valid.
 func (c *cdPath) refresh(w []float64, lambda float64) (ddrLimit float64) {
-	ds := c.ds
-	n, d := ds.n, ds.d
-	for j := 0; j < d; j++ {
-		c.grad[j] = 0
-	}
-	for i := 0; i < n; i++ {
-		resid := c.r[i]
-		row := ds.z[i*d : (i+1)*d]
-		gr := c.grad
-		if len(gr) > len(row) {
-			gr = gr[:len(row)]
-		}
-		j := 0
-		for ; j+4 <= len(row) && j+4 <= len(gr); j += 4 {
-			gr[j] += resid * row[j]
-			gr[j+1] += resid * row[j+1]
-			gr[j+2] += resid * row[j+2]
-			gr[j+3] += resid * row[j+3]
-		}
-		for ; j < len(row); j++ {
-			gr[j] += resid * row[j]
-		}
-	}
-	copy(c.gradRef, c.grad)
+	c.gradCols(c.screened)
 	copy(c.rref, c.r)
 
-	nLam := float64(n) * lambda
-	safety := screenSafety(n, lambda)
+	nLam := float64(c.ds.n) * lambda
+	safety := screenSafety(c.ds.n, lambda)
 	ddrLimit = math.Inf(1)
-	c.live = c.live[:0]
-	for j := 0; j < d; j++ {
-		if w[j] == 0 {
-			slack := nLam - math.Abs(c.gradRef[j]) - safety
+	c.live, c.screened = c.live[:0], c.screened[:0]
+	for j, wj := range w {
+		if wj == 0 {
+			slack := nLam - math.Abs(c.grad[j]) - safety
 			if slack > 0 && c.colNorm[j] > 0 {
-				c.state[j] = cdScreened
-				c.budget[j] = slack / c.colNorm[j]
-				if c.budget[j] < ddrLimit {
-					ddrLimit = c.budget[j]
-				}
+				c.screened = append(c.screened, j)
+				ddrLimit = math.Min(ddrLimit, slack/c.colNorm[j])
 				continue
 			}
 		}
-		c.state[j] = cdLive
 		c.live = append(c.live, j)
-	}
-
-	// Pack the live columns into a contiguous panel and seed the packed
-	// gradient accumulators with the exact entries just computed.
-	nl := len(c.live)
-	c.lz = c.lz[:n*nl]
-	c.lg = c.lg[:nl]
-	for jj, j := range c.live {
-		c.lg[jj] = c.grad[j]
-	}
-	for i := 0; i < n; i++ {
-		row := ds.z[i*d : (i+1)*d]
-		lrow := c.lz[i*nl : i*nl+nl]
-		for jj, j := range c.live {
-			lrow[jj] = row[j]
-		}
 	}
 	return ddrLimit
 }
 
-// screenedFrom is the screened engine's tail loop. Its emitted floats
-// — dots, sigmoids, residuals, live gradient entries, the proximal
-// updates and the convergence test — are computed by exactly the
-// expressions fitDense uses, in the same order; the only difference is
-// that screened coordinates' gradient entries are never accumulated
-// and their (provably zero) updates never applied. The screen is
-// maintained conservatively on the side: per iteration one O(n)
-// residual-drift norm against the refresh point, and a full refresh
-// whenever the smallest budget is exceeded.
-func (c *cdPath) screenedFrom(lambda float64, maxIter int, tol float64, w []float64, b float64, start int) *Result {
+// fit runs one lambda from the zero iterate. Its emitted floats — dots,
+// sigmoids, residuals, live gradient entries, the proximal updates and
+// the convergence test — are computed by exactly the expressions
+// fitDense uses, in the same order, with exact-zero weight terms
+// skipped (exact on the finite designs this engine runs on); the only
+// other difference is that screened coordinates' gradient entries are
+// never accumulated and their (provably zero) updates never applied.
+// The screen is maintained conservatively on the side: per iteration
+// one O(n) residual-drift norm against the refresh point, and a full
+// refresh whenever the smallest budget is exceeded.
+func (c *cdPath) fit(lambda float64, maxIter int, tol float64) *Result {
 	ds := c.ds
-	z, y, n, d := ds.z, ds.y, ds.n, ds.d
+	y, n, d := ds.y, ds.n, ds.d
 	step, inv := ds.step, ds.inv
-	nz := make([]int, 0, d)
-	ddrLimit := -1.0 // force a refresh on the first iteration
+	w := make([]float64, d)
+	var b float64
+	// Every coordinate starts screened with no budget, so the first
+	// iteration's refresh computes the whole gradient.
+	c.live, c.screened = c.live[:0], c.screened[:0]
+	for j := 0; j < d; j++ {
+		c.screened = append(c.screened, j)
+	}
+	ddrLimit := -1.0
 	var iters int
-	for iters = start; iters < maxIter; iters++ {
-		// Active-set maintenance: the packed dot panel is rebuilt only
-		// when the support set changes (rare between consecutive
-		// iterations); the packed weights track every iteration.
-		nz = nz[:0]
+	for iters = 0; iters < maxIter; iters++ {
+		// Dots: per row, the support terms in ascending column order —
+		// the sum fitDense's sparse dot forms. Columns go in pairs to
+		// halve the accumulator traffic; Go sums left to right, so the
+		// order holds.
+		dot := c.dot
+		for i := range dot {
+			dot[i] = 0
+		}
+		nz := c.nz[:0]
 		for j, wj := range w {
 			if wj != 0 {
 				nz = append(nz, j)
 			}
 		}
-		sparse := len(nz)*2 < d
-		na := len(nz)
-		if sparse {
-			if !intsEqual(nz, c.nzCols) {
-				c.nzCols = append(c.nzCols[:0], nz...)
-				c.az = c.az[:n*na]
-				for jj, j := range nz {
-					for i := 0; i < n; i++ {
-						c.az[i*na+jj] = z[i*d+j]
-					}
-				}
+		k := 0
+		for ; k+2 <= len(nz); k += 2 {
+			j0, j1 := nz[k], nz[k+1]
+			w0, w1 := w[j0], w[j1]
+			z0 := c.zT[j0*n:][:len(dot)]
+			z1 := c.zT[j1*n:][:len(dot)]
+			for i := range dot {
+				dot[i] = dot[i] + w0*z0[i] + w1*z1[i]
 			}
-			c.aw = c.aw[:na]
-			for jj, j := range nz {
-				c.aw[jj] = w[j]
+		}
+		for ; k < len(nz); k++ {
+			wj := w[nz[k]]
+			zj := c.zT[nz[k]*n:][:len(dot)]
+			for i, v := range zj {
+				dot[i] += wj * v
 			}
 		}
 
-		// Residual pass: identical to the dense loop's per-row dot,
-		// deduplicated sigmoid and residual arithmetic, with the live
-		// coordinates' gradient entries accumulated in the same row
-		// order the dense loop uses (each is an independent
-		// accumulator, so restricting the column set reorders nothing,
-		// and the packed panels change neither multiplicands nor
-		// order). Residuals are stored for a possible refresh; the
-		// drift norm against the refresh point rides the same pass.
-		nl := len(c.live)
-		lg := c.lg
-		for jj := range lg {
-			lg[jj] = 0
-		}
+		// Residuals: fitDense's deduplicated sigmoid and residual
+		// arithmetic, stored for the gradient passes; the drift norm
+		// against the refresh point and the intercept gradient ride
+		// the same pass.
 		var gradB, drift float64
 		lastDot := math.NaN()
 		var lastSig float64
-		for i := 0; i < n; i++ {
-			var dot float64
-			if sparse {
-				arow := c.az[i*na : i*na+na]
-				for jj, v := range arow {
-					dot += c.aw[jj] * v
-				}
-			} else {
-				row := z[i*d : (i+1)*d]
-				wr := w
-				if len(wr) > len(row) {
-					wr = wr[:len(row)]
-				}
-				for j, wv := range wr {
-					dot += wv * row[j]
-				}
-			}
-			dot += b
+		for i, di := range dot {
+			di += b
 			sig := lastSig
-			if dot != lastDot {
-				sig = sigmoid(dot)
-				lastDot, lastSig = dot, sig
+			if di != lastDot {
+				sig = sigmoid(di)
+				lastDot, lastSig = di, sig
 			}
 			resid := sig - y[i]
 			c.r[i] = resid
 			dr := resid - c.rref[i]
 			drift += dr * dr
-			lrow := c.lz[i*nl : i*nl+nl]
-			for jj, v := range lrow {
-				lg[jj] += resid * v
-			}
 			gradB += resid
 		}
+		c.gradCols(c.live)
 
 		// Screen maintenance: the certificates cover any iterate whose
 		// residual drift from the refresh point stays inside the
 		// smallest budget (Cauchy–Schwarz: |Δgrad_j| ≤ ‖Δr‖·‖z_j‖).
 		// The drift norm is measured conservatively; past the limit the
-		// refresh recomputes every gradient entry exactly — the full
-		// KKT pass that keeps screening safe. A refresh recomputes the
-		// live entries too, to the same bits the fused pass just
-		// produced.
+		// refresh completes the gradient exactly — the full KKT pass
+		// that keeps screening safe.
 		if ddrLimit >= 0 && !math.IsInf(ddrLimit, 1) {
 			if math.Sqrt(drift)*(1+1e-9) >= ddrLimit {
 				ddrLimit = -1
@@ -302,8 +249,8 @@ func (c *cdPath) screenedFrom(lambda float64, maxIter int, tol float64, w []floa
 		// coordinate's update is certified to be exactly zero, so it
 		// contributes nothing to the iterate or to maxDelta.
 		var maxDelta float64
-		for jj, j := range c.live {
-			nw := softThreshold(w[j]-step*c.lg[jj]*inv, step*lambda)
+		for _, j := range c.live {
+			nw := softThreshold(w[j]-step*c.grad[j]*inv, step*lambda)
 			if dd := math.Abs(nw - w[j]); dd > maxDelta {
 				maxDelta = dd
 			}
@@ -319,16 +266,4 @@ func (c *cdPath) screenedFrom(lambda float64, maxIter int, tol float64, w []floa
 		}
 	}
 	return &Result{Weights: w, Intercept: b, Lambda: lambda, Iters: iters}
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }

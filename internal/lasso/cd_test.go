@@ -1,6 +1,7 @@
 package lasso
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -86,6 +87,39 @@ func TestSupportTieBreakExact(t *testing.T) {
 	}
 }
 
+// requireSolversAgree runs SelectK with both engines and asserts the
+// full bit-equality contract: error status, ranked selection, path
+// statistics, and the selected fit's weights, intercept, lambda and
+// iteration count.
+func requireSolversAgree(t *testing.T, label string, p Problem, k, maxIter int) {
+	t.Helper()
+	istaSel, istaRes, istaSt, istaErr := SelectK(p, k, maxIter, SolverISTA)
+	cdSel, cdRes, cdSt, cdErr := SelectK(p, k, maxIter, SolverCD)
+	if (istaErr == nil) != (cdErr == nil) {
+		t.Fatalf("%s: error mismatch: %v vs %v", label, istaErr, cdErr)
+	}
+	if istaErr != nil {
+		return
+	}
+	if !reflect.DeepEqual(istaSel, cdSel) {
+		t.Fatalf("%s: selections differ: ista %v cd %v", label, istaSel, cdSel)
+	}
+	if istaSt != cdSt {
+		t.Fatalf("%s: path stats differ: ista %+v cd %+v", label, istaSt, cdSt)
+	}
+	requireSameFit(t, label, istaRes, cdRes)
+}
+
+// flattenColumn overwrites column j with a constant. 3 and every sum
+// of up to 63 copies of it are exact, so the column's mean is exactly
+// 3 and it standardizes to exact zeros: a zero column norm, which keeps
+// the coordinate live at every refresh.
+func flattenColumn(p Problem, j int) {
+	for i := 0; i < p.N; i++ {
+		p.X[i*p.D+j] = 3
+	}
+}
+
 // TestSolverCDBitIdentical sweeps randomized designs — separable,
 // noisy, and ill-posed ones where k exceeds the informative count, so
 // selections sit right at the activation threshold — and checks the
@@ -93,7 +127,9 @@ func TestSupportTieBreakExact(t *testing.T) {
 // observable: ranked selection, tuned lambda, fitted weights,
 // intercept, iteration counts and path statistics. The screen only
 // ever skips work it has certified to be a bitwise no-op, so nothing
-// may differ.
+// may differ. Fixed cases cover the shapes the column-major indexing
+// must get right: a single column, an all-constant column, and more
+// columns than rows.
 func TestSolverCDBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 60; trial++ {
@@ -103,24 +139,27 @@ func TestSolverCDBitIdentical(t *testing.T) {
 		gap := rng.Float64() * 4
 		p := synthProblem(rng, n, d, informative, gap)
 		k := 1 + rng.Intn(6)
-
-		istaSel, istaRes, istaSt, istaErr := SelectK(p, k, 700, SolverISTA)
-		cdSel, cdRes, cdSt, cdErr := SelectK(p, k, 700, SolverCD)
-		if (istaErr == nil) != (cdErr == nil) {
-			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, istaErr, cdErr)
-		}
-		if istaErr != nil {
-			continue
-		}
-		if !reflect.DeepEqual(istaSel, cdSel) {
-			t.Fatalf("trial %d (n=%d d=%d k=%d): selections differ: ista %v cd %v",
-				trial, n, d, k, istaSel, cdSel)
-		}
-		if istaSt != cdSt {
-			t.Fatalf("trial %d: path stats differ: ista %+v cd %+v", trial, istaSt, cdSt)
-		}
-		requireSameFit(t, "selectK", istaRes, cdRes)
+		requireSolversAgree(t, fmt.Sprintf("trial %d (n=%d d=%d k=%d)", trial, n, d, k), p, k, 700)
 	}
+
+	requireSolversAgree(t, "d=1", synthProblem(rng, 30, 1, 1, 1.5), 1, 700)
+	requireSolversAgree(t, "d=1 noise", synthProblem(rng, 24, 1, 0, 0), 1, 700)
+
+	flat := synthProblem(rng, 40, 6, 2, 2)
+	flattenColumn(flat, 2)
+	z, _, _ := standardize(flat.X, flat.N, flat.D)
+	for i := 0; i < flat.N; i++ {
+		if z[i*flat.D+2] != 0 {
+			t.Fatalf("constant column standardizes to %v at row %d, want 0", z[i*flat.D+2], i)
+		}
+	}
+	requireSolversAgree(t, "constant column", flat, 3, 700)
+	requireSolversAgree(t, "constant column k>live", flat, 6, 700)
+
+	wide := synthProblem(rng, 10, 25, 3, 2)
+	requireSolversAgree(t, "d>n", wide, 5, 700)
+	flattenColumn(wide, 0)
+	requireSolversAgree(t, "d>n constant column", wide, 2, 700)
 }
 
 // TestSolverCDBitIdenticalCatalog runs the same differential on the
@@ -129,37 +168,29 @@ func TestSolverCDBitIdentical(t *testing.T) {
 // problem class the pipeline actually feeds the lasso.
 func TestSolverCDBitIdenticalCatalog(t *testing.T) {
 	p, k := catalogProblem(t)
-	istaSel, istaRes, istaSt, err := SelectK(p, k, 1500, SolverISTA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cdSel, cdRes, cdSt, err := SelectK(p, k, 1500, SolverCD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(istaSel, cdSel) {
-		t.Fatalf("selections differ: ista %v cd %v", istaSel, cdSel)
-	}
-	if istaSt != cdSt {
-		t.Fatalf("path stats differ: ista %+v cd %+v", istaSt, cdSt)
-	}
-	requireSameFit(t, "catalog", istaRes, cdRes)
+	requireSolversAgree(t, "catalog", p, k, 1500)
 }
 
 // FuzzLassoSolvers is the differential fuzzer for the two lasso
-// engines (screened CD against cold dense ISTA): arbitrary design shapes, seeds and separations, with the
-// full bit-equality contract asserted on every probe — the screened
+// engines (screened CD against cold dense ISTA): arbitrary design
+// shapes (one to 31 columns, fewer or more than the rows, optionally
+// one all-constant column), seeds and separations, with the full
+// bit-equality contract asserted on every probe — the screened
 // engine's inertness certificates must hold on whatever degenerate
 // geometry the fuzzer finds.
 func FuzzLassoSolvers(f *testing.F) {
-	f.Add(int64(1), uint8(30), uint8(8), uint8(3), 2.0, uint8(3))
-	f.Add(int64(42), uint8(60), uint8(20), uint8(0), 0.0, uint8(1))
-	f.Add(int64(7), uint8(12), uint8(30), uint8(30), 5.0, uint8(5))
-	f.Add(int64(99), uint8(45), uint8(16), uint8(2), 0.3, uint8(4))
-	f.Add(int64(-5), uint8(20), uint8(2), uint8(1), 8.0, uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, dRaw, infRaw uint8, gap float64, kRaw uint8) {
+	f.Add(int64(1), uint8(30), uint8(9), uint8(3), 2.0, uint8(3), uint8(0))
+	f.Add(int64(42), uint8(60), uint8(21), uint8(0), 0.0, uint8(1), uint8(0))
+	f.Add(int64(7), uint8(12), uint8(1), uint8(30), 5.0, uint8(5), uint8(0))
+	f.Add(int64(99), uint8(45), uint8(17), uint8(2), 0.3, uint8(4), uint8(0))
+	f.Add(int64(-5), uint8(20), uint8(3), uint8(1), 8.0, uint8(2), uint8(0))
+	f.Add(int64(3), uint8(22), uint8(0), uint8(1), 1.5, uint8(1), uint8(0))  // d = 1
+	f.Add(int64(8), uint8(40), uint8(7), uint8(2), 2.0, uint8(3), uint8(3))  // constant column 2
+	f.Add(int64(13), uint8(2), uint8(24), uint8(3), 2.0, uint8(5), uint8(0)) // d = 25 > n = 10
+	f.Add(int64(21), uint8(0), uint8(30), uint8(4), 3.0, uint8(4), uint8(1)) // d = 31 > n = 8, constant column 0
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, dRaw, infRaw uint8, gap float64, kRaw, flatRaw uint8) {
 		n := 8 + int(nRaw)%56
-		d := 2 + int(dRaw)%30
+		d := 1 + int(dRaw)%31
 		informative := int(infRaw) % (d + 1)
 		if math.IsNaN(gap) || math.IsInf(gap, 0) {
 			gap = 1
@@ -168,21 +199,9 @@ func FuzzLassoSolvers(f *testing.F) {
 		k := 1 + int(kRaw)%6
 		rng := rand.New(rand.NewSource(seed))
 		p := synthProblem(rng, n, d, informative, gap)
-
-		istaSel, istaRes, istaSt, istaErr := SelectK(p, k, 400, SolverISTA)
-		cdSel, cdRes, cdSt, cdErr := SelectK(p, k, 400, SolverCD)
-		if (istaErr == nil) != (cdErr == nil) {
-			t.Fatalf("error mismatch: %v vs %v", istaErr, cdErr)
+		if j := int(flatRaw) % (d + 1); j > 0 {
+			flattenColumn(p, j-1)
 		}
-		if istaErr != nil {
-			return
-		}
-		if !reflect.DeepEqual(istaSel, cdSel) {
-			t.Fatalf("selections differ: ista %v cd %v", istaSel, cdSel)
-		}
-		if istaSt != cdSt {
-			t.Fatalf("path stats differ: ista %+v cd %+v", istaSt, cdSt)
-		}
-		requireSameFit(t, "fuzz", istaRes, cdRes)
+		requireSolversAgree(t, "fuzz", p, k, 400)
 	})
 }

@@ -93,7 +93,8 @@ func Fit(p Problem, lambda float64, maxIter int, tol float64) (*Result, error) {
 // shares: the design itself plus the two O(n·d) scans — the finiteness
 // check gating the sparse-dot fast path and the Lipschitz row-norm
 // bound fixing the ISTA step — that used to be recomputed inside every
-// one of SelectK's ~30 bisection probes. Hoisting them is a pure move:
+// one of SelectK's bisection probes (at most 30; the catalog averages
+// 19 per SelectK). Hoisting them is a pure move:
 // the loops are byte-for-byte the ones fitDense ran, so the computed
 // step and finiteness flag (and therefore every fit) are bit-identical
 // (TestDesignHoistBitIdentical pins this).
@@ -274,120 +275,6 @@ func (r *Result) Support() []int {
 	return idx
 }
 
-// pathCache shares the pure-intercept prefix of the cold ISTA
-// trajectory across every lambda on the regularization path. While the
-// weight iterate is all-zero, the trajectory is lambda-independent:
-// every row's dot is exactly b, the full gradient at iterate t depends
-// only on b_t, and the intercept update never touches lambda. So the
-// cache computes, once per SelectK, the sequence of (b_t, gradient_t)
-// pairs — bit-for-bit the iterates the cold loop would produce — and
-// each lambda's CD fit fast-forwards along it until the exact KKT
-// condition softThreshold(w_j - step·grad_j/n, step·λ) ≠ 0 admits its
-// first coordinate (the same proximal expression the dense update
-// applies, so the departure iteration is exactly where the cold
-// trajectory's support first becomes nonempty). From that bit-exact
-// iterate the screened loop finishes the fit, so the shared prefix —
-// the long stretch a cold fit burns re-deriving the same intercept for
-// every lambda — is paid once instead of ~30 times.
-type pathCache struct {
-	ds     *design
-	bs     []float64   // bs[t] = intercept entering iteration t (bs[0] = 0)
-	grads  [][]float64 // grads[t][j] = full gradient at iterate t
-	gradBs []float64   // intercept gradient at iterate t
-}
-
-// newPathCache wraps the shared per-path design state (finiteness and
-// the Lipschitz step are the hoisted scans, computed once in
-// newDesign — the same values the cold loop used to derive per fit).
-func newPathCache(ds *design) *pathCache {
-	c := &pathCache{ds: ds}
-	c.bs = append(c.bs, 0)
-	return c
-}
-
-// ensure extends the cached trajectory through iteration t. The
-// gradient accumulation mirrors the cold loop's arithmetic exactly:
-// one sigmoid serves all rows (every dot equals b), residuals
-// accumulate per column in row order (each grad[j] is an independent
-// accumulator, so the cold loop's unrolling changes nothing), and the
-// intercept update is the same expression.
-func (c *pathCache) ensure(t int) {
-	ds := c.ds
-	for len(c.grads) <= t {
-		b := c.bs[len(c.grads)]
-		grad := make([]float64, ds.d)
-		var gradB float64
-		sig := sigmoid(b)
-		for i := 0; i < ds.n; i++ {
-			resid := sig - ds.y[i]
-			row := ds.z[i*ds.d : (i+1)*ds.d]
-			for j, xv := range row {
-				grad[j] += resid * xv
-			}
-			gradB += resid
-		}
-		c.grads = append(c.grads, grad)
-		c.gradBs = append(c.gradBs, gradB)
-		c.bs = append(c.bs, b-ds.step*gradB*ds.inv)
-	}
-}
-
-// prefix fast-forwards one lambda through the shared pure-intercept
-// trajectory. When the fit completes inside the prefix (tolerance or
-// maxIter hit before any coordinate activates) it returns the finished
-// Result; otherwise it returns a nil Result plus the bit-exact iterate
-// (w, b) after the activating iteration t — the state the screened
-// loop resumes from.
-func (c *pathCache) prefix(lambda float64, maxIter int, tol float64) (*Result, []float64, float64, int) {
-	ds := c.ds
-	lamStep := ds.step * lambda
-	t := 0
-	for t < maxIter {
-		c.ensure(t)
-		g := c.grads[t]
-		activated := false
-		for j := 0; j < ds.d; j++ {
-			if softThreshold(0-ds.step*g[j]*ds.inv, lamStep) != 0 {
-				activated = true
-				break
-			}
-		}
-		if activated {
-			break
-		}
-		// No weight moves this iteration, so the cold loop's maxDelta
-		// is exactly the intercept move.
-		if math.Abs(c.bs[t+1]-c.bs[t]) < tol {
-			return &Result{Weights: make([]float64, ds.d), Intercept: c.bs[t+1], Lambda: lambda, Iters: t}, nil, 0, 0
-		}
-		t++
-	}
-	if t >= maxIter {
-		return &Result{Weights: make([]float64, ds.d), Intercept: c.bs[t], Lambda: lambda, Iters: t}, nil, 0, 0
-	}
-	// Iteration t activates the support: apply the cold loop's own
-	// update expressions to the cached iterate, then hand the state to
-	// the engine's tail loop.
-	g := c.grads[t]
-	w := make([]float64, ds.d)
-	var maxDelta float64
-	for j := 0; j < ds.d; j++ {
-		nw := softThreshold(w[j]-ds.step*g[j]*ds.inv, lamStep)
-		if dd := math.Abs(nw - w[j]); dd > maxDelta {
-			maxDelta = dd
-		}
-		w[j] = nw
-	}
-	nb := c.bs[t] - ds.step*c.gradBs[t]*ds.inv
-	if dd := math.Abs(nb - c.bs[t]); dd > maxDelta {
-		maxDelta = dd
-	}
-	if maxDelta < tol {
-		return &Result{Weights: w, Intercept: nb, Lambda: lambda, Iters: t}, nil, 0, 0
-	}
-	return nil, w, nb, t
-}
-
 // PathStats aggregates solver effort over one SelectK path search:
 // the number of lambda fits the bisection ran and the total iteration
 // count they consumed (ISTA proximal-gradient iterations, or CD outer
@@ -407,9 +294,10 @@ type PathStats struct {
 // support with size >= k is returned. maxIter <= 0 selects 500.
 //
 // solver picks the engine each lambda is fitted with. SolverCD (the
-// pipeline's engine) shares the pure-intercept prefix across the path
-// and runs the coordinate-screened loop; SolverISTA fits every lambda
-// from zero with the dense loop and is the differential oracle. The
+// pipeline's engine) runs the coordinate-screened loop over a
+// column-major copy of the design shared across the path; SolverISTA
+// fits every lambda with the dense loop and is the differential
+// oracle. Both fit every lambda from the zero iterate. The
 // engines emit bit-identical iterates — ranked selections, tuned
 // lambdas, fitted weights, intercepts and iteration counts all match
 // (TestSolverCDBitIdentical and FuzzLassoSolvers pin this). Designs
@@ -448,8 +336,7 @@ func SelectK(p Problem, k, maxIter int, solver Solver) ([]int, *Result, PathStat
 		maxIter = 500
 	}
 	// The hoisted per-path state: finiteness and the Lipschitz step are
-	// computed once here and shared by every probe (satellite of the
-	// same scan fitDense used to repeat ~30 times).
+	// computed once here and shared by every probe.
 	ds := newDesign(z, p.Y, p.N, p.D, false)
 	lo, hi := lamMax*1e-4, lamMax
 	var best *Result

@@ -141,11 +141,11 @@ func TestFitMonotoneSupportInLambda(t *testing.T) {
 // TestSelectKWarmMatchesCold sweeps randomized designs — including
 // ill-posed ones where k exceeds the informative feature count, so
 // noise picks sit right at the activation threshold — and checks the
-// CD path search, whose fits fast-forward through the shared
-// pure-intercept prefix, against cold from-zero dense ISTA in every
-// respect: ranked selection, tuned lambda, fitted weights, intercept,
-// iteration count and path statistics. It runs with maxIter 0, so it
-// also covers the default iteration budget.
+// CD path search, whose fits share the column-major design and scratch
+// across the path, against cold dense ISTA in every respect: ranked
+// selection, tuned lambda, fitted weights, intercept, iteration count
+// and path statistics. It runs with maxIter 0, so it also covers the
+// default iteration budget.
 func TestSelectKWarmMatchesCold(t *testing.T) {
 	rng := uint64(12345)
 	next := func() float64 {
