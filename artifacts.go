@@ -23,7 +23,8 @@ type ArtifactStore = artifact.Store
 type ArtifactStoreStats = artifact.Stats
 
 // OpenArtifactStore opens (creating if needed) an artifact store
-// rooted at dir.
+// rooted at dir, or a memory-only store (bounded in-memory tier, no
+// shared queue) when dir is "".
 func OpenArtifactStore(dir string, opts ...ArtifactStoreOption) (*ArtifactStore, error) {
 	return artifact.Open(dir, opts...)
 }

@@ -4,9 +4,10 @@
 // expensive shared substeps — corpus builds, the control-ensemble ECT
 // fingerprint, compiled metagraphs — at most once, deduplicates
 // identical in-flight investigations (singleflight on the scenario
-// fingerprints) and serves repeat submissions from an LRU outcome
-// store. With -store DIR those artifacts additionally persist in a
-// content-addressed on-disk store: a restarted daemon (or a second
+// fingerprints) and serves repeat submissions from its outcome store,
+// a bounded in-memory tier by default. With -store DIR outcomes and
+// build artifacts persist in a content-addressed on-disk store
+// instead: a restarted daemon (or a second
 // daemon on the same directory) serves previously investigated
 // scenarios warm, without re-running the pipeline, and -worker-id
 // turns the process into a queue worker draining jobs enqueued by any
@@ -69,10 +70,8 @@ func main() {
 		engine   = flag.String("engine", "bytecode", "execution engine: bytecode (compiled register VM, default) | tree (AST-walking oracle)")
 		workers  = flag.Int("workers", 2, "concurrent pipeline executions")
 		queue    = flag.Int("queue", 64, "bounded job-queue capacity")
-		outcomes = flag.Int("outcomes", 128, "in-memory LRU outcome-store capacity")
 		storeDir = flag.String("store", "", "artifact store directory: persist corpora, compiled programs, metagraphs and outcomes so restarts serve warm and concurrent daemons share work")
 		storeMax = flag.Int64("store-max-bytes", 0, "artifact store size cap in bytes (0 = default 512 MiB); least-recently-used blobs are evicted beyond it")
-		flushTO  = flag.Duration("flush-timeout", 5*time.Second, "shutdown deadline for flushing in-flight outcome writes to the artifact store")
 		workerID = flag.String("worker-id", "", "drain the artifact store's shared job queue under this worker name (requires -store)")
 		peersCSV = flag.String("worker-peers", "", "comma-separated worker names sharing the queue (affinity hashing); default just -worker-id")
 		warm     = flag.Bool("warm", true, "precompute the control-ensemble fingerprint at startup")
@@ -168,14 +167,12 @@ func main() {
 	}
 
 	svc := serve.New(serve.Config{
-		Session:      session,
-		QueueSize:    *queue,
-		Workers:      *workers,
-		StoreSize:    *outcomes,
-		Artifacts:    store,
-		FlushTimeout: *flushTO,
-		MaxAttempts:  *maxAtt,
-		JobTimeout:   *jobTO,
+		Session:     session,
+		QueueSize:   *queue,
+		Workers:     *workers,
+		Artifacts:   store,
+		MaxAttempts: *maxAtt,
+		JobTimeout:  *jobTO,
 	})
 	defer svc.Close()
 
@@ -203,7 +200,7 @@ func main() {
 		httpSrv.Shutdown(shutdownCtx)
 	}()
 
-	log.Printf("rcad: serving on %s (workers=%d, queue=%d, outcomes=%d)", *addr, *workers, *queue, *outcomes)
+	log.Printf("rcad: serving on %s (workers=%d, queue=%d, store=%q)", *addr, *workers, *queue, *storeDir)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("rcad: %v", err)
 	}

@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"container/list"
 	"context"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,7 @@ const DefaultBreakerCooldown = 5 * time.Second
 
 // breaker is the store's write-path circuit breaker. Closed (healthy)
 // passes operations through to disk; K consecutive failures open it,
-// and while open the store serves from its in-memory overlay instead
+// and while open the store serves from its memory tier instead
 // of surfacing errors. Every cooldown interval one caller wins the
 // half-open probe slot and retries the real disk op; success closes
 // the breaker and restores write-through.
@@ -73,48 +74,79 @@ func (b *breaker) allow() bool {
 	return b.probeAt.CompareAndSwap(at, now+int64(b.cooldown))
 }
 
-// memCache is the degraded-mode overlay: a bounded in-process
-// key→payload map that keeps completed work reachable while the disk
-// is refusing writes. Entries evict FIFO past the cap — the overlay
-// favors recent artifacts, mirroring the disk store's LRU intent
-// without its persistence.
-type memCache struct {
+// memTierMaxBytes bounds the memory tier's payload bytes: room for
+// about 80 program-sized blobs (~800 KB) or tens of thousands of
+// outcomes (~1 KB).
+const memTierMaxBytes int64 = 64 << 20
+
+// memTier is the store's in-memory tier: an LRU over payloads keyed
+// by content address, bounded by payload bytes rather than entry
+// count. A memory-only store serves every op from it; a disk-backed
+// store parks puts in it when the disk fails or the breaker is open,
+// and falls back to it on reads the disk cannot answer.
+type memTier struct {
 	mu    sync.Mutex
-	max   int
-	m     map[string][]byte
-	order []string
+	max   int64
+	bytes int64
+	order list.List                // front = most recently used
+	items map[string]*list.Element // address → element holding *memEntry
 }
 
-const memCacheMax = 1024
+// memEntry carries the address alongside the payload so eviction is
+// self-contained.
+type memEntry struct {
+	key  string
+	data []byte
+}
 
-func (c *memCache) put(key string, payload []byte) {
+// put inserts or refreshes a payload, then evicts least recently used
+// entries until the tier is back under its byte cap (a payload larger
+// than the whole cap is evicted with the rest).
+func (c *memTier) put(key string, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = make(map[string][]byte)
-		c.max = memCacheMax
+	if el, ok := c.items[key]; ok {
+		e := el.Value.(*memEntry)
+		c.bytes += int64(len(data) - len(e.data))
+		e.data = data
+		c.order.MoveToFront(el)
+	} else {
+		if c.items == nil {
+			c.items = make(map[string]*list.Element)
+		}
+		c.items[key] = c.order.PushFront(&memEntry{key: key, data: data})
+		c.bytes += int64(len(data))
 	}
-	if _, ok := c.m[key]; !ok {
-		c.order = append(c.order, key)
-	}
-	c.m[key] = payload
-	for len(c.m) > c.max && len(c.order) > 0 {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.m, oldest)
+	for c.bytes > c.max {
+		oldest := c.order.Back()
+		e := c.order.Remove(oldest).(*memEntry)
+		delete(c.items, e.key)
+		c.bytes -= int64(len(e.data))
 	}
 }
 
-func (c *memCache) get(key string) ([]byte, bool) {
+// get returns the payload for an address, bumping its recency.
+func (c *memTier) get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	data, ok := c.m[key]
-	return data, ok
+	el, ok := c.items[key]
+	if !ok {
+		return nil, false
+	}
+	c.order.MoveToFront(el)
+	return el.Value.(*memEntry).data, true
 }
 
-// memLocks is the degraded-mode replacement for lock files: in-process
-// named mutexes with the same poll-under-context acquisition shape.
-// Cross-process singleflight is lost while degraded — two daemons may
+// size returns the payload bytes the tier holds.
+func (c *memTier) size() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
+}
+
+// memLocks replaces lock files in a memory-only or degraded store:
+// in-process named mutexes with the same poll-under-context
+// acquisition shape. Cross-process singleflight is lost while degraded — two daemons may
 // duplicate a build — but duplicated builds are deterministic and
 // content-addressed, so the trade is availability for efficiency,
 // never correctness.

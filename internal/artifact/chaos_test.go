@@ -25,7 +25,7 @@ func plane(t *testing.T, spec string, seed uint64) *fault.Plane {
 
 // TestBreakerTripAndRecover pins the circuit-breaker contract: K
 // consecutive put failures trip the store into degraded mode (puts and
-// gets served from the in-memory overlay without errors), and once the
+// gets served from the memory tier without errors), and once the
 // disk recovers a half-open probe restores write-through.
 func TestBreakerTripAndRecover(t *testing.T) {
 	s := openTest(t, WithBreaker(3, 30*time.Millisecond))
@@ -44,17 +44,17 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	}
 
 	// While degraded (and before the cooldown's probe window), puts are
-	// error-free pass-throughs to the overlay and gets serve from it.
+	// error-free pass-throughs to the memory tier and gets serve from it.
 	if err := s.Put(ClassCorpus, "mem-only", []byte("kept in memory")); err != nil {
 		t.Fatalf("degraded put errored: %v", err)
 	}
 	got, ok := s.Get(ClassCorpus, "mem-only")
 	if !ok || !bytes.Equal(got, []byte("kept in memory")) {
-		t.Fatalf("degraded get = %q, %v; want the overlay payload", got, ok)
+		t.Fatalf("degraded get = %q, %v; want the memory tier's payload", got, ok)
 	}
-	// The earlier failed puts also parked their payloads in the overlay.
+	// The earlier failed puts also parked their payloads in the tier.
 	if got, ok := s.Get(ClassCorpus, "key"); !ok || !bytes.Equal(got, []byte("payload")) {
-		t.Fatalf("failed put's payload not recoverable from overlay: %q, %v", got, ok)
+		t.Fatalf("failed put's payload not recoverable from the memory tier: %q, %v", got, ok)
 	}
 
 	// Heal the disk and wait out the cooldown: the next put wins the
@@ -96,12 +96,14 @@ func TestDegradedOpenUnusableDir(t *testing.T) {
 	if got, ok := s.Get(ClassOutcome, "k"); !ok || !bytes.Equal(got, []byte("v")) {
 		t.Fatalf("degraded get = %q, %v", got, ok)
 	}
-	release, ok := s.TryLock("build-x")
-	if !ok {
-		t.Fatal("degraded TryLock failed")
+	release, err := s.Lock(context.Background(), "build-x")
+	if err != nil {
+		t.Fatalf("degraded Lock: %v", err)
 	}
-	if _, ok := s.TryLock("build-x"); ok {
-		t.Fatal("degraded TryLock double-acquired")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if _, err := s.Lock(ctx, "build-x"); err == nil {
+		t.Fatal("degraded Lock double-acquired")
 	}
 	release()
 }

@@ -12,12 +12,12 @@ import (
 // exactly one process holds it) and returns its release function.
 // While another process holds the lock, acquisition polls; a lock
 // older than the stale timeout is presumed orphaned by a crashed
-// holder and stolen. ctx cancels the wait. While the store is
-// degraded, lock files give way to in-process locks: cross-process
+// holder and stolen. ctx cancels the wait. A memory-only store takes
+// in-process locks, and so does a degraded one: cross-process
 // exclusion is lost but deterministic content-addressed builds make
 // duplication benign.
 func (s *Store) lock(ctx context.Context, name string) (func(), error) {
-	if s.brk.degraded() {
+	if s.memoryOnly() || s.brk.degraded() {
 		return s.mlocks.acquire(ctx, name, s.lockPoll)
 	}
 	path := filepath.Join(s.dir, "locks", name+".lock")
@@ -57,28 +57,4 @@ func (s *Store) lock(ctx context.Context, name string) (func(), error) {
 // path-safe strings.
 func (s *Store) Lock(ctx context.Context, name string) (release func(), err error) {
 	return s.lock(ctx, name)
-}
-
-// TryLock attempts a non-blocking acquisition of the named lock.
-func (s *Store) TryLock(name string) (release func(), ok bool) {
-	if s.brk.degraded() {
-		return s.mlocks.tryAcquire(name)
-	}
-	path := filepath.Join(s.dir, "locks", name+".lock")
-	if fi, err := os.Stat(path); err == nil && time.Since(fi.ModTime()) > s.lockStale {
-		if os.Remove(path) == nil {
-			s.steals.Add(1)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		if !os.IsExist(err) {
-			s.brk.failure()
-			return s.mlocks.tryAcquire(name)
-		}
-		return nil, false
-	}
-	_, _ = fmt.Fprintf(f, "%d\n", os.Getpid())
-	_ = f.Close()
-	return func() { _ = os.Remove(path) }, true
 }

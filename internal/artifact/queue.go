@@ -3,6 +3,7 @@ package artifact
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -61,8 +62,15 @@ const (
 	DefaultBackoffMax  = 30 * time.Second
 )
 
+// ErrMemoryOnly rejects Queue on a memory-only store: the queue is
+// shared through the store directory, and there is none.
+var ErrMemoryOnly = errors.New("artifact: memory-only store has no queue")
+
 // Queue opens the store's shared work queue.
 func (s *Store) Queue() (*Queue, error) {
+	if s.memoryOnly() {
+		return nil, ErrMemoryOnly
+	}
 	q := &Queue{
 		s:           s,
 		dir:         filepath.Join(s.dir, "queue"),

@@ -21,16 +21,20 @@
 // puts evict least-recently-accessed blobs (mtime is bumped to the
 // access time on every hit) until the total is back under the cap.
 //
-// A write-path circuit breaker guards against a disk that stops
-// cooperating entirely: after K consecutive I/O failures the store
-// trips into degraded mode — puts land in a bounded in-memory overlay,
-// gets fall back to it, and lock-file coordination is replaced by
-// in-process locks — so the pipeline keeps producing (bit-identical)
-// answers on a dead disk. Half-open probes retry the disk every
-// cooldown interval and restore write-through when it recovers. The
-// filesystem ops are threaded through the internal/fault plane
-// (points "artifact.put" / "artifact.get"), making all of this
-// testable on demand from a seeded chaos plan.
+// Every store has one bounded in-memory tier (an LRU over payloads,
+// capped in bytes). Open("") opens a memory-only store that serves
+// every op from it, never touches the filesystem and has no queue.
+// A disk-backed store uses it as a fallback: a write-path circuit
+// breaker guards against a disk that stops cooperating entirely, and
+// after K consecutive I/O failures the store trips into degraded
+// mode — puts land in the memory tier, gets fall back to it, and
+// lock-file coordination is replaced by in-process locks — so the
+// pipeline keeps producing (bit-identical) answers on a dead disk.
+// Half-open probes retry the disk every cooldown interval and restore
+// write-through when it recovers. The filesystem ops are threaded
+// through the internal/fault plane (points "artifact.put" /
+// "artifact.get"), making all of this testable on demand from a
+// seeded chaos plan.
 package artifact
 
 import (
@@ -84,7 +88,8 @@ const DefaultMaxBytes int64 = 512 << 20
 const DefaultLockStale = 2 * time.Minute
 
 // Stats is a snapshot of store counters. Hits/Misses/Evictions count
-// since Open; Bytes is the current on-disk payload total. Degraded
+// since Open; Bytes is the current on-disk payload total and MemBytes
+// the memory tier's. Degraded
 // reports the circuit breaker's current state and Trips how many
 // times it has opened since Open.
 type Stats struct {
@@ -95,13 +100,15 @@ type Stats struct {
 	Builds    uint64
 	Steals    uint64
 	Bytes     int64
+	MemBytes  int64
 	Degraded  bool
 	Trips     uint64
 }
 
-// Store is a content-addressed artifact store rooted at a directory.
-// One directory may be shared by any number of Store handles across
-// processes. The zero value is not usable; call Open.
+// Store is a content-addressed artifact store rooted at a directory,
+// or held in memory only when the directory is "". One directory may
+// be shared by any number of Store handles across processes. The zero
+// value is not usable; call Open.
 type Store struct {
 	dir       string
 	maxBytes  int64
@@ -118,11 +125,11 @@ type Store struct {
 
 	evictMu sync.Mutex // serializes in-process eviction scans
 
-	// Degraded-mode machinery: the write-path circuit breaker, the
-	// in-memory blob overlay it fails over to, and in-process locks
-	// replacing lock files while the disk is refusing writes.
+	// The write-path circuit breaker, the memory tier it fails over
+	// to, and in-process locks replacing lock files while the store is
+	// memory-only or the disk is refusing writes.
 	brk    breaker
-	mem    memCache
+	mem    memTier
 	mlocks memLocks
 }
 
@@ -164,13 +171,13 @@ func WithBreaker(threshold int, cooldown time.Duration) Option {
 	}
 }
 
-// Open opens (creating if needed) a store rooted at dir. An
-// uncreatable root — unwritable parent, a file where the directory
-// should be — does not fail: the store opens pre-tripped into
-// degraded mode (in-memory overlay, in-process locks) and half-open
-// probes restore disk persistence if the path becomes usable, so a
-// daemon with a broken store directory serves requests instead of
-// refusing to boot.
+// Open opens (creating if needed) a store rooted at dir, or a
+// memory-only store when dir is "". An uncreatable root — unwritable
+// parent, a file where the directory should be — does not fail: the
+// store opens pre-tripped into degraded mode (memory tier, in-process
+// locks) and half-open probes restore disk persistence if the path
+// becomes usable, so a daemon with a broken store directory serves
+// requests instead of refusing to boot.
 func Open(dir string, opts ...Option) (*Store, error) {
 	s := &Store{
 		dir:       dir,
@@ -180,8 +187,12 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	}
 	s.brk.threshold = DefaultBreakerThreshold
 	s.brk.cooldown = DefaultBreakerCooldown
+	s.mem.max = memTierMaxBytes
 	for _, o := range opts {
 		o(s)
+	}
+	if s.memoryOnly() {
+		return s, nil
 	}
 	for _, sub := range []string{"objects", "locks"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
@@ -194,8 +205,13 @@ func Open(dir string, opts ...Option) (*Store, error) {
 }
 
 // Degraded reports whether the store's circuit breaker is open (disk
-// bypassed, in-memory pass-through serving).
+// bypassed, memory tier serving). A memory-only store is never
+// degraded.
 func (s *Store) Degraded() bool { return s.brk.degraded() }
+
+// memoryOnly reports whether the store has no directory and serves
+// every op from its memory tier.
+func (s *Store) memoryOnly() bool { return s.dir == "" }
 
 // Dir returns the store root.
 func (s *Store) Dir() string { return s.dir }
@@ -210,6 +226,7 @@ func (s *Store) Stats() Stats {
 		Builds:    s.builds.Load(),
 		Steals:    s.steals.Load(),
 		Bytes:     s.bytes.Load(),
+		MemBytes:  s.mem.size(),
 		Degraded:  s.brk.degraded(),
 		Trips:     s.brk.trips.Load(),
 	}
@@ -230,12 +247,15 @@ func (s *Store) blobPath(class, a string) string {
 
 // Get returns the payload stored for (class, key), or ok=false on a
 // miss. Corrupt blobs are deleted and reported as misses; hits bump
-// the blob's access time for LRU eviction. The degraded-mode overlay
-// backstops both failure modes: a blob the disk cannot produce (read
-// error or integrity failure) is still a hit if a recent Put parked
-// it in memory.
+// the blob's access time for LRU eviction. The memory tier backstops
+// both failure modes: a blob the disk cannot produce (read error or
+// integrity failure) is still a hit if a recent Put parked it in
+// memory. A memory-only store reads the tier alone.
 func (s *Store) Get(class, key string) ([]byte, bool) {
 	a := addr(class, key)
+	if s.memoryOnly() {
+		return s.memGet(a)
+	}
 	path := s.blobPath(class, a)
 	raw, err := os.ReadFile(path)
 	if err == nil {
@@ -250,7 +270,7 @@ func (s *Store) Get(class, key string) ([]byte, bool) {
 	payload, err := unframe(raw)
 	if err != nil {
 		// Integrity failure: drop the blob so the next writer rebuilds
-		// cleanly, and report a plain miss (or the overlay's copy).
+		// cleanly, and report a plain miss (or the memory tier's copy).
 		if rmErr := os.Remove(path); rmErr == nil {
 			s.bytes.Add(-int64(len(raw)))
 		}
@@ -262,7 +282,7 @@ func (s *Store) Get(class, key string) ([]byte, bool) {
 	return payload, true
 }
 
-// memGet finishes a failed disk read against the in-memory overlay.
+// memGet serves a read from the memory tier.
 func (s *Store) memGet(a string) ([]byte, bool) {
 	if data, ok := s.mem.get(a); ok {
 		s.hits.Add(1)
@@ -275,14 +295,15 @@ func (s *Store) memGet(a string) ([]byte, bool) {
 // Put stores payload under (class, key) atomically (tmp+rename) and
 // evicts past the size cap. Concurrent puts of the same content are
 // harmless: last rename wins with identical bytes. Disk failures
-// never lose the artifact: the payload lands in the in-memory overlay
-// and feeds the circuit breaker, which after enough consecutive
+// never lose the artifact: the payload lands in the memory tier and
+// feeds the circuit breaker, which after enough consecutive
 // failures stops touching the disk entirely (half-open probes restore
 // write-through when it recovers). The returned error reports disk
-// persistence only — callers already treat Put as best-effort.
+// persistence only — callers already treat Put as best-effort. A
+// memory-only store puts into the tier alone.
 func (s *Store) Put(class, key string, payload []byte) error {
 	a := addr(class, key)
-	if !s.brk.allow() {
+	if s.memoryOnly() || !s.brk.allow() {
 		s.mem.put(a, payload)
 		s.puts.Add(1)
 		return nil

@@ -124,7 +124,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	for _, metric := range []string{
 		"rcad_jobs_submitted_total", "rcad_jobs_deduped_total",
 		"rcad_jobs_from_store_total", "rcad_pipeline_executions_total",
-		"rcad_queue_depth", "rcad_outcome_store_size", "rcad_flights_inflight",
+		"rcad_queue_depth", "rcad_artifact_store_mem_bytes", "rcad_flights_inflight",
 		"rcad_compile_cache_hits_total", "rcad_compile_cache_misses_total",
 		"rcad_artifact_store_hits_total", "rcad_artifact_store_misses_total",
 		"rcad_artifact_store_evictions_total", "rcad_artifact_store_bytes",

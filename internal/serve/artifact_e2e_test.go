@@ -27,7 +27,8 @@ func storeSession(t *testing.T, store *rca.ArtifactStore) *rca.Session {
 // -store, investigate GOFFGRATCH, shut the daemon down, boot a second
 // daemon on the same directory, submit the same scenario — it must be
 // served warm with ZERO pipeline executions and byte-identical
-// FormatOutcome text.
+// FormatOutcome text. Before the resubmission, GET /v1/outcomes on the
+// restarted daemon must already serve the cold run's outcome.
 func TestWarmRestartE2E(t *testing.T) {
 	dir := t.TempDir()
 	body := []byte(`{"experiment":"GOFFGRATCH"}`)
@@ -58,12 +59,25 @@ func TestWarmRestartE2E(t *testing.T) {
 		t.Fatal("cold run executed nothing")
 	}
 	ts1.Close()
-	srv1.Close() // flushes the outcome to the store
+	srv1.Close()
 
 	var warmExecs atomic.Int64
 	srv2, ts2, store2 := boot(&warmExecs)
 	defer srv2.Close()
 	defer ts2.Close()
+	resp, err := http.Get(ts2.URL + "/v1/outcomes/" + reply1.Fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored struct {
+		Text string `json:"text"`
+	}
+	derr := json.NewDecoder(resp.Body).Decode(&stored)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || derr != nil || stored.Text != reply1.Outcome.Text {
+		t.Fatalf("GET /v1/outcomes after restart: status %d, decode %v, text match %v",
+			resp.StatusCode, derr, stored.Text == reply1.Outcome.Text)
+	}
 	reply2, status, err := postJob(ts2.URL, body, true)
 	if err != nil || status != http.StatusOK {
 		t.Fatalf("warm submit: status %d, err %v", status, err)
@@ -100,8 +114,9 @@ func outcomeText(r *jobReply) string {
 }
 
 // TestShutdownFlushesOutcomes pins the graceful-shutdown contract:
-// outcome persistence is asynchronous, but Close must not return until
-// completed investigations are durable in the store.
+// once Close returns, every completed investigation is durable in the
+// store (runFlight writes the outcome synchronously before the job
+// completes).
 func TestShutdownFlushesOutcomes(t *testing.T) {
 	dir := t.TempDir()
 	store, err := rca.OpenArtifactStore(dir)

@@ -188,7 +188,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleOutcome(w http.ResponseWriter, r *http.Request) {
-	out, ok := s.store.get(r.PathValue("fingerprint"))
+	out, ok := s.storedOutcome(r.PathValue("fingerprint"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "no stored outcome for this fingerprint")
 		return
@@ -334,34 +334,24 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	// degraded=true means the artifact store's circuit breaker is open
 	// (disk bypassed, in-memory pass-through serving): alive and
 	// answering, but without durability until the disk recovers.
-	degraded := s.artifacts != nil && s.artifacts.Degraded()
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true, "degraded": degraded})
+	writeJSON(w, http.StatusOK, map[string]bool{"ok": true, "degraded": s.artifacts.Degraded()})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	hits, misses := s.session.CompileCacheStats()
-	var as artifactStats
 	rs := robustStats{FaultInjected: fault.InjectedTotal()}
-	if s.artifacts != nil {
-		st := s.artifacts.Stats()
-		as = artifactStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions, Steals: st.Steals, Bytes: st.Bytes}
-		rs.Degraded = st.Degraded
-		if q, err := s.jobQueue(); err == nil {
-			rs.DeadLettered = q.FailedCount()
-		}
+	if q, err := s.jobQueue(); err == nil {
+		rs.DeadLettered = q.FailedCount()
 	}
 	lfits, liters := s.session.LassoStats()
 	ls := lassoStats{Fits: lfits, Iters: liters}
-	s.m.write(w, s.session.Engine(), len(s.queue), s.store.len(), s.inflight(), hits, misses, ls, as, rs)
+	s.m.write(w, s.session.Engine(), len(s.queue), s.inflight(), hits, misses, ls, s.artifacts.Stats(), rs)
 }
 
 // deadLettered looks an id up in the shared queue's dead-letter
-// directory (nil store or no record: not found).
+// directory (memory-only store or no record: not found).
 func (s *Server) deadLettered(id string) (*artifact.FailedJob, bool) {
-	if s.artifacts == nil {
-		return nil, false
-	}
 	q, err := s.jobQueue()
 	if err != nil {
 		return nil, false

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+
+	"github.com/climate-rca/rca/internal/artifact"
 )
 
 // metrics are the service counters exposed at /metrics in the
@@ -33,7 +35,7 @@ type metrics struct {
 // Every job series carries the session's execution-engine label
 // (engine="bytecode" or engine="tree"), and the bytecode program
 // cache's hit/miss counters are reported alongside.
-func (m *metrics) write(w io.Writer, engine string, queueDepth, storeSize, inflight int, compileHits, compileMisses uint64, ls lassoStats, as artifactStats, rs robustStats) {
+func (m *metrics) write(w io.Writer, engine string, queueDepth, inflight int, compileHits, compileMisses uint64, ls lassoStats, as artifact.Stats, rs robustStats) {
 	lbl := fmt.Sprintf(`{engine=%q}`, engine)
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP rcad_%s %s\n# TYPE rcad_%s counter\nrcad_%s%s %d\n", name, help, name, name, lbl, v)
@@ -69,11 +71,11 @@ func (m *metrics) write(w io.Writer, engine string, queueDepth, storeSize, infli
 	counter("job_retries_total", "Execution attempts retried after transient failures.", m.jobRetries.Load())
 	counter("jobs_dead_lettered_total", "Queue jobs retired to the dead-letter directory.", int64(rs.DeadLettered))
 	gauge("queue_depth", "Executions waiting for a worker.", queueDepth)
-	gauge("outcome_store_size", "Outcomes held by the LRU store.", storeSize)
 	gauge("flights_inflight", "Executions queued or running.", inflight)
 	gauge("artifact_store_bytes", "Artifact store on-disk payload bytes.", int(as.Bytes))
+	gauge("artifact_store_mem_bytes", "Artifact store in-memory tier payload bytes.", int(as.MemBytes))
 	degraded := 0
-	if rs.Degraded {
+	if as.Degraded {
 		degraded = 1
 	}
 	gauge("store_degraded", "1 while the artifact store circuit breaker is open (in-memory pass-through).", degraded)
@@ -86,23 +88,10 @@ type lassoStats struct {
 	Iters uint64
 }
 
-// artifactStats is the slice of artifact.Stats the metrics page
-// renders; zero-valued when the server has no store attached, so the
-// series always exist.
-type artifactStats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Steals    uint64
-	Bytes     int64
-}
-
 // robustStats is the live robustness slice of the metrics page: the
-// chaos plane's injection counter, the dead-letter directory size and
-// the circuit breaker's state; zero-valued without a store or plane so
-// the series always exist.
+// chaos plane's injection counter and the dead-letter directory size;
+// zero-valued without a queue or plane so the series always exist.
 type robustStats struct {
 	FaultInjected uint64
 	DeadLettered  int
-	Degraded      bool
 }

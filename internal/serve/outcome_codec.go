@@ -7,6 +7,19 @@ import (
 	"github.com/climate-rca/rca/internal/binenc"
 )
 
+// Outcome is the service's rendered result record: what GET
+// /v1/outcomes/{fingerprint} returns and what completed jobs carry.
+// Text is the rca.FormatOutcome report — the byte-identical artifact
+// the e2e golden harness pins against the in-process pipeline.
+type Outcome struct {
+	Fingerprint string    `json:"fingerprint"`
+	Name        string    `json:"name"`
+	FailureRate float64   `json:"failureRate"`
+	BugLocated  bool      `json:"bugLocated"`
+	Text        string    `json:"text"`
+	CompletedAt time.Time `json:"completedAt"`
+}
+
 // outcomeCodecVersion is bumped on any change to the encoding below;
 // stale blobs then read as misses and the investigation re-runs.
 const outcomeCodecVersion uint32 = 1

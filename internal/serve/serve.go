@@ -12,8 +12,9 @@
 //     Session's layered scenario fingerprints: clients submitting an
 //     identical scenario while one is queued or running subscribe to
 //     the same execution;
-//   - completed outcomes land in an LRU store keyed by the same
-//     fingerprint, so repeat submissions don't even queue;
+//   - completed outcomes land in the artifact store keyed by the same
+//     fingerprint (on disk with -store, in its bounded memory tier
+//     without), so repeat submissions don't even queue;
 //   - every job cancels independently (DELETE, or a waiting client
 //     disconnecting). The shared execution is aborted only when its
 //     last subscriber leaves.
@@ -50,8 +51,6 @@ type Config struct {
 	// (default 2; each execution parallelizes internally via the
 	// session's WithParallelism pool).
 	Workers int
-	// StoreSize bounds the LRU outcome store (default 128).
-	StoreSize int
 	// RunHook, when set, is called with the scenario fingerprint once
 	// per actual underlying pipeline execution — after dedup, before
 	// the run. Tests use it to count executions; it must return
@@ -62,21 +61,17 @@ type Config struct {
 	// reachable by fingerprint through the store). Live jobs are never
 	// evicted.
 	JobsCap int
-	// Artifacts, when set, is the durable third cache layer behind the
-	// in-flight dedup and the in-memory LRU: completed outcomes are
-	// persisted under their scenario fingerprint (so a restarted
-	// daemon serves them without re-running the pipeline), executions
-	// take a cross-process scenario lease (so N daemons sharing the
-	// store never run the same investigation concurrently), and the
-	// session's corpus/program/metagraph artifacts warm-start from the
-	// same directory when the session was built WithArtifacts.
+	// Artifacts is the outcome cache behind the in-flight dedup. When
+	// set, completed outcomes are persisted under their scenario
+	// fingerprint (so a restarted daemon serves them without
+	// re-running the pipeline), executions take a cross-process
+	// scenario lease (so N daemons sharing the store never run the
+	// same investigation concurrently), and the session's
+	// corpus/program/metagraph artifacts warm-start from the same
+	// directory when the session was built WithArtifacts. When nil,
+	// New opens a memory-only store: outcomes live in its bounded
+	// memory tier and the shared queue is unavailable.
 	Artifacts *rca.ArtifactStore
-	// FlushTimeout bounds how long Close waits for outcome writes
-	// still queued for the artifact store (default 5s). Outcomes are
-	// persisted asynchronously so job completion latency never
-	// includes disk I/O; the flusher drains on shutdown within this
-	// deadline.
-	FlushTimeout time.Duration
 	// MaxAttempts is the per-job execution budget (default 3): a
 	// flight whose failure is transient — an injected fault or a job
 	// deadline — retries with exponential backoff up to this many
@@ -132,7 +127,6 @@ func hashKeys(k rca.ScenarioKeys) keyView {
 // bounded queue, worker pool and outcome store around one Session.
 type Server struct {
 	session *rca.Session
-	store   *store
 	hook    func(string)
 	queue   chan *flight
 	base    context.Context
@@ -140,14 +134,9 @@ type Server struct {
 	wg      sync.WaitGroup
 	m       metrics
 
-	// Durable outcome layer (nil without Config.Artifacts). Outcome
-	// writes flow through flushCh so completion latency excludes disk
-	// I/O; each write carries the scenario lease it must release once
-	// the blob is on disk, preserving cross-process singleflight.
-	artifacts    *rca.ArtifactStore
-	flushCh      chan flushReq
-	flushDone    chan struct{}
-	flushTimeout time.Duration
+	// Outcome store and scenario leases: Config.Artifacts, or a
+	// memory-only store. Never nil.
+	artifacts *rca.ArtifactStore
 
 	// Shared work queue (worker mode), opened lazily on first use.
 	qmu sync.Mutex
@@ -209,14 +198,8 @@ func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
-	if cfg.StoreSize <= 0 {
-		cfg.StoreSize = 128
-	}
 	if cfg.JobsCap <= 0 {
 		cfg.JobsCap = 4096
-	}
-	if cfg.FlushTimeout <= 0 {
-		cfg.FlushTimeout = 5 * time.Second
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = artifact.DefaultMaxAttempts
@@ -227,33 +210,30 @@ func New(cfg Config) *Server {
 	if cfg.RetryMax <= 0 {
 		cfg.RetryMax = artifact.DefaultBackoffMax
 	}
+	if cfg.Artifacts == nil {
+		// Open("") touches no filesystem and cannot fail.
+		cfg.Artifacts, _ = artifact.Open("")
+	}
 	base, stop := context.WithCancel(context.Background())
 	s := &Server{
-		session:      cfg.Session,
-		store:        newStore(cfg.StoreSize),
-		hook:         cfg.RunHook,
-		queue:        make(chan *flight, cfg.QueueSize),
-		base:         base,
-		stop:         stop,
-		artifacts:    cfg.Artifacts,
-		flushTimeout: cfg.FlushTimeout,
-		jobsCap:      cfg.JobsCap,
-		workers:      cfg.Workers,
-		maxAttempts:  cfg.MaxAttempts,
-		jobTimeout:   cfg.JobTimeout,
-		retryBase:    cfg.RetryBase,
-		retryMax:     cfg.RetryMax,
-		jobs:         make(map[string]*job),
-		flights:      make(map[string]*flight),
-		t1:           make(map[string]*t1flight),
-		t1sem:        make(chan struct{}, 1),
-		searches:     make(map[string]*searchJob),
-		searchSem:    make(chan struct{}, 1),
-	}
-	if s.artifacts != nil {
-		s.flushCh = make(chan flushReq, 256)
-		s.flushDone = make(chan struct{})
-		go s.flusher()
+		session:     cfg.Session,
+		hook:        cfg.RunHook,
+		queue:       make(chan *flight, cfg.QueueSize),
+		base:        base,
+		stop:        stop,
+		artifacts:   cfg.Artifacts,
+		jobsCap:     cfg.JobsCap,
+		workers:     cfg.Workers,
+		maxAttempts: cfg.MaxAttempts,
+		jobTimeout:  cfg.JobTimeout,
+		retryBase:   cfg.RetryBase,
+		retryMax:    cfg.RetryMax,
+		jobs:        make(map[string]*job),
+		flights:     make(map[string]*flight),
+		t1:          make(map[string]*t1flight),
+		t1sem:       make(chan struct{}, 1),
+		searches:    make(map[string]*searchJob),
+		searchSem:   make(chan struct{}, 1),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -263,51 +243,27 @@ func New(cfg Config) *Server {
 }
 
 // Close stops the worker pool, aborting in-flight executions; queued
-// and running jobs finish canceled. Outcome writes already queued for
-// the artifact store are flushed to disk before returning, bounded by
-// the configured FlushTimeout — a completed investigation survives a
-// graceful shutdown even if its disk write had not landed yet. Safe
-// to call once.
+// and running jobs finish canceled. Every completed outcome is already
+// in the store (runFlight writes it before the flight finishes), so
+// nothing is left to flush. Safe to call once.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
 	s.stop()
 	s.wg.Wait()
-	if s.flushCh != nil {
-		// Workers are stopped, so nothing enqueues anymore; drain what
-		// remains within the deadline. On timeout the writes are
-		// abandoned — their scenario leases go stale and another
-		// process steals them, degrading to a cold re-run, never a
-		// hang.
-		close(s.flushCh)
-		select {
-		case <-s.flushDone:
-		case <-time.After(s.flushTimeout):
-		}
-	}
 }
 
-// flushReq is one asynchronous outcome write; release (if non-nil) is
-// the scenario lease to drop once the blob is durable.
-type flushReq struct {
-	key     string
-	data    []byte
-	release func()
-}
-
-// flusher serializes outcome writes to the artifact store. It runs
-// from New until Close drains it; releasing each write's scenario
-// lease only after the Put keeps cross-process singleflight airtight
-// (a peer that wins the next lease always sees the stored outcome).
-func (s *Server) flusher() {
-	defer close(s.flushDone)
-	for req := range s.flushCh {
-		_ = s.artifacts.Put(artifact.ClassOutcome, req.key, req.data)
-		if req.release != nil {
-			req.release()
-		}
+// storedOutcome reads a completed outcome from the store. A blob the
+// current codec cannot decode reads as a miss, so the investigation
+// re-runs.
+func (s *Server) storedOutcome(key string) (*Outcome, bool) {
+	data, ok := s.artifacts.Get(artifact.ClassOutcome, key)
+	if !ok {
+		return nil, false
 	}
+	o, err := decodeOutcome(data)
+	return o, err == nil
 }
 
 // submit registers a job for a scenario: served from the outcome
@@ -320,17 +276,10 @@ func (s *Server) submit(sc rca.Scenario) (*job, error) {
 	}
 	kv := hashKeys(keys)
 
-	// Disk prefetch happens outside s.mu (it is file I/O): a warm
-	// artifact store lets a freshly restarted daemon complete the job
-	// without queueing anything, exactly like an in-memory store hit.
-	var disk *Outcome
-	if s.artifacts != nil {
-		if data, ok := s.artifacts.Get(artifact.ClassOutcome, kv.Scenario); ok {
-			if o, err := decodeOutcome(data); err == nil {
-				disk = o
-			}
-		}
-	}
+	// The store read happens outside s.mu (it may be file I/O). A
+	// submission that misses here while the flight is finishing still
+	// runs nothing: the new flight re-reads the store under its lease.
+	out, stored := s.storedOutcome(kv.Scenario)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -339,15 +288,9 @@ func (s *Server) submit(sc rca.Scenario) (*job, error) {
 		return nil, ErrClosed
 	}
 
-	// The in-memory LRU wins over the disk copy (it is the same
-	// outcome); a disk-only hit is promoted into the LRU.
-	if _, ok := s.store.get(kv.Scenario); !ok && disk != nil {
-		s.store.put(kv.Scenario, disk)
-	}
-
 	// Whole-outcome sharing: a stored outcome completes the job
 	// without queueing anything.
-	if out, ok := s.store.get(kv.Scenario); ok {
+	if stored {
 		j := newJob(s.newJobID(), sc.Name(), kv, nil, s)
 		j.finish(StateDone, out, nil)
 		s.registerJob(j)
@@ -467,29 +410,22 @@ func (s *Server) runFlight(fl *flight) {
 		return
 	}
 
-	// Cross-process singleflight: with a shared artifact store, take
-	// the scenario's lease before running. A peer daemon holding it is
-	// running the same investigation — waiting, then re-checking the
-	// store, turns this flight into a warm read instead of a duplicate
-	// execution. The lease travels with the outcome write and is
-	// released only after the blob is durable.
-	var release func()
-	if s.artifacts != nil {
-		rel, err := s.artifacts.Lock(fl.ctx, "scenario-"+fl.key)
-		if err != nil {
-			s.m.flightsCanceled.Add(1)
-			s.finishFlight(fl, nil, rca.ErrCanceled)
-			return
-		}
-		release = rel
-		if data, ok := s.artifacts.Get(artifact.ClassOutcome, fl.key); ok {
-			if out, derr := decodeOutcome(data); derr == nil {
-				release()
-				s.m.jobsFromStore.Add(1)
-				s.finishFlight(fl, out, nil)
-				return
-			}
-		}
+	// Cross-process singleflight: take the scenario's lease before
+	// running. A peer daemon holding it is running the same
+	// investigation — waiting, then re-checking the store, turns this
+	// flight into a warm read instead of a duplicate execution. The
+	// lease is released only after the outcome is stored.
+	release, err := s.artifacts.Lock(fl.ctx, "scenario-"+fl.key)
+	if err != nil {
+		s.m.flightsCanceled.Add(1)
+		s.finishFlight(fl, nil, rca.ErrCanceled)
+		return
+	}
+	if out, ok := s.storedOutcome(fl.key); ok {
+		release()
+		s.m.jobsFromStore.Add(1)
+		s.finishFlight(fl, out, nil)
+		return
 	}
 
 	fl.start()
@@ -499,7 +435,6 @@ func (s *Server) runFlight(fl *flight) {
 	// re-run, as long as a subscriber is still interested. Anything
 	// else (pipeline errors, client cancellation) surfaces immediately.
 	var out *rca.Outcome
-	var err error
 	for attempt := 1; ; attempt++ {
 		out, err = s.runOnce(fl)
 		if err == nil || !transientErr(err) || attempt >= s.maxAttempts || fl.ctx.Err() != nil {
@@ -511,8 +446,9 @@ func (s *Server) runFlight(fl *flight) {
 		case <-fl.ctx.Done():
 		}
 	}
+	var o *Outcome
 	if err == nil {
-		o := &Outcome{
+		o = &Outcome{
 			Fingerprint: fl.key,
 			Name:        out.Name,
 			FailureRate: out.FailureRate,
@@ -520,17 +456,20 @@ func (s *Server) runFlight(fl *flight) {
 			Text:        rca.FormatOutcome(out),
 			CompletedAt: time.Now().UTC(),
 		}
-		s.persistOutcome(fl.key, o, release)
-		s.finishFlight(fl, o, nil)
-		return
+		// The write completes before the lease is released and before
+		// the flight leaves the dedup table, so a peer that wins the
+		// next lease, or a submission that finds no flight, always
+		// finds the outcome. Put's error reports disk persistence only;
+		// a failed write is still served from the memory tier.
+		if data, eerr := encodeOutcome(o); eerr == nil {
+			_ = s.artifacts.Put(artifact.ClassOutcome, fl.key, data)
+		}
 	}
-	if release != nil {
-		release()
-	}
+	release()
 	if errors.Is(err, rca.ErrCanceled) {
 		s.m.flightsCanceled.Add(1)
 	}
-	s.finishFlight(fl, nil, err)
+	s.finishFlight(fl, o, err)
 }
 
 // runOnce performs a single execution attempt of a flight under the
@@ -583,35 +522,12 @@ func (s *Server) retryDelay(key string, attempt int) time.Duration {
 	return artifact.Backoff(key, attempt, s.retryBase, s.retryMax)
 }
 
-// persistOutcome queues an asynchronous durable write of a completed
-// outcome, handing the scenario lease to the flusher so it is dropped
-// only once the blob is on disk. Without a store it just releases.
-func (s *Server) persistOutcome(key string, out *Outcome, release func()) {
-	if s.artifacts == nil {
-		if release != nil {
-			release()
-		}
-		return
-	}
-	data, err := encodeOutcome(out)
-	if err != nil {
-		if release != nil {
-			release()
-		}
-		return
-	}
-	s.flushCh <- flushReq{key: key, data: data, release: release}
-}
-
-// finishFlight publishes a flight's result: the outcome (if any) goes
-// to the LRU store and the flight leaves the dedup table under one
-// lock — a submission always sees either the in-flight entry or the
-// stored outcome, never a gap — then the remaining subscribers finish.
+// finishFlight publishes a flight's result: the flight leaves the
+// dedup table (any outcome is already in the store, so a submission
+// sees either the in-flight entry or the stored outcome, never a gap),
+// then the remaining subscribers finish.
 func (s *Server) finishFlight(fl *flight, out *Outcome, err error) {
 	s.mu.Lock()
-	if out != nil {
-		s.store.put(fl.key, out)
-	}
 	// Identity check: a dead flight may already have been replaced in
 	// the table by a fresh execution of the same scenario.
 	if cur, ok := s.flights[fl.key]; ok && cur == fl {

@@ -32,15 +32,16 @@ type queueResult struct {
 	Error       string `json:"error,omitempty"`
 }
 
-// jobQueue lazily opens the store's shared queue.
+// jobQueue lazily opens the store's shared queue; a memory-only
+// store has none (ErrNoArtifactStore).
 func (s *Server) jobQueue() (*artifact.Queue, error) {
-	if s.artifacts == nil {
-		return nil, ErrNoArtifactStore
-	}
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
 	if s.q == nil {
 		q, err := s.artifacts.Queue()
+		if errors.Is(err, artifact.ErrMemoryOnly) {
+			return nil, ErrNoArtifactStore
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +131,7 @@ func (s *Server) enqueueSearch(raw json.RawMessage) (id, affinity string, err er
 // ServeQueue drains the store's shared queue until ctx is done: claim
 // the best job (own buildKey affinity first, then steal), run it
 // through the normal submit path — so in-flight dedup, the outcome
-// stores and the cross-process scenario lease all apply — and publish
+// store and the cross-process scenario lease all apply — and publish
 // the result marker. Idle polls are spaced by idle (default 200ms).
 func (s *Server) ServeQueue(ctx context.Context, workerID string, peers []string, idle time.Duration) error {
 	q, err := s.jobQueue()
