@@ -42,9 +42,10 @@ func benchRun(sc Scenario, opts ...Option) (*Outcome, error) {
 // BenchmarkPipelineSixSpecsSession runs the same six experiments on
 // one Session per iteration: the corpus, the ensemble ECT fingerprint
 // and the metagraphs are generated once and shared, and RunAll fans
-// out concurrently.
+// out concurrently. Besides time it reports lasso fits and iterations
+// and refinement-memo hits per op.
 func BenchmarkPipelineSixSpecsSession(b *testing.B) {
-	var fits, iters uint64
+	var fits, iters, memoHits uint64
 	for i := 0; i < b.N; i++ {
 		s := benchSession()
 		if _, err := s.RunAll(context.Background(), Experiments()); err != nil {
@@ -53,9 +54,12 @@ func BenchmarkPipelineSixSpecsSession(b *testing.B) {
 		f, it := s.LassoStats()
 		fits += f
 		iters += it
+		h, _ := s.RefineMemoStats()
+		memoHits += h
 	}
 	b.ReportMetric(float64(fits)/float64(b.N), "lassofits")
 	b.ReportMetric(float64(iters)/float64(b.N), "lassoiters")
+	b.ReportMetric(float64(memoHits)/float64(b.N), "refinememohits")
 }
 
 // BenchmarkPipelineSixSpecsSessionISTA is the same six-spec session

@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"github.com/climate-rca/rca/internal/centrality"
-	"github.com/climate-rca/rca/internal/community"
 	"github.com/climate-rca/rca/internal/graph"
 )
 
@@ -57,6 +56,12 @@ type Options struct {
 	// at every parallelism level, so this is purely a wall-clock knob;
 	// the Session defaults it to GOMAXPROCS via WithParallelism.
 	Parallelism int
+	// Memo caches each iteration's graph analysis (steps 1, 5 and 6)
+	// by subgraph content, so repeated subgraphs skip Girvan-Newman
+	// and centrality. A Session sets one shared by all its
+	// investigations; nil means a memo local to the call. A hit is
+	// indistinguishable from a miss in every result.
+	Memo *Memo
 }
 
 func (o Options) withDefaults() Options {
@@ -133,6 +138,10 @@ type Result struct {
 // opt.Checkpoint, evaluated between iterations.
 func Refine(sub *graph.Digraph, nodeMap []int, sampler Sampler, bugNodes []int, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
+	memo := opt.Memo
+	if memo == nil {
+		memo = NewMemo()
+	}
 	bugSet := make(map[int]bool, len(bugNodes))
 	for _, b := range bugNodes {
 		bugSet[b] = true
@@ -148,9 +157,9 @@ func Refine(sub *graph.Digraph, nodeMap []int, sampler Sampler, bugNodes []int, 
 			}
 		}
 		it := Iteration{Nodes: cur.NumNodes(), Edges: cur.NumEdges()}
-		it.LargestSCC = cur.Condensation().LargestSCC
 
 		if cur.NumNodes() <= opt.SmallEnough {
+			it.LargestSCC = cur.Condensation().LargestSCC
 			it.Action = ActionSmallEnough
 			res.Iterations = append(res.Iterations, it)
 			res.Final = append([]int(nil), curMap...)
@@ -158,44 +167,22 @@ func Refine(sub *graph.Digraph, nodeMap []int, sampler Sampler, bugNodes []int, 
 			return res, nil
 		}
 
-		// Step 5: communities of the undirected view.
-		var comms [][]int
-		if opt.WholeGraphSampling {
-			all := make([]int, cur.NumNodes())
-			for i := range all {
-				all[i] = i
-			}
-			comms = [][]int{all}
-		} else {
-			und := cur.Undirected()
-			if opt.CommunityMethod == "louvain" {
-				comms = community.Louvain(und, 0, opt.MinCommunity)
-			} else {
-				comms = community.GirvanNewmanPar(und, opt.GNIterations, opt.MinCommunity, opt.Parallelism)
-			}
-		}
-		if len(comms) == 0 {
+		// Steps 1, 5 and 6 depend only on the subgraph: the memo runs
+		// them once per distinct subgraph. The cached slices are
+		// shared, so everything below only reads them.
+		a := memo.analyze(cur, opt)
+		it.LargestSCC = a.largestSCC
+		if len(a.comms) == 0 {
 			it.Action = ActionNoCommunities
 			res.Iterations = append(res.Iterations, it)
 			res.Final = append([]int(nil), curMap...)
 			res.Converged = true
 			return res, nil
 		}
-		for _, c := range comms {
+		for _, c := range a.comms {
 			it.Communities = append(it.Communities, translate(c, curMap))
 		}
-
-		// Step 6: centrality per community, top-m.
-		var sampledLocal []int
-		for _, comm := range comms {
-			cg, cmap := cur.Subgraph(comm)
-			scores := rankBy(opt.Centrality, cg, opt.Parallelism)
-			for _, r := range centrality.TopK(scores, opt.TopM) {
-				sampledLocal = append(sampledLocal, cmap[r.Node])
-			}
-		}
-		sort.Ints(sampledLocal)
-		it.Sampled = translate(sampledLocal, curMap)
+		it.Sampled = translate(a.sampled, curMap)
 
 		// Step 7: instrument (simulated or value-based sampling).
 		detectedGlobal := sampler.Sample(it.Sampled)
@@ -220,7 +207,7 @@ func Refine(sub *graph.Digraph, nodeMap []int, sampler Sampler, bugNodes []int, 
 			// (clean) nodes.
 			it.Action = ActionRemoveCleared
 			drop := map[int]bool{}
-			for _, n := range cur.Ancestors(sampledLocal) {
+			for _, n := range cur.Ancestors(a.sampled) {
 				drop[n] = true
 			}
 			for n := 0; n < cur.NumNodes(); n++ {

@@ -28,7 +28,11 @@ import (
 // IDs), so user-defined and multi-defect scenarios are cached exactly
 // like the prewired catalog: two scenarios injecting the same source
 // patches share a corpus build; two scenarios with the same build and
-// coverage configuration share a compiled metagraph.
+// coverage configuration share a compiled metagraph. The one cache
+// keyed by content instead is the refinement memo (core.Memo): every
+// refinement iteration's graph analysis is looked up by the exact
+// subgraph, so distinct scenarios that reach the same subgraph share
+// it.
 //
 // Every stage takes a context.Context. Cancellation is honored at
 // stage entry, between ensemble members, and between refinement
@@ -172,7 +176,8 @@ func WithSampler(sampler Sampler) Option {
 	}
 }
 
-// WithRefineOptions sets the Algorithm 5.4 knobs.
+// WithRefineOptions sets the Algorithm 5.4 knobs. o.Memo is ignored:
+// the session always refines through its own memo.
 func WithRefineOptions(o core.Options) Option {
 	return func(s *Session) { s.refine = o }
 }
@@ -276,6 +281,7 @@ func NewSession(cfg corpus.Config, opts ...Option) *Session {
 	if s.refine.Parallelism <= 0 {
 		s.refine.Parallelism = s.parallel
 	}
+	s.refine.Memo = core.NewMemo()
 	return s
 }
 
@@ -317,6 +323,14 @@ func (s *Session) Engine() string { return s.engine.String() }
 // consumed. rcad reports both at /metrics.
 func (s *Session) LassoStats() (fits, iters uint64) {
 	return s.lassoFits.Load(), s.lassoIters.Load()
+}
+
+// RefineMemoStats reports the refinement memo's lookups across the
+// session: hits reused a cached iteration analysis (Girvan-Newman
+// communities and sampling sites) of an identical subgraph, misses ran
+// it. rcad reports both at /metrics.
+func (s *Session) RefineMemoStats() (hits, misses uint64) {
+	return s.refine.Memo.Stats()
 }
 
 // Sizes reports the session's control-ensemble and experimental-set

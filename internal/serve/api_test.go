@@ -131,6 +131,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"rcad_fault_injected_total", "rcad_job_retries_total",
 		"rcad_jobs_dead_lettered_total", "rcad_store_degraded",
 		"rcad_lasso_fits_total", "rcad_lasso_fit_iterations_total",
+		"rcad_refine_memo_hits_total", "rcad_refine_memo_misses_total",
 	} {
 		metricValue(t, ts.URL, metric) // fails the test if absent
 	}

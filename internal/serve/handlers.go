@@ -339,14 +339,15 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	hits, misses := s.session.CompileCacheStats()
+	var ss sessionStats
+	ss.CompileHits, ss.CompileMisses = s.session.CompileCacheStats()
+	ss.LassoFits, ss.LassoIters = s.session.LassoStats()
+	ss.MemoHits, ss.MemoMisses = s.session.RefineMemoStats()
 	rs := robustStats{FaultInjected: fault.InjectedTotal()}
 	if q, err := s.jobQueue(); err == nil {
 		rs.DeadLettered = q.FailedCount()
 	}
-	lfits, liters := s.session.LassoStats()
-	ls := lassoStats{Fits: lfits, Iters: liters}
-	s.m.write(w, s.session.Engine(), len(s.queue), s.inflight(), hits, misses, ls, s.artifacts.Stats(), rs)
+	s.m.write(w, s.session.Engine(), len(s.queue), s.inflight(), ss, s.artifacts.Stats(), rs)
 }
 
 // deadLettered looks an id up in the shared queue's dead-letter

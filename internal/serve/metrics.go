@@ -33,9 +33,10 @@ type metrics struct {
 
 // write renders the counters plus the gauges the server derives live.
 // Every job series carries the session's execution-engine label
-// (engine="bytecode" or engine="tree"), and the bytecode program
-// cache's hit/miss counters are reported alongside.
-func (m *metrics) write(w io.Writer, engine string, queueDepth, inflight int, compileHits, compileMisses uint64, ls lassoStats, as artifact.Stats, rs robustStats) {
+// (engine="bytecode" or engine="tree"), and the session's
+// compile-cache, lasso and refinement-memo counters are reported
+// alongside.
+func (m *metrics) write(w io.Writer, engine string, queueDepth, inflight int, ss sessionStats, as artifact.Stats, rs robustStats) {
 	lbl := fmt.Sprintf(`{engine=%q}`, engine)
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP rcad_%s %s\n# TYPE rcad_%s counter\nrcad_%s%s %d\n", name, help, name, name, lbl, v)
@@ -52,10 +53,12 @@ func (m *metrics) write(w io.Writer, engine string, queueDepth, inflight int, co
 	counter("jobs_rejected_total", "Submissions rejected by backpressure or shutdown.", m.jobsRejected.Load())
 	counter("pipeline_executions_total", "Underlying pipeline executions (post-dedup).", m.executions.Load())
 	counter("flights_canceled_total", "Executions aborted because every subscriber left.", m.flightsCanceled.Load())
-	counter("compile_cache_hits_total", "Integrations that reused a cached compiled program.", int64(compileHits))
-	counter("compile_cache_misses_total", "Bytecode program compilations.", int64(compileMisses))
-	counter("lasso_fits_total", "Selection-stage lasso fits across the session.", int64(ls.Fits))
-	counter("lasso_fit_iterations_total", "Proximal-gradient iterations consumed by selection-stage lasso fits.", int64(ls.Iters))
+	counter("compile_cache_hits_total", "Integrations that reused a cached compiled program.", int64(ss.CompileHits))
+	counter("compile_cache_misses_total", "Bytecode program compilations.", int64(ss.CompileMisses))
+	counter("lasso_fits_total", "Selection-stage lasso fits across the session.", int64(ss.LassoFits))
+	counter("lasso_fit_iterations_total", "Proximal-gradient iterations consumed by selection-stage lasso fits.", int64(ss.LassoIters))
+	counter("refine_memo_hits_total", "Refinement iterations that reused a cached graph analysis of an identical subgraph.", int64(ss.MemoHits))
+	counter("refine_memo_misses_total", "Refinement iterations that ran Girvan-Newman and centrality.", int64(ss.MemoMisses))
 	counter("searches_started_total", "Scenario searches accepted.", m.searchesStarted.Load())
 	counter("searches_completed_total", "Scenario searches finished with a result.", m.searchesCompleted.Load())
 	counter("searches_failed_total", "Scenario searches finished with an error.", m.searchesFailed.Load())
@@ -81,11 +84,12 @@ func (m *metrics) write(w io.Writer, engine string, queueDepth, inflight int, co
 	gauge("store_degraded", "1 while the artifact store circuit breaker is open (in-memory pass-through).", degraded)
 }
 
-// lassoStats is the lasso slice of the metrics page: the session's
-// cumulative fit/iteration counters.
-type lassoStats struct {
-	Fits  uint64
-	Iters uint64
+// sessionStats is the session slice of the metrics page: its
+// cumulative compile-cache, lasso and refinement-memo counters.
+type sessionStats struct {
+	CompileHits, CompileMisses uint64
+	LassoFits, LassoIters      uint64
+	MemoHits, MemoMisses       uint64
 }
 
 // robustStats is the live robustness slice of the metrics page: the

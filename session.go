@@ -104,7 +104,8 @@ func WithExpSize(n int) Option { return experiments.WithExpSize(n) }
 // ValueSampling).
 func WithSampler(s Sampler) Option { return experiments.WithSampler(s) }
 
-// WithRefineOptions sets the Algorithm 5.4 knobs.
+// WithRefineOptions sets the Algorithm 5.4 knobs. Memo is ignored: the
+// session always refines through its own memo.
 func WithRefineOptions(o RefineOptions) Option { return experiments.WithRefineOptions(o) }
 
 // WithWorkers bounds RunAll's concurrent fan-out (default GOMAXPROCS).
