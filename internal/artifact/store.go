@@ -60,7 +60,8 @@ import (
 const (
 	// ClassCorpus stores generated+patched source trees per sourceKey.
 	ClassCorpus = "corpus"
-	// ClassProgram stores compiled bytecode programs per sourceKey.
+	// ClassProgram stores compiled bytecode programs per program shape
+	// key (model.Runner.ProgramKey).
 	ClassProgram = "program"
 	// ClassCompiled stores coverage-filtered metagraphs per buildKey.
 	ClassCompiled = "compiled"

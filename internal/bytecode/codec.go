@@ -203,18 +203,12 @@ func DecodeProgram(data []byte) (*Program, error) {
 		p.gdrvs[i] = dt
 	}
 
-	p.scalInit = make([]struct {
-		idx int32
-		val float64
-	}, r.Len())
+	p.scalInit = make([]cellInit, r.Len())
 	for i := range p.scalInit {
 		p.scalInit[i].idx = r.I32()
 		p.scalInit[i].val = r.F64()
 	}
-	p.arrInit = make([]struct {
-		idx int32
-		val float64
-	}, r.Len())
+	p.arrInit = make([]cellInit, r.Len())
 	for i := range p.arrInit {
 		p.arrInit[i].idx = r.I32()
 		p.arrInit[i].val = r.F64()

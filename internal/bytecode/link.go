@@ -74,24 +74,8 @@ func (l *linker) link() error {
 				if err != nil {
 					return errf("%s: %v", mod.Name, err)
 				}
-				if d.Init != nil {
-					v, err := constEval(d.Init)
-					if err != nil {
-						return errf("%s: %s: %v", mod.Name, name, err)
-					}
-					switch g.kind {
-					case kScal:
-						p.scalInit = append(p.scalInit, struct {
-							idx int32
-							val float64
-						}{g.idx, v})
-					case kArr:
-						p.arrInit = append(p.arrInit, struct {
-							idx int32
-							val float64
-						}{g.idx, v})
-						// Derived targets: assignInto is a no-op.
-					}
+				if err := p.bindInit(mod.Name, name, d.Init, g); err != nil {
+					return err
 				}
 				store[name] = g
 			}
@@ -178,6 +162,26 @@ func (l *linker) link() error {
 		p.moduleVars[m] = store
 	}
 	l.buildModuleSnaps()
+	return nil
+}
+
+// bindInit records the module-level initializer of global cell g —
+// phase 3's value half, which Rebind replays for a same-shape tree.
+// Derived targets only evaluate: the walker's assignInto is a no-op.
+func (p *Program) bindInit(module, name string, init fortran.Expr, g gref) error {
+	if init == nil {
+		return nil
+	}
+	v, err := constEval(init)
+	if err != nil {
+		return errf("%s: %s: %v", module, name, err)
+	}
+	switch g.kind {
+	case kScal:
+		p.scalInit = append(p.scalInit, cellInit{g.idx, v})
+	case kArr:
+		p.arrInit = append(p.arrInit, cellInit{g.idx, v})
+	}
 	return nil
 }
 

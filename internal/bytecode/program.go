@@ -227,6 +227,12 @@ type argSlot struct {
 	reg  int32
 }
 
+// cellInit starts global cell idx (scalar or array) at val.
+type cellInit struct {
+	idx int32
+	val float64
+}
+
 // moduleSnap is the SnapshotModuleVars metadata for one module.
 type moduleSnap struct {
 	entries []snapEntry
@@ -244,15 +250,11 @@ type Program struct {
 	nGArr  int
 	gdrvs  []*dtype // layout per global derived cell
 
-	// Module-level initialization resolved at compile time.
-	scalInit []struct {
-		idx int32
-		val float64
-	}
-	arrInit []struct {
-		idx int32
-		val float64
-	}
+	// Module-level initialization resolved at compile time — the only
+	// state that depends on module-level initializer values, and so the
+	// only state Rebind recomputes.
+	scalInit []cellInit
+	arrInit  []cellInit
 
 	consts []float64
 	labels []string

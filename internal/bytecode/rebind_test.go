@@ -1,0 +1,290 @@
+package bytecode
+
+import (
+	"bytes"
+	"testing"
+
+	"github.com/climate-rca/rca/internal/corpus"
+	"github.com/climate-rca/rca/internal/fortran"
+	"github.com/climate-rca/rca/internal/interp"
+	"github.com/climate-rca/rca/internal/rng"
+)
+
+func mustEncode(t *testing.T, p *Program) []byte {
+	t.Helper()
+	b, err := EncodeProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func parseAll(t *testing.T, srcs ...string) []*fortran.Module {
+	t.Helper()
+	var mods []*fortran.Module
+	for _, s := range srcs {
+		ms, err := fortran.ParseFile(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mods = append(mods, ms...)
+	}
+	return mods
+}
+
+// runSteps integrates init plus nine steps on a fresh VM of p and
+// returns its captures.
+func runSteps(t *testing.T, p *Program, c *corpus.Corpus) *VM {
+	t.Helper()
+	vm, err := p.NewVM(interp.Config{Ncol: 16, RNG: rng.NewKISS(777), SnapshotAll: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.Call(c.DriverModule, c.InitSub); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 9; i++ {
+		if err := vm.Call(c.DriverModule, c.StepSub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vm.SnapshotModuleVars()
+	return vm
+}
+
+// TestRebindMatchesCompileParamVariants is the differential pin for
+// Rebind: for every ensemble-parameter variant of the bench corpus,
+// rebinding the clean tree's program encodes to exactly the bytes of
+// compiling the variant, and runs to the same captures.
+func TestRebindMatchesCompileParamVariants(t *testing.T) {
+	base := corpus.Config{AuxModules: 40, Seed: 2}
+	clean, err := corpus.Generate(base).Parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanKey := fortran.ShapeKey(clean)
+	skel := Compile(clean)
+	cleanEnc := mustEncode(t, skel)
+	if skel.Rebind(clean) != skel {
+		t.Fatal("rebinding a program to its own tree built a new program")
+	}
+
+	variants := map[string]func(*corpus.Config){
+		"turbcoef":   func(c *corpus.Config) { c.TurbCoef = 0.013 },
+		"fmagain":    func(c *corpus.Config) { c.FMAGain = 3000.3 },
+		"auxfmagain": func(c *corpus.Config) { c.AuxFMAGain = 0.0101 },
+	}
+	for name, set := range variants {
+		t.Run(name, func(t *testing.T) {
+			cfg := base
+			set(&cfg)
+			vc := corpus.Generate(cfg)
+			mods, err := vc.Parse()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fortran.ShapeKey(mods) != cleanKey {
+				t.Fatal("parameter variant changed the shape key")
+			}
+			fresh := Compile(mods)
+			want := mustEncode(t, fresh)
+			if bytes.Equal(want, cleanEnc) {
+				t.Fatal("variant compiles to the clean program; the test perturbs nothing")
+			}
+			got := skel.Rebind(mods)
+			if got == skel {
+				t.Fatal("Rebind returned the skeleton for different initializer values")
+			}
+			if !bytes.Equal(mustEncode(t, got), want) {
+				t.Fatal("EncodeProgram(Rebind(Compile(clean), variant)) != EncodeProgram(Compile(variant))")
+			}
+			if !bytes.Equal(mustEncode(t, got.Rebind(clean)), cleanEnc) {
+				t.Fatal("rebinding back to the clean tree does not reproduce the clean program")
+			}
+			// The skeleton is untouched by its rebinds.
+			if !bytes.Equal(mustEncode(t, skel), cleanEnc) {
+				t.Fatal("Rebind mutated the skeleton")
+			}
+			vmGot, vmWant := runSteps(t, got, vc), runSteps(t, fresh, vc)
+			diffMaps(t, "Outputs", vmWant.Outputs, vmGot.Outputs)
+			diffMaps(t, "AllValues", vmWant.AllValues, vmGot.AllValues)
+		})
+	}
+}
+
+const rebindSrcA = `module consts
+  real, parameter :: k = 2.0
+  real :: w(:) = 1.5
+  real :: z, q = -(3.0 * 0.5)
+  real :: r, r(:), u(:) = 0.5
+end module
+
+module user
+  use consts
+  real :: y(:), s
+contains
+  subroutine run()
+    y = w * k + q
+    s = k
+  end subroutine
+end module
+`
+
+// rebindSrcB differs from rebindSrcA only in module-level initializer
+// values (and one initializer gained by z). The repeated r pins
+// allocate's rule that a name's first occurrence decides its shape.
+const rebindSrcB = `module consts
+  real, parameter :: k = 4.0
+  real :: w(:) = -2.5
+  real :: z = 7.0, q = 1.0 / 8.0
+  real :: r, r(:), u(:) = 0.75
+end module
+
+module user
+  use consts
+  real :: y(:), s
+contains
+  subroutine run()
+    y = w * k + q
+    s = k
+  end subroutine
+end module
+`
+
+// rebindSrcBad replaces a module-level initializer with one that is
+// not constant: construction must fail.
+const rebindSrcBad = `module consts
+  real, parameter :: k = 2.0
+  real :: w(:) = 1.5
+  real :: z, q = k * 2.0
+  real :: r, r(:), u(:) = 0.5
+end module
+
+module user
+  use consts
+  real :: y(:), s
+contains
+  subroutine run()
+    y = w * k + q
+    s = k
+  end subroutine
+end module
+`
+
+func TestRebindHandWrittenPair(t *testing.T) {
+	a, b := parseAll(t, rebindSrcA), parseAll(t, rebindSrcB)
+	if fortran.ShapeKey(a) != fortran.ShapeKey(b) {
+		t.Fatal("initializer-only edit changed the shape key")
+	}
+	pa, pb := Compile(a), Compile(b)
+	if pa.Err() != nil || pb.Err() != nil {
+		t.Fatalf("compile: %v / %v", pa.Err(), pb.Err())
+	}
+	if !bytes.Equal(mustEncode(t, pa.Rebind(b)), mustEncode(t, pb)) {
+		t.Fatal("EncodeProgram(Rebind(Compile(A), B)) != EncodeProgram(Compile(B))")
+	}
+	if !bytes.Equal(mustEncode(t, pb.Rebind(a)), mustEncode(t, pa)) {
+		t.Fatal("EncodeProgram(Rebind(Compile(B), A)) != EncodeProgram(Compile(A))")
+	}
+	// The rebound program runs B, not A.
+	m, err := interp.NewMachine(b, plainCfg(3)())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm, err := pa.Rebind(b).NewVM(plainCfg(3)())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Call("user", "run"); err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.Call("user", "run"); err != nil {
+		t.Fatal(err)
+	}
+	m.SnapshotModuleVars()
+	vm.SnapshotModuleVars()
+	diffMaps(t, "AllValues", m.AllValues, vm.AllValues)
+}
+
+// TestRebindInitializerFailure pins error parity: a same-shape tree
+// whose module-level initializer does not evaluate reports exactly the
+// construction error a fresh Compile does, and a failed program
+// rebinds by compiling afresh.
+func TestRebindInitializerFailure(t *testing.T) {
+	a, bad := parseAll(t, rebindSrcA), parseAll(t, rebindSrcBad)
+	if fortran.ShapeKey(a) != fortran.ShapeKey(bad) {
+		t.Fatal("initializer-only edit changed the shape key")
+	}
+	fresh := Compile(bad)
+	if fresh.Err() == nil {
+		t.Fatal("non-constant initializer compiled")
+	}
+	got := Compile(a).Rebind(bad)
+	if got.Err() == nil || got.Err().Error() != fresh.Err().Error() {
+		t.Fatalf("Rebind Err() = %v; fresh Compile Err() = %v", got.Err(), fresh.Err())
+	}
+	if _, err := got.NewVM(plainCfg(2)()); err == nil || err.Error() != fresh.Err().Error() {
+		t.Fatalf("NewVM on the failed rebind = %v; want %v", err, fresh.Err())
+	}
+	if !bytes.Equal(mustEncode(t, fresh.Rebind(a)), mustEncode(t, Compile(a))) {
+		t.Fatal("rebinding a failed program does not compile the new tree")
+	}
+}
+
+// TestRebindConcurrentVMs runs VMs of a skeleton and of its rebinds at
+// once: they share procs and frame pools, so every run must still
+// match a solo run of its own program bit for bit.
+func TestRebindConcurrentVMs(t *testing.T) {
+	base := corpus.Config{AuxModules: 10, Seed: 4}
+	cfgs := []corpus.Config{base, base, base}
+	cfgs[1].TurbCoef = 0.013
+	cfgs[2].AuxFMAGain = 0.0101
+	var skel *Program
+	progs := make([]*Program, len(cfgs))
+	corpora := make([]*corpus.Corpus, len(cfgs))
+	want := make([]map[string][]float64, len(cfgs))
+	for i, cfg := range cfgs {
+		corpora[i] = corpus.Generate(cfg)
+		mods, err := corpora[i].Parse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if skel == nil {
+			skel = Compile(mods)
+		}
+		progs[i] = skel.Rebind(mods)
+		want[i] = runSteps(t, Compile(mods), corpora[i]).AllValues
+	}
+	done := make(chan int)
+	for g := 0; g < 6; g++ {
+		go func(i int) {
+			defer func() { done <- i }()
+			vm, err := progs[i].NewVM(interp.Config{Ncol: 16, RNG: rng.NewKISS(777), SnapshotAll: true})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			c := corpora[i]
+			calls := [][2]string{{c.DriverModule, c.InitSub}}
+			for s := 0; s < 9; s++ {
+				calls = append(calls, [2]string{c.DriverModule, c.StepSub})
+			}
+			for _, call := range calls {
+				if err := vm.Call(call[0], call[1]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			vm.SnapshotModuleVars()
+			for k, w := range want[i] {
+				if !sameBits(w, vm.AllValues[k]) {
+					t.Errorf("program %d: %s differs from a solo run of its own compile", i, k)
+					return
+				}
+			}
+		}(g % len(progs))
+	}
+	for g := 0; g < 6; g++ {
+		<-done
+	}
+}

@@ -15,9 +15,9 @@ import (
 // WithArtifacts attaches a content-addressed artifact store to the
 // session: the expensive build artifacts — generated+patched corpora
 // (per source fingerprint), compiled bytecode programs (per source
-// fingerprint) and coverage-filtered metagraphs (per build
-// fingerprint) — gain a write-through/read-back disk layer under
-// their cache keys. A fresh session (or a fresh process) pointed at a
+// shape) and coverage-filtered metagraphs (per build fingerprint) —
+// gain a write-through/read-back disk layer under their cache keys.
+// A fresh session (or a fresh process) pointed at a
 // warm store skips corpus generation, bytecode compilation and the
 // coverage trace entirely; builds are deduplicated across every
 // process sharing the store via its lock-file singleflight.
@@ -76,13 +76,27 @@ func (s *Session) corpusFor(ctx context.Context, key string, cfg corpus.Config, 
 	return c, nil
 }
 
-// restoreProgram gives the runner its compiled bytecode program from
-// the store, or compiles and persists it — at most one compile per
-// source fingerprint across every process on the store. Best-effort:
-// any store trouble just leaves the runner to compile lazily as
-// before. Tree-engine sessions never touch program artifacts.
-func (s *Session) restoreProgram(ctx context.Context, key string, r *model.Runner) {
+// restoreProgram gives the runner its compiled bytecode program
+// without compiling where it can. Programs are keyed by the runner's
+// shape key, not its source fingerprint, so a tree that differs from
+// one already compiled only in module-level initializer values (a
+// `param:` perturbation) shares that program. The first runner of a
+// shape in the session goes through the store, which supplies a
+// same-shape program or persists the one the runner compiles (or
+// rebinds) — one program blob per shape across every process on the
+// store. Later runners of that shape rebind the in-process program and
+// touch no blob at all. Best-effort: any store trouble just leaves the
+// runner to compile lazily as before. Tree-engine sessions never touch
+// program artifacts.
+func (s *Session) restoreProgram(ctx context.Context, r *model.Runner) {
 	if s.store == nil || s.engine == model.EngineTree {
+		return
+	}
+	key := r.ProgramKey()
+	if key == "" {
+		return
+	}
+	if _, seen := s.programShapes.LoadOrStore(key, true); seen && r.SharedProgram() {
 		return
 	}
 	data, built, err := s.store.GetOrBuild(ctx, artifact.ClassProgram, key, func() ([]byte, error) {

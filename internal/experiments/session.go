@@ -52,6 +52,12 @@ type Session struct {
 	solver   lasso.Solver
 	store    *artifact.Store // optional on-disk artifact layer (WithArtifacts)
 
+	// programShapes holds the program shape keys this session has
+	// already taken through its store (restoreProgram): a later runner
+	// of the same shape rebinds the in-process program and skips the
+	// store.
+	programShapes sync.Map
+
 	// lassoFits/lassoIters count §3 selection-stage lasso fits and
 	// their proximal-gradient iterations across the session — the
 	// /metrics counters behind lasso_fits_total and
@@ -306,7 +312,7 @@ func (s *Session) runnerFor(ctx context.Context, key string, cfg corpus.Config, 
 		if err != nil {
 			return nil, err
 		}
-		s.restoreProgram(ctx, key, r)
+		s.restoreProgram(ctx, r)
 		s.runnerMu.Lock()
 		s.runnerList = append(s.runnerList, r)
 		s.runnerMu.Unlock()
@@ -341,17 +347,33 @@ func (s *Session) Sizes() (ensemble, expSize int) { return s.ensemble, s.expSize
 
 // CompileCacheStats aggregates bytecode program-cache hits and misses
 // across the session's runners: a hit is an integration that reused a
-// compiled program, a miss an actual compilation. rcad reports both at
-// /metrics.
+// compiled program (rebound or not), a miss an actual compilation.
+// rcad reports both at /metrics.
 func (s *Session) CompileCacheStats() (hits, misses uint64) {
+	hits, misses, _ = s.compileStats()
+	return hits, misses
+}
+
+// ProgramRebinds sums, across the session's runners, the programs
+// taken from a same-shape tree and rebound to the runner's own
+// module-level initializer values instead of compiled — one per
+// `param:` build that found its shape already compiled. rcad reports
+// it at /metrics.
+func (s *Session) ProgramRebinds() uint64 {
+	_, _, rebinds := s.compileStats()
+	return rebinds
+}
+
+func (s *Session) compileStats() (hits, misses, rebinds uint64) {
 	s.runnerMu.Lock()
 	defer s.runnerMu.Unlock()
 	for _, r := range s.runnerList {
 		h, m := r.CompileStats()
 		hits += h
 		misses += m
+		rebinds += r.Rebinds()
 	}
-	return hits, misses
+	return hits, misses, rebinds
 }
 
 // control returns the clean control build.

@@ -15,6 +15,9 @@ type Module struct {
 	Interfaces  []Interface
 	Subprograms []*Subprogram
 	Line        int
+	// Shape is the module's shape digest, set by the parser. Modules
+	// built by hand leave it zero and never share compiled code.
+	Shape [32]byte
 }
 
 // Use is a use statement. If Only is empty the whole public surface of

@@ -25,6 +25,7 @@ func ParseFile(src string) ([]*Module, error) {
 		if err != nil {
 			return nil, err
 		}
+		m.Shape = shapeDigest(m)
 		mods = append(mods, m)
 		p.skipNewlines()
 	}

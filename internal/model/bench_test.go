@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/climate-rca/rca/internal/corpus"
+	"github.com/climate-rca/rca/internal/fortran"
 )
 
 // BenchmarkRunBytecode / BenchmarkRunTree time one full 9-step
@@ -42,4 +43,42 @@ func BenchmarkBuildRunner(b *testing.B) {
 		}
 		r.Program()
 	}
+}
+
+// BenchmarkRunnerProgramParamVariant times what a Runner over an
+// ensemble-parameter perturbation of the bench corpus pays for its
+// program: a full compile (a tree without a shape key, the pre-sharing
+// path) against a rebind of the clean tree's compiled program.
+func BenchmarkRunnerProgramParamVariant(b *testing.B) {
+	base := corpus.Config{AuxModules: 40, Seed: 2}
+	clean, err := NewRunner(corpus.Generate(base))
+	if err != nil {
+		b.Fatal(err)
+	}
+	clean.Program()
+	cfg := base
+	cfg.TurbCoef = 0.0131
+	c := corpus.Generate(cfg)
+	mods, err := c.Parse()
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := fortran.ShapeKey(mods)
+	b.Run("compile", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r := &Runner{Corpus: c, Modules: mods}
+			r.Program()
+		}
+	})
+	b.Run("rebind", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r := &Runner{Corpus: c, Modules: mods, shape: key}
+			r.Program()
+			if r.Rebinds() != 1 {
+				b.Fatal("variant did not rebind the clean program")
+			}
+		}
+	})
 }

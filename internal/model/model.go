@@ -14,7 +14,6 @@ package model
 import (
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -120,11 +119,13 @@ type Runner struct {
 	Modules []*fortran.Module
 
 	engine EngineKind
+	shape  string // fortran.ShapeKey of Modules; "" when it has none
 
-	progMu sync.Mutex
-	prog   *bytecode.Program
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	progMu  sync.Mutex
+	prog    *bytecode.Program
+	hits    atomic.Uint64
+	misses  atomic.Uint64
+	rebinds atomic.Uint64
 }
 
 // NewRunner parses the corpus once; integrations default to the
@@ -140,7 +141,7 @@ func NewRunnerEngine(c *corpus.Corpus, engine EngineKind) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{Corpus: c, Modules: mods, engine: engine}, nil
+	return &Runner{Corpus: c, Modules: mods, engine: engine, shape: fortran.ShapeKey(mods)}, nil
 }
 
 // Engine reports the Runner's default engine.
@@ -151,98 +152,118 @@ func (r *Runner) Engine() EngineKind {
 	return EngineBytecode
 }
 
-// progCache shares compiled programs process-wide, keyed by module
-// identity: the parse cache hands identical source trees the same
-// *fortran.Module pointers, so a restarted Session (or a parallel one
-// over the same corpus configuration) reuses the compiled artifact
-// instead of recompiling. Programs are immutable, so sharing is safe.
-// Each entry retains the module pointers its key was built from —
-// that keeps every keyed address alive, so a recycled allocation can
-// never alias a stored key.
-type progEntry struct {
-	mods []*fortran.Module
-	prog *bytecode.Program
-}
-
+// progCache shares compiled programs process-wide, keyed by the shape
+// key of the source tree: trees that differ only in module-level
+// initializer values — every `param:` perturbation of one source —
+// share one compiled skeleton, each rebinding it to its own values
+// (bytecode.Program.Rebind). Programs are immutable, so sharing is
+// safe. Only runnable programs are shared.
 var (
-	progCache     sync.Map // module-pointer key → *progEntry
+	progCache     sync.Map // shape key → *bytecode.Program
 	progCacheSize atomic.Int64
 )
 
 const progCacheMax = 128
 
-func progKey(mods []*fortran.Module) string {
-	var b strings.Builder
-	for _, m := range mods {
-		fmt.Fprintf(&b, "%p;", m)
-	}
-	return b.String()
-}
+// ProgramKey is the shape key the Runner's compiled program is shared
+// under, in-process and in the artifact store: every Runner whose
+// modules differ from this one's only in module-level initializer
+// values has the same key. It is "" for modules that carry no shape
+// digest; their programs are never shared.
+func (r *Runner) ProgramKey() string { return r.shape }
 
 // Program returns the compiled bytecode program, compiling on first
 // use. It is the Session's cached build artifact: every scenario
-// sharing this Runner's source fingerprint reuses it (and, through the
-// process-wide layer, so does every other Runner over an identical
-// source tree).
+// sharing this Runner's source fingerprint reuses it, and through the
+// process-wide layer so does every other Runner of the same shape.
 func (r *Runner) Program() *bytecode.Program {
 	r.progMu.Lock()
 	defer r.progMu.Unlock()
-	if r.prog != nil {
+	if r.prog != nil || r.adoptShared() {
 		r.hits.Add(1)
-		return r.prog
-	}
-	key := progKey(r.Modules)
-	if v, ok := progCache.Load(key); ok {
-		r.hits.Add(1)
-		r.prog = v.(*progEntry).prog
 		return r.prog
 	}
 	r.misses.Add(1)
 	r.prog = bytecode.Compile(r.Modules)
-	if progCacheSize.Load() < progCacheMax {
-		e := &progEntry{mods: append([]*fortran.Module(nil), r.Modules...), prog: r.prog}
-		if v, loaded := progCache.LoadOrStore(key, e); loaded {
-			r.prog = v.(*progEntry).prog
-		} else {
-			progCacheSize.Add(1)
-		}
-	}
+	r.share()
 	return r.prog
 }
 
-// SetProgram installs a precompiled program (typically decoded from
-// the artifact store) as this Runner's bytecode build artifact, so
+// SharedProgram installs the process-wide program of this Runner's
+// shape, rebound to the Runner's own initializer values, and reports
+// whether the Runner now has a program. It never compiles.
+func (r *Runner) SharedProgram() bool {
+	r.progMu.Lock()
+	defer r.progMu.Unlock()
+	return r.prog != nil || r.adoptShared()
+}
+
+// SetProgram installs a precompiled program of this Runner's shape
+// (typically decoded from the artifact store, where it may have been
+// compiled from a perturbed sibling tree) as its bytecode build
+// artifact, rebound to the Runner's initializer values, so
 // integrations skip compilation entirely. A program the Runner already
-// compiled wins — the installed one must describe the same sources,
-// and the compiled one is already shared process-wide. The program is
-// registered in the process-global cache so sibling Runners over an
-// identical parse reuse it too.
+// has wins, and so does the process-wide program of its shape (one
+// copy of the code stays in memory). Otherwise p is shared
+// process-wide so sibling Runners of the same shape reuse it too.
 func (r *Runner) SetProgram(p *bytecode.Program) {
 	if p == nil {
 		return
 	}
 	r.progMu.Lock()
 	defer r.progMu.Unlock()
-	if r.prog != nil {
+	if r.prog != nil || r.adoptShared() {
 		return
 	}
-	r.prog = p
-	if progCacheSize.Load() < progCacheMax {
-		key := progKey(r.Modules)
-		e := &progEntry{mods: append([]*fortran.Module(nil), r.Modules...), prog: p}
-		if v, loaded := progCache.LoadOrStore(key, e); loaded {
-			r.prog = v.(*progEntry).prog
-		} else {
-			progCacheSize.Add(1)
-		}
+	r.adopt(p)
+	r.share()
+}
+
+// adoptShared installs the process-wide program of r's shape, if any.
+// The caller holds progMu.
+func (r *Runner) adoptShared() bool {
+	if r.shape == "" {
+		return false
+	}
+	v, ok := progCache.Load(r.shape)
+	if !ok {
+		return false
+	}
+	r.adopt(v.(*bytecode.Program))
+	return true
+}
+
+// adopt installs p rebound to r's modules, counting a rebind when the
+// initializer values differ. The caller holds progMu.
+func (r *Runner) adopt(p *bytecode.Program) {
+	r.prog = p.Rebind(r.Modules)
+	if r.prog != p {
+		r.rebinds.Add(1)
+	}
+}
+
+// share offers r's runnable program to the process-wide cache. The
+// caller holds progMu.
+func (r *Runner) share() {
+	if r.shape == "" || r.prog.Err() != nil || progCacheSize.Load() >= progCacheMax {
+		return
+	}
+	if _, loaded := progCache.LoadOrStore(r.shape, r.prog); !loaded {
+		progCacheSize.Add(1)
 	}
 }
 
 // CompileStats reports program-cache hits and misses (rcad's /metrics
-// surfaces the session-wide aggregate).
+// surfaces the session-wide aggregate). A hit is an integration that
+// reused a compiled program, rebound or not; a miss is a compilation.
 func (r *Runner) CompileStats() (hits, misses uint64) {
 	return r.hits.Load(), r.misses.Load()
 }
+
+// Rebinds reports how many times the Runner took a same-shape tree's
+// compiled program and rebound it to its own initializer values
+// instead of compiling.
+func (r *Runner) Rebinds() uint64 { return r.rebinds.Load() }
 
 // engineFor builds the engine instance for one integration.
 func (r *Runner) engineFor(cfg RunConfig, src rng.Source) (interp.Engine, error) {

@@ -1,0 +1,158 @@
+package model
+
+import (
+	"bytes"
+	"sync"
+	"testing"
+
+	"github.com/climate-rca/rca/internal/bytecode"
+	"github.com/climate-rca/rca/internal/corpus"
+	"github.com/climate-rca/rca/internal/fortran"
+	"github.com/climate-rca/rca/internal/interp"
+)
+
+// handBuilt is a one-module tree built without the parser, so it
+// carries no shape digest: `real, parameter :: k = <k>; y = k * 2.0`.
+func handBuilt(k float64) []*fortran.Module {
+	return []*fortran.Module{{
+		Name: "hand",
+		Decls: []fortran.VarDecl{
+			{Names: []string{"k"}, BaseType: "real", Param: true, Init: &fortran.NumLit{Value: k}},
+			{Names: []string{"y"}, BaseType: "real"},
+		},
+		Subprograms: []*fortran.Subprogram{{
+			Name: "run",
+			Body: []fortran.Stmt{&fortran.AssignStmt{
+				LHS: &fortran.Ref{Name: "y"},
+				RHS: &fortran.BinaryExpr{Op: fortran.STAR, L: &fortran.Ref{Name: "k"}, R: &fortran.NumLit{Value: 2}},
+			}},
+		}},
+	}}
+}
+
+// TestRunnerHandBuiltModulesCompile pins the no-digest path: trees
+// built by hand have no shape key, so each Runner compiles its own
+// program and nothing is shared — two such trees differing only in an
+// initializer still run their own values.
+func TestRunnerHandBuiltModulesCompile(t *testing.T) {
+	for _, k := range []float64{3, 5} {
+		mods := handBuilt(k)
+		if fortran.ShapeKey(mods) != "" {
+			t.Fatal("hand-built modules have a shape key")
+		}
+		r := &Runner{Modules: mods}
+		p := r.Program()
+		if r.ProgramKey() != "" {
+			t.Fatalf("ProgramKey = %q for a tree without digests", r.ProgramKey())
+		}
+		if _, misses := r.CompileStats(); misses != 1 || r.Rebinds() != 0 {
+			t.Fatalf("k=%g: misses=%d rebinds=%d; want one compile, no rebind", k, misses, r.Rebinds())
+		}
+		got, err := bytecode.EncodeProgram(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := bytecode.EncodeProgram(bytecode.Compile(mods))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("k=%g: Runner program differs from a fresh compile", k)
+		}
+		vm, err := p.NewVM(interp.Config{Ncol: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vm.Call("hand", "run"); err != nil {
+			t.Fatal(err)
+		}
+		if y, ok := vm.ModuleScalar("hand", "y"); !ok || *y != 2*k {
+			t.Fatalf("k=%g: y = %v, want %g", k, y, 2*k)
+		}
+	}
+}
+
+// TestRunnerParamVariantRebinds pins the shape-keyed cache: a Runner
+// over a parameter perturbation of a compiled tree takes that program
+// rebound to its own values — counted as a hit and a rebind, never a
+// miss — and the result is the program a fresh compile would build.
+func TestRunnerParamVariantRebinds(t *testing.T) {
+	base := corpus.Config{AuxModules: 6, Seed: 71}
+	clean, err := NewRunner(corpus.Generate(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean.Program()
+	cfg := base
+	cfg.TurbCoef = 0.017
+	r, err := NewRunner(corpus.Generate(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.ProgramKey() == "" || r.ProgramKey() != clean.ProgramKey() {
+		t.Fatalf("variant ProgramKey %q, clean %q; want equal and non-empty", r.ProgramKey(), clean.ProgramKey())
+	}
+	if !r.SharedProgram() {
+		t.Fatal("SharedProgram found no program of the variant's shape")
+	}
+	p := r.Program()
+	if hits, misses := r.CompileStats(); hits != 1 || misses != 0 || r.Rebinds() != 1 {
+		t.Fatalf("hits=%d misses=%d rebinds=%d; want 1, 0, 1", hits, misses, r.Rebinds())
+	}
+	if p == clean.Program() {
+		t.Fatal("variant runs the clean program")
+	}
+	got, err := bytecode.EncodeProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := bytecode.EncodeProgram(bytecode.Compile(r.Modules))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("rebound program differs from a fresh compile of the variant")
+	}
+}
+
+// TestRunnerConcurrentParamVariants builds Runners over several
+// parameter variants of one tree at once: whichever program reaches the
+// process-wide cache first becomes the shared skeleton, and every
+// Runner must still end up with exactly the program a fresh compile of
+// its own tree builds.
+func TestRunnerConcurrentParamVariants(t *testing.T) {
+	base := corpus.Config{AuxModules: 6, Seed: 73}
+	runners := make([]*Runner, 6)
+	for i := range runners {
+		cfg := base
+		cfg.TurbCoef = 0.01 + 0.001*float64(i)
+		r, err := NewRunner(corpus.Generate(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runners[i] = r
+	}
+	progs := make([]*bytecode.Program, len(runners))
+	var wg sync.WaitGroup
+	for i, r := range runners {
+		wg.Add(1)
+		go func(i int, r *Runner) {
+			defer wg.Done()
+			progs[i] = r.Program()
+		}(i, r)
+	}
+	wg.Wait()
+	for i, r := range runners {
+		got, err := bytecode.EncodeProgram(progs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := bytecode.EncodeProgram(bytecode.Compile(r.Modules))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("runner %d: program differs from a fresh compile of its tree", i)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 
 	rca "github.com/climate-rca/rca"
 	"github.com/climate-rca/rca/internal/artifact"
+	"github.com/climate-rca/rca/internal/fortran"
 	"github.com/climate-rca/rca/internal/serve"
 )
 
@@ -189,9 +190,9 @@ func TestTwoWorkersSharedStore(t *testing.T) {
 	defer cancel()
 
 	// 16 scenarios: the full §6+§8 catalog plus eight parameter
-	// perturbations. The param scenarios share the clean source build
-	// (same sourceKey, distinct buildKeys), so exactly-once sharing is
-	// exercised at every fingerprint layer.
+	// perturbations. Each param scenario has its own sourceKey and
+	// buildKey but shares the clean tree's program shape, so
+	// exactly-once sharing is exercised at every key layer.
 	bodies := make([][]byte, 0, 16)
 	for _, sc := range rca.AllExperiments() {
 		body, err := rca.ScenarioToJSON(sc)
@@ -311,31 +312,55 @@ func TestTwoWorkersSharedStore(t *testing.T) {
 	}
 
 	// Exactly-once artifact builds across the pair: distinct sourceKeys
-	// each build a corpus and a program, distinct buildKeys a compiled
-	// metagraph — plus the clean control build both catalogs share.
-	sources, builds := map[string]bool{}, map[string]bool{}
+	// each build a corpus, distinct program shapes a program (the TURB
+	// perturbations differ from the clean tree only in a module-level
+	// parameter initializer, so they share its shape and rebind its
+	// program), distinct buildKeys a compiled metagraph — plus the clean
+	// control build both catalogs share.
+	sources, shapes, builds := map[string]bool{}, map[string]bool{}, map[string]bool{}
 	keysSession := rca.NewSession(rca.CorpusConfig{AuxModules: 10, Seed: 5})
-	for _, body := range bodies {
-		sc, err := rca.ScenarioFromJSON(body)
-		if err != nil {
-			t.Fatal(err)
-		}
+	addSource := func(sc rca.Scenario) rca.ScenarioKeys {
+		t.Helper()
 		keys, err := keysSession.Keys(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sources[keys.Source] = true
-		builds[keys.Build] = true
+		files, err := keysSession.Sources(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mods []*fortran.Module
+		for _, f := range files {
+			ms, err := fortran.ParseFile(f.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mods = append(mods, ms...)
+		}
+		shape := fortran.ShapeKey(mods)
+		if shape == "" {
+			t.Fatal("parsed modules carry no shape digest")
+		}
+		shapes[shape] = true
+		return keys
 	}
-	clean, err := keysSession.Keys(rca.NewScenario("CLEAN", rca.ScenarioOptions{}))
-	if err != nil {
-		t.Fatal(err)
+	for _, body := range bodies {
+		sc, err := rca.ScenarioFromJSON(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		builds[addSource(sc).Build] = true
 	}
-	sources[clean.Source] = true // the control build
-	want := uint64(2*len(sources) + len(builds))
+	addSource(rca.NewScenario("CLEAN", rca.ScenarioOptions{})) // the control build
+	if len(shapes) != len(sources)-8 {
+		t.Fatalf("%d program shapes for %d sources; the 8 TURB sources must share the clean tree's shape",
+			len(shapes), len(sources))
+	}
+	want := uint64(len(sources) + len(shapes) + len(builds))
 	got := workers[0].store.Stats().Builds + workers[1].store.Stats().Builds
 	if got != want {
-		t.Fatalf("artifact builds across both workers = %d; want exactly %d (%d sources x2 + %d buildKeys)",
-			got, want, len(sources), len(builds))
+		t.Fatalf("artifact builds across both workers = %d; want exactly %d (%d sources + %d program shapes + %d buildKeys)",
+			got, want, len(sources), len(shapes), len(builds))
 	}
 }

@@ -341,6 +341,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	var ss sessionStats
 	ss.CompileHits, ss.CompileMisses = s.session.CompileCacheStats()
+	ss.ProgramRebinds = s.session.ProgramRebinds()
 	ss.LassoFits, ss.LassoIters = s.session.LassoStats()
 	ss.MemoHits, ss.MemoMisses = s.session.RefineMemoStats()
 	rs := robustStats{FaultInjected: fault.InjectedTotal()}
