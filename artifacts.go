@@ -52,8 +52,9 @@ func WithStoreBreaker(threshold int, cooldown time.Duration) ArtifactStoreOption
 
 // WithArtifacts attaches an artifact store to a session: corpus
 // builds, compiled bytecode programs and compiled metagraphs gain a
-// write-through/read-back disk layer keyed by the session's scenario
-// fingerprints, so a fresh process pointed at a warm store skips
-// generation, compilation and the coverage trace, and concurrent
-// processes sharing the store build each artifact exactly once.
+// write-through/read-back disk layer keyed by the session's cache keys,
+// so a fresh process pointed at a warm store skips generation,
+// compilation and metagraph construction (only the two-step coverage
+// trace that keys the metagraph still runs), and concurrent processes
+// sharing the store build each artifact exactly once.
 func WithArtifacts(store *ArtifactStore) Option { return experiments.WithArtifacts(store) }

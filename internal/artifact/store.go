@@ -63,7 +63,8 @@ const (
 	// ClassProgram stores compiled bytecode programs per program shape
 	// key (model.Runner.ProgramKey).
 	ClassProgram = "program"
-	// ClassCompiled stores coverage-filtered metagraphs per buildKey.
+	// ClassCompiled stores coverage-filtered metagraphs per program
+	// shape key plus coverage trace key (coverage.Trace.Key).
 	ClassCompiled = "compiled"
 	// ClassOutcome stores finished investigation outcomes per scenarioKey.
 	ClassOutcome = "outcome"

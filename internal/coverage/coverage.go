@@ -10,6 +10,9 @@
 package coverage
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"sort"
 
 	"github.com/climate-rca/rca/internal/fortran"
@@ -54,6 +57,39 @@ func (t *Trace) Modules() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Key is a canonical digest of the executed (module, subprogram) set:
+// a SHA-256, hex-encoded, over the modules in sorted order, each with
+// its sorted subprograms, every count and name length-prefixed. It
+// depends on neither recording order nor repeated records, and two
+// traces share it exactly when they executed the same pairs — so it
+// stands for the trace wherever Filter's output is cached.
+func (t *Trace) Key() string {
+	h := sha256.New()
+	var buf []byte
+	str := func(s string) {
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+		buf = append(buf, s...)
+	}
+	mods := t.Modules()
+	buf = binary.AppendUvarint(buf, uint64(len(mods)))
+	for _, m := range mods {
+		subs := make([]string, 0, len(t.executed[m]))
+		for s := range t.executed[m] {
+			subs = append(subs, s)
+		}
+		sort.Strings(subs)
+		str(m)
+		buf = binary.AppendUvarint(buf, uint64(len(subs)))
+		for _, s := range subs {
+			str(s)
+		}
+		h.Write(buf)
+		buf = buf[:0]
+	}
+	h.Write(buf)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Report summarizes a filtering pass.

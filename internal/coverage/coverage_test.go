@@ -6,6 +6,7 @@ import (
 	"github.com/climate-rca/rca/internal/corpus"
 	"github.com/climate-rca/rca/internal/fortran"
 	"github.com/climate-rca/rca/internal/model"
+	"github.com/climate-rca/rca/internal/rng"
 )
 
 func TestTraceRecordAndQuery(t *testing.T) {
@@ -114,6 +115,72 @@ func TestCorpusCoverageReduction(t *testing.T) {
 	for _, m := range filtered {
 		if len(m.Name) >= 8 && m.Name[:8] == "aux_dead" {
 			t.Fatalf("dead module %s survived", m.Name)
+		}
+	}
+}
+
+// TestTraceKeyProperties pins the trace key's contract: it names the
+// executed set, not the recording, and no two distinct sets share it.
+func TestTraceKeyProperties(t *testing.T) {
+	type pair struct{ m, s string }
+	keyOf := func(ps ...pair) string {
+		tr := NewTrace()
+		for _, p := range ps {
+			tr.Record(p.m, p.s)
+		}
+		return tr.Key()
+	}
+	base := []pair{{"phys", "run"}, {"phys", "tend"}, {"dyn", "step"}, {"aux_001", "fgain"}}
+	want := keyOf(base...)
+	if len(want) != 64 {
+		t.Fatalf("key %q is not a hex SHA-256", want)
+	}
+
+	// Recording order and duplicate records do not matter.
+	r := rng.NewLCG(7)
+	for i := 0; i < 50; i++ {
+		ps := append([]pair(nil), base...)
+		for j := 1 + r.Intn(6); j > 0; j-- {
+			ps = append(ps, base[r.Intn(len(base))])
+		}
+		for j := len(ps) - 1; j > 0; j-- {
+			k := r.Intn(j + 1)
+			ps[j], ps[k] = ps[k], ps[j]
+		}
+		if got := keyOf(ps...); got != want {
+			t.Fatalf("order/duplicates %v changed the key", ps)
+		}
+	}
+
+	// Module/subprogram boundaries are unambiguous.
+	distinct := [][]pair{
+		{{"ab", "c"}},
+		{{"a", "bc"}},
+		{{"a", "b"}, {"a", "c"}},
+		{{"a", "b"}, {"c", "b"}},
+		{{"a", "bc"}, {"d", "e"}},
+		{{"a", "b"}, {"cd", "e"}},
+		{},
+	}
+	seen := map[string]int{}
+	for i, ps := range distinct {
+		k := keyOf(ps...)
+		if j, dup := seen[k]; dup {
+			t.Fatalf("sets %v and %v share key %s", distinct[j], ps, k)
+		}
+		seen[k] = i
+	}
+
+	// Any added or removed pair changes the key.
+	for i := range base {
+		rest := append(append([]pair(nil), base[:i]...), base[i+1:]...)
+		if keyOf(rest...) == want {
+			t.Fatalf("removing %v left the key unchanged", base[i])
+		}
+	}
+	for _, extra := range []pair{{"phys", "init"}, {"dyn", "run"}, {"new", "run"}, {"aux_001", "fgain2"}} {
+		if keyOf(append(append([]pair(nil), base...), extra)...) == want {
+			t.Fatalf("adding %v left the key unchanged", extra)
 		}
 	}
 }

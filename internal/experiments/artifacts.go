@@ -15,11 +15,12 @@ import (
 // WithArtifacts attaches a content-addressed artifact store to the
 // session: the expensive build artifacts — generated+patched corpora
 // (per source fingerprint), compiled bytecode programs (per source
-// shape) and coverage-filtered metagraphs (per build fingerprint) —
-// gain a write-through/read-back disk layer under their cache keys.
-// A fresh session (or a fresh process) pointed at a
+// shape) and coverage-filtered metagraphs (per source shape and
+// coverage trace) — gain a write-through/read-back disk layer under
+// their cache keys. A fresh session (or a fresh process) pointed at a
 // warm store skips corpus generation, bytecode compilation and the
-// coverage trace entirely; builds are deduplicated across every
+// metagraph construction; only the two-step coverage trace that forms
+// the metagraph's key still runs. Builds are deduplicated across every
 // process sharing the store via its lock-file singleflight.
 func WithArtifacts(store *artifact.Store) Option {
 	return func(s *Session) { s.store = store }
@@ -28,52 +29,55 @@ func WithArtifacts(store *artifact.Store) Option {
 // ArtifactStore returns the session's attached store, or nil.
 func (s *Session) ArtifactStore() *artifact.Store { return s.store }
 
-// corpusFor builds (or restores) the generated+patched corpus for one
-// source fingerprint. With a store attached, the corpus is built at
-// most once across every process sharing the store; without one, it is
-// built in-process. Decode failures (a stale codec version survives on
-// disk across a binary upgrade) rebuild cleanly and refresh the blob.
-func (s *Session) corpusFor(ctx context.Context, key string, cfg corpus.Config, patches []corpus.Patch) (*corpus.Corpus, error) {
-	build := func() (*corpus.Corpus, error) {
-		base := corpus.Generate(cfg)
-		if len(patches) > 0 {
-			patched, err := corpus.Apply(base, patches...)
-			if err != nil {
-				return nil, err
-			}
-			base = patched
-		}
-		return base, nil
-	}
-	if s.store == nil {
+// stored returns the artifact of one class under key. With a store
+// attached, it is built at most once across every process sharing the
+// store and decoded everywhere else; without one, it is built
+// in-process. Decode failures (a stale codec version survives on disk
+// across a binary upgrade) rebuild cleanly and refresh the blob.
+func stored[T any](ctx context.Context, store *artifact.Store, class, key string,
+	build func() (T, error), encode func(T) ([]byte, error), decode func([]byte) (T, error)) (T, error) {
+	if store == nil {
 		return build()
 	}
-	var fresh *corpus.Corpus
-	data, built, err := s.store.GetOrBuild(ctx, artifact.ClassCorpus, key, func() ([]byte, error) {
-		c, err := build()
+	var fresh T
+	data, built, err := store.GetOrBuild(ctx, class, key, func() ([]byte, error) {
+		v, err := build()
 		if err != nil {
 			return nil, err
 		}
-		fresh = c
-		return c.Encode()
+		fresh = v
+		return encode(v)
 	})
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
 	if built {
 		return fresh, nil
 	}
-	if c, err := corpus.Decode(data); err == nil {
-		return c, nil
+	if v, err := decode(data); err == nil {
+		return v, nil
 	}
-	c, err := build()
+	v, err := build()
 	if err != nil {
-		return nil, err
+		return v, err
 	}
-	if enc, eerr := c.Encode(); eerr == nil {
-		_ = s.store.Put(artifact.ClassCorpus, key, enc)
+	if enc, err := encode(v); err == nil {
+		_ = store.Put(class, key, enc)
 	}
-	return c, nil
+	return v, nil
+}
+
+// corpusFor builds (or restores) the generated+patched corpus for one
+// source fingerprint.
+func (s *Session) corpusFor(ctx context.Context, key string, cfg corpus.Config, patches []corpus.Patch) (*corpus.Corpus, error) {
+	return stored(ctx, s.store, artifact.ClassCorpus, key, func() (*corpus.Corpus, error) {
+		base := corpus.Generate(cfg)
+		if len(patches) > 0 {
+			return corpus.Apply(base, patches...)
+		}
+		return base, nil
+	}, (*corpus.Corpus).Encode, corpus.Decode)
 }
 
 // restoreProgram gives the runner its compiled bytecode program
@@ -115,47 +119,45 @@ func (s *Session) restoreProgram(ctx context.Context, r *model.Runner) {
 	}
 }
 
-// compiledFor wraps compileStage with the store layer: the §4
-// coverage report + metagraph artifact is keyed by the build
-// fingerprint, so a warm store skips the two-step coverage trace and
-// the metagraph construction.
+// compiledFor runs the two-step coverage trace on the scenario's
+// experimental build and returns the §4 artifact its trace selects.
 func (s *Session) compiledFor(ctx context.Context, p *plan) (*Compiled, error) {
-	build := func() (*Compiled, error) {
-		b, err := s.buildsFor(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		return compileStage(b)
+	b, err := s.buildsFor(ctx, p)
+	if err != nil {
+		return nil, err
 	}
-	if s.store == nil {
-		return build()
+	tr, err := traceStage(b)
+	if err != nil {
+		return nil, err
 	}
-	var fresh *Compiled
-	data, built, err := s.store.GetOrBuild(ctx, artifact.ClassCompiled, p.buildKey(), func() ([]byte, error) {
-		comp, err := build()
-		if err != nil {
-			return nil, err
-		}
-		fresh = comp
-		return EncodeCompiled(comp)
+	return s.compiledTraced(ctx, p.buildKey(), b.Exper, tr)
+}
+
+// compiledTraced returns the coverage report and metagraph of r's
+// modules filtered by tr, keyed by r's program shape plus tr's key.
+// The metagraph never reads a module-level initializer, so builds that
+// differ only in those values (`param:` perturbations) and whose
+// traces executed the same code compile identical metagraphs: they
+// share one in-session cell and one `compiled` blob, and all but the
+// first filter, build, encode and write nothing. A parameter that
+// changes control flow changes the trace and so the key. Modules
+// without a shape digest key by their build fingerprint.
+func (s *Session) compiledTraced(ctx context.Context, buildKey string, r *model.Runner, tr *coverage.Trace) (*Compiled, error) {
+	key := buildKey
+	if shape := r.ProgramKey(); shape != "" {
+		key = shape + "|" + tr.Key()
+	}
+	built := false
+	comp, err := keyedCell(&s.mu, s.metagraphs, key).get(ctx, func() (*Compiled, error) {
+		built = true
+		return stored(ctx, s.store, artifact.ClassCompiled, key, func() (*Compiled, error) {
+			return metagraphStage(r.Modules, tr)
+		}, EncodeCompiled, DecodeCompiled)
 	})
-	if err != nil {
-		return nil, err
+	if err == nil && !built {
+		s.metagraphShares.Add(1)
 	}
-	if built {
-		return fresh, nil
-	}
-	if comp, err := DecodeCompiled(data); err == nil {
-		return comp, nil
-	}
-	comp, err := build()
-	if err != nil {
-		return nil, err
-	}
-	if enc, eerr := EncodeCompiled(comp); eerr == nil {
-		_ = s.store.Put(artifact.ClassCompiled, p.buildKey(), enc)
-	}
-	return comp, nil
+	return comp, err
 }
 
 // compiledCodecVersion versions the Compiled artifact framing (the

@@ -25,12 +25,7 @@ var rebindRuns atomic.Int64
 // every outcome must be byte-identical to a tree-walker session's.
 func TestSessionParamScenariosRebind(t *testing.T) {
 	cfg := corpus.Config{AuxModules: 8, Seed: 9100 + uint64(rebindRuns.Add(1))}
-	scs := []experiments.Scenario{
-		experiments.NewScenario("CLEAN", experiments.ScenarioOptions{}),
-		experiments.NewScenario("TURB", experiments.ScenarioOptions{}, experiments.PerturbParameter("turbcoef", 0.013)),
-		experiments.NewScenario("FMAGAIN", experiments.ScenarioOptions{}, experiments.PerturbParameter("fmagain", 3000.3)),
-		experiments.NewScenario("AUXFMA", experiments.ScenarioOptions{}, experiments.PerturbParameter("auxfmagain", 0.0101)),
-	}
+	scs := paramScenarios()
 	run := func(opts ...experiments.Option) (*experiments.Session, []string) {
 		t.Helper()
 		opts = append([]experiments.Option{experiments.WithEnsembleSize(12), experiments.WithExpSize(4)}, opts...)

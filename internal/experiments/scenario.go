@@ -117,9 +117,11 @@ func (p *plan) sourceKey() string {
 	return fmt.Sprintf("%+v|%s", p.cfg, joinIDs(p.sourceIDs))
 }
 
-// buildKey fingerprints the compiled-metagraph state: the source tree
-// plus the configuration changes that alter the coverage trace (PRNG,
-// FMA). Compiled metagraphs are cached per buildKey.
+// buildKey fingerprints the coverage-trace state: the source tree plus
+// the configuration changes that alter the coverage trace (PRNG, FMA).
+// Verdicts are cached per buildKey, and each buildKey runs the trace
+// once; the metagraph the trace selects is shared by program shape and
+// trace key.
 func (p *plan) buildKey() string {
 	return p.sourceKey() + "|" + joinIDs(p.runIDs)
 }

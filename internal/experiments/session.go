@@ -27,12 +27,13 @@ import (
 // Cache keys are scenario fingerprints (the concatenated injection
 // IDs), so user-defined and multi-defect scenarios are cached exactly
 // like the prewired catalog: two scenarios injecting the same source
-// patches share a corpus build; two scenarios with the same build and
-// coverage configuration share a compiled metagraph. The one cache
-// keyed by content instead is the refinement memo (core.Memo): every
-// refinement iteration's graph analysis is looked up by the exact
-// subgraph, so distinct scenarios that reach the same subgraph share
-// it.
+// patches share a corpus build. Two caches are keyed by content
+// instead. A compiled metagraph is shared by every build of one
+// program shape whose coverage trace executed the same code — so the
+// `param:` perturbations of a tree share the clean tree's. The
+// refinement memo (core.Memo) looks every refinement iteration's graph
+// analysis up by the exact subgraph, so distinct scenarios that reach
+// the same subgraph share it.
 //
 // Every stage takes a context.Context. Cancellation is honored at
 // stage entry, between ensemble members, and between refinement
@@ -51,6 +52,10 @@ type Session struct {
 	engine   model.EngineKind
 	solver   lasso.Solver
 	store    *artifact.Store // optional on-disk artifact layer (WithArtifacts)
+
+	// metagraphShares counts Compile calls served by a metagraph that
+	// another build fingerprint built.
+	metagraphShares atomic.Uint64
 
 	// programShapes holds the program shape keys this session has
 	// already taken through its store (restoreProgram): a later runner
@@ -74,6 +79,7 @@ type Session struct {
 	fullMG     cell[*metagraph.Metagraph]
 	runners    map[string]*cell[*model.Runner] // per source fingerprint
 	compiled   map[string]*cell[*Compiled]     // per build fingerprint
+	metagraphs map[string]*cell[*Compiled]     // per (program shape, trace) key; shared by compiled
 	verdicts   map[string]*cell[*Verdict]      // per build fingerprint
 	selections map[string]*cell[*Selection]    // per scenario fingerprint
 	slices     map[string]*cell[*Sliced]
@@ -265,6 +271,7 @@ func NewSession(cfg corpus.Config, opts ...Option) *Session {
 		sampler:    ValueSampling(0),
 		runners:    make(map[string]*cell[*model.Runner]),
 		compiled:   make(map[string]*cell[*Compiled]),
+		metagraphs: make(map[string]*cell[*Compiled]),
 		verdicts:   make(map[string]*cell[*Verdict]),
 		selections: make(map[string]*cell[*Selection]),
 		slices:     make(map[string]*cell[*Sliced]),
@@ -363,6 +370,12 @@ func (s *Session) ProgramRebinds() uint64 {
 	_, _, rebinds := s.compileStats()
 	return rebinds
 }
+
+// MetagraphShares counts Compile calls served by a metagraph that a
+// build with another fingerprint built — one per `param:` build whose
+// program shape and coverage trace match an earlier build's. rcad
+// reports it at /metrics.
+func (s *Session) MetagraphShares() uint64 { return s.metagraphShares.Load() }
 
 func (s *Session) compileStats() (hits, misses, rebinds uint64) {
 	s.runnerMu.Lock()
@@ -585,9 +598,11 @@ func (s *Session) SelectVariables(ctx context.Context, sc Scenario) (*Selection,
 }
 
 // Compile returns the coverage-filtered metagraph for the scenario's
-// build configuration. The result is cached per build fingerprint
-// (source injections plus coverage-affecting configuration), so
-// scenarios sharing a source tree compile once.
+// build configuration. Each build fingerprint runs the coverage trace
+// once; the metagraph itself is shared by every build of the same
+// program shape whose trace executed the same code, so scenarios
+// sharing a source tree — or differing from it only in parameter
+// values — compile once.
 func (s *Session) Compile(ctx context.Context, sc Scenario) (*Compiled, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -791,8 +806,10 @@ func (s *Session) ExperimentalOutputs(ctx context.Context, sc Scenario, n, offse
 //	Source   — generation parameters + source-level injections;
 //	           scenarios sharing it share a parsed corpus build.
 //	Build    — Source plus run-configuration injections (PRNG, FMA);
-//	           scenarios sharing it share a verdict and a compiled
-//	           metagraph.
+//	           scenarios sharing it share a verdict and a coverage
+//	           trace. A compiled metagraph is shared more widely: by
+//	           program shape and coverage trace, not by this key, so
+//	           builds that differ only in parameter values share one.
 //	Scenario — Build plus defect-site overrides and slicing options;
 //	           scenarios sharing it share selections, slices,
 //	           refinements — whole outcomes. Display names do not

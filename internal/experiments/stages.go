@@ -6,7 +6,7 @@
 //	Fingerprint — control ensemble + its ECT PCA fingerprint
 //	Verdict     — experimental set + UF-ECT failure rate      (step 0)
 //	Selection   — affected output variables                   (§3)
-//	Compiled    — coverage filter + metagraph                 (§4)
+//	Compiled    — coverage trace + filter + metagraph         (§4)
 //	Sliced      — internal names, induced subgraph, bug sites (§5.1-5.3)
 //	core.Result — Algorithm 5.4 refinement trace              (§5.4)
 package experiments
@@ -19,6 +19,7 @@ import (
 	"github.com/climate-rca/rca/internal/core"
 	"github.com/climate-rca/rca/internal/coverage"
 	"github.com/climate-rca/rca/internal/ect"
+	"github.com/climate-rca/rca/internal/fortran"
 	"github.com/climate-rca/rca/internal/lasso"
 	"github.com/climate-rca/rca/internal/metagraph"
 	"github.com/climate-rca/rca/internal/model"
@@ -62,6 +63,8 @@ type Selection struct {
 
 // Compiled is the §4 result: the dynamic coverage filter report and
 // the metagraph compiled from the filtered experimental source tree.
+// Builds of one program shape whose coverage traces executed the same
+// code share one Compiled; it is never mutated after construction.
 type Compiled struct {
 	Coverage  coverage.Report
 	Metagraph *metagraph.Metagraph
@@ -113,16 +116,21 @@ func selectStage(sc Scenario, fp *Fingerprint, b *Builds, v *Verdict, solver las
 	return sel, st, nil
 }
 
-// compileStage runs the two-step coverage trace (§2.1) on the
-// experimental build, filters the source tree, and compiles the
-// metagraph.
-func compileStage(b *Builds) (*Compiled, error) {
+// traceStage runs the two-step coverage trace (§2.1) on the
+// experimental build.
+func traceStage(b *Builds) (*coverage.Trace, error) {
 	tr := coverage.NewTrace()
 	if _, err := b.Exper.Run(model.RunConfig{StopAfter: 2, Trace: tr.Record,
 		RNG: b.ExpRunCfg.RNG, FMA: b.ExpRunCfg.FMA}); err != nil {
 		return nil, err
 	}
-	filtered, rep := coverage.Filter(b.Exper.Modules, tr)
+	return tr, nil
+}
+
+// metagraphStage filters the source tree down to the traced code and
+// compiles the metagraph (§4).
+func metagraphStage(mods []*fortran.Module, tr *coverage.Trace) (*Compiled, error) {
+	filtered, rep := coverage.Filter(mods, tr)
 	mg, err := metagraph.Build(filtered)
 	if err != nil {
 		return nil, err

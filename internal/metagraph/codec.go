@@ -13,10 +13,9 @@ import (
 const mgCodecVersion uint32 = 1
 
 // Encode serializes the metagraph to the deterministic artifact
-// format. The symbol tables used only during Build (per-module scopes)
-// are reduced to the module-name list — the only part the post-build
-// queries (ModulePartition, Stats) consult — so a decoded metagraph
-// answers every pipeline query identically to the freshly built one.
+// format: nodes, edges, the output map and the sorted module names —
+// everything a built metagraph keeps — so a decoded metagraph answers
+// every query identically to the freshly built one.
 func (mg *Metagraph) Encode() ([]byte, error) {
 	if mg == nil {
 		return nil, fmt.Errorf("metagraph: encode nil metagraph")
@@ -61,13 +60,8 @@ func (mg *Metagraph) Encode() ([]byte, error) {
 
 	w.Int(mg.Unparsed)
 
-	names := make([]string, 0, len(mg.modules))
-	for name := range mg.modules {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	w.Len(len(names))
-	for _, name := range names {
+	w.Len(len(mg.modules))
+	for _, name := range mg.modules {
 		w.String(name)
 	}
 	return w.Bytes(), nil
@@ -91,7 +85,6 @@ func Decode(data []byte) (*Metagraph, error) {
 		byKey:       make(map[string]int, nNodes),
 		byCanonical: make(map[string][]int, nNodes),
 		OutputMap:   make(map[string]string),
-		modules:     make(map[string]*moduleScope),
 	}
 	mg.Nodes = make([]Node, nNodes)
 	for i := range mg.Nodes {
@@ -126,9 +119,11 @@ func Decode(data []byte) (*Metagraph, error) {
 	}
 	mg.Unparsed = r.Int()
 	for n := r.Len(); n > 0 && r.Err() == nil; n-- {
-		// Build-time symbol scopes are not needed after construction;
-		// only the module-name partition survives the round trip.
-		mg.modules[r.String()] = &moduleScope{}
+		name := r.String()
+		if k := len(mg.modules); k > 0 && name <= mg.modules[k-1] {
+			return nil, binenc.ErrMalformed // Encode writes them strictly sorted
+		}
+		mg.modules = append(mg.modules, name)
 	}
 	if err := r.Done(); err != nil {
 		return nil, err

@@ -48,7 +48,17 @@ type Metagraph struct {
 	// process (the paper reports 10 of 660k lines).
 	Unparsed int
 
-	modules map[string]*moduleScope
+	// modules lists the compiled modules' names, sorted — all that
+	// outlives Build of its per-module symbol tables.
+	modules []string
+}
+
+// builder holds the per-module symbol tables Build resolves names
+// through. None of it outlives Build, so a Metagraph holds neither the
+// tables nor the AST nodes they point into.
+type builder struct {
+	mg     *Metagraph
+	scopes map[string]*moduleScope
 }
 
 // moduleScope holds per-module symbol tables.
@@ -88,13 +98,15 @@ func Build(modules []*fortran.Module) (*Metagraph, error) {
 		byKey:       make(map[string]int, 4096),
 		byCanonical: make(map[string][]int, 4096),
 		OutputMap:   make(map[string]string),
-		modules:     make(map[string]*moduleScope, len(modules)),
+		modules:     make([]string, 0, len(modules)),
 	}
+	b := &builder{mg: mg, scopes: make(map[string]*moduleScope, len(modules))}
 	for _, m := range modules {
-		if _, dup := mg.modules[m.Name]; dup {
+		if _, dup := b.scopes[m.Name]; dup {
 			return nil, fmt.Errorf("metagraph: duplicate module %q", m.Name)
 		}
-		mg.modules[m.Name] = &moduleScope{
+		mg.modules = append(mg.modules, m.Name)
+		b.scopes[m.Name] = &moduleScope{
 			mod:    m,
 			vars:   make(map[string]string),
 			funcs:  make(map[string][]procTarget),
@@ -105,21 +117,22 @@ func Build(modules []*fortran.Module) (*Metagraph, error) {
 	// Pass 1: own declarations (module vars, own procedures, own
 	// interfaces). Must complete before use resolution.
 	for _, m := range modules {
-		mg.declareOwn(m)
+		b.declareOwn(m)
 	}
 	// Pass 2: use statements (renames, only-lists, whole-module
 	// imports). Chained use is deliberately not followed (§4.2): each
 	// use statement is connected independently.
 	for _, m := range modules {
-		mg.resolveUses(m)
+		b.resolveUses(m)
 	}
 	// Pass 3: process all statements now that the function hash tables
 	// exist (the paper defers call parsing until all files are read).
 	for _, m := range modules {
 		for _, sub := range m.Subprograms {
-			mg.processSubprogram(m, sub)
+			b.processSubprogram(m, sub)
 		}
 	}
+	sort.Strings(mg.modules)
 	return mg, nil
 }
 
@@ -175,8 +188,8 @@ func split2(s string) (string, string) {
 	return s, ""
 }
 
-func (mg *Metagraph) declareOwn(m *fortran.Module) {
-	sc := mg.modules[m.Name]
+func (b *builder) declareOwn(m *fortran.Module) {
+	sc := b.scopes[m.Name]
 	for _, d := range m.Decls {
 		for i, n := range d.Names {
 			sc.vars[n] = key(m.Name, "", n)
@@ -213,10 +226,10 @@ func (mg *Metagraph) declareOwn(m *fortran.Module) {
 	}
 }
 
-func (mg *Metagraph) resolveUses(m *fortran.Module) {
-	sc := mg.modules[m.Name]
+func (b *builder) resolveUses(m *fortran.Module) {
+	sc := b.scopes[m.Name]
 	for _, u := range m.Uses {
-		src, ok := mg.modules[u.Module]
+		src, ok := b.scopes[u.Module]
 		if !ok {
 			continue // module compiled out (coverage/config filtering)
 		}
@@ -300,14 +313,14 @@ type scope struct {
 	msc     *moduleScope
 }
 
-func (mg *Metagraph) newScope(m *fortran.Module, sub *fortran.Subprogram) *scope {
+func (b *builder) newScope(m *fortran.Module, sub *fortran.Subprogram) *scope {
 	s := &scope{
-		mg:      mg,
+		mg:      b.mg,
 		modName: m.Name,
 		sub:     sub,
 		locals:  make(map[string]bool),
 		arrays:  make(map[string]bool),
-		msc:     mg.modules[m.Name],
+		msc:     b.scopes[m.Name],
 	}
 	for _, a := range sub.Args {
 		s.locals[a] = true
@@ -366,8 +379,8 @@ func (s *scope) subTargets(name string) []procTarget {
 }
 
 // processSubprogram walks every statement, adding nodes and edges.
-func (mg *Metagraph) processSubprogram(m *fortran.Module, sub *fortran.Subprogram) {
-	s := mg.newScope(m, sub)
+func (b *builder) processSubprogram(m *fortran.Module, sub *fortran.Subprogram) {
+	s := b.newScope(m, sub)
 	fortran.WalkStmts(sub.Body, func(st fortran.Stmt) {
 		switch x := st.(type) {
 		case *fortran.AssignStmt:
@@ -577,11 +590,7 @@ func (mg *Metagraph) ByDisplay(display string) []int {
 // ModulePartition returns a partition of nodes by module (for the
 // quotient graph of §6.5) along with the ordered module names.
 func (mg *Metagraph) ModulePartition() ([]int, []string) {
-	names := make([]string, 0, len(mg.modules))
-	for name := range mg.modules {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := append([]string(nil), mg.modules...)
 	idx := make(map[string]int, len(names))
 	for i, n := range names {
 		idx[n] = i

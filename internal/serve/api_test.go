@@ -126,7 +126,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"rcad_jobs_from_store_total", "rcad_pipeline_executions_total",
 		"rcad_queue_depth", "rcad_artifact_store_mem_bytes", "rcad_flights_inflight",
 		"rcad_compile_cache_hits_total", "rcad_compile_cache_misses_total",
-		"rcad_program_rebinds_total",
+		"rcad_program_rebinds_total", "rcad_metagraph_shares_total",
 		"rcad_artifact_store_hits_total", "rcad_artifact_store_misses_total",
 		"rcad_artifact_store_evictions_total", "rcad_artifact_store_bytes",
 		"rcad_fault_injected_total", "rcad_job_retries_total",

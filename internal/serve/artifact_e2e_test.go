@@ -13,7 +13,9 @@ import (
 
 	rca "github.com/climate-rca/rca"
 	"github.com/climate-rca/rca/internal/artifact"
+	"github.com/climate-rca/rca/internal/coverage"
 	"github.com/climate-rca/rca/internal/fortran"
+	"github.com/climate-rca/rca/internal/model"
 	"github.com/climate-rca/rca/internal/serve"
 )
 
@@ -191,8 +193,8 @@ func TestTwoWorkersSharedStore(t *testing.T) {
 
 	// 16 scenarios: the full §6+§8 catalog plus eight parameter
 	// perturbations. Each param scenario has its own sourceKey and
-	// buildKey but shares the clean tree's program shape, so
-	// exactly-once sharing is exercised at every key layer.
+	// buildKey but shares the clean tree's program shape and coverage
+	// trace, so exactly-once sharing is exercised at every key layer.
 	bodies := make([][]byte, 0, 16)
 	for _, sc := range rca.AllExperiments() {
 		body, err := rca.ScenarioToJSON(sc)
@@ -312,14 +314,16 @@ func TestTwoWorkersSharedStore(t *testing.T) {
 	}
 
 	// Exactly-once artifact builds across the pair: distinct sourceKeys
-	// each build a corpus, distinct program shapes a program (the TURB
+	// each build a corpus, distinct program shapes a program, and
+	// distinct (shape, coverage trace) keys a compiled metagraph — plus
+	// the clean control build both catalogs share. The TURB
 	// perturbations differ from the clean tree only in a module-level
-	// parameter initializer, so they share its shape and rebind its
-	// program), distinct buildKeys a compiled metagraph — plus the clean
-	// control build both catalogs share.
-	sources, shapes, builds := map[string]bool{}, map[string]bool{}, map[string]bool{}
+	// parameter initializer, so they share its shape, rebind its
+	// program and, executing the same code in the two-step trace, share
+	// its metagraph.
+	sources, shapes, compiled := map[string]bool{}, map[string]bool{}, map[string]bool{}
 	keysSession := rca.NewSession(rca.CorpusConfig{AuxModules: 10, Seed: 5})
-	addSource := func(sc rca.Scenario) rca.ScenarioKeys {
+	addSource := func(sc rca.Scenario) string {
 		t.Helper()
 		keys, err := keysSession.Keys(sc)
 		if err != nil {
@@ -343,24 +347,38 @@ func TestTwoWorkersSharedStore(t *testing.T) {
 			t.Fatal("parsed modules carry no shape digest")
 		}
 		shapes[shape] = true
-		return keys
+		return shape
 	}
 	for _, body := range bodies {
 		sc, err := rca.ScenarioFromJSON(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		builds[addSource(sc).Build] = true
+		shape := addSource(sc)
+		b, err := keysSession.Builds(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := coverage.NewTrace()
+		if _, err := b.Exper.Run(model.RunConfig{StopAfter: 2, Trace: tr.Record,
+			RNG: b.ExpRunCfg.RNG, FMA: b.ExpRunCfg.FMA}); err != nil {
+			t.Fatal(err)
+		}
+		compiled[shape+"/"+tr.Key()] = true
 	}
 	addSource(rca.NewScenario("CLEAN", rca.ScenarioOptions{})) // the control build
 	if len(shapes) != len(sources)-8 {
 		t.Fatalf("%d program shapes for %d sources; the 8 TURB sources must share the clean tree's shape",
 			len(shapes), len(sources))
 	}
-	want := uint64(len(sources) + len(shapes) + len(builds))
+	if len(compiled) != len(shapes) {
+		t.Fatalf("%d (shape, trace) keys for %d program shapes; every shape here traces one executed set",
+			len(compiled), len(shapes))
+	}
+	want := uint64(len(sources) + len(shapes) + len(compiled))
 	got := workers[0].store.Stats().Builds + workers[1].store.Stats().Builds
 	if got != want {
-		t.Fatalf("artifact builds across both workers = %d; want exactly %d (%d sources + %d program shapes + %d buildKeys)",
-			got, want, len(sources), len(shapes), len(builds))
+		t.Fatalf("artifact builds across both workers = %d; want exactly %d (%d sources + %d program shapes + %d (shape, trace) keys)",
+			got, want, len(sources), len(shapes), len(compiled))
 	}
 }

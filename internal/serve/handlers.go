@@ -342,6 +342,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var ss sessionStats
 	ss.CompileHits, ss.CompileMisses = s.session.CompileCacheStats()
 	ss.ProgramRebinds = s.session.ProgramRebinds()
+	ss.MetagraphShares = s.session.MetagraphShares()
 	ss.LassoFits, ss.LassoIters = s.session.LassoStats()
 	ss.MemoHits, ss.MemoMisses = s.session.RefineMemoStats()
 	rs := robustStats{FaultInjected: fault.InjectedTotal()}

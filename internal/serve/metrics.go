@@ -56,6 +56,7 @@ func (m *metrics) write(w io.Writer, engine string, queueDepth, inflight int, ss
 	counter("compile_cache_hits_total", "Integrations that reused a cached compiled program.", int64(ss.CompileHits))
 	counter("compile_cache_misses_total", "Bytecode program compilations.", int64(ss.CompileMisses))
 	counter("program_rebinds_total", "Compiled programs shared with a same-shape source tree and rebound to its module-level initializer values instead of compiled.", int64(ss.ProgramRebinds))
+	counter("metagraph_shares_total", "Compile-stage calls served by a metagraph another build fingerprint built (same program shape and coverage trace).", int64(ss.MetagraphShares))
 	counter("lasso_fits_total", "Selection-stage lasso fits across the session.", int64(ss.LassoFits))
 	counter("lasso_fit_iterations_total", "Proximal-gradient iterations consumed by selection-stage lasso fits.", int64(ss.LassoIters))
 	counter("refine_memo_hits_total", "Refinement iterations that reused a cached graph analysis of an identical subgraph.", int64(ss.MemoHits))
@@ -90,6 +91,7 @@ func (m *metrics) write(w io.Writer, engine string, queueDepth, inflight int, ss
 type sessionStats struct {
 	CompileHits, CompileMisses uint64
 	ProgramRebinds             uint64
+	MetagraphShares            uint64
 	LassoFits, LassoIters      uint64
 	MemoHits, MemoMisses       uint64
 }
