@@ -12,7 +12,8 @@ import (
 // progCodecVersion is bumped whenever the Program encoding below
 // changes shape. The artifact store folds it into the blob, so stale
 // on-disk programs from an older binary simply miss and recompile.
-const progCodecVersion uint32 = 1
+// Version 2 carries the literal-site count after the constants.
+const progCodecVersion uint32 = 2
 
 // EncodeProgram serializes a compiled program to the deterministic
 // binary artifact format: encoding the same program twice — or a
@@ -75,6 +76,7 @@ func EncodeProgram(p *Program) ([]byte, error) {
 	for _, c := range p.consts {
 		w.F64(c)
 	}
+	w.Int(p.nLits)
 	w.Len(len(p.labels))
 	for _, l := range p.labels {
 		w.String(l)
@@ -217,6 +219,9 @@ func DecodeProgram(data []byte) (*Program, error) {
 	p.consts = make([]float64, r.Len())
 	for i := range p.consts {
 		p.consts[i] = r.F64()
+	}
+	if p.nLits = r.Int(); p.nLits < 0 || p.nLits > len(p.consts) {
+		return nil, binenc.ErrMalformed
 	}
 	p.labels = make([]string, r.Len())
 	for i := range p.labels {

@@ -30,6 +30,7 @@ func Compile(mods []*fortran.Module) *Program {
 		constIdx: make(map[float64]int32),
 		strIdx:   make(map[string]int32),
 	}
+	c.bindSites(mods)
 	// Entry points: every subroutine key resolvable at arity zero (the
 	// driver's Call path), compiled with all arguments unbound.
 	var keys []string
@@ -98,9 +99,39 @@ type compiler struct {
 	link     *linker
 	prog     *Program
 	specs    map[*fortran.Subprogram]map[string]*proc
+	sites    map[*fortran.NumLit]int32
 	constIdx map[float64]int32
 	strIdx   map[string]int32
 	err      error
+}
+
+// bindSites gives every statement literal the shaper recorded its own
+// const slot, in Lits order, as the leading prefix of consts. Slots are
+// not shared by value, so the layout is a function of the shape alone
+// and Rebind rewrites the prefix in place of compiling.
+func (c *compiler) bindSites(mods []*fortran.Module) {
+	n := 0
+	for _, m := range mods {
+		n += len(m.Lits)
+	}
+	c.sites = make(map[*fortran.NumLit]int32, n)
+	c.prog.consts = make([]float64, 0, n)
+	for _, m := range mods {
+		for _, lit := range m.Lits {
+			c.sites[lit] = int32(len(c.prog.consts))
+			c.prog.consts = append(c.prog.consts, lit.Value)
+		}
+	}
+	c.prog.nLits = n
+}
+
+// literal returns the const slot of a statement literal: its site slot,
+// or, in a module built by hand (no Lits), a value-shared slot.
+func (c *compiler) literal(x *fortran.NumLit) int32 {
+	if i, ok := c.sites[x]; ok {
+		return i
+	}
+	return c.constant(x.Value)
 }
 
 func (c *compiler) constant(v float64) int32 {

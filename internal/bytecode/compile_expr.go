@@ -146,7 +146,7 @@ func (f *pcomp) expr(e fortran.Expr) opnd { return f.exprD(e, dst{}) }
 func (f *pcomp) exprD(e fortran.Expr, d dst) opnd {
 	switch x := e.(type) {
 	case *fortran.NumLit:
-		return opnd{kind: kScal, ok: oConst, cidx: f.c.constant(x.Value)}
+		return opnd{kind: kScal, ok: oConst, cidx: f.c.literal(x)}
 	case *fortran.StrLit:
 		return opnd{kind: kScal, ok: oConst, cidx: f.c.constant(0)}
 	case *fortran.UnaryExpr:

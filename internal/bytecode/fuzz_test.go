@@ -3,6 +3,9 @@ package bytecode
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -200,79 +203,155 @@ contains
 	return g.sb.String()
 }
 
+// fuzzSeeds are FuzzBytecodeVsTree's in-code seed inputs.
+var fuzzSeeds = [][]byte{
+	{},
+	{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+	[]byte("fma patterns and shifts everywhere, please"),
+	{0xff, 0x00, 0x80, 0x40, 0x20, 0x10, 0x08, 0x04, 0x02, 0x01,
+		0xaa, 0x55, 0xcc, 0x33, 0x99, 0x66, 0xf0, 0x0f, 0x11, 0x22},
+}
+
+// genProgram derives a program and its FMA mode from fuzz bytes.
+func genProgram(t *testing.T, data []byte) (src string, mods []*fortran.Module, fmaMode int) {
+	t.Helper()
+	g := &progGen{data: data}
+	fmaMode = g.pick(3)
+	src = g.source()
+	mods, err := fortran.ParseFile(src)
+	if err != nil {
+		t.Fatalf("generator produced unparsable source: %v\n%s", err, src)
+	}
+	return src, mods, fmaMode
+}
+
+// diffVsTree runs fzinit and main on the tree walker over mods and on
+// a VM of prog, and fails unless both agree on every construction and
+// call error and produce bit-identical Outputs, Kernel and AllValues.
+func diffVsTree(t *testing.T, src string, mods []*fortran.Module, prog *Program, fmaMode int) {
+	t.Helper()
+	mk := func() interp.Config {
+		var fma func(string) bool
+		switch fmaMode {
+		case 1:
+			fma = func(string) bool { return true }
+		case 2:
+			fma = func(m string) bool { return m == "fz" }
+		}
+		return interp.Config{Ncol: 6, RNG: rng.NewKISS(99),
+			SnapshotAll: true, KernelWatch: "fz::main", FMA: fma}
+	}
+	m, merr := interp.NewMachine(mods, mk())
+	vm, verr := prog.NewVM(mk())
+	if (merr == nil) != (verr == nil) {
+		t.Fatalf("construction disagreement: tree=%v vm=%v\n%s", merr, verr, src)
+	}
+	if merr != nil {
+		return
+	}
+	for _, call := range [][2]string{{"fz", "fzinit"}, {"fz", "main"}} {
+		em := m.Call(call[0], call[1])
+		ev := vm.Call(call[0], call[1])
+		if (em == nil) != (ev == nil) {
+			t.Fatalf("call %s disagreement: tree=%v vm=%v\n%s", call[1], em, ev, src)
+		}
+		if em != nil {
+			return
+		}
+	}
+	m.SnapshotModuleVars()
+	vm.SnapshotModuleVars()
+	for label, pair := range map[string][2]map[string][]float64{
+		"Outputs":   {m.Outputs, vm.Outputs},
+		"Kernel":    {m.Kernel, vm.Kernel},
+		"AllValues": {m.AllValues, vm.AllValues},
+	} {
+		want, got := pair[0], pair[1]
+		if len(want) != len(got) {
+			t.Fatalf("%s: key counts differ (%d vs %d)\n%s", label, len(want), len(got), src)
+		}
+		for k, wv := range want {
+			gv, ok := got[k]
+			if !ok {
+				t.Fatalf("%s: key %q missing from VM\n%s", label, k, src)
+			}
+			if len(wv) != len(gv) {
+				t.Fatalf("%s[%s]: lengths differ\n%s", label, k, src)
+			}
+			for i := range wv {
+				if math.Float64bits(wv[i]) != math.Float64bits(gv[i]) {
+					t.Fatalf("%s[%s][%d]: tree=%x vm=%x\n%s",
+						label, k, i, math.Float64bits(wv[i]), math.Float64bits(gv[i]), src)
+				}
+			}
+		}
+	}
+}
+
 // FuzzBytecodeVsTree generates FortLite programs and asserts the
 // bytecode VM and the tree walker produce bit-identical Outputs,
 // Kernel and AllValues maps — the differential pin behind making the
 // VM the default engine.
 func FuzzBytecodeVsTree(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
-	f.Add([]byte("fma patterns and shifts everywhere, please"))
-	f.Add([]byte{0xff, 0x00, 0x80, 0x40, 0x20, 0x10, 0x08, 0x04, 0x02, 0x01,
-		0xaa, 0x55, 0xcc, 0x33, 0x99, 0x66, 0xf0, 0x0f, 0x11, 0x22})
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g := &progGen{data: data}
-		fmaMode := g.pick(3)
-		src := g.source()
-		mods, err := fortran.ParseFile(src)
-		if err != nil {
-			t.Fatalf("generator produced unparsable source: %v\n%s", err, src)
-		}
-		mk := func() interp.Config {
-			var fma func(string) bool
-			switch fmaMode {
-			case 1:
-				fma = func(string) bool { return true }
-			case 2:
-				fma = func(m string) bool { return m == "fz" }
-			}
-			return interp.Config{Ncol: 6, RNG: rng.NewKISS(99),
-				SnapshotAll: true, KernelWatch: "fz::main", FMA: fma}
-		}
-		m, merr := interp.NewMachine(mods, mk())
-		vm, verr := Compile(mods).NewVM(mk())
-		if (merr == nil) != (verr == nil) {
-			t.Fatalf("construction disagreement: tree=%v vm=%v\n%s", merr, verr, src)
-		}
-		if merr != nil {
-			return
-		}
-		for _, call := range [][2]string{{"fz", "fzinit"}, {"fz", "main"}} {
-			em := m.Call(call[0], call[1])
-			ev := vm.Call(call[0], call[1])
-			if (em == nil) != (ev == nil) {
-				t.Fatalf("call %s disagreement: tree=%v vm=%v\n%s", call[1], em, ev, src)
-			}
-			if em != nil {
-				return
-			}
-		}
-		m.SnapshotModuleVars()
-		vm.SnapshotModuleVars()
-		for label, pair := range map[string][2]map[string][]float64{
-			"Outputs":   {m.Outputs, vm.Outputs},
-			"Kernel":    {m.Kernel, vm.Kernel},
-			"AllValues": {m.AllValues, vm.AllValues},
-		} {
-			want, got := pair[0], pair[1]
-			if len(want) != len(got) {
-				t.Fatalf("%s: key counts differ (%d vs %d)\n%s", label, len(want), len(got), src)
-			}
-			for k, wv := range want {
-				gv, ok := got[k]
-				if !ok {
-					t.Fatalf("%s: key %q missing from VM\n%s", label, k, src)
-				}
-				if len(wv) != len(gv) {
-					t.Fatalf("%s[%s]: lengths differ\n%s", label, k, src)
-				}
-				for i := range wv {
-					if math.Float64bits(wv[i]) != math.Float64bits(gv[i]) {
-						t.Fatalf("%s[%s][%d]: tree=%x vm=%x\n%s",
-							label, k, i, math.Float64bits(wv[i]), math.Float64bits(gv[i]), src)
-					}
-				}
-			}
-		}
+		src, mods, fmaMode := genProgram(t, data)
+		diffVsTree(t, src, mods, Compile(mods), fmaMode)
 	})
+}
+
+// TestRebindLiteralsVsTree is the property behind literal-free shapes,
+// over FuzzBytecodeVsTree's seed programs (in-code seeds and the
+// checked-in corpus): with every statement literal perturbed, the
+// perturbed tree keeps the shape, and the original program rebound to
+// it runs exactly as the tree walker runs the perturbed tree.
+func TestRebindLiteralsVsTree(t *testing.T) {
+	seeds := append([][]byte(nil), fuzzSeeds...)
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzBytecodeVsTree", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, arg, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		quoted, ok2 := strings.CutPrefix(arg, "[]byte(")
+		if !ok || !ok2 {
+			t.Fatalf("%s: not a []byte fuzz input", file)
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		seeds = append(seeds, []byte(data))
+	}
+	perturbed := 0
+	for i, data := range seeds {
+		src, mods, fmaMode := genProgram(t, data)
+		_, alt, _ := genProgram(t, data)
+		n := 0
+		for _, m := range alt {
+			for _, lit := range m.Lits {
+				lit.Value += 1.0 / 64
+				n++
+			}
+		}
+		if fortran.ShapeKey(alt) != fortran.ShapeKey(mods) {
+			t.Fatalf("seed %d: perturbing literal values changed the shape key", i)
+		}
+		p := Compile(mods)
+		q := p.Rebind(alt)
+		if n > 0 && p.Err() == nil && q == p {
+			t.Fatalf("seed %d: Rebind returned the original program for perturbed literals", i)
+		}
+		diffVsTree(t, src, alt, q, fmaMode)
+		perturbed += n
+	}
+	if perturbed == 0 {
+		t.Fatal("no statement literals perturbed; the property is vacuous")
+	}
 }

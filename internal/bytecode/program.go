@@ -250,13 +250,18 @@ type Program struct {
 	nGArr  int
 	gdrvs  []*dtype // layout per global derived cell
 
-	// Module-level initialization resolved at compile time — the only
-	// state that depends on module-level initializer values, and so the
-	// only state Rebind recomputes.
+	// Module-level initialization resolved at compile time. With the
+	// literal-site prefix of consts it is the only state that depends
+	// on values rather than shape, and so the only state Rebind
+	// recomputes.
 	scalInit []cellInit
 	arrInit  []cellInit
 
+	// consts[:nLits] holds one slot per statement literal site, in the
+	// order of the modules' Lits lists; the deduplicated constants the
+	// compiler folds (local initializers, string placeholders) follow.
 	consts []float64
+	nLits  int
 	labels []string
 	errs   []error
 	calls  []*callSite

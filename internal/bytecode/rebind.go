@@ -8,15 +8,18 @@ import (
 
 // Rebind returns the program mods compile to, given that mods has the
 // shape p was compiled from (equal fortran.ShapeKey). Such trees differ
-// at most in their module-level initializer values, so the result
-// shares p's procs, code, constants, symbol tables and frame pools and
-// recomputes only scalInit/arrInit, exactly as linker phase 3 would. A
-// tree whose initializers fail to evaluate gets the error a fresh
-// Compile reports. When the values are p's own, Rebind returns p
-// itself. A program whose own construction failed has no code to
-// share; Rebind then compiles mods afresh.
+// at most in their module-level initializer values and their statement
+// literal values, so the result shares p's procs, code, symbol tables
+// and frame pools and recomputes only scalInit/arrInit, exactly as
+// linker phase 3 would, and the literal-site prefix of consts, from
+// the parser's Lits lists. A tree whose initializers fail to evaluate
+// gets the error a fresh Compile reports. When the values are p's own,
+// Rebind returns p itself. A program whose own construction failed has
+// no code to share, and a tree whose literal count differs from p's is
+// not of its shape; Rebind then compiles mods afresh.
 func (p *Program) Rebind(mods []*fortran.Module) *Program {
-	if p.initErr != nil {
+	consts, ok := p.rebindLits(mods)
+	if p.initErr != nil || !ok {
 		return Compile(mods)
 	}
 	// Replay phase 3's allocation order to find each declaration's
@@ -56,12 +59,37 @@ func (p *Program) Rebind(mods []*fortran.Module) *Program {
 			}
 		}
 	}
-	if sameInits(p.scalInit, q.scalInit) && sameInits(p.arrInit, q.arrInit) {
+	if consts == nil && sameInits(p.scalInit, q.scalInit) && sameInits(p.arrInit, q.arrInit) {
 		return p
 	}
 	r := *p
 	r.scalInit, r.arrInit = q.scalInit, q.arrInit
+	if consts != nil {
+		r.consts = consts
+	}
 	return &r
+}
+
+// rebindLits returns p's consts with the literal-site prefix rewritten
+// to mods' statement literal values, or nil when every value is p's
+// own. ok is false when mods does not have p's number of sites.
+func (p *Program) rebindLits(mods []*fortran.Module) (consts []float64, ok bool) {
+	i := 0
+	for _, m := range mods {
+		if i+len(m.Lits) > p.nLits {
+			return nil, false
+		}
+		for _, lit := range m.Lits {
+			if consts == nil && math.Float64bits(lit.Value) != math.Float64bits(p.consts[i]) {
+				consts = append([]float64(nil), p.consts...)
+			}
+			if consts != nil {
+				consts[i] = lit.Value
+			}
+			i++
+		}
+	}
+	return consts, i == p.nLits
 }
 
 // sameInits compares initializer tables bit for bit, the way their

@@ -53,9 +53,10 @@ func runSteps(t *testing.T, p *Program, c *corpus.Corpus) *VM {
 }
 
 // TestRebindMatchesCompileParamVariants is the differential pin for
-// Rebind: for every ensemble-parameter variant of the bench corpus,
-// rebinding the clean tree's program encodes to exactly the bytes of
-// compiling the variant, and runs to the same captures.
+// Rebind: for every ensemble-parameter variant of the bench corpus, and
+// for pairs of trees that differ only in statement literals, rebinding
+// one tree's program encodes to exactly the bytes of compiling the
+// other, and runs to the same captures.
 func TestRebindMatchesCompileParamVariants(t *testing.T) {
 	base := corpus.Config{AuxModules: 40, Seed: 2}
 	clean, err := corpus.Generate(base).Parse()
@@ -106,6 +107,56 @@ func TestRebindMatchesCompileParamVariants(t *testing.T) {
 				t.Fatal("Rebind mutated the skeleton")
 			}
 			vmGot, vmWant := runSteps(t, got, vc), runSteps(t, fresh, vc)
+			diffMaps(t, "Outputs", vmWant.Outputs, vmGot.Outputs)
+			diffMaps(t, "AllValues", vmWant.AllValues, vmGot.AllValues)
+		})
+	}
+
+	// Statement-literal variants: pairs of trees that differ only in a
+	// `scale:` factor, or in the literal the catalog's WSUB defect
+	// replaces.
+	src := corpus.Generate(base)
+	scale := func(v string, f float64) []corpus.Patch {
+		return []corpus.Patch{corpus.ScaleAssign{Module: "micro_mg", Subprogram: "micro_mg_tend", Var: v, Factor: f}}
+	}
+	pairs := map[string][2][]corpus.Patch{
+		"scale-pre":   {scale("pre", 1.00001), scale("pre", 1.0001)},
+		"scale-qsout": {scale("qsout", 1.00003), scale("qsout", 1.00007)},
+		"wsub":        {nil, {corpus.WsubPatch}},
+	}
+	for name, pair := range pairs {
+		t.Run(name, func(t *testing.T) {
+			var trees [2][]*fortran.Module
+			var corpora [2]*corpus.Corpus
+			for i, patches := range pair {
+				c, err := corpus.Apply(src, patches...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if trees[i], err = c.Parse(); err != nil {
+					t.Fatal(err)
+				}
+				corpora[i] = c
+			}
+			if fortran.ShapeKey(trees[0]) != fortran.ShapeKey(trees[1]) {
+				t.Fatal("literal-only edit changed the shape key")
+			}
+			pa, pb := Compile(trees[0]), Compile(trees[1])
+			encA, encB := mustEncode(t, pa), mustEncode(t, pb)
+			if bytes.Equal(encA, encB) {
+				t.Fatal("variants compile to one program; the test perturbs nothing")
+			}
+			got := pa.Rebind(trees[1])
+			if !bytes.Equal(mustEncode(t, got), encB) {
+				t.Fatal("EncodeProgram(Rebind(Compile(a), b)) != EncodeProgram(Compile(b))")
+			}
+			if !bytes.Equal(mustEncode(t, pb.Rebind(trees[0])), encA) {
+				t.Fatal("EncodeProgram(Rebind(Compile(b), a)) != EncodeProgram(Compile(a))")
+			}
+			if !bytes.Equal(mustEncode(t, pa), encA) {
+				t.Fatal("Rebind mutated the program it rebound")
+			}
+			vmGot, vmWant := runSteps(t, got, corpora[1]), runSteps(t, pb, corpora[1])
 			diffMaps(t, "Outputs", vmWant.Outputs, vmGot.Outputs)
 			diffMaps(t, "AllValues", vmWant.AllValues, vmGot.AllValues)
 		})

@@ -84,7 +84,8 @@ func (s *Session) corpusFor(ctx context.Context, key string, cfg corpus.Config, 
 // without compiling where it can. Programs are keyed by the runner's
 // shape key, not its source fingerprint, so a tree that differs from
 // one already compiled only in module-level initializer values (a
-// `param:` perturbation) shares that program. The first runner of a
+// `param:` perturbation) or statement literal values (a `scale:`
+// factor, a replaced constant) shares that program. The first runner of a
 // shape in the session goes through the store, which supplies a
 // same-shape program or persists the one the runner compiles (or
 // rebinds) — one program blob per shape across every process on the
@@ -135,12 +136,14 @@ func (s *Session) compiledFor(ctx context.Context, p *plan) (*Compiled, error) {
 
 // compiledTraced returns the coverage report and metagraph of r's
 // modules filtered by tr, keyed by r's program shape plus tr's key.
-// The metagraph never reads a module-level initializer, so builds that
-// differ only in those values (`param:` perturbations) and whose
-// traces executed the same code compile identical metagraphs: they
+// The metagraph never reads a module-level initializer or a literal
+// value, so builds that differ only in those values (`param:`
+// perturbations, `scale:` factors of one assignment, literal
+// replacements) and whose traces executed the same code compile
+// identical metagraphs: they
 // share one in-session cell and one `compiled` blob, and all but the
-// first filter, build, encode and write nothing. A parameter that
-// changes control flow changes the trace and so the key. Modules
+// first filter, build, encode and write nothing. A value that changes
+// control flow changes the trace and so the key. Modules
 // without a shape digest key by their build fingerprint.
 func (s *Session) compiledTraced(ctx context.Context, buildKey string, r *model.Runner, tr *coverage.Trace) (*Compiled, error) {
 	key := buildKey

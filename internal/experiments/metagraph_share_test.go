@@ -25,36 +25,52 @@ func paramScenarios() []experiments.Scenario {
 	}
 }
 
+// scaleScenarios scale one micro_mg_tend assignment by two factors:
+// two source fingerprints that differ only in a statement literal, so
+// one program shape (not CLEAN's: the scaling adds a multiplication).
+func scaleScenarios() []experiments.Scenario {
+	scale := func(name string, f float64) experiments.Scenario {
+		return experiments.NewScenario(name, experiments.ScenarioOptions{},
+			experiments.ScaleAssignment{Module: "micro_mg", Subprogram: "micro_mg_tend", Var: "pre", Factor: f})
+	}
+	return []experiments.Scenario{scale("PRE1", 1.00001), scale("PRE2", 1.0001)}
+}
+
 // TestSharedMetagraphMatchesFreshBuild is the differential check
 // behind sharing: on the bench corpus, the one Compiled a session hands
-// every parameter variant encodes byte for byte like a fresh trace →
-// filter → Build of that variant's own modules.
+// every parameter variant, and every `scale:` variant of one
+// assignment, encodes byte for byte like a fresh trace → filter →
+// Build of that variant's own modules. The scale variants differ only
+// in a statement literal, so this also pins that the metagraph reads
+// no literal value.
 func TestSharedMetagraphMatchesFreshBuild(t *testing.T) {
 	ctx := context.Background()
 	s := experiments.NewSession(corpus.Config{AuxModules: 40, Seed: 2})
-	var shared *experiments.Compiled
-	for _, sc := range paramScenarios() {
-		comp, err := s.Compile(ctx, sc)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Name(), err)
-		}
-		if shared == nil {
-			shared = comp
-		} else if comp != shared {
-			t.Fatalf("%s: got its own experiments.Compiled; want the one CLEAN built", sc.Name())
-		}
-		want := freshCompiled(t, s, sc)
-		got, err := experiments.EncodeCompiled(comp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: shared experiments.Compiled encodes to %d bytes, a fresh build to %d; contents differ",
-				sc.Name(), len(got), len(want))
+	for _, group := range [][]experiments.Scenario{paramScenarios(), scaleScenarios()} {
+		var shared *experiments.Compiled
+		for _, sc := range group {
+			comp, err := s.Compile(ctx, sc)
+			if err != nil {
+				t.Fatalf("%s: %v", sc.Name(), err)
+			}
+			if shared == nil {
+				shared = comp
+			} else if comp != shared {
+				t.Fatalf("%s: got its own experiments.Compiled; want the one %s built", sc.Name(), group[0].Name())
+			}
+			want := freshCompiled(t, s, sc)
+			got, err := experiments.EncodeCompiled(comp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: shared experiments.Compiled encodes to %d bytes, a fresh build to %d; contents differ",
+					sc.Name(), len(got), len(want))
+			}
 		}
 	}
-	if n := s.MetagraphShares(); n != 3 {
-		t.Fatalf("MetagraphShares = %d; want 3 (every variant shares CLEAN's)", n)
+	if n := s.MetagraphShares(); n != 4 {
+		t.Fatalf("MetagraphShares = %d; want 4 (every variant shares the first of its group's)", n)
 	}
 }
 

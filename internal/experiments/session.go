@@ -363,9 +363,10 @@ func (s *Session) CompileCacheStats() (hits, misses uint64) {
 
 // ProgramRebinds sums, across the session's runners, the programs
 // taken from a same-shape tree and rebound to the runner's own
-// module-level initializer values instead of compiled — one per
-// `param:` build that found its shape already compiled. rcad reports
-// it at /metrics.
+// module-level initializer and statement literal values instead of
+// compiled — one per `param:`, `scale:` or literal-replacement build
+// that found its shape already compiled. rcad reports it at
+// /metrics.
 func (s *Session) ProgramRebinds() uint64 {
 	_, _, rebinds := s.compileStats()
 	return rebinds

@@ -18,6 +18,11 @@ type Module struct {
 	// Shape is the module's shape digest, set by the parser. Modules
 	// built by hand leave it zero and never share compiled code.
 	Shape [32]byte
+	// Lits lists the numeric literals of the subprogram bodies in the
+	// shape walk's order, set by the parser with Shape. Their values
+	// are data, not shape: two modules of equal Shape have Lits of
+	// equal length whose i-th entries sit at the same place.
+	Lits []*NumLit
 }
 
 // Use is a use statement. If Only is empty the whole public surface of

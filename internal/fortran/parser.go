@@ -25,7 +25,7 @@ func ParseFile(src string) ([]*Module, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.Shape = shapeDigest(m)
+		m.Shape, m.Lits = shapeDigest(m)
 		mods = append(mods, m)
 		p.skipNewlines()
 	}

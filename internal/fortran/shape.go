@@ -9,24 +9,29 @@ import (
 )
 
 // shapeDigest hashes every AST field of m except the initializers of
-// its module-level declarations. Two modules with equal digests differ
-// at most in the values their module-level variables start with (a
-// perturbed `real, parameter :: turbcoef = 0.013`), so they compile to
-// the same code, constants and symbol tables. Line numbers count as
-// shape; initializers of subprogram locals and derived-type fields do
-// too.
-func shapeDigest(m *Module) (d [32]byte) {
+// its module-level declarations and the values of the numeric literals
+// in its subprogram bodies, and returns those body literals in walk
+// order. Two modules with equal digests differ at most in the values
+// their module-level variables start with (a perturbed `real, parameter
+// :: turbcoef = 0.013`) and in the values of their statement literals
+// (a `scale:` factor, a replaced constant), so they compile to the same
+// code, symbol tables and constant layout. Line numbers count as shape,
+// and so does a body literal's place. Initializers of subprogram locals
+// and derived-type fields count with their values: the compiler folds
+// them into code at compile time.
+func shapeDigest(m *Module) (d [32]byte, lits []*NumLit) {
 	s := shaper{h: sha256.New(), buf: make([]byte, 0, 4096)}
 	s.module(m)
 	s.h.Write(s.buf)
 	s.h.Sum(d[:0])
-	return d
+	return d, s.lits
 }
 
 // ShapeKey combines the shape digests of a module list, in order, so
-// adding, removing or reordering a module changes it. It is "" when
-// some module carries no digest (it was built by hand rather than
-// parsed); such trees have no shape to share.
+// adding, removing or reordering a module changes it. Trees of equal
+// key differ at most in module-level initializer values and statement
+// literal values. It is "" when some module carries no digest (it was
+// built by hand rather than parsed); such trees have no shape to share.
 func ShapeKey(mods []*Module) string {
 	h := sha256.New()
 	for _, m := range mods {
@@ -40,10 +45,14 @@ func ShapeKey(mods []*Module) string {
 
 // shaper serializes an AST unambiguously into a hash: every list is
 // length-prefixed and every statement and expression node is tagged by
-// kind.
+// kind. Inside a subprogram body (inBody) a numeric literal
+// contributes its tag and line and is appended to lits instead of
+// hashing its value.
 type shaper struct {
-	h   hash.Hash
-	buf []byte
+	h      hash.Hash
+	buf    []byte
+	inBody bool
+	lits   []*NumLit
 }
 
 // spill hands the buffered bytes to the hash once the buffer is mostly
@@ -108,7 +117,9 @@ func (s *shaper) module(m *Module) {
 		s.strs(sub.Args)
 		s.str(sub.Result)
 		s.decls(sub.Decls, true)
+		s.inBody = true
 		s.stmts(sub.Body)
+		s.inBody = false
 		s.n(sub.Line)
 	}
 }
@@ -184,7 +195,11 @@ func (s *shaper) expr(e Expr) {
 	switch x := e.(type) {
 	case *NumLit:
 		s.tag('n')
-		s.buf = binary.LittleEndian.AppendUint64(s.buf, math.Float64bits(x.Value))
+		if s.inBody {
+			s.lits = append(s.lits, x)
+		} else {
+			s.buf = binary.LittleEndian.AppendUint64(s.buf, math.Float64bits(x.Value))
+		}
 		s.n(x.Line)
 	case *StrLit:
 		s.tag('s')

@@ -29,8 +29,14 @@ func parseShapes(t *testing.T, src string) []*Module {
 		t.Fatalf("%v\n%s", err, src)
 	}
 	for _, m := range mods {
-		if m.Shape != shapeDigest(m) {
-			t.Fatalf("module %s: parser digest differs from shapeDigest", m.Name)
+		d, lits := shapeDigest(m)
+		if m.Shape != d || len(m.Lits) != len(lits) {
+			t.Fatalf("module %s: parser digest or literal list differs from shapeDigest", m.Name)
+		}
+		for i := range lits {
+			if m.Lits[i] != lits[i] {
+				t.Fatalf("module %s: literal %d differs from shapeDigest's", m.Name, i)
+			}
 		}
 	}
 	return mods
@@ -46,8 +52,9 @@ func shapeKeyOf(t *testing.T, mods []*Module) string {
 }
 
 // TestShapeDigestProperties pins what the shape digest covers: every
-// edit a compiled program depends on changes it, and a module-level
-// initializer value — the one thing Rebind recomputes — does not.
+// edit a compiled program's code depends on changes it, and the values
+// Rebind recomputes — module-level initializers and statement literals
+// — do not.
 func TestShapeDigestProperties(t *testing.T) {
 	base := shapeKeyOf(t, parseShapes(t, shapeBase))
 
@@ -55,6 +62,7 @@ func TestShapeDigestProperties(t *testing.T) {
 		"module parameter value":  {"k = 2.0", "k = 2.5"},
 		"module variable value":   {"s = 1.0", "s = -(4.0 * 0.25)"},
 		"module initializer kind": {"k = 2.0", "k = z"},
+		"subprogram literal":      {"+ 3.0", "+ 3.5"},
 	}
 	for name, edit := range same {
 		src := strings.Replace(shapeBase, edit[0], edit[1], 1)
@@ -67,8 +75,9 @@ func TestShapeDigestProperties(t *testing.T) {
 	}
 
 	differ := map[string][2]string{
-		"subprogram literal":     {"+ 3.0", "+ 3.5"},
 		"local initializer":      {"t = 0.5", "t = 0.25"},
+		"literal to variable":    {"+ 3.0", "+ z"},
+		"literal added":          {"+ 3.0", "+ 3.0 * 2.0"},
 		"declaration name":       {"real :: w(:), z", "real :: w(:), zz"},
 		"declaration type":       {"real :: w(:), z", "integer :: w(:), z"},
 		"declaration array flag": {"real :: w(:), z", "real :: w(:), z(:)"},

@@ -154,10 +154,12 @@ func (r *Runner) Engine() EngineKind {
 
 // progCache shares compiled programs process-wide, keyed by the shape
 // key of the source tree: trees that differ only in module-level
-// initializer values — every `param:` perturbation of one source —
-// share one compiled skeleton, each rebinding it to its own values
-// (bytecode.Program.Rebind). Programs are immutable, so sharing is
-// safe. Only runnable programs are shared.
+// initializer values and statement literal values — every `param:`
+// perturbation of one source, every `scale:` factor of one assignment,
+// every literal replacement — share one compiled skeleton, each
+// rebinding it to its own values (bytecode.Program.Rebind). Programs
+// are immutable, so sharing is safe. Only runnable programs are
+// shared.
 var (
 	progCache     sync.Map // shape key → *bytecode.Program
 	progCacheSize atomic.Int64
@@ -168,8 +170,8 @@ const progCacheMax = 128
 // ProgramKey is the shape key the Runner's compiled program is shared
 // under, in-process and in the artifact store: every Runner whose
 // modules differ from this one's only in module-level initializer
-// values has the same key. It is "" for modules that carry no shape
-// digest; their programs are never shared.
+// values and statement literal values has the same key. It is "" for
+// modules that carry no shape digest; their programs are never shared.
 func (r *Runner) ProgramKey() string { return r.shape }
 
 // Program returns the compiled bytecode program, compiling on first
@@ -190,8 +192,8 @@ func (r *Runner) Program() *bytecode.Program {
 }
 
 // SharedProgram installs the process-wide program of this Runner's
-// shape, rebound to the Runner's own initializer values, and reports
-// whether the Runner now has a program. It never compiles.
+// shape, rebound to the Runner's own values, and reports whether the
+// Runner now has a program. It never compiles.
 func (r *Runner) SharedProgram() bool {
 	r.progMu.Lock()
 	defer r.progMu.Unlock()
@@ -201,10 +203,10 @@ func (r *Runner) SharedProgram() bool {
 // SetProgram installs a precompiled program of this Runner's shape
 // (typically decoded from the artifact store, where it may have been
 // compiled from a perturbed sibling tree) as its bytecode build
-// artifact, rebound to the Runner's initializer values, so
-// integrations skip compilation entirely. A program the Runner already
-// has wins, and so does the process-wide program of its shape (one
-// copy of the code stays in memory). Otherwise p is shared
+// artifact, rebound to the Runner's values, so integrations skip
+// compilation entirely. A program the Runner already has wins, and so
+// does the process-wide program of its shape (one copy of the code
+// stays in memory). Otherwise p is shared
 // process-wide so sibling Runners of the same shape reuse it too.
 func (r *Runner) SetProgram(p *bytecode.Program) {
 	if p == nil {
@@ -234,7 +236,7 @@ func (r *Runner) adoptShared() bool {
 }
 
 // adopt installs p rebound to r's modules, counting a rebind when the
-// initializer values differ. The caller holds progMu.
+// values differ. The caller holds progMu.
 func (r *Runner) adopt(p *bytecode.Program) {
 	r.prog = p.Rebind(r.Modules)
 	if r.prog != p {
@@ -261,8 +263,8 @@ func (r *Runner) CompileStats() (hits, misses uint64) {
 }
 
 // Rebinds reports how many times the Runner took a same-shape tree's
-// compiled program and rebound it to its own initializer values
-// instead of compiling.
+// compiled program and rebound it to its own values instead of
+// compiling.
 func (r *Runner) Rebinds() uint64 { return r.rebinds.Load() }
 
 // engineFor builds the engine instance for one integration.

@@ -316,12 +316,15 @@ func TestTwoWorkersSharedStore(t *testing.T) {
 	// Exactly-once artifact builds across the pair: distinct sourceKeys
 	// each build a corpus, distinct program shapes a program, and
 	// distinct (shape, coverage trace) keys a compiled metagraph — plus
-	// the clean control build both catalogs share. The TURB
+	// the clean control build both catalogs share. Shapes and traces
+	// are derived here from the parsed sources, not assumed. The TURB
 	// perturbations differ from the clean tree only in a module-level
 	// parameter initializer, so they share its shape, rebind its
 	// program and, executing the same code in the two-step trace, share
-	// its metagraph.
+	// its metagraph; catalog defects that edit statement literals share
+	// it as well.
 	sources, shapes, compiled := map[string]bool{}, map[string]bool{}, map[string]bool{}
+	var turbShapes []string
 	keysSession := rca.NewSession(rca.CorpusConfig{AuxModules: 10, Seed: 5})
 	addSource := func(sc rca.Scenario) string {
 		t.Helper()
@@ -355,6 +358,9 @@ func TestTwoWorkersSharedStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		shape := addSource(sc)
+		if strings.HasPrefix(sc.Name(), "TURB") {
+			turbShapes = append(turbShapes, shape)
+		}
 		b, err := keysSession.Builds(context.Background(), sc)
 		if err != nil {
 			t.Fatal(err)
@@ -366,11 +372,13 @@ func TestTwoWorkersSharedStore(t *testing.T) {
 		}
 		compiled[shape+"/"+tr.Key()] = true
 	}
-	addSource(rca.NewScenario("CLEAN", rca.ScenarioOptions{})) // the control build
-	if len(shapes) != len(sources)-8 {
-		t.Fatalf("%d program shapes for %d sources; the 8 TURB sources must share the clean tree's shape",
-			len(shapes), len(sources))
+	clean := addSource(rca.NewScenario("CLEAN", rca.ScenarioOptions{})) // the control build
+	for _, shape := range turbShapes {
+		if shape != clean {
+			t.Fatal("a TURB source does not share the clean tree's program shape")
+		}
 	}
+	t.Logf("%d program shapes for %d sources", len(shapes), len(sources))
 	if len(compiled) != len(shapes) {
 		t.Fatalf("%d (shape, trace) keys for %d program shapes; every shape here traces one executed set",
 			len(compiled), len(shapes))

@@ -55,7 +55,7 @@ func (m *metrics) write(w io.Writer, engine string, queueDepth, inflight int, ss
 	counter("flights_canceled_total", "Executions aborted because every subscriber left.", m.flightsCanceled.Load())
 	counter("compile_cache_hits_total", "Integrations that reused a cached compiled program.", int64(ss.CompileHits))
 	counter("compile_cache_misses_total", "Bytecode program compilations.", int64(ss.CompileMisses))
-	counter("program_rebinds_total", "Compiled programs shared with a same-shape source tree and rebound to its module-level initializer values instead of compiled.", int64(ss.ProgramRebinds))
+	counter("program_rebinds_total", "Compiled programs shared with a same-shape source tree and rebound to its initializer and literal values instead of compiled.", int64(ss.ProgramRebinds))
 	counter("metagraph_shares_total", "Compile-stage calls served by a metagraph another build fingerprint built (same program shape and coverage trace).", int64(ss.MetagraphShares))
 	counter("lasso_fits_total", "Selection-stage lasso fits across the session.", int64(ss.LassoFits))
 	counter("lasso_fit_iterations_total", "Proximal-gradient iterations consumed by selection-stage lasso fits.", int64(ss.LassoIters))
