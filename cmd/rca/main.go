@@ -84,7 +84,6 @@ func main() {
 		dot       = flag.String("dot", "", "write the induced subgraph (Graphviz) to this file")
 		graded    = flag.Bool("magnitudes", false, "use graded (magnitude-ranked) sampling (§6.3 extension)")
 		parallel  = flag.Int("parallel", 0, "worker pool per investigation: ensemble members and graph kernels (0 = GOMAXPROCS); results are identical at every setting")
-		engine    = flag.String("engine", "bytecode", "execution engine: bytecode (compiled register VM, default) | tree (AST-walking oracle); outputs are bit-identical")
 		server    = flag.String("server", "", "rcad base URL: run scenarios on a daemon instead of in-process (corpus/ensemble sizing then comes from the daemon's flags)")
 		storeDir  = flag.String("store", "", "artifact store directory: persist corpora, compiled programs and metagraphs so later runs (and rcad daemons) start warm")
 		faults    = flag.String("faults", os.Getenv("RCAD_FAULTS"), "deterministic fault-injection spec for -store I/O, e.g. 'artifact.put:eio@0.1' (default $RCAD_FAULTS)")
@@ -194,12 +193,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	engKind, err := rca.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rca:", err)
-		os.Exit(2)
-	}
-
 	ccfg := rca.DefaultCorpus()
 	ccfg.AuxModules = *aux
 	ccfg.Seed = *seed
@@ -208,7 +201,6 @@ func main() {
 		rca.WithEnsembleSize(*ensemble),
 		rca.WithExpSize(*runs),
 		rca.WithSampler(strategy),
-		rca.WithEngine(engKind),
 	}
 	if *parallel > 0 {
 		opts = append(opts, rca.WithParallelism(*parallel))
@@ -296,7 +288,7 @@ func main() {
 // serverIgnored lists the flags that only configure an in-process run:
 // a -server client cannot forward them to the daemon, so setting one
 // would otherwise be silently ignored.
-var serverIgnored = []string{"dot", "sampler", "magnitudes", "engine", "parallel", "store"}
+var serverIgnored = []string{"dot", "sampler", "magnitudes", "parallel", "store"}
 
 // unforwardable returns, in serverIgnored order, the explicitly set
 // flags (set holds flag.Visit's names) a -server run would ignore.

@@ -16,8 +16,8 @@ func TestUnforwardable(t *testing.T) {
 		{nil, nil},
 		{[]string{"server", "experiment", "aux", "seed", "ensemble", "runs", "topk", "table1"}, nil},
 		{[]string{"server", "dot"}, []string{"dot"}},
-		{[]string{"store", "server", "engine", "sampler", "parallel", "magnitudes", "dot"},
-			[]string{"dot", "sampler", "magnitudes", "engine", "parallel", "store"}},
+		{[]string{"store", "server", "sampler", "parallel", "magnitudes", "dot"},
+			[]string{"dot", "sampler", "magnitudes", "parallel", "store"}},
 	} {
 		set := map[string]bool{}
 		for _, name := range tc.set {

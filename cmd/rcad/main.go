@@ -67,7 +67,6 @@ func main() {
 		runs     = flag.Int("runs", 10, "experimental run count")
 		sampler  = flag.String("sampler", "value", "sampler: value | reach | graded")
 		parallel = flag.Int("parallel", 0, "worker pool per investigation (0 = GOMAXPROCS)")
-		engine   = flag.String("engine", "bytecode", "execution engine: bytecode (compiled register VM, default) | tree (AST-walking oracle)")
 		workers  = flag.Int("workers", 2, "concurrent pipeline executions")
 		queue    = flag.Int("queue", 64, "bounded job-queue capacity")
 		storeDir = flag.String("store", "", "artifact store directory: persist corpora, compiled programs, metagraphs and outcomes so restarts serve warm and concurrent daemons share work")
@@ -105,12 +104,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	engKind, err := rca.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rcad:", err)
-		os.Exit(2)
-	}
-
 	if *workerID != "" && *storeDir == "" {
 		fmt.Fprintln(os.Stderr, "rcad: -worker-id requires -store")
 		os.Exit(2)
@@ -122,6 +115,7 @@ func main() {
 		if *storeMax > 0 {
 			sopts = append(sopts, rca.WithStoreMaxBytes(*storeMax))
 		}
+		var err error
 		store, err = rca.OpenArtifactStore(*storeDir, sopts...)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rcad:", err)
@@ -139,7 +133,6 @@ func main() {
 		rca.WithEnsembleSize(*ensemble),
 		rca.WithExpSize(*runs),
 		rca.WithSampler(strategy),
-		rca.WithEngine(engKind),
 	}
 	if *parallel > 0 {
 		opts = append(opts, rca.WithParallelism(*parallel))

@@ -3,16 +3,21 @@ package rca
 import (
 	"context"
 	"testing"
+
+	"github.com/climate-rca/rca/internal/experiments"
+	"github.com/climate-rca/rca/internal/model"
 )
 
 // equivSession builds a small-corpus session on the given engine with
 // an aggressive parallel fan-out, so the equivalence holds under
-// concurrent scheduling too (run with -race in CI).
-func equivSession(engine EngineKind) *Session {
+// concurrent scheduling too (run with -race in CI). The tree walker is
+// reachable only through experiments.WithEngine: it is the VM's
+// differential reference, not a user-facing choice.
+func equivSession(engine model.EngineKind) *Session {
 	return NewSession(CorpusConfig{AuxModules: 16, Seed: 4},
 		WithEnsembleSize(14), WithExpSize(5),
 		WithParallelism(8), WithWorkers(4),
-		WithEngine(engine))
+		experiments.WithEngine(engine))
 }
 
 // TestEnginesBitIdenticalAcrossCatalog is the deterministic-equivalence
@@ -25,11 +30,11 @@ func TestEnginesBitIdenticalAcrossCatalog(t *testing.T) {
 	ctx := context.Background()
 	scs := AllExperiments()
 
-	tree, err := equivSession(EngineTree).RunAll(ctx, scs)
+	tree, err := equivSession(model.EngineTree).RunAll(ctx, scs)
 	if err != nil {
 		t.Fatalf("tree engine: %v", err)
 	}
-	vm, err := equivSession(EngineBytecode).RunAll(ctx, scs)
+	vm, err := equivSession(model.EngineBytecode).RunAll(ctx, scs)
 	if err != nil {
 		t.Fatalf("bytecode engine: %v", err)
 	}
@@ -54,11 +59,11 @@ func TestEnginesTable1Identical(t *testing.T) {
 	ctx := context.Background()
 	setup := Table1Setup{ExpSize: 3, TopK: 4, RandomSamples: 2}
 
-	rowsTree, err := equivSession(EngineTree).Table1(ctx, setup)
+	rowsTree, err := equivSession(model.EngineTree).Table1(ctx, setup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowsVM, err := equivSession(EngineBytecode).Table1(ctx, setup)
+	rowsVM, err := equivSession(model.EngineBytecode).Table1(ctx, setup)
 	if err != nil {
 		t.Fatal(err)
 	}

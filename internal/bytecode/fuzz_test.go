@@ -291,7 +291,7 @@ func diffVsTree(t *testing.T, src string, mods []*fortran.Module, prog *Program,
 // FuzzBytecodeVsTree generates FortLite programs and asserts the
 // bytecode VM and the tree walker produce bit-identical Outputs,
 // Kernel and AllValues maps — the differential pin behind making the
-// VM the default engine.
+// VM the only production engine.
 func FuzzBytecodeVsTree(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)

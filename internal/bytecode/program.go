@@ -1,6 +1,6 @@
 // Package bytecode compiles FortLite modules into a register-based
 // bytecode program and executes it on a stack-of-frames VM. It is the
-// default execution engine behind interp.Engine: semantic analysis
+// production execution engine behind interp.Engine: semantic analysis
 // resolves every variable, derived-type field and call target to an
 // integer slot at compile time, scalars live unboxed in flat []float64
 // register files, and column fields in preallocated flat arrays — so

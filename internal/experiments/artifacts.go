@@ -91,10 +91,10 @@ func (s *Session) corpusFor(ctx context.Context, key string, cfg corpus.Config, 
 // rebinds) — one program blob per shape across every process on the
 // store. Later runners of that shape rebind the in-process program and
 // touch no blob at all. Best-effort: any store trouble just leaves the
-// runner to compile lazily as before. Tree-engine sessions never touch
+// runner to compile lazily as before. Only bytecode sessions touch
 // program artifacts.
 func (s *Session) restoreProgram(ctx context.Context, r *model.Runner) {
-	if s.store == nil || s.engine == model.EngineTree {
+	if s.store == nil || s.engine != model.EngineBytecode {
 		return
 	}
 	key := r.ProgramKey()

@@ -204,11 +204,12 @@ func WithWorkers(n int) Option {
 }
 
 // WithEngine selects the execution engine for every integration the
-// session runs: the bytecode register VM (the default — each source
-// fingerprint compiles once, under the same cache layer rcad's
-// singleflight dedup reuses across jobs) or the tree-walking
-// interpreter (the reference oracle). The engines are pinned
-// bit-identical, so this is purely a throughput knob.
+// session runs: the bytecode register VM (the default — each program
+// shape compiles once, under the same cache layer rcad's singleflight
+// dedup reuses across jobs) or the tree-walking interpreter (the
+// reference oracle). The engines are pinned bit-identical, so this
+// exists only as the differential-test hook; no CLI, daemon or root
+// package option exposes it.
 func WithEngine(k model.EngineKind) Option {
 	return func(s *Session) { s.engine = k }
 }
@@ -326,10 +327,6 @@ func (s *Session) runnerFor(ctx context.Context, key string, cfg corpus.Config, 
 		return r, nil
 	})
 }
-
-// Engine reports the session's execution engine name ("bytecode" or
-// "tree") — the label rcad's metrics attach to its job counters.
-func (s *Session) Engine() string { return s.engine.String() }
 
 // LassoStats reports how many §3 selection-stage lasso fits the
 // session has run and the total proximal-gradient iterations they

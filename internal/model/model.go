@@ -4,11 +4,11 @@
 // the step-9 output global means the consistency test consumes
 // (UF-CAM-ECT evaluates at time step nine, paper §2.1).
 //
-// Two engines implement the integration substrate: the bytecode
-// register VM (internal/bytecode, the default — compiled once per
-// Runner and cached) and the tree-walking interpreter
-// (internal/interp, the reference oracle). Their outputs are pinned
-// bit-identical, so the choice is purely a throughput knob.
+// Integrations run on the bytecode register VM (internal/bytecode,
+// compiled once per Runner shape and cached), coverage traces
+// included. The tree-walking interpreter (internal/interp) is its
+// differential reference: NewRunnerEngine(c, EngineTree) selects it
+// for the tests that pin the two engines bit-identical.
 package model
 
 import (
@@ -37,38 +37,15 @@ const (
 	RNGMersenne
 )
 
-// EngineKind selects the execution engine for an integration.
+// EngineKind selects the execution engine a Runner integrates on.
 type EngineKind int
 
-// Engine choices. The zero value defers to the Runner's default,
-// which is the bytecode VM unless the Runner was built with
-// NewRunnerEngine(..., EngineTree).
+// Engine choices. The zero value is the bytecode VM; EngineTree is
+// the tree-walking reference oracle.
 const (
-	EngineDefault EngineKind = iota
-	EngineBytecode
+	EngineBytecode EngineKind = iota
 	EngineTree
 )
-
-// String names the engine for metrics and CLI output.
-func (k EngineKind) String() string {
-	switch k {
-	case EngineTree:
-		return "tree"
-	default:
-		return "bytecode"
-	}
-}
-
-// ParseEngine maps CLI flag values onto engine kinds.
-func ParseEngine(s string) (EngineKind, error) {
-	switch s {
-	case "", "bytecode":
-		return EngineBytecode, nil
-	case "tree":
-		return EngineTree, nil
-	}
-	return EngineDefault, fmt.Errorf("model: unknown engine %q (want bytecode or tree)", s)
-}
 
 // RunConfig configures one model integration.
 type RunConfig struct {
@@ -98,8 +75,6 @@ type RunConfig struct {
 	// StopAfter limits the number of steps (0 = full 9 steps); the
 	// coverage filter runs only 2 steps, per §2.1.
 	StopAfter int
-	// Engine overrides the Runner's execution engine for this run.
-	Engine EngineKind
 }
 
 // Result is one completed integration.
@@ -128,28 +103,20 @@ type Runner struct {
 	rebinds atomic.Uint64
 }
 
-// NewRunner parses the corpus once; integrations default to the
-// bytecode engine.
+// NewRunner parses the corpus once; integrations run on the bytecode
+// VM.
 func NewRunner(c *corpus.Corpus) (*Runner, error) {
-	return NewRunnerEngine(c, EngineDefault)
+	return NewRunnerEngine(c, EngineBytecode)
 }
 
-// NewRunnerEngine parses the corpus once and fixes the default
-// execution engine for its integrations.
+// NewRunnerEngine parses the corpus once and fixes the execution
+// engine for all its integrations.
 func NewRunnerEngine(c *corpus.Corpus, engine EngineKind) (*Runner, error) {
 	mods, err := c.Parse()
 	if err != nil {
 		return nil, err
 	}
 	return &Runner{Corpus: c, Modules: mods, engine: engine, shape: fortran.ShapeKey(mods)}, nil
-}
-
-// Engine reports the Runner's default engine.
-func (r *Runner) Engine() EngineKind {
-	if r.engine == EngineTree {
-		return EngineTree
-	}
-	return EngineBytecode
 }
 
 // progCache shares compiled programs process-wide, keyed by the shape
@@ -277,11 +244,7 @@ func (r *Runner) engineFor(cfg RunConfig, src rng.Source) (interp.Engine, error)
 		KernelWatch: cfg.KernelWatch,
 		SnapshotAll: cfg.SnapshotAll,
 	}
-	kind := cfg.Engine
-	if kind == EngineDefault {
-		kind = r.Engine()
-	}
-	if kind == EngineTree {
+	if r.engine == EngineTree {
 		return interp.NewMachine(r.Modules, icfg)
 	}
 	return r.Program().NewVM(icfg)
@@ -290,23 +253,8 @@ func (r *Runner) engineFor(cfg RunConfig, src rng.Source) (interp.Engine, error)
 // Run integrates the model per cfg and returns the step-9 output
 // means.
 func (r *Runner) Run(cfg RunConfig) (*Result, error) {
-	if cfg.Ncol == 0 {
-		cfg.Ncol = 16
-	}
-	if cfg.PertScale == 0 {
-		cfg.PertScale = 1e-9
-	}
-	if cfg.RNGSeed == 0 {
-		cfg.RNGSeed = 777
-	}
-	var src rng.Source
-	switch cfg.RNG {
-	case RNGMersenne:
-		src = rng.NewMT19937(cfg.RNGSeed)
-	default:
-		src = rng.NewKISS(cfg.RNGSeed)
-	}
-	eng, err := r.engineFor(cfg, src)
+	cfg, srcs := withDefaults(cfg, 1)
+	eng, err := r.engineFor(cfg, srcs[0])
 	if err != nil {
 		return nil, err
 	}
@@ -337,18 +285,14 @@ func (r *Runner) Run(cfg RunConfig) (*Result, error) {
 // through Run. Members share everything except the perturbation seed,
 // so the lanes execute the same instruction stream and diverge only at
 // data-dependent branches. Configurations the batched engine cannot
-// express (the tree engine, Trace callbacks) and single-member sets
-// fall back to solo runs. On failure the error of the lowest failing
-// member is returned, wrapped exactly as Run wraps it.
+// express (a tree-engine Runner, Trace callbacks) and single-member
+// sets fall back to solo runs. On failure the error of the lowest
+// failing member is returned, wrapped exactly as Run wraps it.
 func (r *Runner) RunBatchMeans(base RunConfig, members []int) ([]ect.RunOutput, error) {
 	if len(members) == 0 {
 		return nil, nil
 	}
-	kind := base.Engine
-	if kind == EngineDefault {
-		kind = r.Engine()
-	}
-	if kind == EngineTree || base.Trace != nil || len(members) == 1 {
+	if r.engine == EngineTree || base.Trace != nil || len(members) == 1 {
 		out := make([]ect.RunOutput, len(members))
 		for i, m := range members {
 			cfg := base
@@ -361,26 +305,8 @@ func (r *Runner) RunBatchMeans(base RunConfig, members []int) ([]ect.RunOutput, 
 		}
 		return out, nil
 	}
-	cfg := base
-	if cfg.Ncol == 0 {
-		cfg.Ncol = 16
-	}
-	if cfg.PertScale == 0 {
-		cfg.PertScale = 1e-9
-	}
-	if cfg.RNGSeed == 0 {
-		cfg.RNGSeed = 777
-	}
 	nl := len(members)
-	rngs := make([]rng.Source, nl)
-	for i := range rngs {
-		switch cfg.RNG {
-		case RNGMersenne:
-			rngs[i] = rng.NewMT19937(cfg.RNGSeed)
-		default:
-			rngs[i] = rng.NewKISS(cfg.RNGSeed)
-		}
-	}
+	cfg, rngs := withDefaults(base, nl)
 	vm, err := r.Program().NewBatchVM(interp.Config{
 		Ncol:        cfg.Ncol,
 		FMA:         cfg.FMA,
@@ -435,6 +361,30 @@ func (r *Runner) RunBatchMeans(base RunConfig, members []int) ([]ect.RunOutput, 
 		out[l] = vm.LaneResults(l).OutputMeans()
 	}
 	return out, nil
+}
+
+// withDefaults fills cfg's zero-valued Ncol, PertScale and RNGSeed
+// and returns it with n fresh random_number generators, one per lane,
+// all seeded alike.
+func withDefaults(cfg RunConfig, n int) (RunConfig, []rng.Source) {
+	if cfg.Ncol == 0 {
+		cfg.Ncol = 16
+	}
+	if cfg.PertScale == 0 {
+		cfg.PertScale = 1e-9
+	}
+	if cfg.RNGSeed == 0 {
+		cfg.RNGSeed = 777
+	}
+	srcs := make([]rng.Source, n)
+	for i := range srcs {
+		if cfg.RNG == RNGMersenne {
+			srcs[i] = rng.NewMT19937(cfg.RNGSeed)
+		} else {
+			srcs[i] = rng.NewKISS(cfg.RNGSeed)
+		}
+	}
+	return cfg, srcs
 }
 
 // perturb applies the member-specific initial-condition perturbation:

@@ -271,19 +271,68 @@ func TestRunBatchMeansVariants(t *testing.T) {
 }
 
 func TestRunBatchMeansTreeFallback(t *testing.T) {
-	r := runnerFor(t, corpus.Config{AuxModules: 20, Seed: 2})
-	batched, err := r.RunBatchMeans(RunConfig{Engine: EngineTree}, []int{0, 1})
+	r, err := NewRunnerEngine(corpus.Generate(corpus.Config{AuxModules: 20, Seed: 2}), EngineTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batched, err := r.RunBatchMeans(RunConfig{}, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, m := range []int{0, 1} {
-		solo, err := r.Run(RunConfig{Member: m, Engine: EngineTree})
+		solo, err := r.Run(RunConfig{Member: m})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for k, v := range solo.Means {
 			if math.Float64bits(batched[i][k]) != math.Float64bits(v) {
 				t.Fatalf("member %d output %s differs under tree fallback", m, k)
+			}
+		}
+	}
+	if _, misses := r.CompileStats(); misses != 0 {
+		t.Fatalf("tree-engine runner compiled %d bytecode programs", misses)
+	}
+}
+
+// TestTraceSequenceMatchesTree pins the coverage trace the VM reports
+// through RunConfig.Trace against the tree walker's: the same
+// (module, subprogram) entries in the same order on a two-step
+// coverage run, on the bench-sized corpus clean and with a catalog
+// patch applied. Production coverage filtering runs on the VM alone,
+// so this sequence is all it sees.
+func TestTraceSequenceMatchesTree(t *testing.T) {
+	clean := corpus.Generate(corpus.Config{AuxModules: 40, Seed: 2})
+	gg, err := corpus.Apply(clean, corpus.GoffGratchPatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := func(c *corpus.Corpus, kind EngineKind) []string {
+		r, err := NewRunnerEngine(c, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seq []string
+		_, err = r.Run(RunConfig{
+			StopAfter: 2,
+			Trace:     func(mod, sub string) { seq = append(seq, mod+"::"+sub) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq
+	}
+	for name, c := range map[string]*corpus.Corpus{"clean": clean, "GOFFGRATCH": gg} {
+		vm, tree := trace(c, EngineBytecode), trace(c, EngineTree)
+		if len(vm) == 0 {
+			t.Fatalf("%s: empty trace", name)
+		}
+		if len(vm) != len(tree) {
+			t.Fatalf("%s: VM traced %d entries, tree %d", name, len(vm), len(tree))
+		}
+		for i := range vm {
+			if vm[i] != tree[i] {
+				t.Fatalf("%s: entry %d: VM %s, tree %s", name, i, vm[i], tree[i])
 			}
 		}
 	}

@@ -30,7 +30,7 @@ func metricValue(t *testing.T, base, name string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := regexp.MustCompile(`(?m)^` + name + `(?:\{[^}]*\})? (\d+)$`).FindSubmatch(data)
+	m := regexp.MustCompile(`(?m)^` + name + ` (\d+)$`).FindSubmatch(data)
 	if m == nil {
 		t.Fatalf("metric %s not found in:\n%s", name, data)
 	}

@@ -349,7 +349,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if q, err := s.jobQueue(); err == nil {
 		rs.DeadLettered = q.FailedCount()
 	}
-	s.m.write(w, s.session.Engine(), len(s.queue), s.inflight(), ss, s.artifacts.Stats(), rs)
+	s.m.write(w, len(s.queue), s.inflight(), ss, s.artifacts.Stats(), rs)
 }
 
 // deadLettered looks an id up in the shared queue's dead-letter

@@ -31,18 +31,15 @@ type metrics struct {
 	searchIncumbentUpdates atomic.Int64 // best-known-solution improvements
 }
 
-// write renders the counters plus the gauges the server derives live.
-// Every job series carries the session's execution-engine label
-// (engine="bytecode" or engine="tree"), and the session's
-// compile-cache, lasso and refinement-memo counters are reported
-// alongside.
-func (m *metrics) write(w io.Writer, engine string, queueDepth, inflight int, ss sessionStats, as artifact.Stats, rs robustStats) {
-	lbl := fmt.Sprintf(`{engine=%q}`, engine)
+// write renders the counters plus the gauges the server derives live,
+// the session's compile-cache, lasso and refinement-memo counters
+// among them. No series carries a label.
+func (m *metrics) write(w io.Writer, queueDepth, inflight int, ss sessionStats, as artifact.Stats, rs robustStats) {
 	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP rcad_%s %s\n# TYPE rcad_%s counter\nrcad_%s%s %d\n", name, help, name, name, lbl, v)
+		fmt.Fprintf(w, "# HELP rcad_%s %s\n# TYPE rcad_%s counter\nrcad_%s %d\n", name, help, name, name, v)
 	}
 	gauge := func(name, help string, v int) {
-		fmt.Fprintf(w, "# HELP rcad_%s %s\n# TYPE rcad_%s gauge\nrcad_%s%s %d\n", name, help, name, name, lbl, v)
+		fmt.Fprintf(w, "# HELP rcad_%s %s\n# TYPE rcad_%s gauge\nrcad_%s %d\n", name, help, name, name, v)
 	}
 	counter("jobs_submitted_total", "Accepted job submissions.", m.jobsSubmitted.Load())
 	counter("jobs_deduped_total", "Submissions that joined an identical in-flight execution.", m.jobsDeduped.Load())

@@ -44,4 +44,23 @@ func TestRetryDelayHonorsConfiguredCap(t *testing.T) {
 	if d := srv2.retryDelay("fp", 30); d < artifact.DefaultBackoffMax {
 		t.Fatalf("default cap: attempt 30 delay %v below %v", d, artifact.DefaultBackoffMax)
 	}
+
+	// Worker mode: the shared queue on a disk-backed store follows the
+	// same policy, so its backoff caps at the configured max too.
+	store, err := rca.OpenArtifactStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv3 := New(Config{Session: session, Artifacts: store, RetryBase: base, RetryMax: max})
+	defer srv3.Close()
+	q, err := srv3.jobQueue()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.BackoffBase != base || q.BackoffMax != max {
+		t.Fatalf("queue backoff base/max = %v/%v, want %v/%v", q.BackoffBase, q.BackoffMax, base, max)
+	}
+	if d := artifact.Backoff("fp", 30, q.BackoffBase, q.BackoffMax); d < max || d >= max+base {
+		t.Fatalf("queue attempt 30: delay %v outside [%v, %v)", d, max, max+base)
+	}
 }

@@ -47,9 +47,10 @@ func (s *Server) jobQueue() (*artifact.Queue, error) {
 		}
 		// The queue's retry policy follows the server's: one -max-attempts
 		// budget governs both in-process flight retries and cross-process
-		// claim counting.
+		// claim counting, under one backoff base and cap.
 		q.MaxAttempts = s.maxAttempts
 		q.BackoffBase = s.retryBase
+		q.BackoffMax = s.retryMax
 		s.q = q
 	}
 	return s.q, nil

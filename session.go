@@ -6,7 +6,6 @@ import (
 	"github.com/climate-rca/rca/internal/core"
 	"github.com/climate-rca/rca/internal/ect"
 	"github.com/climate-rca/rca/internal/experiments"
-	"github.com/climate-rca/rca/internal/model"
 )
 
 // Session is the compile-once, run-many entry point: constructed once
@@ -110,31 +109,6 @@ func WithRefineOptions(o RefineOptions) Option { return experiments.WithRefineOp
 
 // WithWorkers bounds RunAll's concurrent fan-out (default GOMAXPROCS).
 func WithWorkers(n int) Option { return experiments.WithWorkers(n) }
-
-// EngineKind selects the execution engine integrations run on: the
-// bytecode register VM (EngineBytecode, the default) or the
-// tree-walking interpreter (EngineTree, the reference oracle). The two
-// are pinned bit-identical — same Outputs, Kernel, AllValues,
-// FormatOutcome bytes — so the choice is purely a throughput knob;
-// the VM runs the six-spec pipeline several times faster.
-type EngineKind = model.EngineKind
-
-// Engine choices for WithEngine.
-const (
-	EngineBytecode = model.EngineBytecode
-	EngineTree     = model.EngineTree
-)
-
-// ParseEngine maps a CLI flag value ("bytecode" or "tree") onto an
-// engine kind.
-func ParseEngine(s string) (EngineKind, error) { return model.ParseEngine(s) }
-
-// WithEngine selects the session's execution engine. The default is
-// the bytecode VM: each source fingerprint's FortLite modules are
-// compiled once to a register program — the Session's cached build
-// artifact, shared by every ensemble member, scenario and (through
-// rcad's dedup) concurrent job that uses the same sources.
-func WithEngine(k EngineKind) Option { return experiments.WithEngine(k) }
 
 // WithParallelism bounds the worker pool used inside one investigation
 // (default GOMAXPROCS): ensemble and experimental-set members integrate
