@@ -53,8 +53,9 @@ func (c *Corpus) Encode() ([]byte, error) {
 }
 
 // Decode reconstructs a corpus from Encode bytes. The result behaves
-// identically to the generated original — Parse still shares modules
-// through the process-wide parse cache by source text.
+// identically to the generated original: its file texts are the
+// process's canonical copies, and Parse shares modules through the
+// process-wide parse cache by source text.
 func Decode(data []byte) (*Corpus, error) {
 	r := binenc.NewReader(data)
 	if v := r.U32(); v != corpusCodecVersion {
@@ -96,6 +97,9 @@ func Decode(data []byte) (*Corpus, error) {
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
+	}
+	for i := range c.Files {
+		c.Files[i].Source = intern(c.Files[i].Source)
 	}
 	return c, nil
 }

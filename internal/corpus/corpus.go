@@ -143,50 +143,127 @@ func (c *Corpus) Config() Config { return c.cfg }
 
 func (c *Corpus) add(name, component string, core bool, src string) {
 	modName := strings.TrimSuffix(name, ".F90")
-	c.Files = append(c.Files, File{Name: name, Source: src, Component: component, Core: core})
+	c.Files = append(c.Files, File{Name: name, Source: intern(src), Component: component, Core: core})
 	c.ComponentOf[modName] = component
 }
 
-// parseCache memoizes per-file parses by exact source text. Patched
-// corpora differ from the clean build in one file, so the other ~hundred
-// parse once per process instead of once per source fingerprint; parsed
-// modules are immutable (every consumer — metagraph, coverage, both
-// execution engines — reads the AST only), so sharing them is safe.
-// The cache is capped, not evicted: corpus files are generated from a
-// bounded configuration space.
+// The parse layer keeps one process-wide copy of each distinct file
+// text and of each distinct parsed subprogram.
+//
+// parseCache maps a file text to its entry: the canonical copy of the
+// text, which every corpus holding that text shares (Generate, Decode
+// and Apply store their texts through it), and the text's modules once
+// parsed. A `param:` perturbation changes module-level parameter lines
+// only: every file it leaves alone is a hit, and the files it changes
+// (one for `turbcoef` or `fmagain`, every `aux_phys` file for
+// `auxfmagain`) parse once per value.
+//
+// Those parses share their subprograms through subprograms, keyed by
+// the enclosing module's name and the subprogram's exact tokens
+// (fortran.ParseFileShared): the perturbed line sits in a module
+// header, so a perturbed module keeps its own uses, declarations and
+// initializers but takes the clean tree's subprogram nodes. The key
+// holds the module name because the bytecode compiler keys its tables
+// by node pointer, so no two modules of one tree may share a node.
+//
+// Parsed modules are immutable: every consumer (metagraph, coverage,
+// both execution engines, the patch engine) only reads them, so sharing
+// is safe. fortran.ParseFile stays fresh for code that needs a tree of
+// its own to edit. Both caches are capped, not evicted: corpus files
+// are generated from a bounded configuration space.
 var (
-	parseCache     sync.Map // source string → []*fortran.Module
+	parseCache     sync.Map // text → *source
 	parseCacheSize atomic.Int64
+
+	subprograms      sync.Map // fortran.ParseFileShared key → *fortran.Subprogram
+	subprogramsSize  atomic.Int64
+	subprogramShares atomic.Uint64
 )
 
-const parseCacheMax = 8192
+const (
+	parseCacheMax  = 8192
+	subprogramsMax = 8 * parseCacheMax // a file holds a few subprograms
+)
 
-func parseFileCached(src string) ([]*fortran.Module, error) {
-	if v, ok := parseCache.Load(src); ok {
-		return v.([]*fortran.Module), nil
+// source is one parse-cache entry.
+type source struct {
+	text string
+	mods atomic.Pointer[[]*fortran.Module] // nil until parsed
+}
+
+// cached returns text's parse-cache entry, adding it while the cache
+// has room.
+func cached(text string) *source {
+	if v, ok := parseCache.Load(text); ok {
+		return v.(*source)
 	}
-	ms, err := fortran.ParseFile(src)
-	if err != nil {
-		return nil, err
-	}
+	s := &source{text: text}
 	if parseCacheSize.Load() < parseCacheMax {
-		if v, loaded := parseCache.LoadOrStore(src, ms); loaded {
-			// A concurrent first parse won the race: return its modules
-			// so identical sources always share pointer identity.
-			return v.([]*fortran.Module), nil
+		if v, loaded := parseCache.LoadOrStore(text, s); loaded {
+			return v.(*source)
 		}
 		parseCacheSize.Add(1)
 	}
-	return ms, nil
+	return s
 }
 
+// intern returns the process's canonical copy of text.
+func intern(text string) string { return cached(text).text }
+
+// parseCached returns the canonical copy of text and its modules,
+// parsing it on first use.
+func parseCached(text string) (string, []*fortran.Module, error) {
+	s := cached(text)
+	if ms := s.mods.Load(); ms != nil {
+		return s.text, *ms, nil
+	}
+	ms, err := fortran.ParseFileShared(s.text, shareSubprogram)
+	if err != nil {
+		// Keep no entry for a text that does not parse (a rejected
+		// patch).
+		if parseCache.CompareAndDelete(s.text, s) {
+			parseCacheSize.Add(-1)
+		}
+		return "", nil, err
+	}
+	if !s.mods.CompareAndSwap(nil, &ms) {
+		// A concurrent first parse won the race: return its modules
+		// so identical texts always share pointer identity.
+		ms = *s.mods.Load()
+	}
+	return s.text, ms, nil
+}
+
+// shareSubprogram returns the table's subprogram for key, adding sub
+// while the table has room.
+func shareSubprogram(key [32]byte, sub *fortran.Subprogram) *fortran.Subprogram {
+	if v, ok := subprograms.Load(key); ok {
+		subprogramShares.Add(1)
+		return v.(*fortran.Subprogram)
+	}
+	if subprogramsSize.Load() < subprogramsMax {
+		if v, loaded := subprograms.LoadOrStore(key, sub); loaded {
+			subprogramShares.Add(1)
+			return v.(*fortran.Subprogram)
+		}
+		subprogramsSize.Add(1)
+	}
+	return sub
+}
+
+// SubprogramShares counts, process-wide, the parsed subprograms a
+// module took from the parse layer's table instead of keeping its own
+// fresh parse. rcad reports it at /metrics.
+func SubprogramShares() uint64 { return subprogramShares.Load() }
+
 // Parse parses every file into FortLite modules, in generation order
-// (which is a valid use-dependency order). Per-file results are shared
-// through a process-wide content-addressed cache.
+// (which is a valid use-dependency order). Files share their modules
+// through the process-wide parse cache, and modules share their
+// subprograms through its table, so the result must not be modified.
 func (c *Corpus) Parse() ([]*fortran.Module, error) {
 	var mods []*fortran.Module
 	for _, f := range c.Files {
-		ms, err := parseFileCached(f.Source)
+		_, ms, err := parseCached(f.Source)
 		if err != nil {
 			return nil, fmt.Errorf("corpus: %s: %w", f.Name, err)
 		}

@@ -136,8 +136,9 @@ func FormatFactor(f float64) string {
 
 // Apply returns a copy of the corpus with the patches applied in
 // order. The original corpus is not modified; patches on the same file
-// compose. Each edited file is re-parsed for validation, so the
-// returned corpus always lexes, parses and interprets.
+// compose. Each edited file is parsed once, through the parse cache,
+// for validation, so the returned corpus always lexes, parses and
+// interprets, and its Parse finds every file already parsed.
 func Apply(c *Corpus, patches ...Patch) (*Corpus, error) {
 	out := &Corpus{
 		Files:            append([]File(nil), c.Files...),
@@ -157,8 +158,8 @@ func Apply(c *Corpus, patches ...Patch) (*Corpus, error) {
 	return out, nil
 }
 
-// applyOne locates the patch target through the AST and edits the
-// file in place (out.Files entries are value copies).
+// applyOne locates the patch target through the cached AST and edits
+// the file in place (out.Files entries are value copies).
 func applyOne(c *Corpus, p Patch) error {
 	t := p.target()
 	fi := -1
@@ -168,7 +169,7 @@ func applyOne(c *Corpus, p Patch) error {
 		if t.Module != "" && modName != strings.ToLower(t.Module) {
 			continue
 		}
-		mods, err := fortran.ParseFile(c.Files[i].Source)
+		_, mods, err := parseCached(c.Files[i].Source)
 		if err != nil {
 			return fmt.Errorf("corpus: %s: %w", c.Files[i].Name, err)
 		}
@@ -214,8 +215,8 @@ func applyOne(c *Corpus, p Patch) error {
 		return err
 	}
 	lines[line-1] = edited
-	src := strings.Join(lines, "\n")
-	if _, err := fortran.ParseFile(src); err != nil {
+	src, _, err := parseCached(strings.Join(lines, "\n"))
+	if err != nil {
 		return fmt.Errorf("%w: %s: patched source no longer parses: %v", ErrBadPatch, t, err)
 	}
 	c.Files[fi].Source = src

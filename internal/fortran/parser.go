@@ -1,6 +1,8 @@
 package fortran
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"strconv"
 )
@@ -9,15 +11,35 @@ import (
 type Parser struct {
 	toks []Token
 	pos  int
+	// share, when set, picks the node a module keeps for each parsed
+	// subprogram (ParseFileShared); keyBuf is its reused key buffer.
+	share  func(key [32]byte, sub *Subprogram) *Subprogram
+	keyBuf []byte
 }
 
 // ParseFile lexes and parses src, returning every module it contains.
+// Every call returns a fresh tree that shares no node with any other.
 func ParseFile(src string) ([]*Module, error) {
+	return ParseFileShared(src, nil)
+}
+
+// ParseFileShared parses src like ParseFile, except that each parsed
+// subprogram is passed to share, and the module keeps the node share
+// returns: the fresh one, or an equal one parsed earlier. key is the
+// SHA-256 of the enclosing module's name and exactly the tokens the
+// subprogram was parsed from (kind, text and line of each), so equal
+// keys mean equal subtrees, and subprograms of differently named
+// modules never share a key. Module headers (uses, types, declarations
+// and their initializers, interfaces) are always fresh, and Shape and
+// Lits are computed over the kept subprograms, with the values a fresh
+// parse gives. A caller that shares nodes across trees must treat every
+// tree it returns as immutable. A nil share keeps every fresh node.
+func ParseFileShared(src string, share func(key [32]byte, sub *Subprogram) *Subprogram) ([]*Module, error) {
 	toks, err := NewLexer(src).Tokens()
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks}
+	p := &Parser{toks: toks, share: share}
 	var mods []*Module
 	p.skipNewlines()
 	for !p.at(EOF) {
@@ -175,9 +197,13 @@ containsPart:
 			return nil, err
 		}
 		for p.atKeyword("subroutine") || p.atKeyword("function") || p.atKeyword("elemental") {
+			start := p.pos
 			sub, err := p.parseSubprogram()
 			if err != nil {
 				return nil, err
+			}
+			if p.share != nil {
+				sub = p.share(p.subprogramKey(m.Name, p.toks[start:p.pos]), sub)
 			}
 			m.Subprograms = append(m.Subprograms, sub)
 		}
@@ -195,6 +221,22 @@ containsPart:
 		return nil, err
 	}
 	return m, nil
+}
+
+// subprogramKey serializes the module name and the subprogram's tokens
+// unambiguously (every string length-prefixed) into one buffer and
+// hashes it in a single call.
+func (p *Parser) subprogramKey(module string, toks []Token) [32]byte {
+	b := binary.AppendUvarint(p.keyBuf[:0], uint64(len(module)))
+	b = append(b, module...)
+	for _, t := range toks {
+		b = binary.AppendUvarint(b, uint64(t.Kind))
+		b = binary.AppendUvarint(b, uint64(len(t.Text)))
+		b = append(b, t.Text...)
+		b = binary.AppendUvarint(b, uint64(t.Line))
+	}
+	p.keyBuf = b
+	return sha256.Sum256(b)
 }
 
 // peekIsTypeDef distinguishes `type foo` / `type :: foo` (definition)

@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"math"
 	"sync"
 	"testing"
 
@@ -153,6 +154,78 @@ func TestRunnerConcurrentParamVariants(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("runner %d: program differs from a fresh compile of its tree", i)
+		}
+	}
+}
+
+// TestSharedTreeMatchesFreshParse is the differential check behind
+// the parse layer's subprogram sharing: a Runner over a parameter
+// perturbation, whose changed modules hold the clean tree's subprogram
+// nodes, compiles to the same program bytes and integrates to the same
+// bits as a Runner over fresh ParseFile trees of the same files.
+func TestSharedTreeMatchesFreshParse(t *testing.T) {
+	base := corpus.Config{AuxModules: 12, Seed: 77}
+	clean, err := NewRunner(corpus.Generate(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := base
+	cfg.AuxFMAGain = 0.0173
+	c := corpus.Generate(cfg)
+	shared, err := NewRunner(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh []*fortran.Module
+	sharedSubs := 0
+	for i, f := range c.Files {
+		ms, err := fortran.ParseFile(f.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh = append(fresh, ms...)
+		if m := shared.Modules[i]; m != clean.Modules[i] && len(m.Subprograms) > 0 &&
+			m.Subprograms[0] == clean.Modules[i].Subprograms[0] {
+			sharedSubs++
+		}
+	}
+	if sharedSubs == 0 {
+		t.Fatal("no changed module of the perturbed tree shares the clean tree's subprograms")
+	}
+	freshRunner := &Runner{Corpus: c, Modules: fresh}
+
+	enc := func(p *bytecode.Program) []byte {
+		t.Helper()
+		b, err := bytecode.EncodeProgram(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := enc(freshRunner.Program())
+	if !bytes.Equal(enc(bytecode.Compile(shared.Modules)), want) {
+		t.Fatal("compiling the shared tree differs from compiling fresh trees")
+	}
+	if !bytes.Equal(enc(shared.Program()), want) {
+		t.Fatal("the shared Runner's program differs from the fresh Runner's")
+	}
+	members := []int{0, 1, 2, 1000}
+	got, err := shared.RunBatchMeans(RunConfig{}, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := freshRunner.RunBatchMeans(RunConfig{}, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range members {
+		if len(got[i]) != len(exp[i]) {
+			t.Fatalf("member %d: %d outputs, fresh %d", members[i], len(got[i]), len(exp[i]))
+		}
+		for k, v := range exp[i] {
+			if math.Float64bits(got[i][k]) != math.Float64bits(v) {
+				t.Fatalf("member %d output %s: shared %v, fresh %v", members[i], k, got[i][k], v)
+			}
 		}
 	}
 }

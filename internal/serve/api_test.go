@@ -128,6 +128,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"rcad_queue_depth", "rcad_artifact_store_mem_bytes", "rcad_flights_inflight",
 		"rcad_compile_cache_hits_total", "rcad_compile_cache_misses_total",
 		"rcad_program_rebinds_total", "rcad_metagraph_shares_total",
+		"rcad_parse_subprogram_shares_total",
 		"rcad_artifact_store_hits_total", "rcad_artifact_store_misses_total",
 		"rcad_artifact_store_evictions_total", "rcad_artifact_store_bytes",
 		"rcad_fault_injected_total", "rcad_job_retries_total",

@@ -10,6 +10,7 @@ import (
 
 	rca "github.com/climate-rca/rca"
 	"github.com/climate-rca/rca/internal/artifact"
+	"github.com/climate-rca/rca/internal/corpus"
 	"github.com/climate-rca/rca/internal/fault"
 )
 
@@ -342,6 +343,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var ss sessionStats
 	ss.CompileHits, ss.CompileMisses = s.session.CompileCacheStats()
 	ss.ProgramRebinds = s.session.ProgramRebinds()
+	ss.ParseShares = corpus.SubprogramShares()
 	ss.MetagraphShares = s.session.MetagraphShares()
 	ss.LassoFits, ss.LassoIters = s.session.LassoStats()
 	ss.MemoHits, ss.MemoMisses = s.session.RefineMemoStats()

@@ -53,6 +53,7 @@ func (m *metrics) write(w io.Writer, queueDepth, inflight int, ss sessionStats, 
 	counter("compile_cache_hits_total", "Integrations that reused a cached compiled program.", int64(ss.CompileHits))
 	counter("compile_cache_misses_total", "Bytecode program compilations.", int64(ss.CompileMisses))
 	counter("program_rebinds_total", "Compiled programs shared with a same-shape source tree and rebound to its initializer and literal values instead of compiled.", int64(ss.ProgramRebinds))
+	counter("parse_subprogram_shares_total", "Parsed subprograms taken from the process-wide table of an identical earlier parse instead of kept from a fresh parse.", int64(ss.ParseShares))
 	counter("metagraph_shares_total", "Compile-stage calls served by a metagraph another build fingerprint built (same program shape and coverage trace).", int64(ss.MetagraphShares))
 	counter("lasso_fits_total", "Selection-stage lasso fits across the session.", int64(ss.LassoFits))
 	counter("lasso_fit_iterations_total", "Proximal-gradient iterations consumed by selection-stage lasso fits.", int64(ss.LassoIters))
@@ -84,10 +85,12 @@ func (m *metrics) write(w io.Writer, queueDepth, inflight int, ss sessionStats, 
 }
 
 // sessionStats is the session slice of the metrics page: its
-// cumulative compile-cache, lasso and refinement-memo counters.
+// cumulative compile-cache, lasso and refinement-memo counters, and
+// the process-wide parse layer's subprogram shares underneath it.
 type sessionStats struct {
 	CompileHits, CompileMisses uint64
 	ProgramRebinds             uint64
+	ParseShares                uint64
 	MetagraphShares            uint64
 	LassoFits, LassoIters      uint64
 	MemoHits, MemoMisses       uint64
