@@ -2,7 +2,6 @@ package bytecode
 
 import (
 	"sort"
-	"sync"
 
 	"github.com/climate-rca/rca/internal/interp"
 	"github.com/climate-rca/rca/internal/rng"
@@ -44,8 +43,7 @@ type BatchVM struct {
 	errs    []error
 
 	depth int
-	pools []sync.Pool
-	all   []int
+	free  [][]*bframe // released frames per proc id
 }
 
 // bdval is the lane-striped counterpart of dval: the phantom scalar
@@ -154,6 +152,12 @@ func (fr *bframe) reset() {
 // independent PRNG source per lane (each lane's draw order matches its
 // solo run's). It mirrors NewVM's defaults and failure modes; Trace is
 // unsupported because per-call trace ordering is a solo-run notion.
+//
+// A VM of the program's shape released with the same column count and
+// batch width is reset in place instead of allocated: its register
+// files are zeroed and the program's module-level initializers
+// replayed, its capture maps cleared and its lane errors dropped, so it
+// starts in exactly a fresh VM's state.
 func (p *Program) NewBatchVM(cfg interp.Config, rngs []rng.Source) (*BatchVM, error) {
 	if p.initErr != nil {
 		return nil, p.initErr
@@ -174,29 +178,17 @@ func (p *Program) NewBatchVM(cfg interp.Config, rngs []rng.Source) (*BatchVM, er
 	if ncol <= 0 {
 		ncol = 16
 	}
-	vm := &BatchVM{
-		prog:        p,
-		ncol:        ncol,
-		nl:          nl,
-		rngs:        rngs,
-		kernelWatch: cfg.KernelWatch,
-		snapshotAll: cfg.SnapshotAll,
-		gscal:       make([]float64, p.nGScal*nl),
-		garr:        make([][]float64, p.nGArr),
-		gdrv:        make([]*bdval, len(p.gdrvs)),
-		results:     make([]interp.Results, nl),
-		errs:        make([]error, nl),
-		pools:       make([]sync.Pool, len(p.procs)),
-		all:         make([]int, nl),
+	vm, _ := p.batchVMs.Get().(*BatchVM)
+	if vm != nil && vm.ncol == ncol && vm.nl == nl {
+		vm.reset()
+	} else {
+		vm = p.allocBatchVM(ncol, nl)
 	}
-	sz := ncol * nl
-	backing := make([]float64, p.nGArr*sz)
-	for i := 0; i < p.nGArr; i++ {
-		vm.garr[i] = backing[i*sz : (i+1)*sz]
-	}
-	for i, dt := range p.gdrvs {
-		vm.gdrv[i] = newBdval(dt, ncol, nl)
-	}
+	vm.prog = p
+	vm.rngs = rngs
+	vm.kernelWatch = cfg.KernelWatch
+	vm.snapshotAll = cfg.SnapshotAll
+	vm.depth = 0
 	for _, si := range p.scalInit {
 		base := int(si.idx) * nl
 		for l := 0; l < nl; l++ {
@@ -209,19 +201,64 @@ func (p *Program) NewBatchVM(cfg interp.Config, rngs []rng.Source) (*BatchVM, er
 			a[i] = ai.val
 		}
 	}
-	vm.fma = make([]bool, len(p.modules))
-	if cfg.FMA != nil {
-		for i, m := range p.modules {
-			vm.fma[i] = cfg.FMA(m)
-		}
+	for i, m := range p.modules {
+		vm.fma[i] = cfg.FMA != nil && cfg.FMA(m)
 	}
-	for l := range vm.all {
-		vm.all[l] = l
+	return vm, nil
+}
+
+// allocBatchVM allocates a zeroed VM of the program's layout.
+func (p *Program) allocBatchVM(ncol, nl int) *BatchVM {
+	vm := &BatchVM{
+		ncol:    ncol,
+		nl:      nl,
+		gscal:   make([]float64, p.nGScal*nl),
+		garr:    make([][]float64, p.nGArr),
+		gdrv:    make([]*bdval, len(p.gdrvs)),
+		results: make([]interp.Results, nl),
+		errs:    make([]error, nl),
+		fma:     make([]bool, len(p.modules)),
+		free:    make([][]*bframe, len(p.procs)),
+	}
+	sz := ncol * nl
+	backing := make([]float64, p.nGArr*sz)
+	for i := 0; i < p.nGArr; i++ {
+		vm.garr[i] = backing[i*sz : (i+1)*sz]
+	}
+	for i, dt := range p.gdrvs {
+		vm.gdrv[i] = newBdval(dt, ncol, nl)
 	}
 	for l := range vm.results {
 		vm.results[l] = interp.NewResults()
 	}
-	return vm, nil
+	return vm
+}
+
+// reset returns a released VM's state to allocBatchVM's: zeroed
+// registers, empty capture maps, no lane errors. Frames stay on the
+// free lists; getFrame resets each before use.
+func (vm *BatchVM) reset() {
+	clear(vm.gscal)
+	for _, a := range vm.garr {
+		clear(a)
+	}
+	for _, d := range vm.gdrv {
+		d.reset()
+	}
+	for l := range vm.results {
+		clear(vm.results[l].Outputs)
+		clear(vm.results[l].Kernel)
+		clear(vm.results[l].AllValues)
+	}
+	clear(vm.errs)
+}
+
+// Release hands the VM back to its program's shape for a later
+// NewBatchVM to reuse. The VM, and every view it handed out
+// (LaneResults, LaneErrs, LaneArray), must not be used afterwards.
+func (vm *BatchVM) Release() {
+	vm.rngs = nil
+	vm.prog.batchVMs.Put(vm)
 }
 
 // Lanes returns the batch width.
@@ -231,12 +268,14 @@ func (vm *BatchVM) Lanes() int { return vm.nl }
 func (vm *BatchVM) Ncol() int { return vm.ncol }
 
 // LaneResults exposes one lane's capture maps, bit-identical to the
-// solo VM's Captured() for the same member.
+// solo VM's Captured() for the same member. The maps are valid until
+// Release.
 func (vm *BatchVM) LaneResults(l int) *interp.Results { return &vm.results[l] }
 
 // LaneErrs returns the per-lane sticky errors: once a lane errs, its
 // registers freeze and subsequent CallAll invocations skip it. The
-// slice is live — callers must not mutate it.
+// slice is live — callers must not mutate it — and valid until
+// Release.
 func (vm *BatchVM) LaneErrs() []error { return vm.errs }
 
 // liveLanes returns the sorted group of lanes with no sticky error.
@@ -334,9 +373,13 @@ func (vm *BatchVM) SnapshotModuleVarsAll() {
 	}
 }
 
+// getFrame takes a released frame of p off the VM's free list, reset,
+// or allocates one. The free list is the VM's own: its frames' pointer
+// windows and by-reference slots point into this VM's registers.
 func (vm *BatchVM) getFrame(p *proc) *bframe {
-	if v := vm.pools[p.id].Get(); v != nil {
-		fr := v.(*bframe)
+	if free := vm.free[p.id]; len(free) > 0 {
+		fr := free[len(free)-1]
+		vm.free[p.id] = free[:len(free)-1]
 		fr.reset()
 		return fr
 	}
@@ -344,7 +387,7 @@ func (vm *BatchVM) getFrame(p *proc) *bframe {
 }
 
 func (vm *BatchVM) putFrame(p *proc, fr *bframe) {
-	vm.pools[p.id].Put(fr)
+	vm.free[p.id] = append(vm.free[p.id], fr)
 }
 
 // mergeDone joins the lanes that completed in place with those that

@@ -46,7 +46,9 @@ func compareLane(t *testing.T, lane int, solo, batch *interp.Results, src string
 // drive the data-dependent branches apart, so the group-splitting
 // divergence machinery is exercised continuously; every lane must stay
 // bit-identical to its solo run — the same contract FuzzBytecodeVsTree
-// pins between the solo VM and the tree walker.
+// pins between the solo VM and the tree walker. Each input then runs
+// again on a recycled VM (checkRecycled), which must repeat the fresh
+// batched run bit for bit.
 func FuzzBatchVsSolo(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
@@ -122,6 +124,8 @@ func FuzzBatchVsSolo(f *testing.F) {
 			}
 			compareLane(t, l, soloRes[l], bvm.LaneResults(l), src)
 		}
+		// The same run on a recycled VM must repeat the fresh one.
+		checkRecycled(t, prog, bvm, mk(), fmaMode, 100, copyRun(bvm), src)
 	})
 }
 

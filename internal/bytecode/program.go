@@ -285,6 +285,11 @@ type Program struct {
 	// program — an ensemble's members run the same procs over and over,
 	// and a frame is fully reset (or rebound) before any use.
 	pools []sync.Pool
+
+	// batchVMs holds released BatchVMs, frames included, for NewBatchVM
+	// to reset in place. Every Rebind copy shares it: copies share procs
+	// and register layout, so a VM fits every program of the shape.
+	batchVMs *sync.Pool
 }
 
 // Errors returns program construction state — nil when the program is

@@ -169,8 +169,18 @@ func (c *Corpus) add(name, component string, core bool, src string) {
 // Parsed modules are immutable: every consumer (metagraph, coverage,
 // both execution engines, the patch engine) only reads them, so sharing
 // is safe. fortran.ParseFile stays fresh for code that needs a tree of
-// its own to edit. Both caches are capped, not evicted: corpus files
-// are generated from a bounded configuration space.
+// its own to edit.
+//
+// Neither cache evicts. The text cache stops adding at parseCacheMax
+// (8,192) texts and the subprogram table at subprogramsMax (65,536)
+// nodes, for the life of the process. Traffic can reach both caps:
+// `param:` values come from a continuous range, and each `auxfmagain`
+// value adds 40 texts, so ~200 such jobs fill the text cache. Past its
+// cap a new text is neither cached nor shared: every corpus holding it
+// keeps its own copy, and every parse of it (the patch engine's
+// validation, each Runner's Parse) runs again. Past the table's cap,
+// new subprograms keep their fresh nodes. Results do not change; only
+// the sharing stops.
 var (
 	parseCache     sync.Map // text → *source
 	parseCacheSize atomic.Int64

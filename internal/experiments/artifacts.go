@@ -69,14 +69,22 @@ func stored[T any](ctx context.Context, store *artifact.Store, class, key string
 }
 
 // corpusFor builds (or restores) the generated+patched corpus for one
-// source fingerprint.
+// source fingerprint. Patches over the session's own configuration
+// apply to the control build's corpus, which Generate would reproduce
+// byte for byte, so a session generates each configuration once.
 func (s *Session) corpusFor(ctx context.Context, key string, cfg corpus.Config, patches []corpus.Patch) (*corpus.Corpus, error) {
 	return stored(ctx, s.store, artifact.ClassCorpus, key, func() (*corpus.Corpus, error) {
-		base := corpus.Generate(cfg)
-		if len(patches) > 0 {
-			return corpus.Apply(base, patches...)
+		if len(patches) == 0 {
+			return corpus.Generate(cfg), nil
 		}
-		return base, nil
+		if cfg != s.cfg {
+			return corpus.Apply(corpus.Generate(cfg), patches...)
+		}
+		control, err := s.control(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return corpus.Apply(control.Corpus, patches...)
 	}, (*corpus.Corpus).Encode, corpus.Decode)
 }
 

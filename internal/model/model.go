@@ -316,6 +316,9 @@ func (r *Runner) RunBatchMeans(base RunConfig, members []int) ([]ect.RunOutput, 
 	if err != nil {
 		return nil, err
 	}
+	// The VM goes back to the program's shape once the means are
+	// harvested: nothing returned points into it.
+	defer vm.Release()
 	// wrap holds each lane's first error with Run's phase wrapping; a
 	// lane's sticky VM error freezes it, so later phases cannot
 	// overwrite an earlier failure.

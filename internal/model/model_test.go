@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"github.com/climate-rca/rca/internal/corpus"
@@ -336,4 +337,50 @@ func TestTraceSequenceMatchesTree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRunBatchMeansConcurrentReuse runs batches of one program from
+// several goroutines at once, so released BatchVMs pass between them
+// through the shape's pool, with configurations that alternate between
+// FMA on and off. Every batch must repeat the means of a first,
+// sequential run of its configuration bit for bit.
+func TestRunBatchMeansConcurrentReuse(t *testing.T) {
+	r := runnerFor(t, corpus.Config{AuxModules: 10, Seed: 4})
+	cfgs := []RunConfig{{}, {FMA: func(string) bool { return true }}}
+	sets := [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
+	want := make([][][]ect.RunOutput, len(cfgs))
+	for c, cfg := range cfgs {
+		for _, set := range sets {
+			out, err := r.RunBatchMeans(cfg, set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[c] = append(want[c], out)
+		}
+	}
+	const goroutines, rounds = 4, 3
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				c, s := (g+i)%len(cfgs), g%len(sets)
+				got, err := r.RunBatchMeans(cfgs[c], sets[s])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for l := range got {
+					for k, v := range want[c][s][l] {
+						if math.Float64bits(got[l][k]) != math.Float64bits(v) {
+							t.Errorf("goroutine %d round %d lane %d output %s: %v, want %v", g, i, l, k, got[l][k], v)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -135,8 +135,12 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"rcad_jobs_dead_lettered_total", "rcad_store_degraded",
 		"rcad_lasso_fits_total", "rcad_lasso_fit_iterations_total",
 		"rcad_refine_memo_hits_total", "rcad_refine_memo_misses_total",
+		"rcad_gc_cycles_total", "rcad_heap_alloc_bytes_total",
 	} {
 		metricValue(t, ts.URL, metric) // fails the test if absent
+	}
+	if metricValue(t, ts.URL, "rcad_heap_alloc_bytes_total") == 0 {
+		t.Fatal("rcad_heap_alloc_bytes_total is 0 in a running process")
 	}
 	// No series carries a label: every sample line is a bare name and an
 	// integer value.

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"io"
+	rtmetrics "runtime/metrics"
 	"sync/atomic"
 
 	"github.com/climate-rca/rca/internal/artifact"
@@ -32,8 +33,9 @@ type metrics struct {
 }
 
 // write renders the counters plus the gauges the server derives live,
-// the session's compile-cache, lasso and refinement-memo counters
-// among them. No series carries a label.
+// the session's compile-cache, lasso and refinement-memo counters and
+// the runtime's GC cycle and heap allocation totals among them. No
+// series carries a label.
 func (m *metrics) write(w io.Writer, queueDepth, inflight int, ss sessionStats, as artifact.Stats, rs robustStats) {
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP rcad_%s %s\n# TYPE rcad_%s counter\nrcad_%s %d\n", name, help, name, name, v)
@@ -73,6 +75,10 @@ func (m *metrics) write(w io.Writer, queueDepth, inflight int, ss sessionStats, 
 	counter("fault_injected_total", "Faults fired by the active chaos plane (0 without -faults).", int64(rs.FaultInjected))
 	counter("job_retries_total", "Execution attempts retried after transient failures.", m.jobRetries.Load())
 	counter("jobs_dead_lettered_total", "Queue jobs retired to the dead-letter directory.", int64(rs.DeadLettered))
+	gc := []rtmetrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/gc/heap/allocs:bytes"}}
+	rtmetrics.Read(gc)
+	counter("gc_cycles_total", "Completed garbage-collection cycles since the process started.", int64(gc[0].Value.Uint64()))
+	counter("heap_alloc_bytes_total", "Bytes allocated on the heap since the process started.", int64(gc[1].Value.Uint64()))
 	gauge("queue_depth", "Executions waiting for a worker.", queueDepth)
 	gauge("flights_inflight", "Executions queued or running.", inflight)
 	gauge("artifact_store_bytes", "Artifact store on-disk payload bytes.", int(as.Bytes))
