@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"sort"
+	"sync"
 
 	"github.com/climate-rca/rca/internal/interp"
 	"github.com/climate-rca/rca/internal/rng"
@@ -44,6 +45,7 @@ type BatchVM struct {
 
 	depth int
 	free  [][]*bframe // released frames per proc id
+	pool  *sync.Pool  // the shape's pool for this VM's size; Release returns it there
 }
 
 // bdval is the lane-striped counterpart of dval: the phantom scalar
@@ -157,7 +159,9 @@ func (fr *bframe) reset() {
 // batch width is reset in place instead of allocated: its register
 // files are zeroed and the program's module-level initializers
 // replayed, its capture maps cleared and its lane errors dropped, so it
-// starts in exactly a fresh VM's state.
+// starts in exactly a fresh VM's state. Each size has its own pool, so
+// batches of different widths over one shape (an 8-lane chunk and the
+// 2-lane remainder of a 10-member set) do not evict each other's VMs.
 func (p *Program) NewBatchVM(cfg interp.Config, rngs []rng.Source) (*BatchVM, error) {
 	if p.initErr != nil {
 		return nil, p.initErr
@@ -178,11 +182,13 @@ func (p *Program) NewBatchVM(cfg interp.Config, rngs []rng.Source) (*BatchVM, er
 	if ncol <= 0 {
 		ncol = 16
 	}
-	vm, _ := p.batchVMs.Get().(*BatchVM)
-	if vm != nil && vm.ncol == ncol && vm.nl == nl {
+	pool := p.batchPool(ncol, nl)
+	vm, _ := pool.Get().(*BatchVM)
+	if vm != nil {
 		vm.reset()
 	} else {
 		vm = p.allocBatchVM(ncol, nl)
+		vm.pool = pool
 	}
 	vm.prog = p
 	vm.rngs = rngs
@@ -205,6 +211,21 @@ func (p *Program) NewBatchVM(cfg interp.Config, rngs []rng.Source) (*BatchVM, er
 		vm.fma[i] = cfg.FMA != nil && cfg.FMA(m)
 	}
 	return vm, nil
+}
+
+// batchSize keys a shape's released BatchVMs: only a VM of equal column
+// count and batch width fits another run's register layout.
+type batchSize struct{ ncol, nl int }
+
+// batchPool returns the shape's pool of released VMs of one size,
+// creating it on first use.
+func (p *Program) batchPool(ncol, nl int) *sync.Pool {
+	k := batchSize{ncol, nl}
+	if v, ok := p.batchVMs.Load(k); ok {
+		return v.(*sync.Pool)
+	}
+	v, _ := p.batchVMs.LoadOrStore(k, new(sync.Pool))
+	return v.(*sync.Pool)
 }
 
 // allocBatchVM allocates a zeroed VM of the program's layout.
@@ -258,7 +279,7 @@ func (vm *BatchVM) reset() {
 // (LaneResults, LaneErrs, LaneArray), must not be used afterwards.
 func (vm *BatchVM) Release() {
 	vm.rngs = nil
-	vm.prog.batchVMs.Put(vm)
+	vm.pool.Put(vm)
 }
 
 // Lanes returns the batch width.

@@ -304,7 +304,7 @@ func DecodeProgram(data []byte) (*Program, error) {
 		return nil, err
 	}
 	p.pools = make([]sync.Pool, len(p.procs))
-	p.batchVMs = new(sync.Pool)
+	p.batchVMs = new(sync.Map)
 	return p, nil
 }
 

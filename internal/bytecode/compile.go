@@ -47,7 +47,7 @@ func Compile(mods []*fortran.Module) *Program {
 		prog.initErr = c.err
 	}
 	prog.pools = make([]sync.Pool, len(prog.procs))
-	prog.batchVMs = new(sync.Pool)
+	prog.batchVMs = new(sync.Map)
 	return prog
 }
 

@@ -287,9 +287,10 @@ type Program struct {
 	pools []sync.Pool
 
 	// batchVMs holds released BatchVMs, frames included, for NewBatchVM
-	// to reset in place. Every Rebind copy shares it: copies share procs
-	// and register layout, so a VM fits every program of the shape.
-	batchVMs *sync.Pool
+	// to reset in place: one *sync.Pool per batchSize, created on first
+	// use. Every Rebind copy shares it: copies share procs and register
+	// layout, so a VM fits every program of the shape.
+	batchVMs *sync.Map
 }
 
 // Errors returns program construction state — nil when the program is

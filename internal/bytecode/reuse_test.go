@@ -261,3 +261,42 @@ end module fz
 	compareRuns(t, "VM of A recycled for A.Rebind(B)", want, runCalls(vm, calls...), srcB)
 	vm.Release()
 }
+
+// TestBatchVMSizesKeepTheirOwnVMs interleaves batches of two widths and
+// two column counts over one shape, as a ten-member set cut into an
+// 8-lane and a 2-lane batch does: a released VM must wait for a batch
+// of its own size, not be taken and dropped by a batch of another.
+func TestBatchVMSizesKeepTheirOwnVMs(t *testing.T) {
+	prog := Compile(parseAll(t, reuseSrc))
+	cfg := interp.Config{Ncol: 5}
+	vm, err := prog.NewBatchVM(cfg, kissLanes(4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		vm.Release()
+		for _, other := range []struct {
+			cfg   interp.Config
+			lanes int
+		}{{cfg, 2}, {interp.Config{Ncol: 6}, 4}} {
+			o, err := prog.NewBatchVM(other.cfg, kissLanes(other.lanes, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o == vm {
+				t.Fatalf("a %d-lane, %d-column batch took the released 4-lane, 5-column VM", other.lanes, other.cfg.Ncol)
+			}
+			o.Release()
+		}
+		got, err := prog.NewBatchVM(cfg, kissLanes(4, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == vm {
+			got.Release()
+			return
+		}
+		vm = got
+	}
+	t.Fatal("batches of other sizes evicted every released 4-lane VM")
+}

@@ -70,9 +70,15 @@ func stored[T any](ctx context.Context, store *artifact.Store, class, key string
 
 // corpusFor builds (or restores) the generated+patched corpus for one
 // source fingerprint. Patches over the session's own configuration
-// apply to the control build's corpus, which Generate would reproduce
-// byte for byte, so a session generates each configuration once.
+// apply to the session's clean corpus, which Generate would reproduce
+// byte for byte, so a session generates each configuration once. A
+// patched build takes the clean corpus, not the control runner: it
+// neither waits for the control tree's parse nor inherits the control
+// build's error.
 func (s *Session) corpusFor(ctx context.Context, key string, cfg corpus.Config, patches []corpus.Patch) (*corpus.Corpus, error) {
+	if key == s.cleanKey() {
+		return s.cleanCorpus(ctx)
+	}
 	return stored(ctx, s.store, artifact.ClassCorpus, key, func() (*corpus.Corpus, error) {
 		if len(patches) == 0 {
 			return corpus.Generate(cfg), nil
@@ -80,12 +86,22 @@ func (s *Session) corpusFor(ctx context.Context, key string, cfg corpus.Config, 
 		if cfg != s.cfg {
 			return corpus.Apply(corpus.Generate(cfg), patches...)
 		}
-		control, err := s.control(ctx)
+		clean, err := s.cleanCorpus(ctx)
 		if err != nil {
 			return nil, err
 		}
-		return corpus.Apply(control.Corpus, patches...)
+		return corpus.Apply(clean, patches...)
 	}, (*corpus.Corpus).Encode, corpus.Decode)
+}
+
+// cleanCorpus returns the control build's corpus, generated (or
+// restored) at most once per session.
+func (s *Session) cleanCorpus(ctx context.Context) (*corpus.Corpus, error) {
+	return s.clean.get(ctx, func() (*corpus.Corpus, error) {
+		return stored(ctx, s.store, artifact.ClassCorpus, s.cleanKey(), func() (*corpus.Corpus, error) {
+			return corpus.Generate(s.cfg), nil
+		}, (*corpus.Corpus).Encode, corpus.Decode)
+	})
 }
 
 // restoreProgram gives the runner its compiled bytecode program

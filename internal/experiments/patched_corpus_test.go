@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"github.com/climate-rca/rca/internal/artifact"
@@ -76,5 +77,46 @@ func TestPatchedCorpusMatchesGenerate(t *testing.T) {
 	}
 	if patched < 5 {
 		t.Fatalf("only %d scenarios carry source patches", patched)
+	}
+}
+
+// TestPatchedSourcesWithoutControlRunner requires a patched build to
+// take the session's clean corpus, not the control runner: Sources of a
+// `scale:` scenario succeeds, and builds no control runner, even when
+// the control build has failed, while Builds still reports the control
+// failure. The control runner built later runs the same clean corpus.
+func TestPatchedSourcesWithoutControlRunner(t *testing.T) {
+	ctx := context.Background()
+	sc := NewScenario("SCALE", ScenarioOptions{},
+		ScaleAssignment{Module: "micro_mg", Subprogram: "micro_mg_tend", Var: "pre", Factor: 1.00002})
+
+	s := NewSession(artifactTestCfg())
+	if _, err := s.Sources(ctx, sc); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.runnerList); n != 1 {
+		t.Errorf("Sources of a patched scenario built %d runners, want its own only", n)
+	}
+	control, err := s.control(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if control.Corpus != s.clean.val {
+		t.Error("the control runner does not run the session's clean corpus")
+	}
+
+	s = NewSession(artifactTestCfg())
+	failed := errors.New("control build failed")
+	c := keyedCell(&s.mu, s.runners, s.cleanKey())
+	c.done, c.err = true, failed
+	files, err := s.Sources(ctx, sc)
+	if err != nil {
+		t.Fatalf("Sources with a failed control build: %v", err)
+	}
+	if len(files) == 0 {
+		t.Fatal("Sources returned no files")
+	}
+	if _, err := s.Builds(ctx, sc); !errors.Is(err, failed) {
+		t.Errorf("Builds with a failed control build: %v, want %v", err, failed)
 	}
 }

@@ -76,6 +76,7 @@ type Session struct {
 
 	mu         sync.Mutex
 	fp         cell[*Fingerprint]
+	clean      cell[*corpus.Corpus] // the control build's corpus; patched builds over cfg start from it
 	fullMG     cell[*metagraph.Metagraph]
 	runners    map[string]*cell[*model.Runner] // per source fingerprint
 	compiled   map[string]*cell[*Compiled]     // per build fingerprint
@@ -304,8 +305,9 @@ func (s *Session) plan(sc Scenario) (*plan, error) {
 	return buildPlan(s.cfg, sc)
 }
 
-// cleanPlan is the control build's (injection-free) plan.
-func (s *Session) cleanPlan() *plan { return &plan{cfg: s.cfg} }
+// cleanKey is the source fingerprint of the control build's
+// (injection-free) plan.
+func (s *Session) cleanKey() string { return (&plan{cfg: s.cfg}).sourceKey() }
 
 // runnerFor returns the cached model build for one source fingerprint,
 // generating, patching and parsing the corpus on first use.
@@ -389,8 +391,7 @@ func (s *Session) compileStats() (hits, misses, rebinds uint64) {
 
 // control returns the clean control build.
 func (s *Session) control(ctx context.Context) (*model.Runner, error) {
-	p := s.cleanPlan()
-	return s.runnerFor(ctx, p.sourceKey(), p.cfg, nil)
+	return s.runnerFor(ctx, s.cleanKey(), s.cfg, nil)
 }
 
 // buildsFor assembles the control and experimental builds for a plan.
