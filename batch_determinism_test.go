@@ -12,7 +12,8 @@ import (
 // scenarios with members batched onto lockstep struct-of-arrays VMs
 // (the default batch width) must produce byte-identical
 // FormatOutcome reports at every parallelism level — and identical to
-// the solo-VM reference (the experiments.WithBatch(1) test hook).
+// one-lane batches (the experiments.WithBatch(1) test hook), whose
+// bytes TestEnginesBitIdenticalAcrossCatalog pins to the tree walker.
 // Under -race this doubles as the data-race check for the batched
 // worker pools.
 func TestBatchedCatalogBytesIdentical(t *testing.T) {
@@ -35,13 +36,13 @@ func TestBatchedCatalogBytesIdentical(t *testing.T) {
 		return texts
 	}
 
-	// Solo-VM sequential reference: every member on its own VM.
+	// Sequential one-lane reference: every member on its own VM.
 	ref := run(experiments.WithBatch(1), WithParallelism(1))
 	for _, par := range []int{1, 2, 8} {
 		got := run(WithParallelism(par)) // default batching on
 		for i := range scenarios {
 			if got[i] != ref[i] {
-				t.Fatalf("%s: batched output at parallelism %d differs from solo reference\n--- batched ---\n%s--- solo ---\n%s",
+				t.Fatalf("%s: batched output at parallelism %d differs from one-lane reference\n--- batched ---\n%s--- one-lane ---\n%s",
 					scenarios[i].Name(), par, got[i], ref[i])
 			}
 		}
@@ -50,7 +51,7 @@ func TestBatchedCatalogBytesIdentical(t *testing.T) {
 	got := run(experiments.WithBatch(5), WithParallelism(3))
 	for i := range scenarios {
 		if got[i] != ref[i] {
-			t.Fatalf("%s: batch width 5 output differs from solo reference", scenarios[i].Name())
+			t.Fatalf("%s: batch width 5 output differs from one-lane reference", scenarios[i].Name())
 		}
 	}
 }

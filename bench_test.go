@@ -85,7 +85,7 @@ func BenchmarkPipelineSixSpecsSessionISTA(b *testing.B) {
 
 // BenchmarkPipelineSixSpecsSessionUnbatched is the same six-spec
 // session run with batching disabled (experiments.WithBatch(1)): every
-// ensemble and experimental member integrates on its own solo VM. The gap to
+// ensemble and experimental member integrates on its own one-lane VM. The gap to
 // BenchmarkPipelineSixSpecsSession is the lockstep SoA batching win;
 // outputs are pinned bit-identical, so the two benchmarks do exactly
 // the same science.

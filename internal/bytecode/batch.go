@@ -8,14 +8,17 @@ import (
 	"github.com/climate-rca/rca/internal/rng"
 )
 
+// maxDepth bounds the call depth, as the tree walker's does.
+const maxDepth = 200
+
 // BatchVM runs N ensemble members ("lanes") in lockstep over one
 // compiled program: one instruction decode is amortized across the
 // batch, and every register file is struct-of-arrays — scalar register
 // r, lane l lives at the flat index r*nl+l, while array registers are
 // lane-major: lane l's columns form the contiguous block
 // [l*ncol, (l+1)*ncol), so every elementwise vector opcode runs one
-// tight solo-speed loop per lane with its lane scalars hoisted into
-// registers, for any group shape.
+// tight loop per lane, shaped like a single member's, with its lane
+// scalars hoisted into registers, for any group shape.
 //
 // Divergence is handled by group splitting: execution always acts on a
 // sorted group of live lanes, and a conditional whose lanes disagree
@@ -23,15 +26,17 @@ import (
 // the end of the proc recursively while the fall-through subset
 // continues in place, rejoining only in the caller. A lane that raises
 // a runtime error retires from its group with the error recorded
-// (sticky, per lane) and its registers frozen, exactly as a solo run
-// would abort. Per-lane PRNG sources and per-lane capture maps keep
-// every lane bit-identical to a solo VM (and hence tree-walker) run of
-// the same member; see DESIGN.md "Batched execution".
+// (sticky, per lane) and its registers frozen, exactly as the tree
+// walker aborts that member's run. Per-lane PRNG sources and per-lane
+// capture maps keep every lane bit-identical to a tree-walker run of
+// the same member; see DESIGN.md "Batched execution". A one-lane VM is
+// how a single integration runs.
 type BatchVM struct {
 	prog        *Program
 	ncol        int
 	nl          int
 	rngs        []rng.Source
+	trace       func(module, subprogram string) // one-lane VMs only
 	kernelWatch string
 	snapshotAll bool
 	fma         []bool
@@ -42,15 +47,18 @@ type BatchVM struct {
 
 	results []interp.Results
 	errs    []error
+	live    []int // CallAll's group of live lanes, reused per call
 
 	depth int
 	free  [][]*bframe // released frames per proc id
 	pool  *sync.Pool  // the shape's pool for this VM's size; Release returns it there
 }
 
-// bdval is the lane-striped counterpart of dval: the phantom scalar
-// and scalar fields are per-lane (slot-striped); array fields are
-// lane-major like every other array register.
+// bdval is a runtime derived-type instance across the lanes: the
+// phantom scalar f (the tree walker's Value.F on derived values,
+// written by random_number, read by at()) and the scalar fields are
+// per-lane (slot-striped); array fields are lane-major like every
+// other array register.
 type bdval struct {
 	t    *dtype
 	f    []float64   // phantom scalar, one per lane
@@ -151,9 +159,12 @@ func (fr *bframe) reset() {
 }
 
 // NewBatchVM instantiates the program with len(rngs) lanes, one
-// independent PRNG source per lane (each lane's draw order matches its
-// solo run's). It mirrors NewVM's defaults and failure modes; Trace is
-// unsupported because per-call trace ordering is a solo-run notion.
+// independent PRNG source per lane (each lane's draw order matches a
+// tree-walker run on that source). It mirrors interp.NewMachine's
+// defaults and construction failures. Trace fires at every proc entry,
+// in the walker's order, and is accepted on one-lane VMs only: the
+// lanes of a wider batch enter procs together, so no member's entry
+// sequence could be told apart.
 //
 // A VM of the program's shape released with the same column count and
 // batch width is reset in place instead of allocated: its register
@@ -166,12 +177,12 @@ func (p *Program) NewBatchVM(cfg interp.Config, rngs []rng.Source) (*BatchVM, er
 	if p.initErr != nil {
 		return nil, p.initErr
 	}
-	if cfg.Trace != nil {
-		return nil, errf("batched execution does not support Trace")
-	}
 	nl := len(rngs)
 	if nl < 1 {
 		return nil, errf("batched execution needs at least one lane")
+	}
+	if cfg.Trace != nil && nl > 1 {
+		return nil, errf("Trace needs a one-lane VM, not %d lanes", nl)
 	}
 	for i, src := range rngs {
 		if src == nil {
@@ -192,6 +203,7 @@ func (p *Program) NewBatchVM(cfg interp.Config, rngs []rng.Source) (*BatchVM, er
 	}
 	vm.prog = p
 	vm.rngs = rngs
+	vm.trace = cfg.Trace
 	vm.kernelWatch = cfg.KernelWatch
 	vm.snapshotAll = cfg.SnapshotAll
 	vm.depth = 0
@@ -238,6 +250,7 @@ func (p *Program) allocBatchVM(ncol, nl int) *BatchVM {
 		gdrv:    make([]*bdval, len(p.gdrvs)),
 		results: make([]interp.Results, nl),
 		errs:    make([]error, nl),
+		live:    make([]int, 0, nl),
 		fma:     make([]bool, len(p.modules)),
 		free:    make([][]*bframe, len(p.procs)),
 	}
@@ -278,7 +291,7 @@ func (vm *BatchVM) reset() {
 // NewBatchVM to reuse. The VM, and every view it handed out
 // (LaneResults, LaneErrs, LaneArray), must not be used afterwards.
 func (vm *BatchVM) Release() {
-	vm.rngs = nil
+	vm.rngs, vm.trace = nil, nil
 	vm.pool.Put(vm)
 }
 
@@ -288,10 +301,19 @@ func (vm *BatchVM) Lanes() int { return vm.nl }
 // Ncol returns the column count the batch was configured with.
 func (vm *BatchVM) Ncol() int { return vm.ncol }
 
-// LaneResults exposes one lane's capture maps, bit-identical to the
-// solo VM's Captured() for the same member. The maps are valid until
+// LaneResults exposes one lane's capture maps, bit-identical to a
+// tree-walker run of the same member. The maps are valid until
 // Release.
 func (vm *BatchVM) LaneResults(l int) *interp.Results { return &vm.results[l] }
+
+// DetachLaneResults hands lane l's capture maps to the caller and gives
+// the lane fresh empty ones, so the returned maps outlive Release and
+// no later use of the VM can clear or overwrite them.
+func (vm *BatchVM) DetachLaneResults(l int) interp.Results {
+	r := vm.results[l]
+	vm.results[l] = interp.NewResults()
+	return r
+}
 
 // LaneErrs returns the per-lane sticky errors: once a lane errs, its
 // registers freeze and subsequent CallAll invocations skip it. The
@@ -299,9 +321,11 @@ func (vm *BatchVM) LaneResults(l int) *interp.Results { return &vm.results[l] }
 // Release.
 func (vm *BatchVM) LaneErrs() []error { return vm.errs }
 
-// liveLanes returns the sorted group of lanes with no sticky error.
+// liveLanes returns the sorted group of lanes with no sticky error in
+// the VM's own buffer: exec never writes into a group it is handed, so
+// the buffer is free again once CallAll returns.
 func (vm *BatchVM) liveLanes() []int {
-	g := make([]int, 0, vm.nl)
+	g := vm.live[:0]
 	for l := 0; l < vm.nl; l++ {
 		if vm.errs[l] == nil {
 			g = append(g, l)
@@ -335,6 +359,9 @@ func (vm *BatchVM) CallAll(module, name string) []error {
 		return vm.errs
 	}
 	vm.depth++
+	if vm.trace != nil {
+		vm.trace(p.module, p.name)
+	}
 	fr := vm.getFrame(p)
 	vm.exec(p, fr, g, 0)
 	vm.exitSnapshotsBatch(p, fr, g)
@@ -430,7 +457,7 @@ func mergeDone(g, merged []int) []int {
 // that completed without error. Exit snapshots cover the entire
 // entering group — an erred lane's registers are frozen from its
 // retirement point, so the deferred capture reads exactly the state a
-// solo run would have snapshotted while unwinding.
+// tree-walker run would have snapshotted while unwinding.
 func (vm *BatchVM) callBatch(cs *callSite, caller *bframe, g []int) (*bframe, []int) {
 	p := cs.proc
 	if vm.depth >= maxDepth {
@@ -441,6 +468,9 @@ func (vm *BatchVM) callBatch(cs *callSite, caller *bframe, g []int) (*bframe, []
 		return nil, nil
 	}
 	vm.depth++
+	if vm.trace != nil {
+		vm.trace(p.module, p.name)
+	}
 	fr := vm.getFrame(p)
 	nl := vm.nl
 	for i, mv := range cs.args {
@@ -488,8 +518,9 @@ func (vm *BatchVM) callBatch(cs *callSite, caller *bframe, g []int) (*bframe, []
 	return fr, done
 }
 
-// cloneBdval mirrors cloneDval across all lanes (argument binding into
-// a fresh callee frame — lanes outside the group are never read).
+// cloneBdval mirrors Value.Clone on derived values across all lanes —
+// fields copied, the phantom scalar reset to zero — binding an argument
+// into a fresh callee frame (lanes outside the group are never read).
 func cloneBdval(dst, src *bdval) {
 	for i := range dst.f {
 		dst.f[i] = 0
@@ -500,7 +531,7 @@ func cloneBdval(dst, src *bdval) {
 	}
 }
 
-// cloneBdvalLane mirrors cloneDval for one lane only (function results
+// cloneBdvalLane is cloneBdval for one lane only (function results
 // copied back for surviving lanes).
 func cloneBdvalLane(dst, src *bdval, nl, l int) {
 	dst.f[l] = 0
@@ -529,8 +560,9 @@ func retScalLane(p *proc, fr *bframe, nl, l int) float64 {
 	}
 }
 
-// exitSnapshotsBatch mirrors exitSnapshots per lane over the entire
-// entering group, including lanes that erred inside the activation.
+// exitSnapshotsBatch mirrors the walker's invoke-exit captures per lane
+// over the entire entering group, including lanes that erred inside the
+// activation.
 func (vm *BatchVM) exitSnapshotsBatch(p *proc, fr *bframe, g []int) {
 	watch := vm.kernelWatch != "" && vm.kernelWatch == p.fullName
 	if !watch && !vm.snapshotAll {
@@ -562,8 +594,10 @@ func (vm *BatchVM) exitSnapshotsBatch(p *proc, fr *bframe, g []int) {
 	}
 }
 
-// snapIntoLane stores one lane's snapshot with the same
-// overwrite-in-place, last-call-wins contract as snapInto.
+// snapIntoLane stores one lane's snapshot, overwriting an existing
+// same-length slice in place: the map's final contents are what a fresh
+// copy per exit would leave (last call wins), without the per-exit
+// allocation.
 func (vm *BatchVM) snapIntoLane(m map[string][]float64, key string, fr *bframe, e *snapEntry, l int) {
 	nl := vm.nl
 	var src []float64 // lane-major: lane l's elements contiguous

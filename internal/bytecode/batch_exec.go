@@ -904,7 +904,7 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 }
 
 // batchSlowBinV covers the colder elementwise binaries with one
-// generic lane loop per shape, mirroring slowBinV.
+// generic lane loop per shape.
 func (vm *BatchVM) batchSlowBinV(in *instr, fr *bframe, g []int) {
 	var fn func(a, b float64) float64
 	switch in.op {
@@ -980,7 +980,8 @@ func (vm *BatchVM) batchSlowBinV(in *instr, fr *bframe, g []int) {
 
 // elemBroadcastBatch invokes an elemental function once per column for
 // a group of lanes, binding per-lane scalar views read live per column
-// exactly as elemBroadcast does, and returns the surviving lanes.
+// exactly as the walker's callFunction broadcast loop does, and returns
+// the surviving lanes.
 func (vm *BatchVM) elemBroadcastBatch(cs *callSite, caller *bframe, out []float64, g []int) []int {
 	p := cs.proc
 	nl := vm.nl
@@ -993,6 +994,9 @@ func (vm *BatchVM) elemBroadcastBatch(cs *callSite, caller *bframe, out []float6
 			return nil
 		}
 		vm.depth++
+		if vm.trace != nil {
+			vm.trace(p.module, p.name)
+		}
 		fr := vm.getFrame(p)
 		for ai, ea := range cs.elem {
 			if ai >= len(p.argBind) {

@@ -11,13 +11,13 @@ import (
 )
 
 // compareLane asserts one lane's capture maps are bit-identical to a
-// solo run's.
-func compareLane(t *testing.T, lane int, solo, batch *interp.Results, src string) {
+// reference run's.
+func compareLane(t *testing.T, lane int, ref, batch *interp.Results, src string) {
 	t.Helper()
 	for label, pair := range map[string][2]map[string][]float64{
-		"Outputs":   {solo.Outputs, batch.Outputs},
-		"Kernel":    {solo.Kernel, batch.Kernel},
-		"AllValues": {solo.AllValues, batch.AllValues},
+		"Outputs":   {ref.Outputs, batch.Outputs},
+		"Kernel":    {ref.Kernel, batch.Kernel},
+		"AllValues": {ref.AllValues, batch.AllValues},
 	} {
 		want, got := pair[0], pair[1]
 		if len(want) != len(got) {
@@ -33,7 +33,7 @@ func compareLane(t *testing.T, lane int, solo, batch *interp.Results, src string
 			}
 			for i := range wv {
 				if math.Float64bits(wv[i]) != math.Float64bits(gv[i]) {
-					t.Fatalf("lane %d %s[%s][%d]: solo=%x batch=%x\n%s",
+					t.Fatalf("lane %d %s[%s][%d]: ref=%x batch=%x\n%s",
 						lane, label, k, i, math.Float64bits(wv[i]), math.Float64bits(gv[i]), src)
 				}
 			}
@@ -41,20 +41,60 @@ func compareLane(t *testing.T, lane int, solo, batch *interp.Results, src string
 	}
 }
 
-// FuzzBatchVsSolo generates FortLite programs and runs them on N solo
-// VMs and one N-lane BatchVM with per-lane PRNG seeds. Distinct seeds
-// drive the data-dependent branches apart, so the group-splitting
+// treeRuns runs fzinit and main on one tree walker per lane seed
+// (seed+l) and returns each lane's first error and captures, module
+// variables snapshotted when the lane succeeded.
+func treeRuns(t *testing.T, mods []*fortran.Module, cfg interp.Config, lanes int, seed uint64, src string) ([]error, []*interp.Results) {
+	t.Helper()
+	errs := make([]error, lanes)
+	res := make([]*interp.Results, lanes)
+	for l := 0; l < lanes; l++ {
+		c := cfg
+		c.RNG = rng.NewKISS(seed + uint64(l))
+		m, err := interp.NewMachine(mods, c)
+		if err != nil {
+			t.Fatalf("NewMachine: %v\n%s", err, src)
+		}
+		for _, call := range [][2]string{{"fz", "fzinit"}, {"fz", "main"}} {
+			if err := m.Call(call[0], call[1]); err != nil {
+				errs[l] = err
+				break
+			}
+		}
+		if errs[l] == nil {
+			m.SnapshotModuleVars()
+		}
+		res[l] = &m.Results
+	}
+	return errs, res
+}
+
+// compareToTree requires every lane of vm to fail where its tree run
+// failed and, where it did not, to match the tree run bit for bit.
+func compareToTree(t *testing.T, vm *BatchVM, treeErrs []error, treeRes []*interp.Results, src string) {
+	t.Helper()
+	for l := range treeErrs {
+		berr := vm.LaneErrs()[l]
+		if (treeErrs[l] == nil) != (berr == nil) {
+			t.Fatalf("lane %d error disagreement: tree=%v batch=%v\n%s", l, treeErrs[l], berr, src)
+		}
+		if berr == nil {
+			compareLane(t, l, treeRes[l], vm.LaneResults(l), src)
+		}
+	}
+}
+
+// FuzzBatchVsTree generates FortLite programs and runs them on N tree
+// walkers and one N-lane BatchVM with per-lane PRNG seeds. Distinct
+// seeds drive the data-dependent branches apart, so the group-splitting
 // divergence machinery is exercised continuously; every lane must stay
-// bit-identical to its solo run — the same contract FuzzBytecodeVsTree
-// pins between the solo VM and the tree walker. Each input then runs
-// again on a recycled VM (checkRecycled), which must repeat the fresh
-// batched run bit for bit.
-func FuzzBatchVsSolo(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
-	f.Add([]byte("fma patterns and shifts everywhere, please"))
-	f.Add([]byte{0xff, 0x00, 0x80, 0x40, 0x20, 0x10, 0x08, 0x04, 0x02, 0x01,
-		0xaa, 0x55, 0xcc, 0x33, 0x99, 0x66, 0xf0, 0x0f, 0x11, 0x22})
+// bit-identical to its tree run, the contract FuzzBytecodeVsTree pins
+// for one lane. Each input then runs again on a recycled VM
+// (checkRecycled), which must repeat the fresh batched run bit for bit.
+func FuzzBatchVsTree(f *testing.F) {
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &progGen{data: data}
 		fmaMode := g.pick(3)
@@ -64,75 +104,26 @@ func FuzzBatchVsSolo(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generator produced unparsable source: %v\n%s", err, src)
 		}
-		mk := func() interp.Config {
-			var fma func(string) bool
-			switch fmaMode {
-			case 1:
-				fma = func(string) bool { return true }
-			case 2:
-				fma = func(m string) bool { return m == "fz" }
-			}
-			return interp.Config{Ncol: 6, SnapshotAll: true, KernelWatch: "fz::main", FMA: fma}
-		}
 		prog := Compile(mods)
+		treeErrs, treeRes := treeRuns(t, mods, fzCfg(fmaMode), lanes, 100, src)
 
-		// Solo reference runs, one VM per lane seed.
-		soloErrs := make([]error, lanes)
-		soloRes := make([]*interp.Results, lanes)
-		for l := 0; l < lanes; l++ {
-			cfg := mk()
-			cfg.RNG = rng.NewKISS(uint64(100 + l))
-			vm, err := prog.NewVM(cfg)
-			if err != nil {
-				t.Fatalf("solo NewVM: %v\n%s", err, src)
-			}
-			for _, call := range [][2]string{{"fz", "fzinit"}, {"fz", "main"}} {
-				if err := vm.Call(call[0], call[1]); err != nil {
-					soloErrs[l] = err
-					break
-				}
-			}
-			if soloErrs[l] == nil {
-				vm.SnapshotModuleVars()
-			}
-			soloRes[l] = vm.Captured()
-		}
-
-		// One batched run over the same per-lane seeds.
-		rngs := make([]rng.Source, lanes)
-		for l := range rngs {
-			rngs[l] = rng.NewKISS(uint64(100 + l))
-		}
-		bvm, err := prog.NewBatchVM(mk(), rngs)
+		bvm, err := prog.NewBatchVM(fzCfg(fmaMode), kissLanes(lanes, 100))
 		if err != nil {
 			t.Fatalf("NewBatchVM: %v\n%s", err, src)
 		}
 		bvm.CallAll("fz", "fzinit")
 		bvm.CallAll("fz", "main")
 		bvm.SnapshotModuleVarsAll()
-
-		for l := 0; l < lanes; l++ {
-			berr := bvm.LaneErrs()[l]
-			if (soloErrs[l] == nil) != (berr == nil) {
-				t.Fatalf("lane %d error disagreement: solo=%v batch=%v\n%s", l, soloErrs[l], berr, src)
-			}
-			if soloErrs[l] != nil {
-				if soloErrs[l].Error() != berr.Error() {
-					t.Fatalf("lane %d error text: solo=%q batch=%q\n%s", l, soloErrs[l], berr, src)
-				}
-				continue
-			}
-			compareLane(t, l, soloRes[l], bvm.LaneResults(l), src)
-		}
+		compareToTree(t, bvm, treeErrs, treeRes, src)
 		// The same run on a recycled VM must repeat the fresh one.
-		checkRecycled(t, prog, bvm, mk(), fmaMode, 100, copyRun(bvm), src)
+		checkRecycled(t, prog, bvm, fzCfg(fmaMode), fmaMode, 100, copyRun(bvm), src)
 	})
 }
 
 // TestBatchLaneRetirement pins per-lane error retirement: a
-// data-dependent out-of-bounds index must retire exactly the lanes a
-// solo run would abort, with identical error text, while surviving
-// lanes keep running bit-identically.
+// data-dependent out-of-bounds index must retire exactly the lanes
+// whose tree runs abort, with the error text a one-lane VM of the same
+// seed reports, while surviving lanes keep running bit-identically.
 func TestBatchLaneRetirement(t *testing.T) {
 	src := `module fz
   real :: a0(:), a1(:)
@@ -161,64 +152,43 @@ end module fz
 	prog := Compile(mods)
 	const lanes = 8
 	cfg := interp.Config{Ncol: 6, SnapshotAll: true}
+	treeErrs, treeRes := treeRuns(t, mods, cfg, lanes, 1, src)
 
-	soloErrs := make([]error, lanes)
-	soloRes := make([]*interp.Results, lanes)
-	for l := 0; l < lanes; l++ {
-		c := cfg
-		c.RNG = rng.NewKISS(uint64(1 + l))
-		vm, err := prog.NewVM(c)
-		if err != nil {
-			t.Fatalf("NewVM: %v", err)
-		}
-		for _, call := range [][2]string{{"fz", "fzinit"}, {"fz", "main"}} {
-			if err := vm.Call(call[0], call[1]); err != nil {
-				soloErrs[l] = err
-				break
-			}
-		}
-		if soloErrs[l] == nil {
-			vm.SnapshotModuleVars()
-		}
-		soloRes[l] = vm.Captured()
-	}
-
-	rngs := make([]rng.Source, lanes)
-	for l := range rngs {
-		rngs[l] = rng.NewKISS(uint64(1 + l))
-	}
-	bvm, err := prog.NewBatchVM(cfg, rngs)
+	bvm, err := prog.NewBatchVM(cfg, kissLanes(lanes, 1))
 	if err != nil {
 		t.Fatalf("NewBatchVM: %v", err)
 	}
 	bvm.CallAll("fz", "fzinit")
 	bvm.CallAll("fz", "main")
 	bvm.SnapshotModuleVarsAll()
+	compareToTree(t, bvm, treeErrs, treeRes, src)
 
-	retired, survived := 0, 0
-	for l := 0; l < lanes; l++ {
-		berr := bvm.LaneErrs()[l]
-		if (soloErrs[l] == nil) != (berr == nil) {
-			t.Fatalf("lane %d error disagreement: solo=%v batch=%v", l, soloErrs[l], berr)
-		}
-		if soloErrs[l] != nil {
-			retired++
-			if soloErrs[l].Error() != berr.Error() {
-				t.Fatalf("lane %d error text: solo=%q batch=%q", l, soloErrs[l], berr)
-			}
+	retired := 0
+	for l, berr := range bvm.LaneErrs() {
+		if berr == nil {
 			continue
 		}
-		survived++
-		compareLane(t, l, soloRes[l], bvm.LaneResults(l), src)
+		retired++
+		c := cfg
+		c.RNG = rng.NewKISS(uint64(1 + l))
+		one, err := newOneLane(prog, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one.Call("fz", "fzinit")
+		if oerr := one.Call("fz", "main"); oerr == nil || oerr.Error() != berr.Error() {
+			t.Fatalf("lane %d error text: one-lane=%v batch=%q", l, oerr, berr)
+		}
 	}
-	if retired == 0 || survived == 0 {
-		t.Fatalf("want a mix of retired and surviving lanes, got retired=%d survived=%d", retired, survived)
+	if retired == 0 || retired == lanes {
+		t.Fatalf("want a mix of retired and surviving lanes, got retired=%d of %d", retired, lanes)
 	}
 }
 
 // TestBatchLaneArrayPerturbation pins the LaneSlice accessor the model
-// layer perturbs through: writing through one lane's strided view must
-// be invisible to every other lane and match a solo ModuleArray write.
+// layer perturbs through: writing through one lane's view must be
+// invisible to every other lane and match a tree walker's ModuleArray
+// write.
 func TestBatchLaneArrayPerturbation(t *testing.T) {
 	src := `module fz
   type cell
@@ -248,35 +218,35 @@ end module fz
 	const lanes = 3
 	cfg := interp.Config{Ncol: 4}
 
-	soloRes := make([]*interp.Results, lanes)
+	treeRes := make([]*interp.Results, lanes)
 	for l := 0; l < lanes; l++ {
 		c := cfg
 		c.RNG = rng.NewKISS(7)
-		vm, err := prog.NewVM(c)
+		m, err := interp.NewMachine(mods, c)
 		if err != nil {
-			t.Fatalf("NewVM: %v", err)
+			t.Fatalf("NewMachine: %v", err)
 		}
-		if err := vm.Call("fz", "fzinit"); err != nil {
+		if err := m.Call("fz", "fzinit"); err != nil {
 			t.Fatalf("fzinit: %v", err)
 		}
-		tt, ok := vm.ModuleArray("fz", "st", "t")
+		tt, ok := m.ModuleArray("fz", "st", "t")
 		if !ok {
-			t.Fatal("solo ModuleArray state temperature missing")
+			t.Fatal("tree ModuleArray state temperature missing")
 		}
 		for i := range tt {
 			tt[i] += float64(l+1) * 0.25
 		}
-		ww, ok := vm.ModuleArray("fz", "w")
+		ww, ok := m.ModuleArray("fz", "w")
 		if !ok {
-			t.Fatal("solo ModuleArray w missing")
+			t.Fatal("tree ModuleArray w missing")
 		}
 		for i := range ww {
 			ww[i] += float64(l+1) * 0.5
 		}
-		if err := vm.Call("fz", "main"); err != nil {
+		if err := m.Call("fz", "main"); err != nil {
 			t.Fatalf("main: %v", err)
 		}
-		soloRes[l] = vm.Captured()
+		treeRes[l] = &m.Results
 	}
 
 	rngs := make([]rng.Source, lanes)
@@ -312,7 +282,7 @@ end module fz
 		if err := bvm.LaneErrs()[l]; err != nil {
 			t.Fatalf("lane %d err: %v", l, err)
 		}
-		compareLane(t, l, soloRes[l], bvm.LaneResults(l), src)
+		compareLane(t, l, treeRes[l], bvm.LaneResults(l), src)
 	}
 }
 
@@ -326,9 +296,12 @@ func TestBatchVMConfig(t *testing.T) {
 	if _, err := prog.NewBatchVM(interp.Config{}, nil); err == nil {
 		t.Fatal("want error for zero lanes")
 	}
-	if _, err := prog.NewBatchVM(interp.Config{Trace: func(string, string) {}},
-		[]rng.Source{rng.NewKISS(1)}); err == nil {
-		t.Fatal("want error for Trace")
+	trace := interp.Config{Trace: func(string, string) {}}
+	if _, err := prog.NewBatchVM(trace, []rng.Source{rng.NewKISS(1), rng.NewKISS(2)}); err == nil {
+		t.Fatal("want error for Trace on two lanes")
+	}
+	if _, err := prog.NewBatchVM(trace, []rng.Source{rng.NewKISS(1)}); err != nil {
+		t.Fatalf("Trace on one lane: %v", err)
 	}
 	if _, err := prog.NewBatchVM(interp.Config{}, []rng.Source{nil}); err == nil {
 		t.Fatal("want error for nil lane RNG")

@@ -32,7 +32,7 @@ contains
 end module
 `
 
-func benchVM(b *testing.B, fma bool) *VM {
+func benchVM(b *testing.B, fma bool) oneLane {
 	b.Helper()
 	mods, err := fortran.ParseFile(benchSrc)
 	if err != nil {
@@ -43,7 +43,7 @@ func benchVM(b *testing.B, fma bool) *VM {
 		fmaFn = func(string) bool { return true }
 	}
 	prog := Compile(mods)
-	vm, err := prog.NewVM(interp.Config{Ncol: 64, FMA: fmaFn})
+	vm, err := newOneLane(prog, interp.Config{Ncol: 64, FMA: fmaFn})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -303,7 +303,6 @@ func DecodeProgram(data []byte) (*Program, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	p.pools = make([]sync.Pool, len(p.procs))
 	p.batchVMs = new(sync.Map)
 	return p, nil
 }

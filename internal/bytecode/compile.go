@@ -9,10 +9,10 @@ import (
 )
 
 // Compile lowers parsed FortLite modules to a bytecode Program. The
-// result is immutable and safe for concurrent NewVM use; construction
-// failures the tree walker would report from NewMachine are recorded
-// in the program and surfaced by NewVM, so the two engines agree on
-// which programs run at all.
+// result is immutable and safe for concurrent NewBatchVM use;
+// construction failures the tree walker would report from NewMachine
+// are recorded in the program and surfaced by NewBatchVM, so the two
+// engines agree on which programs run at all.
 func Compile(mods []*fortran.Module) *Program {
 	prog := &Program{
 		moduleIdx: make(map[string]int),
@@ -46,7 +46,6 @@ func Compile(mods []*fortran.Module) *Program {
 	if c.err != nil {
 		prog.initErr = c.err
 	}
-	prog.pools = make([]sync.Pool, len(prog.procs))
 	prog.batchVMs = new(sync.Map)
 	return prog
 }

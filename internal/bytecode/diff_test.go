@@ -43,10 +43,36 @@ func diffMaps(t *testing.T, label string, want, got map[string][]float64) {
 	}
 }
 
+// oneLane drives a one-lane BatchVM through the tree walker's
+// entry-call surface, so the differential tests call both engines
+// alike.
+type oneLane struct{ *BatchVM }
+
+// newOneLane builds a one-lane VM of p for cfg, defaulting the PRNG as
+// interp.NewMachine does.
+func newOneLane(p *Program, cfg interp.Config) (oneLane, error) {
+	src := cfg.RNG
+	if src == nil {
+		src = rng.NewKISS(1)
+	}
+	vm, err := p.NewBatchVM(cfg, []rng.Source{src})
+	return oneLane{vm}, err
+}
+
+// Call invokes an entry subroutine and returns the lane's error.
+func (v oneLane) Call(module, name string) error { return v.CallAll(module, name)[0] }
+
+// SnapshotModuleVars records module-level variables into the lane's
+// AllValues, as the walker's SnapshotModuleVars does.
+func (v oneLane) SnapshotModuleVars() { v.SnapshotModuleVarsAll() }
+
+// Captured returns the lane's capture maps.
+func (v oneLane) Captured() *interp.Results { return v.LaneResults(0) }
+
 // runBoth executes the same entry calls on both engines and requires
-// bit-identical captures. Config instances are cloned so each engine
+// bit-identical captures, the exit snapshots of a failed run included. Config instances are cloned so each engine
 // gets its own PRNG stream.
-func runBoth(t *testing.T, mkCfg func() interp.Config, srcs []string, calls ...[2]string) (*interp.Machine, *VM) {
+func runBoth(t *testing.T, mkCfg func() interp.Config, srcs []string, calls ...[2]string) (*interp.Machine, *interp.Results) {
 	t.Helper()
 	var mods []*fortran.Module
 	for _, s := range srcs {
@@ -58,7 +84,7 @@ func runBoth(t *testing.T, mkCfg func() interp.Config, srcs []string, calls ...[
 	}
 	m, merr := interp.NewMachine(mods, mkCfg())
 	prog := Compile(mods)
-	vm, verr := prog.NewVM(mkCfg())
+	vm, verr := newOneLane(prog, mkCfg())
 	if (merr == nil) != (verr == nil) {
 		t.Fatalf("construction disagreement: tree=%v vm=%v", merr, verr)
 	}
@@ -75,12 +101,17 @@ func runBoth(t *testing.T, mkCfg func() interp.Config, srcs []string, calls ...[
 			break
 		}
 	}
-	m.SnapshotModuleVars()
-	vm.SnapshotModuleVars()
-	diffMaps(t, "Outputs", m.Outputs, vm.Outputs)
-	diffMaps(t, "Kernel", m.Kernel, vm.Kernel)
-	diffMaps(t, "AllValues", m.AllValues, vm.AllValues)
-	return m, vm
+	// A failed lane keeps its exit snapshots but takes no module-level
+	// snapshot.
+	if vm.LaneErrs()[0] == nil {
+		m.SnapshotModuleVars()
+		vm.SnapshotModuleVars()
+	}
+	got := vm.Captured()
+	diffMaps(t, "Outputs", m.Outputs, got.Outputs)
+	diffMaps(t, "Kernel", m.Kernel, got.Kernel)
+	diffMaps(t, "AllValues", m.AllValues, got.AllValues)
+	return m, got
 }
 
 func plainCfg(ncol int) func() interp.Config {
@@ -355,7 +386,7 @@ func TestVMCorpusStepsBitIdentical(t *testing.T) {
 	}
 	m, merr := interp.NewMachine(mods, mk())
 	prog := Compile(mods)
-	vm, verr := prog.NewVM(mk())
+	vm, verr := newOneLane(prog, mk())
 	if merr != nil || verr != nil {
 		t.Fatalf("construction: tree=%v vm=%v", merr, verr)
 	}
@@ -373,10 +404,11 @@ func TestVMCorpusStepsBitIdentical(t *testing.T) {
 	}
 	m.SnapshotModuleVars()
 	vm.SnapshotModuleVars()
-	diffMaps(t, "Outputs", m.Outputs, vm.Outputs)
-	diffMaps(t, "Kernel", m.Kernel, vm.Kernel)
-	diffMaps(t, "AllValues", m.AllValues, vm.AllValues)
-	if len(vm.Outputs) == 0 || len(vm.AllValues) == 0 {
+	got := vm.Captured()
+	diffMaps(t, "Outputs", m.Outputs, got.Outputs)
+	diffMaps(t, "Kernel", m.Kernel, got.Kernel)
+	diffMaps(t, "AllValues", m.AllValues, got.AllValues)
+	if len(got.Outputs) == 0 || len(got.AllValues) == 0 {
 		t.Fatal("no captures recorded")
 	}
 }

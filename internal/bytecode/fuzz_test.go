@@ -2,7 +2,6 @@ package bytecode
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -225,73 +224,70 @@ func genProgram(t *testing.T, data []byte) (src string, mods []*fortran.Module, 
 	return src, mods, fmaMode
 }
 
+// fzCfg is the fuzz harnesses' run configuration for one FMA mode (0:
+// none, 1: every module, 2: module fz only), before the PRNG is set.
+func fzCfg(fmaMode int) interp.Config {
+	var fma func(string) bool
+	switch fmaMode {
+	case 1:
+		fma = func(string) bool { return true }
+	case 2:
+		fma = func(m string) bool { return m == "fz" }
+	}
+	return interp.Config{Ncol: 6, SnapshotAll: true, KernelWatch: "fz::main", FMA: fma}
+}
+
 // diffVsTree runs fzinit and main on the tree walker over mods and on
-// a VM of prog, and fails unless both agree on every construction and
-// call error and produce bit-identical Outputs, Kernel and AllValues.
+// a one-lane VM of prog, and fails unless both agree on every
+// construction and call error, report the same Trace sequence of proc
+// entries and produce bit-identical Outputs, Kernel and AllValues; the
+// VM, recycled, must then repeat its run (checkRecycled).
 func diffVsTree(t *testing.T, src string, mods []*fortran.Module, prog *Program, fmaMode int) {
 	t.Helper()
-	mk := func() interp.Config {
-		var fma func(string) bool
-		switch fmaMode {
-		case 1:
-			fma = func(string) bool { return true }
-		case 2:
-			fma = func(m string) bool { return m == "fz" }
-		}
-		return interp.Config{Ncol: 6, RNG: rng.NewKISS(99),
-			SnapshotAll: true, KernelWatch: "fz::main", FMA: fma}
+	var treeSeq, vmSeq []string
+	mk := func(seq *[]string) interp.Config {
+		cfg := fzCfg(fmaMode)
+		cfg.RNG = rng.NewKISS(99)
+		cfg.Trace = func(mod, sub string) { *seq = append(*seq, mod+"::"+sub) }
+		return cfg
 	}
-	m, merr := interp.NewMachine(mods, mk())
-	vm, verr := prog.NewVM(mk())
+	m, merr := interp.NewMachine(mods, mk(&treeSeq))
+	vm, verr := newOneLane(prog, mk(&vmSeq))
 	if (merr == nil) != (verr == nil) {
 		t.Fatalf("construction disagreement: tree=%v vm=%v\n%s", merr, verr, src)
 	}
 	if merr != nil {
 		return
 	}
+	var failed error
 	for _, call := range [][2]string{{"fz", "fzinit"}, {"fz", "main"}} {
 		em := m.Call(call[0], call[1])
 		ev := vm.Call(call[0], call[1])
 		if (em == nil) != (ev == nil) {
 			t.Fatalf("call %s disagreement: tree=%v vm=%v\n%s", call[1], em, ev, src)
 		}
-		if em != nil {
-			return
+		if failed = em; failed != nil {
+			break
 		}
+	}
+	if len(treeSeq) == 0 || strings.Join(treeSeq, " ") != strings.Join(vmSeq, " ") {
+		t.Fatalf("Trace sequences differ:\ntree %v\nvm   %v\n%s", treeSeq, vmSeq, src)
+	}
+	if failed != nil {
+		return
 	}
 	m.SnapshotModuleVars()
 	vm.SnapshotModuleVars()
-	for label, pair := range map[string][2]map[string][]float64{
-		"Outputs":   {m.Outputs, vm.Outputs},
-		"Kernel":    {m.Kernel, vm.Kernel},
-		"AllValues": {m.AllValues, vm.AllValues},
-	} {
-		want, got := pair[0], pair[1]
-		if len(want) != len(got) {
-			t.Fatalf("%s: key counts differ (%d vs %d)\n%s", label, len(want), len(got), src)
-		}
-		for k, wv := range want {
-			gv, ok := got[k]
-			if !ok {
-				t.Fatalf("%s: key %q missing from VM\n%s", label, k, src)
-			}
-			if len(wv) != len(gv) {
-				t.Fatalf("%s[%s]: lengths differ\n%s", label, k, src)
-			}
-			for i := range wv {
-				if math.Float64bits(wv[i]) != math.Float64bits(gv[i]) {
-					t.Fatalf("%s[%s][%d]: tree=%x vm=%x\n%s",
-						label, k, i, math.Float64bits(wv[i]), math.Float64bits(gv[i]), src)
-				}
-			}
-		}
-	}
+	compareLane(t, 0, &m.Results, vm.Captured(), src)
+	// A one-lane VM is recycled like any other: the same run on it must
+	// repeat the fresh one.
+	checkRecycled(t, prog, vm.BatchVM, fzCfg(fmaMode), fmaMode, 99, copyRun(vm.BatchVM), src)
 }
 
-// FuzzBytecodeVsTree generates FortLite programs and asserts the
-// bytecode VM and the tree walker produce bit-identical Outputs,
-// Kernel and AllValues maps — the differential pin behind making the
-// VM the only production engine.
+// FuzzBytecodeVsTree generates FortLite programs and asserts a one-lane
+// BatchVM and the tree walker trace the same proc entries and produce
+// bit-identical Outputs, Kernel and AllValues maps — the differential
+// pin behind making the VM the only production engine.
 func FuzzBytecodeVsTree(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)

@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"github.com/climate-rca/rca/internal/fortran"
@@ -325,4 +326,45 @@ func (l *linker) buildModuleSnaps() {
 		}
 		p.snapModules[mi] = ms
 	}
+}
+
+// applyScalarOp mirrors interp's scalar semantics exactly for the
+// linker's constant evaluator.
+func applyScalarOp(op fortran.Kind, a, b float64) (float64, error) {
+	switch op {
+	case fortran.PLUS:
+		return a + b, nil
+	case fortran.MINUS:
+		return a - b, nil
+	case fortran.STAR:
+		return a * b, nil
+	case fortran.SLASH:
+		return a / b, nil
+	case fortran.POW:
+		return math.Pow(a, b), nil
+	case fortran.EQ:
+		return b2f(a == b), nil
+	case fortran.NE:
+		return b2f(a != b), nil
+	case fortran.LT:
+		return b2f(a < b), nil
+	case fortran.LE:
+		return b2f(a <= b), nil
+	case fortran.GT:
+		return b2f(a > b), nil
+	case fortran.GE:
+		return b2f(a >= b), nil
+	case fortran.AND:
+		return b2f(a != 0 && b != 0), nil
+	case fortran.OR:
+		return b2f(a != 0 || b != 0), nil
+	}
+	return 0, fmt.Errorf("bad binary op %v", op)
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }

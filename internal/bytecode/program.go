@@ -1,7 +1,8 @@
 // Package bytecode compiles FortLite modules into a register-based
-// bytecode program and executes it on a stack-of-frames VM. It is the
-// production execution engine behind interp.Engine: semantic analysis
-// resolves every variable, derived-type field and call target to an
+// bytecode program and executes it on one stack-of-frames VM, the
+// BatchVM, which runs one or more members in lockstep. It is the
+// production execution engine: semantic analysis resolves every
+// variable, derived-type field and call target to an
 // integer slot at compile time, scalars live unboxed in flat []float64
 // register files, and column fields in preallocated flat arrays — so
 // the hot path runs with no map lookups and no per-expression heap
@@ -50,46 +51,7 @@ type dtype struct {
 type dfield struct {
 	name string
 	arr  bool
-	slot int32 // index into dval.scal or dval.arr
-}
-
-// dval is a runtime derived-type instance: scalar fields flat in scal,
-// column fields in arr. f mirrors the tree walker's Value.F phantom on
-// derived values (written by random_number, read by at()).
-type dval struct {
-	t    *dtype
-	f    float64
-	scal []float64
-	arr  [][]float64
-}
-
-// newDval allocates a zeroed instance.
-func newDval(t *dtype, ncol int) *dval {
-	d := &dval{t: t}
-	if t.nScal > 0 {
-		d.scal = make([]float64, t.nScal)
-	}
-	if t.nArr > 0 {
-		d.arr = make([][]float64, t.nArr)
-		backing := make([]float64, t.nArr*ncol)
-		for i := 0; i < t.nArr; i++ {
-			d.arr[i] = backing[i*ncol : (i+1)*ncol]
-		}
-	}
-	return d
-}
-
-// reset zeroes an owned instance for a fresh frame activation.
-func (d *dval) reset() {
-	d.f = 0
-	for i := range d.scal {
-		d.scal[i] = 0
-	}
-	for _, a := range d.arr {
-		for i := range a {
-			a[i] = 0
-		}
-	}
+	slot int32 // index into bdval.scal or bdval.arr
 }
 
 // gref addresses one global (module-level) cell.
@@ -122,7 +84,7 @@ const (
 	amValScalP
 	amValScalDF
 	amValArr // copy contents of fr.arr[a] into callee-owned array
-	amValDrv // deep-copy fr.drv[a] into callee-owned dval
+	amValDrv // deep-copy fr.drv[a] into callee-owned bdval
 )
 
 type argMove struct {
@@ -239,9 +201,9 @@ type moduleSnap struct {
 }
 
 // Program is an immutable compiled FortLite program, safe for
-// concurrent NewVM use. It is the Session's cached build artifact:
+// concurrent NewBatchVM use. It is the Session's cached build artifact:
 // model.Runner compiles it once per source fingerprint and every
-// ensemble member runs it on a fresh VM.
+// integration runs it on a BatchVM lane.
 type Program struct {
 	modules   []string
 	moduleIdx map[string]int
@@ -278,13 +240,8 @@ type Program struct {
 
 	// initErr is the construction failure the tree walker's NewMachine
 	// would report (duplicate modules, bad module-level initializers,
-	// unknown derived types); NewVM returns it.
+	// unknown derived types); NewBatchVM returns it.
 	initErr error
-
-	// pools recycle activation frames per proc across every VM of this
-	// program — an ensemble's members run the same procs over and over,
-	// and a frame is fully reset (or rebound) before any use.
-	pools []sync.Pool
 
 	// batchVMs holds released BatchVMs, frames included, for NewBatchVM
 	// to reset in place: one *sync.Pool per batchSize, created on first

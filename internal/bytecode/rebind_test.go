@@ -32,11 +32,11 @@ func parseAll(t *testing.T, srcs ...string) []*fortran.Module {
 	return mods
 }
 
-// runSteps integrates init plus nine steps on a fresh VM of p and
+// runSteps integrates init plus nine steps on a one-lane VM of p and
 // returns its captures.
-func runSteps(t *testing.T, p *Program, c *corpus.Corpus) *VM {
+func runSteps(t *testing.T, p *Program, c *corpus.Corpus) *interp.Results {
 	t.Helper()
-	vm, err := p.NewVM(interp.Config{Ncol: 16, RNG: rng.NewKISS(777), SnapshotAll: true})
+	vm, err := newOneLane(p, interp.Config{Ncol: 16, RNG: rng.NewKISS(777), SnapshotAll: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func runSteps(t *testing.T, p *Program, c *corpus.Corpus) *VM {
 		}
 	}
 	vm.SnapshotModuleVars()
-	return vm
+	return vm.Captured()
 }
 
 // TestRebindMatchesCompileParamVariants is the differential pin for
@@ -242,7 +242,7 @@ func TestRebindHandWrittenPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm, err := pa.Rebind(b).NewVM(plainCfg(3)())
+	vm, err := newOneLane(pa.Rebind(b), plainCfg(3)())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestRebindHandWrittenPair(t *testing.T) {
 	}
 	m.SnapshotModuleVars()
 	vm.SnapshotModuleVars()
-	diffMaps(t, "AllValues", m.AllValues, vm.AllValues)
+	diffMaps(t, "AllValues", m.AllValues, vm.Captured().AllValues)
 }
 
 // TestRebindInitializerFailure pins error parity: a same-shape tree
@@ -274,8 +274,8 @@ func TestRebindInitializerFailure(t *testing.T) {
 	if got.Err() == nil || got.Err().Error() != fresh.Err().Error() {
 		t.Fatalf("Rebind Err() = %v; fresh Compile Err() = %v", got.Err(), fresh.Err())
 	}
-	if _, err := got.NewVM(plainCfg(2)()); err == nil || err.Error() != fresh.Err().Error() {
-		t.Fatalf("NewVM on the failed rebind = %v; want %v", err, fresh.Err())
+	if _, err := newOneLane(got, plainCfg(2)()); err == nil || err.Error() != fresh.Err().Error() {
+		t.Fatalf("NewBatchVM on the failed rebind = %v; want %v", err, fresh.Err())
 	}
 	if !bytes.Equal(mustEncode(t, fresh.Rebind(a)), mustEncode(t, Compile(a))) {
 		t.Fatal("rebinding a failed program does not compile the new tree")
@@ -283,8 +283,9 @@ func TestRebindInitializerFailure(t *testing.T) {
 }
 
 // TestRebindConcurrentVMs runs VMs of a skeleton and of its rebinds at
-// once: they share procs and frame pools, so every run must still
-// match a solo run of its own program bit for bit.
+// once: they share procs and the shape's pool of released VMs, so
+// every run must still match a run of its own program's compilation
+// bit for bit.
 func TestRebindConcurrentVMs(t *testing.T) {
 	base := corpus.Config{AuxModules: 10, Seed: 4}
 	cfgs := []corpus.Config{base, base, base}
@@ -310,7 +311,7 @@ func TestRebindConcurrentVMs(t *testing.T) {
 	for g := 0; g < 6; g++ {
 		go func(i int) {
 			defer func() { done <- i }()
-			vm, err := progs[i].NewVM(interp.Config{Ncol: 16, RNG: rng.NewKISS(777), SnapshotAll: true})
+			vm, err := newOneLane(progs[i], interp.Config{Ncol: 16, RNG: rng.NewKISS(777), SnapshotAll: true})
 			if err != nil {
 				t.Error(err)
 				return
@@ -327,9 +328,11 @@ func TestRebindConcurrentVMs(t *testing.T) {
 				}
 			}
 			vm.SnapshotModuleVars()
+			defer vm.Release()
+			got := vm.Captured().AllValues
 			for k, w := range want[i] {
-				if !sameBits(w, vm.AllValues[k]) {
-					t.Errorf("program %d: %s differs from a solo run of its own compile", i, k)
+				if !sameBits(w, got[k]) {
+					t.Errorf("program %d: %s differs from a run of its own compile", i, k)
 					return
 				}
 			}

@@ -9,7 +9,7 @@ import (
 
 // The reuse contract: a BatchVM that NewBatchVM resets in place starts
 // in exactly a fresh VM's state, whatever its previous use left behind.
-// FuzzBatchVsSolo checks it on every generated program through
+// FuzzBatchVsTree checks it on every generated program through
 // checkRecycled; the tests below cover the state generated programs do
 // not reach (module-level array initializers, derived module variables
 // read before their first write) and the reuse of one shape's VMs across

@@ -64,7 +64,7 @@ func TestVariableContributionsOnModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ens, err := control.Ensemble(30, model.RunConfig{})
+	ens, err := control.RunBatchMeans(model.RunConfig{}, memberRange(0, 30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestVariableContributionsOnModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := bugged.ExperimentalSet(6, 1000, model.RunConfig{})
+	runs, err := bugged.RunBatchMeans(model.RunConfig{}, memberRange(1000, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,4 +169,13 @@ func TestAVX2FullSliceLarger(t *testing.T) {
 	if !full.BugLocated {
 		t.Fatal("unrestricted variant lost the bug")
 	}
+}
+
+// memberRange returns the member ids offset..offset+n-1.
+func memberRange(offset, n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = offset + i
+	}
+	return ids
 }

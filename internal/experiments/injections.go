@@ -274,7 +274,7 @@ func (i fmaInjection) sites(in siteInput) ([]int, []string, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	flagged := kgen.CompareKernels(off.Engine.Captured().Kernel, on.Engine.Captured().Kernel, kgen.RMSThreshold)
+	flagged := kgen.CompareKernels(off.Kernel, on.Kernel, kgen.RMSThreshold)
 	var ids []int
 	var names []string
 	for _, f := range flagged {

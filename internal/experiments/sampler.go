@@ -51,7 +51,7 @@ func snapshotRuns(in RefineInput) (ens, exp map[string][]float64, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return cres.Engine.Captured().AllValues, eres.Engine.Captured().AllValues, nil
+	return cres.AllValues, eres.AllValues, nil
 }
 
 type valueSampler struct{ tol float64 }

@@ -250,10 +250,10 @@ const DefaultBatch = 8
 
 // WithBatch sets how many ensemble/experimental members integrate in
 // lockstep on one batched VM (default DefaultBatch). WithBatch(1)
-// disables batching — every member runs on its own solo VM, the
-// differential reference. Outputs are pinned bit-identical at every
-// batch width; this exists only as the differential-test hook, and no
-// CLI or daemon exposes it.
+// disables batching — every member runs on its own one-lane VM.
+// Outputs are pinned bit-identical at every batch width and to the
+// tree walker (WithEngine); this exists only as a differential-test
+// hook, and no CLI or daemon exposes it.
 func WithBatch(n int) Option {
 	return func(s *Session) {
 		if n > 0 {
@@ -446,7 +446,7 @@ func (s *Session) Sources(ctx context.Context, sc Scenario) ([]corpus.File, erro
 // canceled investigation stops promptly instead of finishing the
 // whole set. The set is cut into fixed contiguous chunks of batch
 // members — each chunk runs in lockstep on one batched VM
-// (Runner.RunBatchMeans; batch 1 degenerates to solo integrations) —
+// (Runner.RunBatchMeans; batch 1 gives one-lane VMs) —
 // and the chunk boundaries depend only on n and batch, never on par,
 // so outputs are stored by member index and the result is identical
 // at every parallelism level.

@@ -17,8 +17,8 @@ type frame struct {
 
 const maxDepth = 200
 
-// Call invokes module::name, a zero-argument entry subroutine. It is
-// the Engine entry point the model driver uses.
+// Call invokes module::name, a zero-argument entry subroutine (the
+// driver's init/step calls).
 func (m *Machine) Call(module, name string) error {
 	return m.CallWith(module, name)
 }

@@ -32,7 +32,7 @@ type Config struct {
 type procKey struct{ module, name string }
 
 // Machine executes a set of FortLite modules by walking the AST. It is
-// the reference Engine: the bytecode VM is required to reproduce its
+// the reference engine: the bytecode VM is required to reproduce its
 // outputs bit for bit, and the differential tests compare against it.
 type Machine struct {
 	// Results embeds Outputs/Kernel/AllValues, the capture surface
@@ -261,9 +261,6 @@ func (m *Machine) evalConst(e fortran.Expr) (*Value, error) {
 	return nil, fmt.Errorf("non-constant initializer")
 }
 
-// Ncol returns the configured column count.
-func (m *Machine) Ncol() int { return m.cfg.Ncol }
-
 // ModuleVar returns the module-level variable, if present.
 func (m *Machine) ModuleVar(module, name string) (*Value, bool) {
 	v, ok := m.storage[module][name]
@@ -280,11 +277,9 @@ func (m *Machine) SetModuleVar(module, name string, v *Value) error {
 	return nil
 }
 
-// Captured implements Engine, exposing the run's capture maps.
-func (m *Machine) Captured() *Results { return &m.Results }
-
-// ModuleArray implements Engine: the mutable backing slice of a
-// module-level array variable, walking derived-type components.
+// ModuleArray returns the mutable backing slice of a module-level
+// array variable, walking derived-type components: path is the name
+// followed by component names (e.g. "state", "t").
 func (m *Machine) ModuleArray(module string, path ...string) ([]float64, bool) {
 	if len(path) == 0 {
 		return nil, false

@@ -2,36 +2,11 @@ package interp
 
 import "sort"
 
-// Engine is the execution substrate contract shared by the tree-walking
-// Machine (this package, the reference oracle) and the bytecode VM
-// (internal/bytecode, the default hot path). The model driver runs
-// entirely against this interface, so the two engines are drop-in
-// replacements for each other; the differential tests in
-// internal/bytecode pin them bit-identical.
-type Engine interface {
-	// Call invokes module::name, a zero-argument entry subroutine (the
-	// driver's init/step calls).
-	Call(module, name string) error
-	// Captured exposes the run's captured state: outfld outputs, the
-	// KernelWatch snapshot and the SnapshotAll value map.
-	Captured() *Results
-	// ModuleArray returns the mutable backing slice of a module-level
-	// array variable — path is the name followed by derived-type
-	// component names (e.g. "state", "t"). The model's ensemble
-	// perturbations write through it.
-	ModuleArray(module string, path ...string) ([]float64, bool)
-	// SnapshotModuleVars records module-level variables into
-	// Captured().AllValues under the module::::name key convention.
-	SnapshotModuleVars()
-	// Ncol returns the column count the engine was configured with.
-	Ncol() int
-}
-
 // LaneSlice is a strided view of one lane's elements inside a batched
 // engine's struct-of-arrays storage: element i lives at
-// Data[i*Stride+Off]. It is the batched counterpart of the mutable
-// []float64 Engine.ModuleArray returns — the model's per-member
-// initial-condition perturbations write through it.
+// Data[i*Stride+Off]. Over the mutable []float64 Machine.ModuleArray
+// returns it is a Stride-1 view. The model's per-member
+// initial-condition perturbation writes through it on either engine.
 type LaneSlice struct {
 	Data   []float64
 	Stride int
@@ -45,9 +20,6 @@ func (s LaneSlice) Len() int {
 	}
 	return len(s.Data) / s.Stride
 }
-
-// At reads element i of the lane.
-func (s LaneSlice) At(i int) float64 { return s.Data[i*s.Stride+s.Off] }
 
 // Add adds dv to element i of the lane in place.
 func (s LaneSlice) Add(i int, dv float64) { s.Data[i*s.Stride+s.Off] += dv }

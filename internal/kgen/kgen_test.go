@@ -74,7 +74,7 @@ func TestAVX2KernelFlagging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flagged := CompareKernels(off.Engine.Captured().Kernel, on.Engine.Captured().Kernel, RMSThreshold)
+	flagged := CompareKernels(off.Kernel, on.Kernel, RMSThreshold)
 	if len(flagged) < 5 {
 		t.Fatalf("only %d variables flagged: %+v", len(flagged), flagged)
 	}

@@ -6,10 +6,10 @@ import (
 	"github.com/climate-rca/rca/internal/corpus"
 )
 
-// The batched/solo pair below isolates the ensemble-execution stage:
-// the same eight members through one lockstep BatchVM versus eight
-// solo VM runs. The pipeline benchmarks at the repo root measure the
-// end-to-end effect.
+// The pair below isolates the ensemble-execution stage: the same eight
+// members through one eight-lane BatchVM versus eight Runs, each on a
+// one-lane BatchVM. The pipeline benchmarks at the repo root measure
+// the end-to-end effect.
 
 func batchBenchRunner(b *testing.B) *Runner {
 	b.Helper()

@@ -21,8 +21,8 @@ func TestRNGSeedSharedAcrossMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra := a.Engine.Captured().AllValues["cloud_rand_lw::::rnum_lw"]
-	rb := b.Engine.Captured().AllValues["cloud_rand_lw::::rnum_lw"]
+	ra := a.AllValues["cloud_rand_lw::::rnum_lw"]
+	rb := b.AllValues["cloud_rand_lw::::rnum_lw"]
 	if len(ra) == 0 || len(rb) == 0 {
 		t.Fatal("rnum_lw snapshots missing")
 	}
@@ -43,8 +43,8 @@ func TestMersenneChangesDraws(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra := a.Engine.Captured().AllValues["cloud_rand_lw::::rnum_lw"]
-	rb := b.Engine.Captured().AllValues["cloud_rand_lw::::rnum_lw"]
+	ra := a.AllValues["cloud_rand_lw::::rnum_lw"]
+	rb := b.AllValues["cloud_rand_lw::::rnum_lw"]
 	same := true
 	for i := range ra {
 		if ra[i] != rb[i] {
@@ -59,7 +59,7 @@ func TestMersenneChangesDraws(t *testing.T) {
 func TestPertScaleControlsSpread(t *testing.T) {
 	r := runnerFor(t, corpus.Config{AuxModules: 15, Seed: 2})
 	spread := func(scale float64) float64 {
-		ens, err := r.Ensemble(6, RunConfig{PertScale: scale})
+		ens, err := r.RunBatchMeans(RunConfig{PertScale: scale}, memberRange(0, 6))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,8 +82,8 @@ func TestStopAfterLimitsSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n1 := one.Engine.Captured().AllValues["cam_driver::::nstep"]
-	n9 := full.Engine.Captured().AllValues["cam_driver::::nstep"]
+	n1 := one.AllValues["cam_driver::::nstep"]
+	n9 := full.AllValues["cam_driver::::nstep"]
 	if n1[0] != 1 || n9[0] != float64(Steps) {
 		t.Fatalf("nstep: one=%v full=%v", n1, n9)
 	}
@@ -91,7 +91,7 @@ func TestStopAfterLimitsSteps(t *testing.T) {
 
 func TestEnsembleMembersDiffer(t *testing.T) {
 	r := runnerFor(t, corpus.Config{AuxModules: 15, Seed: 2})
-	ens, err := r.Ensemble(4, RunConfig{})
+	ens, err := r.RunBatchMeans(RunConfig{}, memberRange(0, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestAuxCouplerFeedsTemperature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := res.Engine.Captured().AllValues["aux_coupler::::auxten"]; !ok {
+	if _, ok := res.AllValues["aux_coupler::::auxten"]; !ok {
 		t.Fatal("auxten never materialized")
 	}
 	// auxten contributions must not destabilize T.

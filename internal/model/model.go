@@ -4,8 +4,9 @@
 // the step-9 output global means the consistency test consumes
 // (UF-CAM-ECT evaluates at time step nine, paper §2.1).
 //
-// Integrations run on the bytecode register VM (internal/bytecode,
-// compiled once per Runner shape and cached), coverage traces
+// Integrations run on the bytecode BatchVM (internal/bytecode,
+// compiled once per Runner shape and cached): a set of members in
+// lockstep lanes, a single integration on one lane, coverage traces
 // included. The tree-walking interpreter (internal/interp) is its
 // differential reference: NewRunnerEngine(c, EngineTree) selects it
 // for the tests that pin the two engines bit-identical.
@@ -81,9 +82,10 @@ type RunConfig struct {
 type Result struct {
 	// Means maps output label to global mean at the final step.
 	Means ect.RunOutput
-	// Engine is the finished execution engine (exposes the captured
-	// Outputs/Kernel/AllValues through Captured()).
-	Engine interp.Engine
+	// Results holds the run's captures: outfld Outputs, the
+	// KernelWatch snapshot and the SnapshotAll values. They belong to
+	// the caller; no engine state aliases them.
+	interp.Results
 }
 
 // Runner caches the parsed corpus — and, for the bytecode engine, the
@@ -234,49 +236,21 @@ func (r *Runner) CompileStats() (hits, misses uint64) {
 // compiling.
 func (r *Runner) Rebinds() uint64 { return r.rebinds.Load() }
 
-// engineFor builds the engine instance for one integration.
-func (r *Runner) engineFor(cfg RunConfig, src rng.Source) (interp.Engine, error) {
-	icfg := interp.Config{
-		Ncol:        cfg.Ncol,
-		RNG:         src,
-		FMA:         cfg.FMA,
-		Trace:       cfg.Trace,
-		KernelWatch: cfg.KernelWatch,
-		SnapshotAll: cfg.SnapshotAll,
-	}
-	if r.engine == EngineTree {
-		return interp.NewMachine(r.Modules, icfg)
-	}
-	return r.Program().NewVM(icfg)
-}
-
 // Run integrates the model per cfg and returns the step-9 output
-// means.
+// means and the run's captures.
 func (r *Runner) Run(cfg RunConfig) (*Result, error) {
-	cfg, srcs := withDefaults(cfg, 1)
-	eng, err := r.engineFor(cfg, srcs[0])
+	if r.engine == EngineTree {
+		return r.runTree(cfg)
+	}
+	var res Result
+	err := r.integrate(cfg, []int{cfg.Member}, func(vm *bytecode.BatchVM, _ int) {
+		res.Results = vm.DetachLaneResults(0)
+		res.Means = res.OutputMeans()
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := eng.Call(r.Corpus.DriverModule, r.Corpus.InitSub); err != nil {
-		return nil, fmt.Errorf("model: init: %w", err)
-	}
-	if err := perturb(eng, cfg); err != nil {
-		return nil, err
-	}
-	steps := Steps
-	if cfg.StopAfter > 0 && cfg.StopAfter < Steps {
-		steps = cfg.StopAfter
-	}
-	for s := 0; s < steps; s++ {
-		if err := eng.Call(r.Corpus.DriverModule, r.Corpus.StepSub); err != nil {
-			return nil, fmt.Errorf("model: step %d: %w", s+1, err)
-		}
-	}
-	if cfg.SnapshotAll {
-		eng.SnapshotModuleVars()
-	}
-	return &Result{Means: eng.Captured().OutputMeans(), Engine: eng}, nil
+	return &res, nil
 }
 
 // RunBatchMeans integrates a set of members in lockstep on one
@@ -284,16 +258,16 @@ func (r *Runner) Run(cfg RunConfig) (*Result, error) {
 // output means in member order — bit-identical to running each member
 // through Run. Members share everything except the perturbation seed,
 // so the lanes execute the same instruction stream and diverge only at
-// data-dependent branches. Configurations the batched engine cannot
-// express (a tree-engine Runner, Trace callbacks) and single-member
-// sets fall back to solo runs. On failure the error of the lowest
+// data-dependent branches. A tree-engine Runner runs the members one
+// by one. A Trace callback needs one lane per run, so base.Trace with
+// more than one member is an error. On failure the error of the lowest
 // failing member is returned, wrapped exactly as Run wraps it.
 func (r *Runner) RunBatchMeans(base RunConfig, members []int) ([]ect.RunOutput, error) {
 	if len(members) == 0 {
 		return nil, nil
 	}
-	if r.engine == EngineTree || base.Trace != nil || len(members) == 1 {
-		out := make([]ect.RunOutput, len(members))
+	out := make([]ect.RunOutput, len(members))
+	if r.engine == EngineTree {
 		for i, m := range members {
 			cfg := base
 			cfg.Member = m
@@ -305,19 +279,33 @@ func (r *Runner) RunBatchMeans(base RunConfig, members []int) ([]ect.RunOutput, 
 		}
 		return out, nil
 	}
+	err := r.integrate(base, members, func(vm *bytecode.BatchVM, l int) {
+		out[l] = vm.LaneResults(l).OutputMeans()
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// integrate runs init, the perturbation, the steps and the SnapshotAll
+// module snapshot for members on one BatchVM lane each, then, unless a
+// lane failed, hands every lane to harvest before the VM goes back to
+// the program's shape. Whatever harvest keeps must not point into the
+// VM.
+func (r *Runner) integrate(base RunConfig, members []int, harvest func(vm *bytecode.BatchVM, lane int)) error {
 	nl := len(members)
 	cfg, rngs := withDefaults(base, nl)
 	vm, err := r.Program().NewBatchVM(interp.Config{
 		Ncol:        cfg.Ncol,
 		FMA:         cfg.FMA,
+		Trace:       cfg.Trace,
 		KernelWatch: cfg.KernelWatch,
 		SnapshotAll: cfg.SnapshotAll,
 	}, rngs)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// The VM goes back to the program's shape once the means are
-	// harvested: nothing returned points into it.
 	defer vm.Release()
 	// wrap holds each lane's first error with Run's phase wrapping; a
 	// lane's sticky VM error freezes it, so later phases cannot
@@ -336,34 +324,70 @@ func (r *Runner) RunBatchMeans(base RunConfig, members []int) ([]ect.RunOutput, 
 		if wrap[l] != nil {
 			continue
 		}
-		c := cfg
-		c.Member = m
-		if err := perturbLane(vm, l, c); err != nil {
-			wrap[l] = err
-		}
+		wrap[l] = perturb(func(module string, path ...string) (interp.LaneSlice, bool) {
+			return vm.LaneArray(l, module, path...)
+		}, m, cfg.PertScale)
 	}
-	steps := Steps
-	if cfg.StopAfter > 0 && cfg.StopAfter < Steps {
-		steps = cfg.StopAfter
-	}
-	for s := 0; s < steps; s++ {
+	for s := 0; s < steps(cfg); s++ {
 		vm.CallAll(r.Corpus.DriverModule, r.Corpus.StepSub)
 		step := s + 1
 		mark(func(e error) error { return fmt.Errorf("model: step %d: %w", step, e) })
 	}
+	for _, e := range wrap {
+		if e != nil {
+			return e
+		}
+	}
 	if cfg.SnapshotAll {
 		vm.SnapshotModuleVarsAll()
 	}
-	for _, e := range wrap {
-		if e != nil {
-			return nil, e
+	for l := range members {
+		harvest(vm, l)
+	}
+	return nil
+}
+
+// runTree is Run on the tree-walking reference engine.
+func (r *Runner) runTree(cfg RunConfig) (*Result, error) {
+	cfg, srcs := withDefaults(cfg, 1)
+	m, err := interp.NewMachine(r.Modules, interp.Config{
+		Ncol:        cfg.Ncol,
+		RNG:         srcs[0],
+		FMA:         cfg.FMA,
+		Trace:       cfg.Trace,
+		KernelWatch: cfg.KernelWatch,
+		SnapshotAll: cfg.SnapshotAll,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := m.Call(r.Corpus.DriverModule, r.Corpus.InitSub); err != nil {
+		return nil, fmt.Errorf("model: init: %w", err)
+	}
+	err = perturb(func(module string, path ...string) (interp.LaneSlice, bool) {
+		a, ok := m.ModuleArray(module, path...)
+		return interp.LaneSlice{Data: a, Stride: 1}, ok
+	}, cfg.Member, cfg.PertScale)
+	if err != nil {
+		return nil, err
+	}
+	for s := 0; s < steps(cfg); s++ {
+		if err := m.Call(r.Corpus.DriverModule, r.Corpus.StepSub); err != nil {
+			return nil, fmt.Errorf("model: step %d: %w", s+1, err)
 		}
 	}
-	out := make([]ect.RunOutput, nl)
-	for l := range members {
-		out[l] = vm.LaneResults(l).OutputMeans()
+	if cfg.SnapshotAll {
+		m.SnapshotModuleVars()
 	}
-	return out, nil
+	return &Result{Means: m.OutputMeans(), Results: m.Results}, nil
+}
+
+// steps is the number of steps cfg integrates.
+func steps(cfg RunConfig) int {
+	if cfg.StopAfter > 0 && cfg.StopAfter < Steps {
+		return cfg.StopAfter
+	}
+	return Steps
 }
 
 // withDefaults fills cfg's zero-valued Ncol, PertScale and RNGSeed
@@ -390,41 +414,29 @@ func withDefaults(cfg RunConfig, n int) (RunConfig, []rng.Source) {
 	return cfg, srcs
 }
 
-// perturb applies the member-specific initial-condition perturbation:
-// a random temperature field perturbation (CESM pertlim-style) plus a
-// small perturbation of the near-isolated wpert aerosol field so every
-// output has nonzero ensemble variance.
-func perturb(eng interp.Engine, cfg RunConfig) error {
-	gen := rng.NewLCG(uint64(cfg.Member)*2654435761 + 97)
-	t, ok := eng.ModuleArray("physics_types", "state", "t")
-	if !ok {
-		return fmt.Errorf("model: state variable missing")
-	}
-	for i := range t {
-		t[i] += cfg.PertScale * gauss(gen)
-	}
-	if wp, ok := eng.ModuleArray("microp_aero", "wpert"); ok {
-		for i := range wp {
-			wp[i] += 1e-3 * gauss(gen)
-		}
-	}
-	return nil
-}
+// The fields perturb writes, as lookup paths. They are variables so
+// that passing them through the lookup func value allocates nothing.
+var (
+	statePath = []string{"state", "t"}
+	wpertPath = []string{"wpert"}
+)
 
-// perturbLane applies perturb's member-specific perturbation to one
-// lane of a batched VM through strided LaneSlice views — the same LCG
-// stream, draw order and target fields, so the lane's initial state is
-// bit-identical to a solo run of that member.
-func perturbLane(vm *bytecode.BatchVM, lane int, cfg RunConfig) error {
-	gen := rng.NewLCG(uint64(cfg.Member)*2654435761 + 97)
-	t, ok := vm.LaneArray(lane, "physics_types", "state", "t")
+// perturb applies the member-specific initial-condition perturbation
+// through the module arrays lookup resolves: a random temperature field
+// perturbation (CESM pertlim-style) plus a small perturbation of the
+// near-isolated wpert aerosol field so every output has nonzero
+// ensemble variance. The LCG stream, draw order and target fields are
+// the same on every engine, so a member's initial state is too.
+func perturb(lookup func(module string, path ...string) (interp.LaneSlice, bool), member int, scale float64) error {
+	gen := rng.NewLCG(uint64(member)*2654435761 + 97)
+	t, ok := lookup("physics_types", statePath...)
 	if !ok {
 		return fmt.Errorf("model: state variable missing")
 	}
 	for i, n := 0, t.Len(); i < n; i++ {
-		t.Add(i, cfg.PertScale*gauss(gen))
+		t.Add(i, scale*gauss(gen))
 	}
-	if wp, ok := vm.LaneArray(lane, "microp_aero", "wpert"); ok {
+	if wp, ok := lookup("microp_aero", wpertPath...); ok {
 		for i, n := 0, wp.Len(); i < n; i++ {
 			wp.Add(i, 1e-3*gauss(gen))
 		}
@@ -440,35 +452,4 @@ func gauss(g *rng.LCG) float64 {
 	}
 	u2 := g.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// Ensemble integrates members 0..n-1 with the base configuration.
-func (r *Runner) Ensemble(n int, base RunConfig) ([]ect.RunOutput, error) {
-	out := make([]ect.RunOutput, 0, n)
-	for i := 0; i < n; i++ {
-		cfg := base
-		cfg.Member = i
-		res, err := r.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res.Means)
-	}
-	return out, nil
-}
-
-// ExperimentalSet integrates members offset..offset+n-1 (disjoint from
-// the ensemble's perturbation seeds).
-func (r *Runner) ExperimentalSet(n, offset int, base RunConfig) ([]ect.RunOutput, error) {
-	out := make([]ect.RunOutput, 0, n)
-	for i := 0; i < n; i++ {
-		cfg := base
-		cfg.Member = offset + i
-		res, err := r.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res.Means)
-	}
-	return out, nil
 }

@@ -19,6 +19,15 @@ func runnerFor(t *testing.T, cfg corpus.Config) *Runner {
 	return r
 }
 
+// memberRange returns the member ids offset..offset+n-1.
+func memberRange(offset, n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = offset + i
+	}
+	return ids
+}
+
 func TestModelRunsAndIsFinite(t *testing.T) {
 	r := runnerFor(t, corpus.Config{AuxModules: 30, Seed: 2})
 	res, err := r.Run(RunConfig{Member: 0})
@@ -58,7 +67,7 @@ func TestDeterministicGivenMember(t *testing.T) {
 
 func TestEnsembleSpreadExistsAndIsSmall(t *testing.T) {
 	r := runnerFor(t, corpus.Config{AuxModules: 20, Seed: 2})
-	ens, err := r.Ensemble(8, RunConfig{})
+	ens, err := r.RunBatchMeans(RunConfig{}, memberRange(0, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +102,7 @@ func TestECTShape(t *testing.T) {
 	}
 	base := corpus.Config{AuxModules: 30, Seed: 2}
 	r := runnerFor(t, base)
-	ens, err := r.Ensemble(40, RunConfig{})
+	ens, err := r.RunBatchMeans(RunConfig{}, memberRange(0, 40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,21 +123,21 @@ func TestECTShape(t *testing.T) {
 	}
 
 	// Control: fresh members with unseen perturbation seeds must pass.
-	control, err := r.ExperimentalSet(10, 1000, RunConfig{})
+	control, err := r.RunBatchMeans(RunConfig{}, memberRange(1000, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("control", control, false)
 
 	// RAND-MT: same source, Mersenne Twister PRNG.
-	mt, err := r.ExperimentalSet(10, 1000, RunConfig{RNG: RNGMersenne})
+	mt, err := r.RunBatchMeans(RunConfig{RNG: RNGMersenne}, memberRange(1000, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("RAND-MT", mt, true)
 
 	// AVX2: FMA enabled everywhere.
-	fma, err := r.ExperimentalSet(10, 1000, RunConfig{FMA: func(string) bool { return true }})
+	fma, err := r.RunBatchMeans(RunConfig{FMA: func(string) bool { return true }}, memberRange(1000, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +155,7 @@ func TestECTShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs, err := br.ExperimentalSet(10, 1000, RunConfig{})
+		runs, err := br.RunBatchMeans(RunConfig{}, memberRange(1000, 10))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +196,7 @@ func TestKernelWatchCapturesMicroMG(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range []string{"dum", "ratio", "tlat", "nctend", "qvlat", "nitend"} {
-		if len(res.Engine.Captured().Kernel[v]) == 0 {
+		if len(res.Kernel[v]) == 0 {
 			t.Fatalf("kernel variable %s not captured", v)
 		}
 	}
@@ -206,7 +215,7 @@ func TestFMAChangesMicroMGKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff := stats.NormalizedRMSDiff(off.Engine.Captured().Kernel["tlat"], on.Engine.Captured().Kernel["tlat"])
+	diff := stats.NormalizedRMSDiff(off.Kernel["tlat"], on.Kernel["tlat"])
 	if !(diff > 1e-12) {
 		t.Fatalf("tlat normalized RMS diff = %v; want > 1e-12", diff)
 	}
@@ -334,6 +343,62 @@ func TestTraceSequenceMatchesTree(t *testing.T) {
 		for i := range vm {
 			if vm[i] != tree[i] {
 				t.Fatalf("%s: entry %d: VM %s, tree %s", name, i, vm[i], tree[i])
+			}
+		}
+	}
+}
+
+// TestRunResultsDetached pins that a Result's captures belong to its
+// caller: later Runs of the same shape take the first Run's released
+// VM from the shape's pool, and resetting and refilling that VM must
+// leave the first Result's Outputs, Kernel and AllValues bit-identical
+// to a copy taken when it returned.
+func TestRunResultsDetached(t *testing.T) {
+	r := runnerFor(t, corpus.Config{AuxModules: 10, Seed: 2})
+	cfg := RunConfig{Member: 1, SnapshotAll: true, KernelWatch: "micro_mg::micro_mg_tend"}
+	first, err := r.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := func(m map[string][]float64) map[string][]float64 {
+		out := make(map[string][]float64, len(m))
+		for k, v := range m {
+			out[k] = append([]float64(nil), v...)
+		}
+		return out
+	}
+	want := map[string]map[string][]float64{
+		"Outputs": clone(first.Outputs), "Kernel": clone(first.Kernel), "AllValues": clone(first.AllValues)}
+	for name, m := range want {
+		if len(m) == 0 {
+			t.Fatalf("first run captured no %s", name)
+		}
+	}
+	// sync.Pool may drop a released VM (the race detector does so at
+	// random), so several runs give the reuse its chance.
+	other := cfg
+	other.Member, other.FMA = 2, func(string) bool { return true }
+	for i := 0; i < 4; i++ {
+		if _, err := r.Run(other); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := map[string]map[string][]float64{
+		"Outputs": first.Outputs, "Kernel": first.Kernel, "AllValues": first.AllValues}
+	for name, w := range want {
+		g := got[name]
+		if len(g) != len(w) {
+			t.Fatalf("%s: %d entries after later runs, want %d", name, len(g), len(w))
+		}
+		for k, wv := range w {
+			gv := g[k]
+			if len(gv) != len(wv) {
+				t.Fatalf("%s[%s]: length %d after later runs, want %d", name, k, len(gv), len(wv))
+			}
+			for i := range wv {
+				if math.Float64bits(gv[i]) != math.Float64bits(wv[i]) {
+					t.Fatalf("%s[%s][%d] = %v after later runs, want %v", name, k, i, gv[i], wv[i])
+				}
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"github.com/climate-rca/rca/internal/corpus"
 	"github.com/climate-rca/rca/internal/fortran"
 	"github.com/climate-rca/rca/internal/interp"
+	"github.com/climate-rca/rca/internal/rng"
 )
 
 // handBuilt is a one-module tree built without the parser, so it
@@ -60,16 +61,18 @@ func TestRunnerHandBuiltModulesCompile(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("k=%g: Runner program differs from a fresh compile", k)
 		}
-		vm, err := p.NewVM(interp.Config{Ncol: 2})
+		vm, err := p.NewBatchVM(interp.Config{Ncol: 2}, []rng.Source{rng.NewKISS(1)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := vm.Call("hand", "run"); err != nil {
+		if err := vm.CallAll("hand", "run")[0]; err != nil {
 			t.Fatal(err)
 		}
-		if y, ok := vm.ModuleScalar("hand", "y"); !ok || *y != 2*k {
+		vm.SnapshotModuleVarsAll()
+		if y := vm.LaneResults(0).AllValues["hand::::y"]; len(y) != 1 || y[0] != 2*k {
 			t.Fatalf("k=%g: y = %v, want %g", k, y, 2*k)
 		}
+		vm.Release()
 	}
 }
 
