@@ -202,13 +202,9 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 			}
 		case opCopyV:
 			out, a := fr.arr[in.d], fr.arr[in.a]
-			if len(g) == nl {
-				copy(out, a)
-			} else {
-				n := len(out) / nl
-				for _, l := range g {
-					copy(out[l*n:l*n+n], a[l*n:l*n+n])
-				}
+			ls, n := vm.spans(g, len(out))
+			for _, l := range ls {
+				copy(out[l*n:l*n+n], a[l*n:l*n+n])
 			}
 		case opCollapse:
 			a := fr.arr[in.a]
@@ -353,26 +349,21 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 
 		case opAddV:
 			out := fr.arr[in.d]
-			n := len(out) / nl
 			switch in.e {
 			case 0:
 				a, b := fr.arr[in.a], fr.arr[in.b]
-				if len(g) == nl {
-					for i := range out {
-						out[i] = a[i] + b[i]
-					}
-				} else {
-					for _, l := range g {
-						ob := out[l*n : l*n+n]
-						ab := a[l*n : l*n+n][:len(ob)]
-						bb := b[l*n : l*n+n][:len(ob)]
-						for i := range ob {
-							ob[i] = ab[i] + bb[i]
-						}
+				ls, n := vm.spans(g, len(out))
+				for _, l := range ls {
+					ob := out[l*n : l*n+n]
+					ab := a[l*n : l*n+n][:len(ob)]
+					bb := b[l*n : l*n+n][:len(ob)]
+					for i := range ob {
+						ob[i] = ab[i] + bb[i]
 					}
 				}
 			case 1:
 				a, sb := fr.arr[in.a], int(in.b)*nl
+				n := len(out) / nl
 				for _, l := range g {
 					s := scal[sb+l]
 					ob := out[l*n : l*n+n]
@@ -381,39 +372,55 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 						ob[i] = ab[i] + s
 					}
 				}
-			default:
+			case 2:
 				sa, b := int(in.a)*nl, fr.arr[in.b]
+				n := len(out) / nl
 				for _, l := range g {
 					s := scal[sa+l]
 					ob := out[l*n : l*n+n]
-					ab := b[l*n : l*n+n][:len(ob)]
+					bb := b[l*n : l*n+n][:len(ob)]
 					for i := range ob {
-						ob[i] = s + ab[i]
+						ob[i] = s + bb[i]
+					}
+				}
+			case 3:
+				a, c := fr.arr[in.a], vm.prog.consts[in.b]
+				ls, n := vm.spans(g, len(out))
+				for _, l := range ls {
+					ob := out[l*n : l*n+n]
+					ab := a[l*n : l*n+n][:len(ob)]
+					for i := range ob {
+						ob[i] = ab[i] + c
+					}
+				}
+			default:
+				c, b := vm.prog.consts[in.a], fr.arr[in.b]
+				ls, n := vm.spans(g, len(out))
+				for _, l := range ls {
+					ob := out[l*n : l*n+n]
+					bb := b[l*n : l*n+n][:len(ob)]
+					for i := range ob {
+						ob[i] = c + bb[i]
 					}
 				}
 			}
 		case opSubV:
 			out := fr.arr[in.d]
-			n := len(out) / nl
 			switch in.e {
 			case 0:
 				a, b := fr.arr[in.a], fr.arr[in.b]
-				if len(g) == nl {
-					for i := range out {
-						out[i] = a[i] - b[i]
-					}
-				} else {
-					for _, l := range g {
-						ob := out[l*n : l*n+n]
-						ab := a[l*n : l*n+n][:len(ob)]
-						bb := b[l*n : l*n+n][:len(ob)]
-						for i := range ob {
-							ob[i] = ab[i] - bb[i]
-						}
+				ls, n := vm.spans(g, len(out))
+				for _, l := range ls {
+					ob := out[l*n : l*n+n]
+					ab := a[l*n : l*n+n][:len(ob)]
+					bb := b[l*n : l*n+n][:len(ob)]
+					for i := range ob {
+						ob[i] = ab[i] - bb[i]
 					}
 				}
 			case 1:
 				a, sb := fr.arr[in.a], int(in.b)*nl
+				n := len(out) / nl
 				for _, l := range g {
 					s := scal[sb+l]
 					ob := out[l*n : l*n+n]
@@ -422,39 +429,55 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 						ob[i] = ab[i] - s
 					}
 				}
-			default:
+			case 2:
 				sa, b := int(in.a)*nl, fr.arr[in.b]
+				n := len(out) / nl
 				for _, l := range g {
 					s := scal[sa+l]
 					ob := out[l*n : l*n+n]
-					ab := b[l*n : l*n+n][:len(ob)]
+					bb := b[l*n : l*n+n][:len(ob)]
 					for i := range ob {
-						ob[i] = s - ab[i]
+						ob[i] = s - bb[i]
+					}
+				}
+			case 3:
+				a, c := fr.arr[in.a], vm.prog.consts[in.b]
+				ls, n := vm.spans(g, len(out))
+				for _, l := range ls {
+					ob := out[l*n : l*n+n]
+					ab := a[l*n : l*n+n][:len(ob)]
+					for i := range ob {
+						ob[i] = ab[i] - c
+					}
+				}
+			default:
+				c, b := vm.prog.consts[in.a], fr.arr[in.b]
+				ls, n := vm.spans(g, len(out))
+				for _, l := range ls {
+					ob := out[l*n : l*n+n]
+					bb := b[l*n : l*n+n][:len(ob)]
+					for i := range ob {
+						ob[i] = c - bb[i]
 					}
 				}
 			}
 		case opMulV:
 			out := fr.arr[in.d]
-			n := len(out) / nl
 			switch in.e {
 			case 0:
 				a, b := fr.arr[in.a], fr.arr[in.b]
-				if len(g) == nl {
-					for i := range out {
-						out[i] = a[i] * b[i]
-					}
-				} else {
-					for _, l := range g {
-						ob := out[l*n : l*n+n]
-						ab := a[l*n : l*n+n][:len(ob)]
-						bb := b[l*n : l*n+n][:len(ob)]
-						for i := range ob {
-							ob[i] = ab[i] * bb[i]
-						}
+				ls, n := vm.spans(g, len(out))
+				for _, l := range ls {
+					ob := out[l*n : l*n+n]
+					ab := a[l*n : l*n+n][:len(ob)]
+					bb := b[l*n : l*n+n][:len(ob)]
+					for i := range ob {
+						ob[i] = ab[i] * bb[i]
 					}
 				}
 			case 1:
 				a, sb := fr.arr[in.a], int(in.b)*nl
+				n := len(out) / nl
 				for _, l := range g {
 					s := scal[sb+l]
 					ob := out[l*n : l*n+n]
@@ -463,39 +486,55 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 						ob[i] = ab[i] * s
 					}
 				}
-			default:
+			case 2:
 				sa, b := int(in.a)*nl, fr.arr[in.b]
+				n := len(out) / nl
 				for _, l := range g {
 					s := scal[sa+l]
 					ob := out[l*n : l*n+n]
-					ab := b[l*n : l*n+n][:len(ob)]
+					bb := b[l*n : l*n+n][:len(ob)]
 					for i := range ob {
-						ob[i] = s * ab[i]
+						ob[i] = s * bb[i]
+					}
+				}
+			case 3:
+				a, c := fr.arr[in.a], vm.prog.consts[in.b]
+				ls, n := vm.spans(g, len(out))
+				for _, l := range ls {
+					ob := out[l*n : l*n+n]
+					ab := a[l*n : l*n+n][:len(ob)]
+					for i := range ob {
+						ob[i] = ab[i] * c
+					}
+				}
+			default:
+				c, b := vm.prog.consts[in.a], fr.arr[in.b]
+				ls, n := vm.spans(g, len(out))
+				for _, l := range ls {
+					ob := out[l*n : l*n+n]
+					bb := b[l*n : l*n+n][:len(ob)]
+					for i := range ob {
+						ob[i] = c * bb[i]
 					}
 				}
 			}
 		case opDivV:
 			out := fr.arr[in.d]
-			n := len(out) / nl
 			switch in.e {
 			case 0:
 				a, b := fr.arr[in.a], fr.arr[in.b]
-				if len(g) == nl {
-					for i := range out {
-						out[i] = a[i] / b[i]
-					}
-				} else {
-					for _, l := range g {
-						ob := out[l*n : l*n+n]
-						ab := a[l*n : l*n+n][:len(ob)]
-						bb := b[l*n : l*n+n][:len(ob)]
-						for i := range ob {
-							ob[i] = ab[i] / bb[i]
-						}
+				ls, n := vm.spans(g, len(out))
+				for _, l := range ls {
+					ob := out[l*n : l*n+n]
+					ab := a[l*n : l*n+n][:len(ob)]
+					bb := b[l*n : l*n+n][:len(ob)]
+					for i := range ob {
+						ob[i] = ab[i] / bb[i]
 					}
 				}
 			case 1:
 				a, sb := fr.arr[in.a], int(in.b)*nl
+				n := len(out) / nl
 				for _, l := range g {
 					s := scal[sb+l]
 					ob := out[l*n : l*n+n]
@@ -504,14 +543,35 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 						ob[i] = ab[i] / s
 					}
 				}
-			default:
+			case 2:
 				sa, b := int(in.a)*nl, fr.arr[in.b]
+				n := len(out) / nl
 				for _, l := range g {
 					s := scal[sa+l]
 					ob := out[l*n : l*n+n]
-					ab := b[l*n : l*n+n][:len(ob)]
+					bb := b[l*n : l*n+n][:len(ob)]
 					for i := range ob {
-						ob[i] = s / ab[i]
+						ob[i] = s / bb[i]
+					}
+				}
+			case 3:
+				a, c := fr.arr[in.a], vm.prog.consts[in.b]
+				ls, n := vm.spans(g, len(out))
+				for _, l := range ls {
+					ob := out[l*n : l*n+n]
+					ab := a[l*n : l*n+n][:len(ob)]
+					for i := range ob {
+						ob[i] = ab[i] / c
+					}
+				}
+			default:
+				c, b := vm.prog.consts[in.a], fr.arr[in.b]
+				ls, n := vm.spans(g, len(out))
+				for _, l := range ls {
+					ob := out[l*n : l*n+n]
+					bb := b[l*n : l*n+n][:len(ob)]
+					for i := range ob {
+						ob[i] = c / bb[i]
 					}
 				}
 			}
@@ -519,114 +579,72 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 			vm.batchSlowBinV(in, fr, g)
 		case opNegV:
 			out, a := fr.arr[in.d], fr.arr[in.a]
-			if len(g) == nl {
-				for i := range out {
-					out[i] = -a[i]
-				}
-			} else {
-				n := len(out) / nl
-				for _, l := range g {
-					ob := out[l*n : l*n+n]
-					ab := a[l*n : l*n+n][:len(ob)]
-					for i := range ob {
-						ob[i] = -ab[i]
-					}
+			ls, n := vm.spans(g, len(out))
+			for _, l := range ls {
+				ob := out[l*n : l*n+n]
+				ab := a[l*n : l*n+n][:len(ob)]
+				for i := range ob {
+					ob[i] = -ab[i]
 				}
 			}
 		case opNotV:
 			out, a := fr.arr[in.d], fr.arr[in.a]
-			if len(g) == nl {
-				for i := range out {
-					out[i] = b2f(a[i] == 0)
-				}
-			} else {
-				n := len(out) / nl
-				for _, l := range g {
-					ob := out[l*n : l*n+n]
-					ab := a[l*n : l*n+n][:len(ob)]
-					for i := range ob {
-						ob[i] = b2f(ab[i] == 0)
-					}
+			ls, n := vm.spans(g, len(out))
+			for _, l := range ls {
+				ob := out[l*n : l*n+n]
+				ab := a[l*n : l*n+n][:len(ob)]
+				for i := range ob {
+					ob[i] = b2f(ab[i] == 0)
 				}
 			}
 		case opAbsV:
 			out, a := fr.arr[in.d], fr.arr[in.a]
-			if len(g) == nl {
-				for i := range out {
-					out[i] = math.Abs(a[i])
-				}
-			} else {
-				n := len(out) / nl
-				for _, l := range g {
-					ob := out[l*n : l*n+n]
-					ab := a[l*n : l*n+n][:len(ob)]
-					for i := range ob {
-						ob[i] = math.Abs(ab[i])
-					}
+			ls, n := vm.spans(g, len(out))
+			for _, l := range ls {
+				ob := out[l*n : l*n+n]
+				ab := a[l*n : l*n+n][:len(ob)]
+				for i := range ob {
+					ob[i] = math.Abs(ab[i])
 				}
 			}
 		case opSqrtV:
 			out, a := fr.arr[in.d], fr.arr[in.a]
-			if len(g) == nl {
-				for i := range out {
-					out[i] = math.Sqrt(a[i])
-				}
-			} else {
-				n := len(out) / nl
-				for _, l := range g {
-					ob := out[l*n : l*n+n]
-					ab := a[l*n : l*n+n][:len(ob)]
-					for i := range ob {
-						ob[i] = math.Sqrt(ab[i])
-					}
+			ls, n := vm.spans(g, len(out))
+			for _, l := range ls {
+				ob := out[l*n : l*n+n]
+				ab := a[l*n : l*n+n][:len(ob)]
+				for i := range ob {
+					ob[i] = math.Sqrt(ab[i])
 				}
 			}
 		case opExpV:
 			out, a := fr.arr[in.d], fr.arr[in.a]
-			if len(g) == nl {
-				for i := range out {
-					out[i] = math.Exp(a[i])
-				}
-			} else {
-				n := len(out) / nl
-				for _, l := range g {
-					ob := out[l*n : l*n+n]
-					ab := a[l*n : l*n+n][:len(ob)]
-					for i := range ob {
-						ob[i] = math.Exp(ab[i])
-					}
+			ls, n := vm.spans(g, len(out))
+			for _, l := range ls {
+				ob := out[l*n : l*n+n]
+				ab := a[l*n : l*n+n][:len(ob)]
+				for i := range ob {
+					ob[i] = math.Exp(ab[i])
 				}
 			}
 		case opLogV:
 			out, a := fr.arr[in.d], fr.arr[in.a]
-			if len(g) == nl {
-				for i := range out {
-					out[i] = math.Log(a[i])
-				}
-			} else {
-				n := len(out) / nl
-				for _, l := range g {
-					ob := out[l*n : l*n+n]
-					ab := a[l*n : l*n+n][:len(ob)]
-					for i := range ob {
-						ob[i] = math.Log(ab[i])
-					}
+			ls, n := vm.spans(g, len(out))
+			for _, l := range ls {
+				ob := out[l*n : l*n+n]
+				ab := a[l*n : l*n+n][:len(ob)]
+				for i := range ob {
+					ob[i] = math.Log(ab[i])
 				}
 			}
 		case opFloorV:
 			out, a := fr.arr[in.d], fr.arr[in.a]
-			if len(g) == nl {
-				for i := range out {
-					out[i] = math.Floor(a[i])
-				}
-			} else {
-				n := len(out) / nl
-				for _, l := range g {
-					ob := out[l*n : l*n+n]
-					ab := a[l*n : l*n+n][:len(ob)]
-					for i := range ob {
-						ob[i] = math.Floor(ab[i])
-					}
+			ls, n := vm.spans(g, len(out))
+			for _, l := range ls {
+				ob := out[l*n : l*n+n]
+				ab := a[l*n : l*n+n][:len(ob)]
+				for i := range ob {
+					ob[i] = math.Floor(ab[i])
 				}
 			}
 		case opFMAV:
@@ -689,6 +707,24 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 					ob[i] = math.FMA(sa*x, y, sc*z)
 				}
 			}
+		case opLinV:
+			out, x, y := fr.arr[in.d], fr.arr[in.a], fr.arr[in.c]
+			c1, c2 := vm.prog.consts[in.b], vm.prog.consts[in.e>>1]
+			ls, n := vm.spans(g, len(out))
+			for _, l := range ls {
+				ob := out[l*n : l*n+n]
+				xb := x[l*n : l*n+n][:len(ob)]
+				yb := y[l*n : l*n+n][:len(ob)]
+				if in.e&1 == 0 {
+					for i := range ob {
+						ob[i] = float64(xb[i]*c1) + float64(yb[i]*c2)
+					}
+				} else {
+					for i := range ob {
+						ob[i] = float64(xb[i]*c1) - float64(yb[i]*c2)
+					}
+				}
+			}
 		case opSumV:
 			a := fr.arr[in.a]
 			n := len(a) / nl
@@ -717,9 +753,7 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 				}
 				sv := src[l*n : l*n+n]
 				ob := out[l*n : l*n+n]
-				for i := range ob {
-					ob[i] = sv[(i+k)%n]
-				}
+				copy(ob[copy(ob, sv[k:]):], sv[:k])
 			}
 
 		case opRandS:
@@ -903,6 +937,20 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 	return mergeDone(g, merged)
 }
 
+// wholeGroup is the lane list spans hands a full group: lane 0 with a
+// block that covers every lane's columns.
+var wholeGroup = []int{0}
+
+// spans returns the lanes and per-lane block length an elementwise
+// kernel over an array of size elements iterates: one block per lane
+// of g, or for a full group one block over the whole array.
+func (vm *BatchVM) spans(g []int, size int) ([]int, int) {
+	if len(g) == vm.nl {
+		return wholeGroup, size
+	}
+	return g, size / vm.nl
+}
+
 // batchSlowBinV covers the colder elementwise binaries with one
 // generic lane loop per shape.
 func (vm *BatchVM) batchSlowBinV(in *instr, fr *bframe, g []int) {
@@ -941,18 +989,13 @@ func (vm *BatchVM) batchSlowBinV(in *instr, fr *bframe, g []int) {
 	switch in.e {
 	case 0:
 		a, b := fr.arr[in.a], fr.arr[in.b]
-		if len(g) == nl {
-			for i := range out {
-				out[i] = fn(a[i], b[i])
-			}
-		} else {
-			for _, l := range g {
-				ob := out[l*n : l*n+n]
-				ab := a[l*n : l*n+n][:len(ob)]
-				bb := b[l*n : l*n+n][:len(ob)]
-				for i := range ob {
-					ob[i] = fn(ab[i], bb[i])
-				}
+		ls, m := vm.spans(g, len(out))
+		for _, l := range ls {
+			ob := out[l*m : l*m+m]
+			ab := a[l*m : l*m+m][:len(ob)]
+			bb := b[l*m : l*m+m][:len(ob)]
+			for i := range ob {
+				ob[i] = fn(ab[i], bb[i])
 			}
 		}
 	case 1:

@@ -12,8 +12,10 @@ import (
 // progCodecVersion is bumped whenever the Program encoding below
 // changes shape. The artifact store folds it into the blob, so stale
 // on-disk programs from an older binary simply miss and recompile.
-// Version 2 carries the literal-site count after the constants.
-const progCodecVersion uint32 = 2
+// Version 2 carries the literal-site count after the constants;
+// version 3 renumbers the opcodes around opLinV and adds the literal
+// operand forms of the elementwise arithmetic.
+const progCodecVersion uint32 = 3
 
 // EncodeProgram serializes a compiled program to the deterministic
 // binary artifact format: encoding the same program twice — or a

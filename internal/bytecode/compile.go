@@ -252,7 +252,6 @@ type pcomp struct {
 	freeI      []int32
 	freeAOwn   []int32
 	freeAAlias []int32
-	freeDAlias []int32
 }
 
 func (f *pcomp) emit(in instr) int {
@@ -313,18 +312,6 @@ func (f *pcomp) allocAAlias() int32 {
 	return r
 }
 func (f *pcomp) freeAAliasReg(r int32) { f.freeAAlias = append(f.freeAAlias, r) }
-
-func (f *pcomp) allocDAlias() int32 {
-	if n := len(f.freeDAlias); n > 0 {
-		r := f.freeDAlias[n-1]
-		f.freeDAlias = f.freeDAlias[:n-1]
-		return r
-	}
-	r := int32(f.p.nDrv)
-	f.p.nDrv++
-	return r
-}
-func (f *pcomp) freeDAliasReg(r int32) { f.freeDAlias = append(f.freeDAlias, r) }
 
 func (f *pcomp) allocDOwn(dt *dtype) int32 {
 	r := int32(f.p.nDrv)

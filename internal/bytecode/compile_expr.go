@@ -30,7 +30,6 @@ type opnd struct {
 	sTmp      bool
 	aOwnTmp   bool
 	aAliasTmp bool
-	dAliasTmp bool
 }
 
 func errOpnd() opnd { return opnd{kind: kErr} }
@@ -44,9 +43,6 @@ func (f *pcomp) release(o opnd) {
 	}
 	if o.aAliasTmp {
 		f.freeAAliasReg(o.reg)
-	}
-	if o.dAliasTmp {
-		f.freeDAliasReg(o.reg)
 	}
 }
 
@@ -71,9 +67,6 @@ func (f *pcomp) matS(o opnd) opnd {
 	case oFieldS:
 		t := f.allocS()
 		f.emit(instr{op: opLoadDF, d: t, a: o.reg, b: o.f})
-		if o.dAliasTmp {
-			f.freeDAliasReg(o.reg)
-		}
 		return opnd{kind: kScal, ok: oTempS, reg: t, sTmp: true}
 	}
 	panic("bytecode: matS on non-scalar operand")
@@ -85,9 +78,6 @@ func (f *pcomp) matSF(o opnd) opnd {
 	if o.kind == kDrv {
 		t := f.allocS()
 		f.emit(instr{op: opLoadDF0, d: t, a: o.reg})
-		if o.dAliasTmp {
-			f.freeDAliasReg(o.reg)
-		}
 		return opnd{kind: kScal, ok: oTempS, reg: t, sTmp: true}
 	}
 	return f.matS(o)
@@ -209,6 +199,9 @@ func (f *pcomp) binary(b *fortran.BinaryExpr, d dst) opnd {
 }
 
 func (f *pcomp) plainBinary(b *fortran.BinaryExpr, d dst) opnd {
+	if x, c1, y, c2, ok := f.linParts(b); ok {
+		return f.linComb(b.Op, x, c1, y, c2, d)
+	}
 	lo := f.expr(b.L)
 	if lo.kind == kErr {
 		return lo
@@ -218,6 +211,13 @@ func (f *pcomp) plainBinary(b *fortran.BinaryExpr, d dst) opnd {
 		f.release(lo)
 		return ro
 	}
+	return f.zip(b.Op, lo, ro, d)
+}
+
+// zip applies op to two evaluated operands, loading deferred scalars
+// now. An array operand against a literal reads the literal's consts
+// slot in the kernel under +, -, * and /.
+func (f *pcomp) zip(op fortran.Kind, lo, ro opnd, d dst) opnd {
 	if lo.kind == kDrv || ro.kind == kDrv {
 		f.release(lo)
 		f.release(ro)
@@ -227,28 +227,117 @@ func (f *pcomp) plainBinary(b *fortran.BinaryExpr, d dst) opnd {
 		lm := f.matS(lo)
 		rm := f.matS(ro)
 		rd := f.pickS(d)
-		f.emit(instr{op: binOpS[b.Op], d: rd.reg, a: lm.reg, b: rm.reg})
+		f.emit(instr{op: binOpS[op], d: rd.reg, a: lm.reg, b: rm.reg})
 		f.release(lm)
 		f.release(rm)
 		return rd
 	}
 	rd := f.pickA(d)
+	vop := binOpV[op]
+	constForm := vop == opAddV || vop == opSubV || vop == opMulV || vop == opDivV
 	switch {
 	case lo.kind == kArr && ro.kind == kArr:
-		f.emit(instr{op: binOpV[b.Op], d: rd.reg, a: lo.reg, b: ro.reg, e: 0})
+		f.emit(instr{op: vop, d: rd.reg, a: lo.reg, b: ro.reg, e: 0})
 		f.release(lo)
 		f.release(ro)
+	case lo.kind == kArr && ro.ok == oConst && constForm:
+		f.emit(instr{op: vop, d: rd.reg, a: lo.reg, b: ro.cidx, e: 3})
+		f.release(lo)
 	case lo.kind == kArr:
 		rm := f.matS(ro)
-		f.emit(instr{op: binOpV[b.Op], d: rd.reg, a: lo.reg, b: rm.reg, e: 1})
+		f.emit(instr{op: vop, d: rd.reg, a: lo.reg, b: rm.reg, e: 1})
 		f.release(lo)
 		f.release(rm)
+	case lo.ok == oConst && constForm:
+		f.emit(instr{op: vop, d: rd.reg, a: lo.cidx, b: ro.reg, e: 4})
+		f.release(ro)
 	default:
 		lm := f.matS(lo)
-		f.emit(instr{op: binOpV[b.Op], d: rd.reg, a: lm.reg, b: ro.reg, e: 2})
+		f.emit(instr{op: vop, d: rd.reg, a: lm.reg, b: ro.reg, e: 2})
 		f.release(lm)
 		f.release(ro)
 	}
+	return rd
+}
+
+// linParts matches the linear combination X*c1 ± Y*c2 of two array
+// operands and two numeric literals that opLinV computes in one pass.
+// Y must not call a user function: the walker reads X's cell before it
+// evaluates Y, opLinV after, so Y's evaluation must not be able to
+// write X.
+func (f *pcomp) linParts(b *fortran.BinaryExpr) (x fortran.Expr, c1 *fortran.NumLit, y fortran.Expr, c2 *fortran.NumLit, ok bool) {
+	if b.Op != fortran.PLUS && b.Op != fortran.MINUS {
+		return
+	}
+	lm, ok1 := b.L.(*fortran.BinaryExpr)
+	rm, ok2 := b.R.(*fortran.BinaryExpr)
+	if !ok1 || !ok2 || lm.Op != fortran.STAR || rm.Op != fortran.STAR {
+		return
+	}
+	c1, ok1 = lm.R.(*fortran.NumLit)
+	c2, ok2 = rm.R.(*fortran.NumLit)
+	if !ok1 || !ok2 || !f.callFree(rm.L) {
+		return
+	}
+	if xk, _ := f.kindOf(lm.L); xk != kArr {
+		return
+	}
+	if yk, _ := f.kindOf(rm.L); yk != kArr {
+		return
+	}
+	return lm.L, c1, rm.L, c2, true
+}
+
+// callFree reports whether evaluating e calls no user function.
+func (f *pcomp) callFree(e fortran.Expr) bool {
+	switch x := e.(type) {
+	case *fortran.UnaryExpr:
+		return f.callFree(x.X)
+	case *fortran.BinaryExpr:
+		return f.callFree(x.L) && f.callFree(x.R)
+	case *fortran.Ref:
+		if x.HasParens && len(x.Components) == 0 && !intrinsicNames[x.Name] &&
+			len(f.l.funcs[f.t.module+"::"+x.Name]) > 0 {
+			return false
+		}
+		for _, a := range x.Args {
+			if !f.callFree(a) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// linComb compiles X*c1 ± Y*c2 matched by linParts: X and Y evaluate
+// in order, then opLinV forms both products and their sum or
+// difference. Operands that do not come out as arrays take ordinary
+// zips, which is the walker's order too since Y cannot write X.
+func (f *pcomp) linComb(op fortran.Kind, x fortran.Expr, c1 *fortran.NumLit, y fortran.Expr, c2 *fortran.NumLit, d dst) opnd {
+	xo := f.expr(x)
+	if xo.kind == kErr {
+		return xo
+	}
+	yo := f.expr(y)
+	if yo.kind == kErr {
+		f.release(xo)
+		return yo
+	}
+	k1 := opnd{kind: kScal, ok: oConst, cidx: f.c.literal(c1)}
+	k2 := opnd{kind: kScal, ok: oConst, cidx: f.c.literal(c2)}
+	if xo.kind != kArr || yo.kind != kArr {
+		p1 := f.zip(fortran.STAR, xo, k1, dst{})
+		p2 := f.zip(fortran.STAR, yo, k2, dst{})
+		return f.zip(op, p1, p2, d)
+	}
+	e := k2.cidx << 1
+	if op == fortran.MINUS {
+		e |= 1
+	}
+	rd := f.pickA(d)
+	f.emit(instr{op: opLinV, d: rd.reg, a: xo.reg, b: k1.cidx, c: yo.reg, e: e})
+	f.release(xo)
+	f.release(yo)
 	return rd
 }
 

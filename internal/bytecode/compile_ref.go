@@ -241,18 +241,17 @@ type cellRef struct {
 	dt      *dtype
 	isField bool
 	dreg    int32 // bound frame derived register holding the parent
-	dregTmp bool
 	fslot   int32
 	bad     bool
 }
 
 // drvReg resolves a derived cell to a frame D register: frame cells
 // directly, globals through their hoisted prologue binding.
-func (f *pcomp) drvReg(vs *vslot) (int32, bool) {
+func (f *pcomp) drvReg(vs *vslot) int32 {
 	if vs.space == vsDrv {
-		return vs.reg, false
+		return vs.reg
 	}
-	return f.hoistGDrv(vs.reg), false
+	return f.hoistGDrv(vs.reg)
 }
 
 // walkRef is the lvalue resolution point: base variable (creating and
@@ -272,29 +271,20 @@ func (f *pcomp) walkRef(r *fortran.Ref) cellRef {
 			f.emitErr("no component %s", comp)
 			return cellRef{bad: true}
 		}
-		var dreg int32
-		var dtmp bool
 		if cr.isField {
 			// Unreachable: fields are never derived (flat types).
 			f.emitErr("nested derived component %s", comp)
 			return cellRef{bad: true}
 		}
-		dreg, dtmp = f.drvReg(&vslot{kind: kDrv, space: cr.space, reg: cr.reg, dt: cr.dt})
+		dreg := f.drvReg(&vslot{kind: kDrv, space: cr.space, reg: cr.reg, dt: cr.dt})
 		fd := cr.dt.fields[fi]
 		kind := kScal
 		if fd.arr {
 			kind = kArr
 		}
-		cr = cellRef{kind: kind, isField: true, dreg: dreg, dregTmp: dtmp, fslot: fd.slot}
+		cr = cellRef{kind: kind, isField: true, dreg: dreg, fslot: fd.slot}
 	}
 	return cr
-}
-
-// releaseCell frees any alias register a cell resolution bound.
-func (f *pcomp) releaseCell(cr cellRef) {
-	if cr.isField && cr.dregTmp {
-		f.freeDAliasReg(cr.dreg)
-	}
 }
 
 // arrOpnd resolves an array cell to an A register operand: frame
@@ -302,12 +292,7 @@ func (f *pcomp) releaseCell(cr cellRef) {
 // prologue bindings.
 func (f *pcomp) arrOpnd(cr cellRef) opnd {
 	if cr.isField {
-		if !cr.dregTmp {
-			return opnd{kind: kArr, ok: oArr, reg: f.hoistDF(cr.dreg, cr.fslot)}
-		}
-		t := f.allocAAlias()
-		f.emit(instr{op: opBindDF, d: t, a: cr.dreg, b: cr.fslot})
-		return opnd{kind: kArr, ok: oArr, reg: t, aAliasTmp: true}
+		return opnd{kind: kArr, ok: oArr, reg: f.hoistDF(cr.dreg, cr.fslot)}
 	}
 	switch cr.space {
 	case vsArr:
@@ -323,7 +308,7 @@ func (f *pcomp) cellOpnd(cr cellRef) opnd {
 	switch cr.kind {
 	case kScal:
 		if cr.isField {
-			return opnd{kind: kScal, ok: oFieldS, reg: cr.dreg, f: cr.fslot, dAliasTmp: cr.dregTmp}
+			return opnd{kind: kScal, ok: oFieldS, reg: cr.dreg, f: cr.fslot}
 		}
 		switch cr.space {
 		case vsScal:
@@ -364,7 +349,6 @@ func (f *pcomp) ref(r *fortran.Ref, d dst) opnd {
 		ik, _ := f.kindOf(r.Args[0])
 		switch ik {
 		case kErr:
-			f.releaseCell(cr)
 			return f.expr(r.Args[0])
 		case kScal:
 			io := f.expr(r.Args[0])

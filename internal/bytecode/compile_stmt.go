@@ -83,7 +83,6 @@ func (f *pcomp) assign(a *fortran.AssignStmt) {
 		ik, _ := f.kindOf(a.LHS.Args[0])
 		switch ik {
 		case kErr:
-			f.releaseCell(cr)
 			f.expr(a.LHS.Args[0])
 			return
 		case kScal:
@@ -98,7 +97,6 @@ func (f *pcomp) assign(a *fortran.AssignStmt) {
 			case kErr:
 				f.freeIReg(ireg)
 				f.release(ao)
-				f.releaseCell(cr)
 				return
 			case kDrv:
 				f.release(ro)
@@ -116,7 +114,6 @@ func (f *pcomp) assign(a *fortran.AssignStmt) {
 			}
 			f.freeIReg(ireg)
 			f.release(ao)
-			f.releaseCell(cr)
 			return
 		default:
 			// Array/derived index: evaluated and discarded; whole-cell
@@ -126,7 +123,6 @@ func (f *pcomp) assign(a *fortran.AssignStmt) {
 		}
 	}
 	f.wholeAssign(cr, a.RHS)
-	f.releaseCell(cr)
 }
 
 func (f *pcomp) wholeAssign(cr cellRef, rhs fortran.Expr) {
@@ -194,7 +190,7 @@ func (f *pcomp) wholeAssign(cr cellRef, rhs fortran.Expr) {
 // value into another, matching fields by name. The phantom .f is left
 // untouched, as the walker leaves Value.F.
 func (f *pcomp) copyDerived(cr cellRef, src opnd) {
-	dstReg, dstTmp := f.drvReg(&vslot{kind: kDrv, space: cr.space, reg: cr.reg, dt: cr.dt})
+	dstReg := f.drvReg(&vslot{kind: kDrv, space: cr.space, reg: cr.reg, dt: cr.dt})
 	for _, sf := range src.dt.fields {
 		di, ok := cr.dt.fidx[sf.name]
 		if !ok {
@@ -232,9 +228,6 @@ func (f *pcomp) copyDerived(cr cellRef, src opnd) {
 			f.freeSReg(t)
 			f.freeAAliasReg(da)
 		}
-	}
-	if dstTmp {
-		f.freeDAliasReg(dstReg)
 	}
 }
 
@@ -288,11 +281,7 @@ func (f *pcomp) doStmt(x *fortran.DoStmt) {
 		cr := cellRef{kind: kScal, space: vs.space, reg: vs.reg}
 		f.storeScal(cr, ctr)
 	case kDrv:
-		dreg, dtmp := f.drvReg(vs)
-		f.emit(instr{op: opStoreDF0, d: dreg, a: ctr})
-		if dtmp {
-			f.freeDAliasReg(dreg)
-		}
+		f.emit(instr{op: opStoreDF0, d: f.drvReg(vs), a: ctr})
 		// Arrays: the walker writes the invisible Value.F; no-op here.
 	}
 	f.stmts(x.Body)
@@ -347,7 +336,6 @@ func (f *pcomp) callStmt(cst *fortran.CallStmt) {
 			ik, _ := f.kindOf(ref.Args[0])
 			switch ik {
 			case kErr:
-				f.releaseCell(cr)
 				f.expr(ref.Args[0])
 				return
 			case kScal:
@@ -363,7 +351,6 @@ func (f *pcomp) callStmt(cst *fortran.CallStmt) {
 				f.freeSReg(t)
 				f.freeIReg(ireg)
 				f.release(ao)
-				f.releaseCell(cr)
 				return
 			default:
 				io := f.expr(ref.Args[0])
@@ -381,16 +368,12 @@ func (f *pcomp) callStmt(cst *fortran.CallStmt) {
 			f.storeScal(cr, t)
 			f.freeSReg(t)
 		case kDrv:
-			dreg, dtmp := f.drvReg(&vslot{kind: kDrv, space: cr.space, reg: cr.reg, dt: cr.dt})
+			dreg := f.drvReg(&vslot{kind: kDrv, space: cr.space, reg: cr.reg, dt: cr.dt})
 			t := f.allocS()
 			f.emit(instr{op: opRandS, d: t})
 			f.emit(instr{op: opStoreDF0, d: dreg, a: t})
 			f.freeSReg(t)
-			if dtmp {
-				f.freeDAliasReg(dreg)
-			}
 		}
-		f.releaseCell(cr)
 		return
 	}
 	targets := f.l.subs[f.t.module+"::"+cst.Name]
@@ -458,7 +441,6 @@ func (f *pcomp) subArg(ae fortran.Expr) (sigArg, argMove, []opnd, bool) {
 		ik, _ := f.kindOf(ref.Args[0])
 		switch ik {
 		case kErr:
-			f.releaseCell(cr)
 			f.expr(ref.Args[0])
 			return fail()
 		case kScal:
@@ -473,14 +455,12 @@ func (f *pcomp) subArg(ae fortran.Expr) (sigArg, argMove, []opnd, bool) {
 			f.emit(instr{op: opLoadElem, d: t, a: ao.reg, b: ireg})
 			f.freeIReg(ireg)
 			f.release(ao)
-			f.releaseCell(cr)
 			return sigArg{mode: 'S'}, argMove{mode: amValScalS, a: t},
 				[]opnd{{kind: kScal, ok: oTempS, reg: t, sTmp: true}}, true
 		default:
 			io := f.expr(ref.Args[0])
 			f.release(io)
 			ao := f.arrOpnd(cr)
-			f.releaseCell(cr)
 			return sigArg{mode: 'a'}, argMove{mode: amRefArr, a: ao.reg}, []opnd{ao}, true
 		}
 	}
@@ -500,7 +480,7 @@ func (f *pcomp) subArg(ae fortran.Expr) (sigArg, argMove, []opnd, bool) {
 	case kScal:
 		if cr.isField {
 			return sigArg{mode: 's'}, argMove{mode: amRefScalDF, a: cr.dreg, b: cr.fslot},
-				[]opnd{{kind: kScal, ok: oFieldS, reg: cr.dreg, f: cr.fslot, dAliasTmp: cr.dregTmp}}, true
+				[]opnd{{kind: kScal, ok: oFieldS, reg: cr.dreg, f: cr.fslot}}, true
 		}
 		switch cr.space {
 		case vsScal:
@@ -512,7 +492,6 @@ func (f *pcomp) subArg(ae fortran.Expr) (sigArg, argMove, []opnd, bool) {
 		}
 	case kArr:
 		ao := f.arrOpnd(cr)
-		f.releaseCell(cr)
 		return sigArg{mode: 'a'}, argMove{mode: amRefArr, a: ao.reg}, []opnd{ao}, true
 	default:
 		do := f.cellOpnd(cr)

@@ -2,8 +2,10 @@ package bytecode
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -42,6 +44,15 @@ func (g *progGen) lit() string {
 	return fmt.Sprintf("%.4f", v)
 }
 
+// plit is a non-negative literal: a bare NumLit, where a negative one
+// parses as a negation.
+func (g *progGen) plit() string {
+	return fmt.Sprintf("%.4f", float64(g.byte())/16)
+}
+
+// shiftCount spans rotations by more than ncol columns either way.
+func (g *progGen) shiftCount() int { return g.pick(27) - 13 }
+
 // Scalar-valued variables visible in every subprogram.
 var fzScal = []string{"s0", "s1", "s2", "st%mass"}
 
@@ -53,7 +64,7 @@ func (g *progGen) expr(depth int, array bool) string {
 	if depth <= 0 {
 		return g.atom(array)
 	}
-	switch g.pick(8) {
+	switch g.pick(10) {
 	case 0:
 		return g.atom(array)
 	case 1:
@@ -71,11 +82,23 @@ func (g *progGen) expr(depth int, array bool) string {
 	case 6:
 		fn := []string{"min", "max", "mod", "sign"}[g.pick(4)]
 		return fmt.Sprintf("%s(%s, %s)", fn, g.expr(depth-1, array), g.atom(array))
+	case 7: // X*lit ± Y*lit
+		sign := []string{"+", "-"}[g.pick(2)]
+		if array {
+			return fmt.Sprintf("%s * %s %s %s * %s", g.linOperand(), g.plit(), sign, g.linOperand(), g.plit())
+		}
+		return fmt.Sprintf("%s * %s %s %s * %s", g.atom(false), g.plit(), sign, g.atom(false), g.plit())
+	case 8: // a literal operand on either side
+		op := []string{"+", "-", "*", "/"}[g.pick(4)]
+		if g.pick(2) == 0 {
+			return fmt.Sprintf("%s %s (%s)", g.plit(), op, g.expr(depth-1, array))
+		}
+		return fmt.Sprintf("(%s) %s %s", g.expr(depth-1, array), op, g.plit())
 	default:
 		if array {
 			switch g.pick(3) {
 			case 0:
-				return fmt.Sprintf("shift(%s, %d)", g.atom(true), g.pick(7)-3)
+				return fmt.Sprintf("shift(%s, %d)", g.atom(true), g.shiftCount())
 			case 1:
 				return fmt.Sprintf("efn(%s)", g.atom(true)) // elemental broadcast
 			default:
@@ -92,6 +115,22 @@ func (g *progGen) expr(depth int, array bool) string {
 		default:
 			return g.atom(false)
 		}
+	}
+}
+
+// linOperand is an array operand of X*lit ± Y*lit: a variable or
+// derived field, a rotation, an elemental broadcast, or a call of wfn,
+// which writes a0 and so must keep its product from fusing.
+func (g *progGen) linOperand() string {
+	switch g.pick(6) {
+	case 0:
+		return fmt.Sprintf("shift(%s, %d)", g.atom(true), g.shiftCount())
+	case 1:
+		return fmt.Sprintf("wfn(%s)", g.atom(true))
+	case 2:
+		return fmt.Sprintf("efn(%s)", g.atom(true))
+	default:
+		return g.atom(true)
 	}
 }
 
@@ -172,6 +211,12 @@ contains
   function ffn(x, y) result(r)
     real :: x, y, r
     r = x * y - pconst
+  end function
+  function wfn(v) result(r)
+    real :: v(:)
+    real :: r(:)
+    a0 = a0 * 0.5 + 0.25
+    r = v * 2.0
   end function
   subroutine helper(v, amt)
     real :: v(:), amt
@@ -350,4 +395,49 @@ func TestRebindLiteralsVsTree(t *testing.T) {
 	if perturbed == 0 {
 		t.Fatal("no statement literals perturbed; the property is vacuous")
 	}
+}
+
+// TestProgGenReachesVectorKernels pins the generator's reach into the
+// literal-operand forms of the elementwise arithmetic, both signs of
+// the one-pass X*lit ± Y*lit and rotations by at least ncol columns
+// either way: each must show up in 1,000 pseudo-random programs.
+func TestProgGenReachesVectorKernels(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	counts := map[string]int{}
+	longShift := regexp.MustCompile(`shift\([^,]+, (-?\d+)\)`)
+	for i := 0; i < 1000; i++ {
+		data := make([]byte, 16+r.Intn(112))
+		r.Read(data)
+		src, mods, _ := genProgram(t, data)
+		for _, m := range longShift.FindAllStringSubmatch(src, -1) {
+			k, _ := strconv.Atoi(m[1])
+			switch {
+			case k <= -6:
+				counts["shift k<=-ncol"]++
+			case k >= 6:
+				counts["shift k>=ncol"]++
+			}
+		}
+		p := Compile(mods)
+		for _, pr := range p.procs {
+			for _, in := range pr.code {
+				switch {
+				case in.op == opLinV:
+					counts[fmt.Sprintf("lin e&1=%d", in.e&1)]++
+				case in.op >= opAddV && in.op <= opDivV && in.e >= 3:
+					counts[fmt.Sprintf("op%d e=%d", in.op, in.e)]++
+				}
+			}
+		}
+	}
+	want := []string{"lin e&1=0", "lin e&1=1", "shift k<=-ncol", "shift k>=ncol"}
+	for op := opAddV; op <= opDivV; op++ {
+		want = append(want, fmt.Sprintf("op%d e=3", op), fmt.Sprintf("op%d e=4", op))
+	}
+	for _, k := range want {
+		if counts[k] == 0 {
+			t.Errorf("no %s in 1,000 generated programs", k)
+		}
+	}
+	t.Log(counts)
 }

@@ -81,7 +81,9 @@ const (
 
 	// Array elementwise binary: arr[d][i] = x op y with e selecting the
 	// broadcast shape — 0: arr[a] op arr[b]; 1: arr[a] op scal[b];
-	// 2: scal[a] op arr[b].
+	// 2: scal[a] op arr[b]. Add, Sub, Mul and Div also take a literal
+	// operand read from consts — 3: arr[a] op consts[b]; 4: consts[a]
+	// op arr[b].
 	opAddV
 	opSubV
 	opMulV
@@ -110,9 +112,13 @@ const (
 	// arr[d][i] = FMA(±x_i, y_i, ±z_i); e bit0 negates x, bit1 negates
 	// z, bits 2..4 mark a/b/c as arrays (else scalar regs).
 	opFMAV
+	// arr[d][i] = float64(arr[a][i]*consts[b]) ± float64(arr[c][i]*k)
+	// with k = consts[e>>1]; e bit0 selects minus: X*c1 ± Y*c2 without
+	// FMA in one pass, each product rounded on its own.
+	opLinV
 	opSumV   // scal[d] = sum(arr[a])
 	opNcol   // scal[d] = float64(ncol)
-	opShiftV // arr[d][i] = arr[a][(i+k)%n], k = int(scal[b]) mod n
+	opShiftV // arr[d][i] = arr[a][(i+k)%n], k = int(scal[b]) mod n, as two block copies
 
 	// Experiment hooks.
 	opRandS // scal[d] = rng.Float64()

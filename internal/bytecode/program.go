@@ -254,11 +254,6 @@ type Program struct {
 // runnable.
 func (p *Program) Err() error { return p.initErr }
 
-func (p *Program) moduleOf(name string) (int, bool) {
-	i, ok := p.moduleIdx[name]
-	return i, ok
-}
-
 func errf(format string, args ...interface{}) error {
 	return fmt.Errorf("bytecode: "+format, args...)
 }
