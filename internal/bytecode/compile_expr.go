@@ -211,13 +211,6 @@ func (f *pcomp) plainBinary(b *fortran.BinaryExpr, d dst) opnd {
 		f.release(lo)
 		return ro
 	}
-	return f.zip(b.Op, lo, ro, d)
-}
-
-// zip applies op to two evaluated operands, loading deferred scalars
-// now. An array operand against a literal reads the literal's consts
-// slot in the kernel under +, -, * and /.
-func (f *pcomp) zip(op fortran.Kind, lo, ro opnd, d dst) opnd {
 	if lo.kind == kDrv || ro.kind == kDrv {
 		f.release(lo)
 		f.release(ro)
@@ -227,13 +220,15 @@ func (f *pcomp) zip(op fortran.Kind, lo, ro opnd, d dst) opnd {
 		lm := f.matS(lo)
 		rm := f.matS(ro)
 		rd := f.pickS(d)
-		f.emit(instr{op: binOpS[op], d: rd.reg, a: lm.reg, b: rm.reg})
+		f.emit(instr{op: binOpS[b.Op], d: rd.reg, a: lm.reg, b: rm.reg})
 		f.release(lm)
 		f.release(rm)
 		return rd
 	}
+	// An array operand against a literal reads the literal's consts
+	// slot in the kernel under +, -, * and /.
 	rd := f.pickA(d)
-	vop := binOpV[op]
+	vop := binOpV[b.Op]
 	constForm := vop == opAddV || vop == opSubV || vop == opMulV || vop == opDivV
 	switch {
 	case lo.kind == kArr && ro.kind == kArr:
@@ -311,8 +306,8 @@ func (f *pcomp) callFree(e fortran.Expr) bool {
 
 // linComb compiles X*c1 ± Y*c2 matched by linParts: X and Y evaluate
 // in order, then opLinV forms both products and their sum or
-// difference. Operands that do not come out as arrays take ordinary
-// zips, which is the walker's order too since Y cannot write X.
+// difference. linParts admits only operands kindOf types as arrays,
+// and expr agrees with kindOf.
 func (f *pcomp) linComb(op fortran.Kind, x fortran.Expr, c1 *fortran.NumLit, y fortran.Expr, c2 *fortran.NumLit, d dst) opnd {
 	xo := f.expr(x)
 	if xo.kind == kErr {
@@ -323,19 +318,16 @@ func (f *pcomp) linComb(op fortran.Kind, x fortran.Expr, c1 *fortran.NumLit, y f
 		f.release(xo)
 		return yo
 	}
-	k1 := opnd{kind: kScal, ok: oConst, cidx: f.c.literal(c1)}
-	k2 := opnd{kind: kScal, ok: oConst, cidx: f.c.literal(c2)}
 	if xo.kind != kArr || yo.kind != kArr {
-		p1 := f.zip(fortran.STAR, xo, k1, dst{})
-		p2 := f.zip(fortran.STAR, yo, k2, dst{})
-		return f.zip(op, p1, p2, d)
+		panic("bytecode: linComb on non-array operand")
 	}
-	e := k2.cidx << 1
+	k1, k2 := f.c.literal(c1), f.c.literal(c2)
+	e := k2 << 1
 	if op == fortran.MINUS {
 		e |= 1
 	}
 	rd := f.pickA(d)
-	f.emit(instr{op: opLinV, d: rd.reg, a: xo.reg, b: k1.cidx, c: yo.reg, e: e})
+	f.emit(instr{op: opLinV, d: rd.reg, a: xo.reg, b: k1, c: yo.reg, e: e})
 	f.release(xo)
 	f.release(yo)
 	return rd
