@@ -39,6 +39,7 @@ type BatchVM struct {
 	trace       func(module, subprogram string) // one-lane VMs only
 	kernelWatch string
 	snapshotAll bool
+	sliced      bool // runs each proc's sliced stream: no snapshot is taken
 	fma         []bool
 
 	gscal []float64
@@ -161,10 +162,14 @@ func (fr *bframe) reset() {
 // NewBatchVM instantiates the program with len(rngs) lanes, one
 // independent PRNG source per lane (each lane's draw order matches a
 // tree-walker run on that source). It mirrors interp.NewMachine's
-// defaults and construction failures. Trace fires at every proc entry,
-// in the walker's order, and is accepted on one-lane VMs only: the
-// lanes of a wider batch enter procs together, so no member's entry
-// sequence could be told apart.
+// defaults and construction failures. A VM whose config takes no
+// snapshot (SnapshotAll false, KernelWatch empty) runs the program's
+// output slice: its Outputs, lane errors and Trace are the full
+// stream's, while module variables no output depends on — LaneArray's
+// view of them included — hold unspecified values. Trace fires at
+// every proc entry, in the walker's order, and is accepted on one-lane
+// VMs only: the lanes of a wider batch enter procs together, so no
+// member's entry sequence could be told apart.
 //
 // A VM of the program's shape released with the same column count and
 // batch width is reset in place instead of allocated: its register
@@ -206,6 +211,7 @@ func (p *Program) NewBatchVM(cfg interp.Config, rngs []rng.Source) (*BatchVM, er
 	vm.trace = cfg.Trace
 	vm.kernelWatch = cfg.KernelWatch
 	vm.snapshotAll = cfg.SnapshotAll
+	vm.sliced = !cfg.SnapshotAll && cfg.KernelWatch == ""
 	vm.depth = 0
 	for _, si := range p.scalInit {
 		base := int(si.idx) * nl

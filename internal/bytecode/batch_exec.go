@@ -16,6 +16,9 @@ import "math"
 // bounded by the lane count.
 func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 	code := p.code
+	if vm.sliced {
+		code = p.sliced
+	}
 	scal := fr.scal
 	nl := vm.nl
 	ncol := vm.ncol
@@ -648,65 +651,7 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 				}
 			}
 		case opFMAV:
-			out := fr.arr[in.d]
-			var av, bv, cv []float64
-			var ab, bb, cb int
-			if in.e&4 != 0 {
-				av = fr.arr[in.a]
-			} else {
-				ab = int(in.a) * nl
-			}
-			if in.e&8 != 0 {
-				bv = fr.arr[in.b]
-			} else {
-				bb = int(in.b) * nl
-			}
-			if in.e&16 != 0 {
-				cv = fr.arr[in.c]
-			} else {
-				cb = int(in.c) * nl
-			}
-			sa, sc := 1.0, 1.0
-			if in.e&1 != 0 {
-				sa = -1
-			}
-			if in.e&2 != 0 {
-				sc = -1
-			}
-			n := len(out) / nl
-			for _, l := range g {
-				ob := out[l*n : l*n+n]
-				var xa, ya, za []float64
-				var xs, ys, zs float64
-				if av != nil {
-					xa = av[l*n : l*n+n][:len(ob)]
-				} else {
-					xs = scal[ab+l]
-				}
-				if bv != nil {
-					ya = bv[l*n : l*n+n][:len(ob)]
-				} else {
-					ys = scal[bb+l]
-				}
-				if cv != nil {
-					za = cv[l*n : l*n+n][:len(ob)]
-				} else {
-					zs = scal[cb+l]
-				}
-				for i := range ob {
-					x, y, z := xs, ys, zs
-					if xa != nil {
-						x = xa[i]
-					}
-					if ya != nil {
-						y = ya[i]
-					}
-					if za != nil {
-						z = za[i]
-					}
-					ob[i] = math.FMA(sa*x, y, sc*z)
-				}
-			}
+			vm.fmaV(in, fr, g)
 		case opLinV:
 			out, x, y := fr.arr[in.d], fr.arr[in.a], fr.arr[in.c]
 			c1, c2 := vm.prog.consts[in.b], vm.prog.consts[in.e>>1]
@@ -949,6 +894,83 @@ func (vm *BatchVM) spans(g []int, size int) ([]int, int) {
 		return wholeGroup, size
 	}
 	return g, size / vm.nl
+}
+
+// fmaV runs opFMAV. Each operand is an array (e bit 2+i), a literal's
+// consts slot (bit 5+i) or a scalar register.
+func (vm *BatchVM) fmaV(in *instr, fr *bframe, g []int) {
+	nl := vm.nl
+	out := fr.arr[in.d]
+	n := len(out) / nl
+	sa, sc := 1.0, 1.0
+	if in.e&1 != 0 {
+		sa = -1
+	}
+	if in.e&2 != 0 {
+		sc = -1
+	}
+	var av, bv, cv []float64
+	if in.e&4 != 0 {
+		av = fr.arr[in.a]
+	}
+	if in.e&8 != 0 {
+		bv = fr.arr[in.b]
+	}
+	if in.e&16 != 0 {
+		cv = fr.arr[in.c]
+	}
+	for _, l := range g {
+		ob := out[l*n : l*n+n]
+		if av != nil && bv == nil && cv != nil {
+			// X*y ± Z, the common shape.
+			xa := av[l*n : l*n+n][:len(ob)]
+			za := cv[l*n : l*n+n][:len(ob)]
+			y := vm.fmaScalar(in.b, in.e&64 != 0, fr, l)
+			for i := range ob {
+				ob[i] = math.FMA(sa*xa[i], y, sc*za[i])
+			}
+			continue
+		}
+		var xa, ya, za []float64
+		var xs, ys, zs float64
+		if av != nil {
+			xa = av[l*n : l*n+n][:len(ob)]
+		} else {
+			xs = vm.fmaScalar(in.a, in.e&32 != 0, fr, l)
+		}
+		if bv != nil {
+			ya = bv[l*n : l*n+n][:len(ob)]
+		} else {
+			ys = vm.fmaScalar(in.b, in.e&64 != 0, fr, l)
+		}
+		if cv != nil {
+			za = cv[l*n : l*n+n][:len(ob)]
+		} else {
+			zs = vm.fmaScalar(in.c, in.e&128 != 0, fr, l)
+		}
+		for i := range ob {
+			x, y, z := xs, ys, zs
+			if xa != nil {
+				x = xa[i]
+			}
+			if ya != nil {
+				y = ya[i]
+			}
+			if za != nil {
+				z = za[i]
+			}
+			ob[i] = math.FMA(sa*x, y, sc*z)
+		}
+	}
+}
+
+// fmaScalar reads lane l of a scalar opFMAV operand: consts[r] for a
+// literal, else scalar register r.
+func (vm *BatchVM) fmaScalar(r int32, lit bool, fr *bframe, l int) float64 {
+	if lit {
+		return vm.prog.consts[r]
+	}
+	return fr.scal[int(r)*vm.nl+l]
 }
 
 // batchSlowBinV covers the colder elementwise binaries with one

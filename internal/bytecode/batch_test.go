@@ -115,8 +115,29 @@ func FuzzBatchVsTree(f *testing.F) {
 		bvm.CallAll("fz", "main")
 		bvm.SnapshotModuleVarsAll()
 		compareToTree(t, bvm, treeErrs, treeRes, src)
+		full := copyRun(bvm)
+		// The output slice: every lane of a VM that takes no snapshots
+		// must fail with the full run's error or produce its tree run's
+		// Outputs.
+		quiet := fzCfg(fmaMode)
+		quiet.SnapshotAll, quiet.KernelWatch = false, ""
+		svm, err := prog.NewBatchVM(quiet, kissLanes(lanes, 100))
+		if err != nil {
+			t.Fatalf("NewBatchVM: %v\n%s", err, src)
+		}
+		svm.CallAll("fz", "fzinit")
+		svm.CallAll("fz", "main")
+		for l, serr := range svm.LaneErrs() {
+			if w := full.errs[l]; (w == nil) != (serr == nil) || (w != nil && w.Error() != serr.Error()) {
+				t.Fatalf("lane %d: sliced run error %v, full run %v\n%s", l, serr, w, src)
+			}
+			if serr == nil {
+				compareLane(t, l, &interp.Results{Outputs: treeRes[l].Outputs}, &interp.Results{Outputs: svm.LaneResults(l).Outputs}, src)
+			}
+		}
+		svm.Release()
 		// The same run on a recycled VM must repeat the fresh one.
-		checkRecycled(t, prog, bvm, fzCfg(fmaMode), fmaMode, 100, copyRun(bvm), src)
+		checkRecycled(t, prog, bvm, fzCfg(fmaMode), fmaMode, 100, full, src)
 	})
 }
 

@@ -9,7 +9,9 @@ import (
 
 // The VM-level counterparts of interp's BenchmarkInterpreterStep*:
 // identical source, identical configuration, so engine-level speedups
-// are tracked independently of the pipeline.
+// are tracked independently of the pipeline. The outfld keeps acc
+// output-live: without it the output slice would cut every statement
+// of the loop.
 const benchSrc = `
 module bench
   real :: a(:), c(:), acc(:)
@@ -28,6 +30,7 @@ contains
       acc = a * c + acc * 0.999
       acc = max(0.0, min(10.0, acc)) + sqrt(abs(a)) * 0.01
     end do
+    call outfld('ACC', acc)
   end subroutine
 end module
 `

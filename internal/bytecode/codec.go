@@ -14,8 +14,10 @@ import (
 // on-disk programs from an older binary simply miss and recompile.
 // Version 2 carries the literal-site count after the constants;
 // version 3 renumbers the opcodes around opLinV and adds the literal
-// operand forms of the elementwise arithmetic.
-const progCodecVersion uint32 = 3
+// operand forms of the elementwise arithmetic; version 4 carries each
+// proc's output-slice cuts after its code, from which decoding
+// rebuilds the sliced stream.
+const progCodecVersion uint32 = 4
 
 // EncodeProgram serializes a compiled program to the deterministic
 // binary artifact format: encoding the same program twice — or a
@@ -325,6 +327,11 @@ func encodeProc(w *binenc.Writer, pr *proc, ref map[*dtype]int32) {
 		w.I32(in.d)
 		w.I32(in.e)
 	}
+	w.Len(len(pr.cut))
+	for _, c := range pr.cut {
+		w.I32(c[0])
+		w.I32(c[1])
+	}
 
 	w.Int(pr.nScal)
 	w.Int(pr.nPtr)
@@ -383,7 +390,20 @@ func decodeProc(r *binenc.Reader, id int, deref func(int32) (*dtype, error)) (*p
 			op: opcode(r.U32()),
 			a:  r.I32(), b: r.I32(), c: r.I32(), d: r.I32(), e: r.I32(),
 		}
+		if isJump(pr.code[i].op) && (pr.code[i].b < 0 || int(pr.code[i].b) > len(pr.code)) {
+			return nil, binenc.ErrMalformed
+		}
 	}
+	pr.cut = make([][2]int32, r.Len())
+	prev := int32(0)
+	for i := range pr.cut {
+		pr.cut[i] = [2]int32{r.I32(), r.I32()}
+		if pr.cut[i][0] < prev || pr.cut[i][1] <= pr.cut[i][0] || int(pr.cut[i][1]) > len(pr.code) {
+			return nil, binenc.ErrMalformed
+		}
+		prev = pr.cut[i][1]
+	}
+	pr.sliced = cutCode(pr.code, pr.cut)
 	pr.nScal = r.Int()
 	pr.nPtr = r.Int()
 	pr.nArr = r.Int()

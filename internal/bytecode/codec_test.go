@@ -58,3 +58,41 @@ func TestProgramCodecLiteralSites(t *testing.T) {
 		t.Error("DecodeProgram accepted a blob of the previous codec version")
 	}
 }
+
+// TestProgramCodecSliceCuts pins the output slice in the program
+// encoding: litSrc's two assignments feed no output, so both are cut;
+// a decoded program rebuilds the same sliced stream from the stored
+// ranges, and ranges that overlap or run past the code are rejected.
+func TestProgramCodecSliceCuts(t *testing.T) {
+	p := Compile(parseAll(t, litSrc))
+	pr := p.entries["m::run"]
+	if len(pr.cut) != 2 || len(pr.sliced) >= len(pr.code) {
+		t.Fatalf("cut %v: %d of %d instructions left; want both assignments cut", pr.cut, len(pr.sliced), len(pr.code))
+	}
+	dec, err := DecodeProgram(mustEncode(t, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := dec.procs[pr.id].sliced
+	if len(got) != len(pr.sliced) {
+		t.Fatalf("decoded sliced stream has %d instructions, want %d", len(got), len(pr.sliced))
+	}
+	for i := range got {
+		if got[i] != pr.sliced[i] {
+			t.Fatalf("decoded sliced instruction %d = %+v, want %+v", i, got[i], pr.sliced[i])
+		}
+	}
+	for _, cut := range [][][2]int32{
+		{pr.cut[0], pr.cut[0]},
+		{{pr.cut[0][0], int32(len(pr.code) + 1)}},
+		{{pr.cut[0][1], pr.cut[0][0]}},
+	} {
+		saved := pr.cut
+		pr.cut = cut
+		_, err := DecodeProgram(mustEncode(t, p))
+		pr.cut = saved
+		if err == nil {
+			t.Errorf("DecodeProgram accepted cut ranges %v", cut)
+		}
+	}
+}

@@ -14,6 +14,13 @@ import (
 // are recorded in the program and surfaced by NewBatchVM, so the two
 // engines agree on which programs run at all.
 func Compile(mods []*fortran.Module) *Program {
+	prog, _ := compile(mods)
+	return prog
+}
+
+// compile is Compile returning the compiler too, whose slice records
+// the tests inspect.
+func compile(mods []*fortran.Module) (*Program, *compiler) {
 	prog := &Program{
 		moduleIdx: make(map[string]int),
 		entries:   make(map[string]*proc),
@@ -21,7 +28,7 @@ func Compile(mods []*fortran.Module) *Program {
 	l := newLinker(mods, prog)
 	if err := l.link(); err != nil {
 		prog.initErr = err
-		return prog
+		return prog, nil
 	}
 	c := &compiler{
 		link:     l,
@@ -45,9 +52,11 @@ func Compile(mods []*fortran.Module) *Program {
 	}
 	if c.err != nil {
 		prog.initErr = c.err
+	} else {
+		c.slice()
 	}
 	prog.batchVMs = new(sync.Map)
-	return prog
+	return prog, c
 }
 
 func sortStrings(s []string) {
@@ -103,6 +112,12 @@ type compiler struct {
 	constIdx map[float64]int32
 	strIdx   map[string]int32
 	err      error
+
+	// The output slice's inputs: every assignment's record, every read
+	// that roots the slice, and, after slice, the output-live cells.
+	asgs  []*asgRec
+	roots []cell
+	live  map[cell]bool
 }
 
 // bindSites gives every statement literal the shaper recorded its own
@@ -221,6 +236,7 @@ type vslot struct {
 	reg   int32
 	dt    *dtype
 	touch int32 // >= 0: implicit local liveness bit
+	dummy bool  // a bound dummy argument
 }
 
 // pcomp compiles one proc specialization.
@@ -235,6 +251,15 @@ type pcomp struct {
 	code   []instr
 	dead   bool // a guaranteed construction error was emitted
 	nTouch int  // implicit locals allocated so far
+
+	// Slice recording: the assignment being compiled (nil outside
+	// one), the depth of element indices and call arguments inside it,
+	// whose reads root the slice, the proc's assignment records and
+	// the reads they hold slices of.
+	cur     *asgRec
+	rootCtx int
+	asgs    []asgRec
+	reads   []cell
 
 	// Hoisted bindings: globals and derived-field arrays referenced by
 	// the body bind once per activation in the prologue instead of at
@@ -365,6 +390,7 @@ func (f *pcomp) compile() {
 		case 'D':
 			vs = &vslot{kind: kDrv, space: vsDrv, reg: f.allocDOwn(sa.dt), dt: sa.dt, touch: -1}
 		}
+		vs.dummy = true
 		p.argBind[i] = argSlot{mode: sa.mode, reg: vs.reg}
 		f.vars[an] = vs
 		f.addSnap(an, vs)
@@ -441,6 +467,7 @@ func (f *pcomp) compile() {
 			p.ret.space = ssDrvF // marker: whole derived; reg is the dreg
 		}
 		p.retDt = vs.dt
+		f.c.roots = append(f.c.roots, f.cellOf(vs))
 	}
 	if !f.dead {
 		f.stmts(sub.Body)
@@ -448,6 +475,12 @@ func (f *pcomp) compile() {
 	f.emit(instr{op: opRet})
 	p.code = f.assemble()
 	p.nTouch = f.nTouch
+	off := int32(len(p.code) - len(f.code))
+	for i := range f.asgs {
+		a := &f.asgs[i]
+		a.p, a.start, a.end = p, a.start+off, a.end+off
+		f.c.asgs = append(f.c.asgs, a)
+	}
 }
 
 // assemble prepends the hoisted bind prologue to the compiled body,
@@ -468,8 +501,7 @@ func (f *pcomp) assemble() []instr {
 	}
 	off := int32(len(pro))
 	for i := range f.code {
-		switch f.code[i].op {
-		case opJmp, opJZ, opBrNoFMA, opLoopCond, opLoopInc:
+		if isJump(f.code[i].op) {
 			f.code[i].b += off
 		}
 	}

@@ -237,6 +237,8 @@ func (f *pcomp) intrinsic(r *fortran.Ref, d dst) opnd {
 func (f *pcomp) callFunc(ts []target, args []fortran.Expr, d dst) opnd {
 	t := resolveOverload(ts, len(args))
 	var os []opnd
+	f.rootCtx++
+	defer func() { f.rootCtx-- }()
 	for _, a := range args {
 		o := f.expr(a)
 		if o.kind == kErr {

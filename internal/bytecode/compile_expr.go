@@ -433,10 +433,14 @@ func (f *pcomp) fusedPath(ae, be, ce fortran.Expr, negC, negA bool, rd opnd, rk 
 	e := signs
 	var rel []opnd
 	prep := func(o opnd, bit int32) int32 {
-		if o.kind == kArr {
+		switch {
+		case o.kind == kArr:
 			e |= 1 << (2 + bit)
 			rel = append(rel, o)
 			return o.reg
+		case o.ok == oConst:
+			e |= 1 << (5 + bit)
+			return o.cidx
 		}
 		m := f.matSF(o)
 		rel = append(rel, m)

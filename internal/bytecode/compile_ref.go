@@ -243,6 +243,11 @@ type cellRef struct {
 	dreg    int32 // bound frame derived register holding the parent
 	fslot   int32
 	bad     bool
+
+	// at is the base variable's storage cell (the parent's, for a
+	// component); dummy marks a base that is a bound dummy argument.
+	at    cell
+	dummy bool
 }
 
 // drvReg resolves a derived cell to a frame D register: frame cells
@@ -261,6 +266,7 @@ func (f *pcomp) drvReg(vs *vslot) int32 {
 func (f *pcomp) walkRef(r *fortran.Ref) cellRef {
 	vs := f.resolveVar(r.Name)
 	cr := cellRef{kind: vs.kind, space: vs.space, reg: vs.reg, dt: vs.dt}
+	at, dummy := f.cellOf(vs), vs.dummy
 	for _, comp := range r.Components {
 		if cr.kind != kDrv {
 			f.emitErr("%s is not derived (component %s)", r.Name, comp)
@@ -284,6 +290,7 @@ func (f *pcomp) walkRef(r *fortran.Ref) cellRef {
 		}
 		cr = cellRef{kind: kind, isField: true, dreg: dreg, fslot: fd.slot}
 	}
+	cr.at, cr.dummy = at, dummy
 	return cr
 }
 
@@ -345,13 +352,14 @@ func (f *pcomp) ref(r *fortran.Ref, d dst) opnd {
 	if cr.bad {
 		return errOpnd()
 	}
+	f.noteRead(cr.at)
 	if r.HasParens && cr.kind == kArr && len(r.Args) == 1 {
 		ik, _ := f.kindOf(r.Args[0])
 		switch ik {
 		case kErr:
 			return f.expr(r.Args[0])
 		case kScal:
-			io := f.expr(r.Args[0])
+			io := f.index(r.Args[0])
 			im := f.matS(io)
 			ao := f.arrOpnd(cr)
 			ireg := f.allocI()

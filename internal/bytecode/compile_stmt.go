@@ -74,11 +74,27 @@ func (f *pcomp) storeScal(cr cellRef, src int32) {
 	}
 }
 
+// assign compiles one assignment and records its instruction range,
+// the cell it writes and the cells it reads for the output slice.
+// Assignments do not nest, so the record stays the last of f.asgs, and
+// its reads the tail of f.reads, while it is compiled.
 func (f *pcomp) assign(a *fortran.AssignStmt) {
+	f.asgs = append(f.asgs, asgRec{start: int32(len(f.code))})
+	rec, lo := &f.asgs[len(f.asgs)-1], len(f.reads)
+	f.cur = rec
+	f.lowerAssign(a, rec)
+	f.cur = nil
+	rec.end = int32(len(f.code))
+	rec.reads = f.reads[lo:len(f.reads):len(f.reads)]
+}
+
+func (f *pcomp) lowerAssign(a *fortran.AssignStmt, rec *asgRec) {
 	cr := f.walkRef(a.LHS)
 	if cr.bad {
 		return
 	}
+	rec.def, rec.hasDef, rec.pinned = cr.at, true, cr.dummy
+	rec.whole = !cr.isField && (cr.kind == kScal || cr.kind == kArr)
 	if a.LHS.HasParens && cr.kind == kArr && len(a.LHS.Args) == 1 {
 		ik, _ := f.kindOf(a.LHS.Args[0])
 		switch ik {
@@ -86,7 +102,8 @@ func (f *pcomp) assign(a *fortran.AssignStmt) {
 			f.expr(a.LHS.Args[0])
 			return
 		case kScal:
-			io := f.expr(a.LHS.Args[0])
+			rec.whole = false
+			io := f.index(a.LHS.Args[0])
 			im := f.matS(io)
 			ao := f.arrOpnd(cr)
 			ireg := f.allocI()
@@ -437,6 +454,7 @@ func (f *pcomp) subArg(ae fortran.Expr) (sigArg, argMove, []opnd, bool) {
 	if cr.bad {
 		return fail()
 	}
+	f.noteRead(cr.at)
 	if ref.HasParens && cr.kind == kArr && len(ref.Args) == 1 {
 		ik, _ := f.kindOf(ref.Args[0])
 		switch ik {

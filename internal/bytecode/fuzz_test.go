@@ -26,6 +26,9 @@ type progGen struct {
 	pos  int
 	sb   strings.Builder
 	tmp  int
+	// picks records, per byte drawn from data, the n of the pick(n)
+	// that drew it, or 0 for a byte used as a value (replayBytes).
+	picks []int
 }
 
 func (g *progGen) byte() byte {
@@ -34,10 +37,34 @@ func (g *progGen) byte() byte {
 	}
 	b := g.data[g.pos]
 	g.pos++
+	g.picks = append(g.picks, 0)
 	return b
 }
 
-func (g *progGen) pick(n int) int { return int(g.byte()) % n }
+func (g *progGen) pick(n int) int {
+	pos := g.pos
+	v := int(g.byte()) % n
+	if pos < len(g.data) {
+		g.picks[len(g.picks)-1] = n
+	}
+	return v
+}
+
+// replayBytes returns a byte stream that makes a generator draw the
+// choices g drew from its data: each pick's chosen index as its byte,
+// each value byte as it was. A generator that only appends cases to
+// its switches generates g's program from it, the way "-prev" fuzz
+// seeds keep the programs of an earlier generator.
+func (g *progGen) replayBytes() []byte {
+	out := make([]byte, len(g.picks))
+	for i, n := range g.picks {
+		out[i] = g.data[i]
+		if n > 0 {
+			out[i] %= byte(n)
+		}
+	}
+	return out
+}
 
 func (g *progGen) lit() string {
 	v := float64(int(g.byte())-128) / 16
@@ -149,7 +176,7 @@ func (g *progGen) atom(array bool) string {
 }
 
 func (g *progGen) stmt(depth int) {
-	switch g.pick(9) {
+	switch g.pick(10) {
 	case 0, 1: // array assignment
 		fmt.Fprintf(&g.sb, "    %s = %s\n", fzArr[g.pick(len(fzArr))], g.expr(2, true))
 	case 2: // scalar assignment
@@ -180,8 +207,17 @@ func (g *progGen) stmt(depth int) {
 		fmt.Fprintf(&g.sb, "    call random_number(%s)\n", fzArr[g.pick(3)])
 	case 7:
 		fmt.Fprintf(&g.sb, "    call helper(%s, %s)\n", fzArr[g.pick(len(fzArr))], fzScal[g.pick(3)])
-	default:
+	case 8:
 		fmt.Fprintf(&g.sb, "    call outfld('F%d', %s)\n", g.pick(4), fzArr[g.pick(len(fzArr))])
+	default: // a conditional assignment that may fail: arithmetic on a
+		// derived value, or an element index up to ncol+2
+		fmt.Fprintf(&g.sb, "    if (%s > %s) then\n", g.expr(1, false), g.lit())
+		if g.pick(2) == 0 {
+			fmt.Fprintf(&g.sb, "      %s = st * %s\n", fzScal[g.pick(3)], g.plit())
+		} else {
+			fmt.Fprintf(&g.sb, "      %s = %s(%d) * %s\n", fzScal[g.pick(3)], fzArr[g.pick(3)], 1+g.pick(8), g.plit())
+		}
+		g.sb.WriteString("    end if\n")
 	}
 }
 
@@ -304,20 +340,46 @@ func diffVsTree(t *testing.T, src string, mods []*fortran.Module, prog *Program,
 	if merr != nil {
 		return
 	}
-	var failed error
+	var failed, vmErr error
 	for _, call := range [][2]string{{"fz", "fzinit"}, {"fz", "main"}} {
 		em := m.Call(call[0], call[1])
 		ev := vm.Call(call[0], call[1])
 		if (em == nil) != (ev == nil) {
 			t.Fatalf("call %s disagreement: tree=%v vm=%v\n%s", call[1], em, ev, src)
 		}
-		if failed = em; failed != nil {
+		if failed, vmErr = em, ev; failed != nil {
 			break
 		}
 	}
 	if len(treeSeq) == 0 || strings.Join(treeSeq, " ") != strings.Join(vmSeq, " ") {
 		t.Fatalf("Trace sequences differ:\ntree %v\nvm   %v\n%s", treeSeq, vmSeq, src)
 	}
+	// The output slice: a VM that takes no snapshots must trace the same
+	// entries, fail with the same error and, when the run completes,
+	// produce the tree walker's Outputs.
+	var slicedSeq []string
+	sliced := mk(&slicedSeq)
+	sliced.SnapshotAll, sliced.KernelWatch = false, ""
+	svm, err := newOneLane(prog, sliced)
+	if err != nil {
+		t.Fatalf("NewBatchVM: %v\n%s", err, src)
+	}
+	var serr error
+	for _, call := range [][2]string{{"fz", "fzinit"}, {"fz", "main"}} {
+		if serr = svm.Call(call[0], call[1]); serr != nil {
+			break
+		}
+	}
+	if (serr == nil) != (vmErr == nil) || (serr != nil && serr.Error() != vmErr.Error()) {
+		t.Fatalf("sliced run error %v, full run %v\n%s", serr, vmErr, src)
+	}
+	if strings.Join(treeSeq, " ") != strings.Join(slicedSeq, " ") {
+		t.Fatalf("sliced Trace differs:\ntree   %v\nsliced %v\n%s", treeSeq, slicedSeq, src)
+	}
+	if failed == nil {
+		compareLane(t, 0, &interp.Results{Outputs: m.Outputs}, &interp.Results{Outputs: svm.Captured().Outputs}, src)
+	}
+	svm.Release()
 	if failed != nil {
 		return
 	}

@@ -110,7 +110,8 @@ const (
 	opLogV
 	opFloorV
 	// arr[d][i] = FMA(±x_i, y_i, ±z_i); e bit0 negates x, bit1 negates
-	// z, bits 2..4 mark a/b/c as arrays (else scalar regs).
+	// z, bits 2..4 mark a/b/c as arrays, bits 5..7 as literals read
+	// from consts (else scalar regs).
 	opFMAV
 	// arr[d][i] = float64(arr[a][i]*consts[b]) ± float64(arr[c][i]*k)
 	// with k = consts[e>>1]; e bit0 selects minus: X*c1 ± Y*c2 without

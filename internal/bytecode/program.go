@@ -160,6 +160,12 @@ type proc struct {
 	isFunc   bool
 
 	code []instr
+	// sliced is code less every assignment no output depends on, the
+	// stream a run without snapshots executes; cut lists the removed
+	// [start, end) ranges of code in order. It is code itself when
+	// nothing is cut. See slice.go.
+	sliced []instr
+	cut    [][2]int32
 
 	nScal, nPtr, nArr, nDrv, nInt, nTouch int
 

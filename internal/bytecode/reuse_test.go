@@ -111,8 +111,10 @@ func otherFMA(mode int) func(string) bool {
 // is first dirtied by a use that differs in every per-run input: other
 // lane seeds, another FMA set, KernelWatch and SnapshotAll on, and one
 // lane that erred after init. Then the same VM runs cfg with
-// KernelWatch and SnapshotAll off, whose Outputs and lane errors must
-// match want's and whose Kernel and AllValues maps must be empty.
+// KernelWatch and SnapshotAll off — the output slice, after the full
+// stream — whose Outputs and lane errors must match want's and whose
+// Kernel and AllValues maps must be empty, and finally cfg itself, the
+// full stream after the slice, which must repeat want bit for bit.
 func checkRecycled(t *testing.T, prog *Program, vm *BatchVM, cfg interp.Config, fmaMode int, seed uint64, want batchRun, src string) {
 	t.Helper()
 	lanes := vm.Lanes()
@@ -124,9 +126,6 @@ func checkRecycled(t *testing.T, prog *Program, vm *BatchVM, cfg interp.Config, 
 	vm.CallAll("fz", "main")
 	vm.SnapshotModuleVarsAll()
 
-	vm = reacquire(t, prog, vm, cfg, kissLanes(lanes, seed))
-	compareRuns(t, "recycled VM", want, runCalls(vm, calls...), src)
-
 	quiet := cfg
 	quiet.KernelWatch, quiet.SnapshotAll = "", false
 	vm = reacquire(t, prog, vm, quiet, kissLanes(lanes, seed))
@@ -134,7 +133,6 @@ func checkRecycled(t *testing.T, prog *Program, vm *BatchVM, cfg interp.Config, 
 		vm.CallAll(c[0], c[1])
 	}
 	got := copyRun(vm)
-	vm.Release()
 	for l := range want.res {
 		if n := len(got.res[l].Kernel) + len(got.res[l].AllValues); n != 0 {
 			t.Fatalf("lane %d: %d snapshot entries with KernelWatch and SnapshotAll off\n%s", l, n, src)
@@ -142,6 +140,10 @@ func checkRecycled(t *testing.T, prog *Program, vm *BatchVM, cfg interp.Config, 
 		got.res[l].Kernel, got.res[l].AllValues = want.res[l].Kernel, want.res[l].AllValues
 	}
 	compareRuns(t, "recycled VM, snapshots off", want, got, src)
+
+	vm = reacquire(t, prog, vm, cfg, kissLanes(lanes, seed))
+	compareRuns(t, "recycled VM", want, runCalls(vm, calls...), src)
+	vm.Release()
 }
 
 // reuseSrc accumulates into every kind of module-level state, so a VM

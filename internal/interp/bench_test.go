@@ -26,6 +26,7 @@ contains
       acc = a * c + acc * 0.999
       acc = max(0.0, min(10.0, acc)) + sqrt(abs(a)) * 0.01
     end do
+    call outfld('ACC', acc)
   end subroutine
 end module
 `)

@@ -426,7 +426,9 @@ var (
 // perturbation (CESM pertlim-style) plus a small perturbation of the
 // near-isolated wpert aerosol field so every output has nonzero
 // ensemble variance. The LCG stream, draw order and target fields are
-// the same on every engine, so a member's initial state is too.
+// the same on every engine, so a member's initial state is too. Each
+// product is rounded before it is added (the explicit float64), so no
+// architecture fuses the add into a multiply-add.
 func perturb(lookup func(module string, path ...string) (interp.LaneSlice, bool), member int, scale float64) error {
 	gen := rng.NewLCG(uint64(member)*2654435761 + 97)
 	t, ok := lookup("physics_types", statePath...)
@@ -434,11 +436,11 @@ func perturb(lookup func(module string, path ...string) (interp.LaneSlice, bool)
 		return fmt.Errorf("model: state variable missing")
 	}
 	for i, n := 0, t.Len(); i < n; i++ {
-		t.Add(i, scale*gauss(gen))
+		t.Add(i, float64(scale*gauss(gen)))
 	}
 	if wp, ok := lookup("microp_aero", wpertPath...); ok {
 		for i, n := 0, wp.Len(); i < n; i++ {
-			wp.Add(i, 1e-3*gauss(gen))
+			wp.Add(i, float64(1e-3*gauss(gen)))
 		}
 	}
 	return nil

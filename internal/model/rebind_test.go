@@ -61,7 +61,9 @@ func TestRunnerHandBuiltModulesCompile(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("k=%g: Runner program differs from a fresh compile", k)
 		}
-		vm, err := p.NewBatchVM(interp.Config{Ncol: 2}, []rng.Source{rng.NewKISS(1)})
+		// SnapshotAll: module variables are only defined after a run
+		// that takes snapshots; others run the output slice.
+		vm, err := p.NewBatchVM(interp.Config{Ncol: 2, SnapshotAll: true}, []rng.Source{rng.NewKISS(1)})
 		if err != nil {
 			t.Fatal(err)
 		}
