@@ -166,7 +166,8 @@ func (fr *bframe) reset() {
 // snapshot (SnapshotAll false, KernelWatch empty) runs the program's
 // output slice: its Outputs, lane errors and Trace are the full
 // stream's, while module variables no output depends on — LaneArray's
-// view of them included — hold unspecified values. Trace fires at
+// view of them included — hold unspecified values, and
+// SnapshotModuleVarsAll panics. Trace fires at
 // every proc entry, in the walker's order, and is accepted on one-lane
 // VMs only: the lanes of a wider batch enter procs together, so no
 // member's entry sequence could be told apart.
@@ -414,7 +415,14 @@ func (vm *BatchVM) LaneArray(lane int, module string, path ...string) (interp.La
 
 // SnapshotModuleVarsAll records module-level variables into every live
 // lane's AllValues map, mirroring Engine.SnapshotModuleVars per lane.
+// It panics on a VM that runs the output slice (SnapshotAll false,
+// KernelWatch empty): module variables no output reads hold
+// unspecified values there, and recording them would pass them off as
+// the run's.
 func (vm *BatchVM) SnapshotModuleVarsAll() {
+	if vm.sliced {
+		panic("bytecode: SnapshotModuleVarsAll on a VM that runs the output slice; set SnapshotAll or KernelWatch")
+	}
 	for l := 0; l < vm.nl; l++ {
 		if vm.errs[l] != nil {
 			continue

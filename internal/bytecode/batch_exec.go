@@ -921,16 +921,6 @@ func (vm *BatchVM) fmaV(in *instr, fr *bframe, g []int) {
 	}
 	for _, l := range g {
 		ob := out[l*n : l*n+n]
-		if av != nil && bv == nil && cv != nil {
-			// X*y ± Z, the common shape.
-			xa := av[l*n : l*n+n][:len(ob)]
-			za := cv[l*n : l*n+n][:len(ob)]
-			y := vm.fmaScalar(in.b, in.e&64 != 0, fr, l)
-			for i := range ob {
-				ob[i] = math.FMA(sa*xa[i], y, sc*za[i])
-			}
-			continue
-		}
 		var xa, ya, za []float64
 		var xs, ys, zs float64
 		if av != nil {

@@ -293,3 +293,34 @@ end module
 		})
 	}
 }
+
+// TestSnapshotOnSlicedVMPanics pins that a VM running the output slice
+// refuses to snapshot module variables, whose values it leaves
+// unspecified, rather than record them as the run's.
+func TestSnapshotOnSlicedVMPanics(t *testing.T) {
+	src := `module m
+  real :: y = 1.0
+  real :: o(:)
+contains
+  subroutine run()
+    y = y * 6.0
+    o = 1.0
+    call outfld('O', o)
+  end subroutine
+end module`
+	p := Compile(parseAll(t, src))
+	vm, err := p.NewBatchVM(interp.Config{Ncol: 2}, []rng.Source{rng.NewKISS(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vm.Release()
+	if err := vm.CallAll("m", "run")[0]; err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SnapshotModuleVarsAll after a run without snapshots did not panic")
+		}
+	}()
+	vm.SnapshotModuleVarsAll()
+}
