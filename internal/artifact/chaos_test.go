@@ -331,19 +331,19 @@ func TestQueueDoneFaultPoint(t *testing.T) {
 // the integrity check delete the blob; the next GetOrBuild rebuilds.
 func TestGetCorruptionFaultHealsByRebuild(t *testing.T) {
 	s := openTest(t)
-	if err := s.Put(ClassProgram, "p", []byte("compiled bytes")); err != nil {
+	if err := s.Put(ClassCorpus, "p", []byte("compiled bytes")); err != nil {
 		t.Fatal(err)
 	}
 	plane(t, "artifact.get:corrupt@times=1", 3)
-	if _, ok := s.Get(ClassProgram, "p"); ok {
+	if _, ok := s.Get(ClassCorpus, "p"); ok {
 		t.Fatal("tampered read reported a hit")
 	}
-	a := addr(ClassProgram, "p")
-	if _, err := os.Stat(s.blobPath(ClassProgram, a)); !os.IsNotExist(err) {
+	a := addr(ClassCorpus, "p")
+	if _, err := os.Stat(s.blobPath(ClassCorpus, a)); !os.IsNotExist(err) {
 		t.Fatalf("corrupt blob not deleted: %v", err)
 	}
 	builds := 0
-	got, built, err := s.GetOrBuild(context.Background(), ClassProgram, "p", func() ([]byte, error) {
+	got, built, err := s.GetOrBuild(context.Background(), ClassCorpus, "p", func() ([]byte, error) {
 		builds++
 		return []byte("compiled bytes"), nil
 	})

@@ -1,12 +1,12 @@
 // Package artifact is the content-addressed on-disk artifact store
 // that makes the pipeline's layered cache fingerprints (sourceKey ⊂
 // buildKey ⊂ scenarioKey) durable identities instead of in-process map
-// keys. Compiled bytecode programs, generated corpora, compiled
-// metagraphs and finished outcomes are written once under
-// sha-256-derived paths and shared by every process pointed at the
-// same directory: a restarted rcad warm-starts from disk, and N rcad
-// workers deduplicate builds across process boundaries through
-// O_EXCL lock files (cross-process singleflight).
+// keys. Generated corpora, compiled metagraphs, verdicts and finished
+// outcomes are written once under sha-256-derived paths and shared by
+// every process pointed at the same directory: a restarted rcad
+// warm-starts from disk, and N rcad workers deduplicate builds across
+// process boundaries through O_EXCL lock files (cross-process
+// singleflight).
 //
 // Layout under the store root:
 //
@@ -60,9 +60,6 @@ import (
 const (
 	// ClassCorpus stores generated+patched source trees per sourceKey.
 	ClassCorpus = "corpus"
-	// ClassProgram stores compiled bytecode programs per program shape
-	// key (model.Runner.ProgramKey).
-	ClassProgram = "program"
 	// ClassCompiled stores coverage-filtered metagraphs per program
 	// shape key plus coverage trace key (coverage.Trace.Key).
 	ClassCompiled = "compiled"

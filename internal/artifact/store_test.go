@@ -35,7 +35,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Fatalf("Get = %q, %v; want the stored payload", got, ok)
 	}
 	// The class is part of the address: same key, other class misses.
-	if _, ok := s.Get(ClassProgram, "k1"); ok {
+	if _, ok := s.Get(ClassCompiled, "k1"); ok {
 		t.Fatal("key leaked across classes")
 	}
 	st := s.Stats()
@@ -73,10 +73,10 @@ func TestReopenSeesBlobsAndBytes(t *testing.T) {
 // is deleted, and GetOrBuild rebuilds cleanly.
 func TestCorruptBlobFallsBackToRebuild(t *testing.T) {
 	s := openTest(t)
-	if err := s.Put(ClassProgram, "k", []byte("valid payload")); err != nil {
+	if err := s.Put(ClassCorpus, "k", []byte("valid payload")); err != nil {
 		t.Fatal(err)
 	}
-	path := s.blobPath(ClassProgram, addr(ClassProgram, "k"))
+	path := s.blobPath(ClassCorpus, addr(ClassCorpus, "k"))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -85,21 +85,21 @@ func TestCorruptBlobFallsBackToRebuild(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(ClassProgram, "k"); ok {
+	if _, ok := s.Get(ClassCorpus, "k"); ok {
 		t.Fatal("corrupt blob served as a hit")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("corrupt blob not deleted: %v", err)
 	}
 	rebuilt := false
-	data, built, err := s.GetOrBuild(context.Background(), ClassProgram, "k", func() ([]byte, error) {
+	data, built, err := s.GetOrBuild(context.Background(), ClassCorpus, "k", func() ([]byte, error) {
 		rebuilt = true
 		return []byte("rebuilt payload"), nil
 	})
 	if err != nil || !built || !rebuilt || string(data) != "rebuilt payload" {
 		t.Fatalf("GetOrBuild after corruption = %q, built=%v, err=%v", data, built, err)
 	}
-	if got, ok := s.Get(ClassProgram, "k"); !ok || string(got) != "rebuilt payload" {
+	if got, ok := s.Get(ClassCorpus, "k"); !ok || string(got) != "rebuilt payload" {
 		t.Fatalf("rebuilt blob not persisted: %q, %v", got, ok)
 	}
 }

@@ -1,7 +1,11 @@
 package bytecode
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 
 	"github.com/climate-rca/rca/internal/fortran"
 )
@@ -92,8 +96,7 @@ func (p *Program) rebindLits(mods []*fortran.Module) (consts []float64, ok bool)
 	return consts, i == p.nLits
 }
 
-// sameInits compares initializer tables bit for bit, the way their
-// encodings compare.
+// sameInits compares initializer tables bit for bit.
 func sameInits(a, b []cellInit) bool {
 	if len(a) != len(b) {
 		return false
@@ -104,4 +107,37 @@ func sameInits(a, b []cellInit) bool {
 		}
 	}
 	return true
+}
+
+// Diff returns nil when a and b are the same program, and otherwise an
+// error saying where they differ. It compares every field of the two
+// programs and of what they point to, except the pool of released VMs,
+// which is run state rather than program content. The value tables
+// Rebind recomputes compare bit for bit, so a −0/+0 or NaN-payload
+// difference counts. It is the oracle of the Rebind contract:
+// Rebind(Compile(a), b) must equal Compile(b).
+func Diff(a, b *Program) error {
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	switch {
+	case !slices.EqualFunc(a.consts, b.consts, sameBits):
+		return errors.New("bytecode: programs differ in consts")
+	case !sameInits(a.scalInit, b.scalInit):
+		return errors.New("bytecode: programs differ in scalInit")
+	case !sameInits(a.arrInit, b.arrInit):
+		return errors.New("bytecode: programs differ in arrInit")
+	}
+	x, y := *a, *b
+	x.consts, x.scalInit, x.arrInit, x.batchVMs = nil, nil, nil, nil
+	y.consts, y.scalInit, y.arrInit, y.batchVMs = nil, nil, nil, nil
+	if len(x.procs) == len(y.procs) {
+		for i, pr := range x.procs {
+			if !reflect.DeepEqual(pr, y.procs[i]) {
+				return fmt.Errorf("bytecode: programs differ in proc %s", pr.fullName)
+			}
+		}
+	}
+	if !reflect.DeepEqual(x, y) {
+		return errors.New("bytecode: programs differ outside their procs and value tables")
+	}
+	return nil
 }

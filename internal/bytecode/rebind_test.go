@@ -1,7 +1,10 @@
 package bytecode
 
 import (
-	"bytes"
+	"math"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"github.com/climate-rca/rca/internal/corpus"
@@ -10,13 +13,12 @@ import (
 	"github.com/climate-rca/rca/internal/rng"
 )
 
-func mustEncode(t *testing.T, p *Program) []byte {
+// mustSame fails t unless Diff finds got and want equal.
+func mustSame(t *testing.T, what string, got, want *Program) {
 	t.Helper()
-	b, err := EncodeProgram(p)
-	if err != nil {
-		t.Fatal(err)
+	if err := Diff(got, want); err != nil {
+		t.Fatalf("%s: %v", what, err)
 	}
-	return b
 }
 
 func parseAll(t *testing.T, srcs ...string) []*fortran.Module {
@@ -55,8 +57,8 @@ func runSteps(t *testing.T, p *Program, c *corpus.Corpus) *interp.Results {
 // TestRebindMatchesCompileParamVariants is the differential pin for
 // Rebind: for every ensemble-parameter variant of the bench corpus, and
 // for pairs of trees that differ only in statement literals, rebinding
-// one tree's program encodes to exactly the bytes of compiling the
-// other, and runs to the same captures.
+// one tree's program equals (Diff) compiling the other, and runs to
+// the same captures.
 func TestRebindMatchesCompileParamVariants(t *testing.T) {
 	base := corpus.Config{AuxModules: 40, Seed: 2}
 	clean, err := corpus.Generate(base).Parse()
@@ -64,8 +66,7 @@ func TestRebindMatchesCompileParamVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	cleanKey := fortran.ShapeKey(clean)
-	skel := Compile(clean)
-	cleanEnc := mustEncode(t, skel)
+	skel, cleanFresh := Compile(clean), Compile(clean)
 	if skel.Rebind(clean) != skel {
 		t.Fatal("rebinding a program to its own tree built a new program")
 	}
@@ -88,24 +89,17 @@ func TestRebindMatchesCompileParamVariants(t *testing.T) {
 				t.Fatal("parameter variant changed the shape key")
 			}
 			fresh := Compile(mods)
-			want := mustEncode(t, fresh)
-			if bytes.Equal(want, cleanEnc) {
+			if Diff(fresh, skel) == nil {
 				t.Fatal("variant compiles to the clean program; the test perturbs nothing")
 			}
 			got := skel.Rebind(mods)
 			if got == skel {
 				t.Fatal("Rebind returned the skeleton for different initializer values")
 			}
-			if !bytes.Equal(mustEncode(t, got), want) {
-				t.Fatal("EncodeProgram(Rebind(Compile(clean), variant)) != EncodeProgram(Compile(variant))")
-			}
-			if !bytes.Equal(mustEncode(t, got.Rebind(clean)), cleanEnc) {
-				t.Fatal("rebinding back to the clean tree does not reproduce the clean program")
-			}
+			mustSame(t, "Rebind(Compile(clean), variant) against Compile(variant)", got, fresh)
+			mustSame(t, "rebinding back to the clean tree", got.Rebind(clean), cleanFresh)
 			// The skeleton is untouched by its rebinds.
-			if !bytes.Equal(mustEncode(t, skel), cleanEnc) {
-				t.Fatal("Rebind mutated the skeleton")
-			}
+			mustSame(t, "skeleton after Rebind", skel, cleanFresh)
 			vmGot, vmWant := runSteps(t, got, vc), runSteps(t, fresh, vc)
 			diffMaps(t, "Outputs", vmWant.Outputs, vmGot.Outputs)
 			diffMaps(t, "AllValues", vmWant.AllValues, vmGot.AllValues)
@@ -141,21 +135,14 @@ func TestRebindMatchesCompileParamVariants(t *testing.T) {
 			if fortran.ShapeKey(trees[0]) != fortran.ShapeKey(trees[1]) {
 				t.Fatal("literal-only edit changed the shape key")
 			}
-			pa, pb := Compile(trees[0]), Compile(trees[1])
-			encA, encB := mustEncode(t, pa), mustEncode(t, pb)
-			if bytes.Equal(encA, encB) {
+			pa, pb, freshA := Compile(trees[0]), Compile(trees[1]), Compile(trees[0])
+			if Diff(pa, pb) == nil {
 				t.Fatal("variants compile to one program; the test perturbs nothing")
 			}
 			got := pa.Rebind(trees[1])
-			if !bytes.Equal(mustEncode(t, got), encB) {
-				t.Fatal("EncodeProgram(Rebind(Compile(a), b)) != EncodeProgram(Compile(b))")
-			}
-			if !bytes.Equal(mustEncode(t, pb.Rebind(trees[0])), encA) {
-				t.Fatal("EncodeProgram(Rebind(Compile(b), a)) != EncodeProgram(Compile(a))")
-			}
-			if !bytes.Equal(mustEncode(t, pa), encA) {
-				t.Fatal("Rebind mutated the program it rebound")
-			}
+			mustSame(t, "Rebind(Compile(a), b) against Compile(b)", got, pb)
+			mustSame(t, "Rebind(Compile(b), a) against Compile(a)", pb.Rebind(trees[0]), freshA)
+			mustSame(t, "program after Rebind", pa, freshA)
 			vmGot, vmWant := runSteps(t, got, corpora[1]), runSteps(t, pb, corpora[1])
 			diffMaps(t, "Outputs", vmWant.Outputs, vmGot.Outputs)
 			diffMaps(t, "AllValues", vmWant.AllValues, vmGot.AllValues)
@@ -231,12 +218,8 @@ func TestRebindHandWrittenPair(t *testing.T) {
 	if pa.Err() != nil || pb.Err() != nil {
 		t.Fatalf("compile: %v / %v", pa.Err(), pb.Err())
 	}
-	if !bytes.Equal(mustEncode(t, pa.Rebind(b)), mustEncode(t, pb)) {
-		t.Fatal("EncodeProgram(Rebind(Compile(A), B)) != EncodeProgram(Compile(B))")
-	}
-	if !bytes.Equal(mustEncode(t, pb.Rebind(a)), mustEncode(t, pa)) {
-		t.Fatal("EncodeProgram(Rebind(Compile(B), A)) != EncodeProgram(Compile(A))")
-	}
+	mustSame(t, "Rebind(Compile(A), B) against Compile(B)", pa.Rebind(b), pb)
+	mustSame(t, "Rebind(Compile(B), A) against Compile(A)", pb.Rebind(a), pa)
 	// The rebound program runs B, not A.
 	m, err := interp.NewMachine(b, plainCfg(3)())
 	if err != nil {
@@ -255,6 +238,58 @@ func TestRebindHandWrittenPair(t *testing.T) {
 	m.SnapshotModuleVars()
 	vm.SnapshotModuleVars()
 	diffMaps(t, "AllValues", m.AllValues, vm.Captured().AllValues)
+}
+
+// TestDiffComparesBits pins the Rebind oracle itself: two compiles of
+// one tree are equal, a copy with its own pool of released VMs is
+// equal, and an edited instruction, or a sign-of-zero or NaN-payload
+// change in consts, scalInit or arrInit, is a difference.
+func TestDiffComparesBits(t *testing.T) {
+	src := strings.Replace(rebindSrcA, "s = k", "s = k * 3.0", 1)
+	p := Compile(parseAll(t, src))
+	if p.Err() != nil || len(p.consts) == 0 || len(p.scalInit) == 0 || len(p.arrInit) == 0 {
+		t.Fatalf("test program lacks a value table: %v", p.Err())
+	}
+	mustSame(t, "two compiles", p, Compile(parseAll(t, src)))
+	pooled := *p
+	pooled.batchVMs = new(sync.Map)
+	mustSame(t, "copy with its own VM pool", &pooled, p)
+	edited := *p
+	edited.procs = slices.Clone(p.procs)
+	pr := *p.procs[0]
+	pr.code = slices.Clone(pr.code)
+	pr.code[0].a++
+	edited.procs[0] = &pr
+	if Diff(&edited, p) == nil {
+		t.Error("Diff equates programs whose code differs")
+	}
+
+	nan1, nan2 := math.NaN(), math.Float64frombits(math.Float64bits(math.NaN())^1)
+	for _, pair := range [][2]float64{{0, math.Copysign(0, -1)}, {nan1, nan2}} {
+		set := map[string]func(q *Program, v float64){
+			"consts": func(q *Program, v float64) {
+				q.consts = append([]float64(nil), p.consts...)
+				q.consts[0] = v
+			},
+			"scalInit": func(q *Program, v float64) {
+				q.scalInit = append([]cellInit(nil), p.scalInit...)
+				q.scalInit[0].val = v
+			},
+			"arrInit": func(q *Program, v float64) {
+				q.arrInit = append([]cellInit(nil), p.arrInit...)
+				q.arrInit[0].val = v
+			},
+		}
+		for name, f := range set {
+			a, b := *p, *p
+			f(&a, pair[0])
+			f(&b, pair[1])
+			if Diff(&a, &b) == nil {
+				t.Errorf("%s: Diff equates %v and %v (bits %#x, %#x)", name, pair[0], pair[1],
+					math.Float64bits(pair[0]), math.Float64bits(pair[1]))
+			}
+		}
+	}
 }
 
 // TestRebindInitializerFailure pins error parity: a same-shape tree
@@ -277,9 +312,7 @@ func TestRebindInitializerFailure(t *testing.T) {
 	if _, err := newOneLane(got, plainCfg(2)()); err == nil || err.Error() != fresh.Err().Error() {
 		t.Fatalf("NewBatchVM on the failed rebind = %v; want %v", err, fresh.Err())
 	}
-	if !bytes.Equal(mustEncode(t, fresh.Rebind(a)), mustEncode(t, Compile(a))) {
-		t.Fatal("rebinding a failed program does not compile the new tree")
-	}
+	mustSame(t, "rebinding a failed program", fresh.Rebind(a), Compile(a))
 }
 
 // TestRebindConcurrentVMs runs VMs of a skeleton and of its rebinds at

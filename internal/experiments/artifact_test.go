@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"github.com/climate-rca/rca/internal/artifact"
-	"github.com/climate-rca/rca/internal/bytecode"
 	"github.com/climate-rca/rca/internal/corpus"
 )
 
@@ -41,48 +40,6 @@ func corruptAllBlobs(t *testing.T, dir string) {
 
 // testCfg is the small corpus every artifact test shares.
 func artifactTestCfg() corpus.Config { return corpus.Config{AuxModules: 10, Seed: 5} }
-
-// TestProgramCodecRoundTripCatalog proves the bytecode codec is
-// bit-exact for every program in the §6+§8 catalog: encode, decode,
-// re-encode, and require identical bytes. Bit-exactness is what makes
-// store blobs stable identities — two processes encoding the same
-// build must produce the same artifact.
-func TestProgramCodecRoundTripCatalog(t *testing.T) {
-	ctx := context.Background()
-	cfg := artifactTestCfg()
-	s := NewSession(cfg, WithEnsembleSize(4), WithExpSize(2))
-	for _, sc := range catalog {
-		t.Run(sc.Name(), func(t *testing.T) {
-			p, err := buildPlan(cfg, sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := s.runnerFor(ctx, p.sourceKey(), p.cfg, p.patches)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog := r.Program()
-			if prog == nil {
-				t.Fatal("no bytecode program (tree engine?)")
-			}
-			enc1, err := bytecode.EncodeProgram(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dec, err := bytecode.DecodeProgram(enc1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			enc2, err := bytecode.EncodeProgram(dec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(enc1, enc2) {
-				t.Fatalf("program codec not bit-exact: %d vs %d bytes", len(enc1), len(enc2))
-			}
-		})
-	}
-}
 
 // TestCorpusCodecRoundTripCatalog does the same for the corpus codec,
 // over every distinct patched source tree the catalog produces.
@@ -136,8 +93,8 @@ func outcomeDigest(o *Outcome) string {
 
 // TestSessionWarmStartFromStore runs three catalog scenarios on a
 // store-backed session, then replays them on a brand-new session over
-// a fresh handle to the same directory: every artifact class must be
-// served from disk (zero builds in the second session) and the
+// a fresh handle to the same directory: every stored artifact class
+// must be served from disk (zero builds in the second session) and the
 // outcomes must match the cold run exactly.
 func TestSessionWarmStartFromStore(t *testing.T) {
 	ctx := context.Background()

@@ -5,7 +5,6 @@ import (
 
 	"github.com/climate-rca/rca/internal/artifact"
 	"github.com/climate-rca/rca/internal/binenc"
-	"github.com/climate-rca/rca/internal/bytecode"
 	"github.com/climate-rca/rca/internal/corpus"
 	"github.com/climate-rca/rca/internal/coverage"
 	"github.com/climate-rca/rca/internal/metagraph"
@@ -14,14 +13,14 @@ import (
 
 // WithArtifacts attaches a content-addressed artifact store to the
 // session: the expensive build artifacts — generated+patched corpora
-// (per source fingerprint), compiled bytecode programs (per source
-// shape) and coverage-filtered metagraphs (per source shape and
-// coverage trace) — gain a write-through/read-back disk layer under
-// their cache keys. A fresh session (or a fresh process) pointed at a
-// warm store skips corpus generation, bytecode compilation and the
-// metagraph construction; only the two-step coverage trace that forms
-// the metagraph's key still runs. Builds are deduplicated across every
-// process sharing the store via its lock-file singleflight.
+// (per source fingerprint) and coverage-filtered metagraphs (per source
+// shape and coverage trace) — gain a write-through/read-back disk layer
+// under their cache keys. A fresh session (or a fresh process) pointed
+// at a warm store skips corpus generation and the metagraph
+// construction; it compiles each program shape once, and the two-step
+// coverage trace that forms the metagraph's key still runs. Builds are
+// deduplicated across every process sharing the store via its
+// lock-file singleflight.
 func WithArtifacts(store *artifact.Store) Option {
 	return func(s *Session) { s.store = store }
 }
@@ -102,46 +101,6 @@ func (s *Session) cleanCorpus(ctx context.Context) (*corpus.Corpus, error) {
 			return corpus.Generate(s.cfg), nil
 		}, (*corpus.Corpus).Encode, corpus.Decode)
 	})
-}
-
-// restoreProgram gives the runner its compiled bytecode program
-// without compiling where it can. Programs are keyed by the runner's
-// shape key, not its source fingerprint, so a tree that differs from
-// one already compiled only in module-level initializer values (a
-// `param:` perturbation) or statement literal values (a `scale:`
-// factor, a replaced constant) shares that program. The first runner of a
-// shape in the session goes through the store, which supplies a
-// same-shape program or persists the one the runner compiles (or
-// rebinds) — one program blob per shape across every process on the
-// store. Later runners of that shape rebind the in-process program and
-// touch no blob at all. Best-effort: any store trouble just leaves the
-// runner to compile lazily as before. Only bytecode sessions touch
-// program artifacts.
-func (s *Session) restoreProgram(ctx context.Context, r *model.Runner) {
-	if s.store == nil || s.engine != model.EngineBytecode {
-		return
-	}
-	key := r.ProgramKey()
-	if key == "" {
-		return
-	}
-	if _, seen := s.programShapes.LoadOrStore(key, true); seen && r.SharedProgram() {
-		return
-	}
-	data, built, err := s.store.GetOrBuild(ctx, artifact.ClassProgram, key, func() ([]byte, error) {
-		return bytecode.EncodeProgram(r.Program())
-	})
-	if err != nil || built {
-		return
-	}
-	if p, err := bytecode.DecodeProgram(data); err == nil {
-		r.SetProgram(p)
-		return
-	}
-	// Stale codec version on disk: recompile and refresh the blob.
-	if enc, err := bytecode.EncodeProgram(r.Program()); err == nil {
-		_ = s.store.Put(artifact.ClassProgram, key, enc)
-	}
 }
 
 // compiledFor runs the two-step coverage trace on the scenario's

@@ -103,7 +103,7 @@ func freshCompiled(t *testing.T, s *experiments.Session, sc experiments.Scenario
 // parameter perturbations concurrently on one store-backed session
 // (RunAll): all four get
 // one *Compiled, the store builds one compiled blob (four corpora, one
-// program, one metagraph), and every outcome is byte-identical to a
+// metagraph), and every outcome is byte-identical to a
 // fresh session's run of that scenario alone.
 func TestSessionParamScenariosShareMetagraph(t *testing.T) {
 	ctx := context.Background()
@@ -144,7 +144,7 @@ func TestSessionParamScenariosShareMetagraph(t *testing.T) {
 	if n := s.MetagraphShares(); n != 3 {
 		t.Fatalf("MetagraphShares = %d; want 3", n)
 	}
-	if n := store.Stats().Builds; n != 4+1+1 {
-		t.Fatalf("store builds = %d; want 6 (4 corpora + 1 program + 1 metagraph)", n)
+	if n := store.Stats().Builds; n != 4+1 {
+		t.Fatalf("store builds = %d; want 5 (4 corpora + 1 metagraph)", n)
 	}
 }

@@ -57,12 +57,6 @@ type Session struct {
 	// another build fingerprint built.
 	metagraphShares atomic.Uint64
 
-	// programShapes holds the program shape keys this session has
-	// already taken through its store (restoreProgram): a later runner
-	// of the same shape rebinds the in-process program and skips the
-	// store.
-	programShapes sync.Map
-
 	// lassoFits/lassoIters count §3 selection-stage lasso fits and
 	// their proximal-gradient iterations across the session — the
 	// /metrics counters behind lasso_fits_total and
@@ -322,7 +316,6 @@ func (s *Session) runnerFor(ctx context.Context, key string, cfg corpus.Config, 
 		if err != nil {
 			return nil, err
 		}
-		s.restoreProgram(ctx, r)
 		s.runnerMu.Lock()
 		s.runnerList = append(s.runnerList, r)
 		s.runnerMu.Unlock()

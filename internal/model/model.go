@@ -137,10 +137,11 @@ var (
 const progCacheMax = 128
 
 // ProgramKey is the shape key the Runner's compiled program is shared
-// under, in-process and in the artifact store: every Runner whose
-// modules differ from this one's only in module-level initializer
-// values and statement literal values has the same key. It is "" for
-// modules that carry no shape digest; their programs are never shared.
+// under in-process, and the first half of its metagraph's key: every
+// Runner whose modules differ from this one's only in module-level
+// initializer values and statement literal values has the same key. It
+// is "" for modules that carry no shape digest; their programs are
+// never shared.
 func (r *Runner) ProgramKey() string { return r.shape }
 
 // Program returns the compiled bytecode program, compiling on first
@@ -160,38 +161,9 @@ func (r *Runner) Program() *bytecode.Program {
 	return r.prog
 }
 
-// SharedProgram installs the process-wide program of this Runner's
-// shape, rebound to the Runner's own values, and reports whether the
-// Runner now has a program. It never compiles.
-func (r *Runner) SharedProgram() bool {
-	r.progMu.Lock()
-	defer r.progMu.Unlock()
-	return r.prog != nil || r.adoptShared()
-}
-
-// SetProgram installs a precompiled program of this Runner's shape
-// (typically decoded from the artifact store, where it may have been
-// compiled from a perturbed sibling tree) as its bytecode build
-// artifact, rebound to the Runner's values, so integrations skip
-// compilation entirely. A program the Runner already has wins, and so
-// does the process-wide program of its shape (one copy of the code
-// stays in memory). Otherwise p is shared
-// process-wide so sibling Runners of the same shape reuse it too.
-func (r *Runner) SetProgram(p *bytecode.Program) {
-	if p == nil {
-		return
-	}
-	r.progMu.Lock()
-	defer r.progMu.Unlock()
-	if r.prog != nil || r.adoptShared() {
-		return
-	}
-	r.adopt(p)
-	r.share()
-}
-
-// adoptShared installs the process-wide program of r's shape, if any.
-// The caller holds progMu.
+// adoptShared installs the process-wide program of r's shape, rebound
+// to r's modules, counting a rebind when the values differ. The caller
+// holds progMu.
 func (r *Runner) adoptShared() bool {
 	if r.shape == "" {
 		return false
@@ -200,17 +172,12 @@ func (r *Runner) adoptShared() bool {
 	if !ok {
 		return false
 	}
-	r.adopt(v.(*bytecode.Program))
-	return true
-}
-
-// adopt installs p rebound to r's modules, counting a rebind when the
-// values differ. The caller holds progMu.
-func (r *Runner) adopt(p *bytecode.Program) {
+	p := v.(*bytecode.Program)
 	r.prog = p.Rebind(r.Modules)
 	if r.prog != p {
 		r.rebinds.Add(1)
 	}
+	return true
 }
 
 // share offers r's runnable program to the process-wide cache. The

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"bytes"
 	"math"
 	"sync"
 	"testing"
@@ -50,16 +49,8 @@ func TestRunnerHandBuiltModulesCompile(t *testing.T) {
 		if _, misses := r.CompileStats(); misses != 1 || r.Rebinds() != 0 {
 			t.Fatalf("k=%g: misses=%d rebinds=%d; want one compile, no rebind", k, misses, r.Rebinds())
 		}
-		got, err := bytecode.EncodeProgram(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := bytecode.EncodeProgram(bytecode.Compile(mods))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("k=%g: Runner program differs from a fresh compile", k)
+		if err := bytecode.Diff(p, bytecode.Compile(mods)); err != nil {
+			t.Fatalf("k=%g: Runner program differs from a fresh compile: %v", k, err)
 		}
 		// SnapshotAll: module variables are only defined after a run
 		// that takes snapshots; others run the output slice.
@@ -98,9 +89,6 @@ func TestRunnerParamVariantRebinds(t *testing.T) {
 	if r.ProgramKey() == "" || r.ProgramKey() != clean.ProgramKey() {
 		t.Fatalf("variant ProgramKey %q, clean %q; want equal and non-empty", r.ProgramKey(), clean.ProgramKey())
 	}
-	if !r.SharedProgram() {
-		t.Fatal("SharedProgram found no program of the variant's shape")
-	}
 	p := r.Program()
 	if hits, misses := r.CompileStats(); hits != 1 || misses != 0 || r.Rebinds() != 1 {
 		t.Fatalf("hits=%d misses=%d rebinds=%d; want 1, 0, 1", hits, misses, r.Rebinds())
@@ -108,16 +96,8 @@ func TestRunnerParamVariantRebinds(t *testing.T) {
 	if p == clean.Program() {
 		t.Fatal("variant runs the clean program")
 	}
-	got, err := bytecode.EncodeProgram(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := bytecode.EncodeProgram(bytecode.Compile(r.Modules))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("rebound program differs from a fresh compile of the variant")
+	if err := bytecode.Diff(p, bytecode.Compile(r.Modules)); err != nil {
+		t.Fatalf("rebound program differs from a fresh compile of the variant: %v", err)
 	}
 }
 
@@ -149,16 +129,8 @@ func TestRunnerConcurrentParamVariants(t *testing.T) {
 	}
 	wg.Wait()
 	for i, r := range runners {
-		got, err := bytecode.EncodeProgram(progs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := bytecode.EncodeProgram(bytecode.Compile(r.Modules))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("runner %d: program differs from a fresh compile of its tree", i)
+		if err := bytecode.Diff(progs[i], bytecode.Compile(r.Modules)); err != nil {
+			t.Fatalf("runner %d: program differs from a fresh compile of its tree: %v", i, err)
 		}
 	}
 }
@@ -166,7 +138,7 @@ func TestRunnerConcurrentParamVariants(t *testing.T) {
 // TestSharedTreeMatchesFreshParse is the differential check behind
 // the parse layer's subprogram sharing: a Runner over a parameter
 // perturbation, whose changed modules hold the clean tree's subprogram
-// nodes, compiles to the same program bytes and integrates to the same
+// nodes, compiles to the same program and integrates to the same
 // bits as a Runner over fresh ParseFile trees of the same files.
 func TestSharedTreeMatchesFreshParse(t *testing.T) {
 	base := corpus.Config{AuxModules: 12, Seed: 77}
@@ -199,20 +171,12 @@ func TestSharedTreeMatchesFreshParse(t *testing.T) {
 	}
 	freshRunner := &Runner{Corpus: c, Modules: fresh}
 
-	enc := func(p *bytecode.Program) []byte {
-		t.Helper()
-		b, err := bytecode.EncodeProgram(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+	want := freshRunner.Program()
+	if err := bytecode.Diff(bytecode.Compile(shared.Modules), want); err != nil {
+		t.Fatalf("compiling the shared tree differs from compiling fresh trees: %v", err)
 	}
-	want := enc(freshRunner.Program())
-	if !bytes.Equal(enc(bytecode.Compile(shared.Modules)), want) {
-		t.Fatal("compiling the shared tree differs from compiling fresh trees")
-	}
-	if !bytes.Equal(enc(shared.Program()), want) {
-		t.Fatal("the shared Runner's program differs from the fresh Runner's")
+	if err := bytecode.Diff(shared.Program(), want); err != nil {
+		t.Fatalf("the shared Runner's program differs from the fresh Runner's: %v", err)
 	}
 	members := []int{0, 1, 2, 1000}
 	got, err := shared.RunBatchMeans(RunConfig{}, members)

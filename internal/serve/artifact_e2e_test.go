@@ -183,8 +183,8 @@ type queueStateReply struct {
 // TestTwoWorkersSharedStore is the multi-worker acceptance scenario:
 // two daemons (each its own Session, sharing one store directory)
 // drain a 16-scenario catalog from the shared queue. Every scenario
-// must execute exactly once across the pair, and every artifact —
-// corpus, program, compiled metagraph — must be built exactly once
+// must execute exactly once across the pair, and every stored
+// artifact — corpus, compiled metagraph — must be built exactly once
 // across both processes (cross-process singleflight).
 func TestTwoWorkersSharedStore(t *testing.T) {
 	dir := t.TempDir()
@@ -314,15 +314,15 @@ func TestTwoWorkersSharedStore(t *testing.T) {
 	}
 
 	// Exactly-once artifact builds across the pair: distinct sourceKeys
-	// each build a corpus, distinct program shapes a program, and
-	// distinct (shape, coverage trace) keys a compiled metagraph — plus
-	// the clean control build both catalogs share. Shapes and traces
-	// are derived here from the parsed sources, not assumed. The TURB
-	// perturbations differ from the clean tree only in a module-level
-	// parameter initializer, so they share its shape, rebind its
-	// program and, executing the same code in the two-step trace, share
-	// its metagraph; catalog defects that edit statement literals share
-	// it as well.
+	// each build a corpus, and distinct (shape, coverage trace) keys a
+	// compiled metagraph — plus the clean control build both catalogs
+	// share. Programs are not stored: each process compiles a shape
+	// once and rebinds it. Shapes and traces are derived here from the
+	// parsed sources, not assumed. The TURB perturbations differ from
+	// the clean tree only in a module-level parameter initializer, so
+	// they share its shape and, executing the same code in the two-step
+	// trace, its metagraph; catalog defects that edit statement
+	// literals share it as well.
 	sources, shapes, compiled := map[string]bool{}, map[string]bool{}, map[string]bool{}
 	var turbShapes []string
 	keysSession := rca.NewSession(rca.CorpusConfig{AuxModules: 10, Seed: 5})
@@ -383,10 +383,10 @@ func TestTwoWorkersSharedStore(t *testing.T) {
 		t.Fatalf("%d (shape, trace) keys for %d program shapes; every shape here traces one executed set",
 			len(compiled), len(shapes))
 	}
-	want := uint64(len(sources) + len(shapes) + len(compiled))
+	want := uint64(len(sources) + len(compiled))
 	got := workers[0].store.Stats().Builds + workers[1].store.Stats().Builds
 	if got != want {
-		t.Fatalf("artifact builds across both workers = %d; want exactly %d (%d sources + %d program shapes + %d (shape, trace) keys)",
-			got, want, len(sources), len(shapes), len(compiled))
+		t.Fatalf("artifact builds across both workers = %d; want exactly %d (%d sources + %d (shape, trace) keys)",
+			got, want, len(sources), len(compiled))
 	}
 }
