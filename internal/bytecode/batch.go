@@ -1,7 +1,10 @@
 package bytecode
 
 import (
+	"errors"
+	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/climate-rca/rca/internal/interp"
@@ -39,12 +42,18 @@ type BatchVM struct {
 	trace       func(module, subprogram string) // one-lane VMs only
 	kernelWatch string
 	snapshotAll bool
-	sliced      bool // runs each proc's sliced stream: no snapshot is taken
 	fma         []bool
+	// sliced VMs run each proc's sliced stream and take no snapshot;
+	// they hold storage only for the program's held state, and every
+	// other garr and gdrv slot is nil. Fixed at allocation: sliced and
+	// full VMs are pooled apart.
+	sliced    bool
+	skipEmpty bool // sliced and untraced: calls of slicedEmpty procs are skipped
 
-	gscal []float64
-	garr  [][]float64
-	gdrv  []*bdval
+	gscal   []float64
+	garr    [][]float64 // slices of backing
+	gdrv    []*bdval
+	backing []float64
 
 	results []interp.Results
 	errs    []error
@@ -165,20 +174,24 @@ func (fr *bframe) reset() {
 // defaults and construction failures. A VM whose config takes no
 // snapshot (SnapshotAll false, KernelWatch empty) runs the program's
 // output slice: its Outputs, lane errors and Trace are the full
-// stream's, while module variables no output depends on — LaneArray's
-// view of them included — hold unspecified values, and
-// SnapshotModuleVarsAll panics. Trace fires at
+// stream's, but it holds only the module arrays and derived cells the
+// sliced streams bind, LaneArray refuses the others with ErrNotHeld,
+// module variables no output depends on hold unspecified values, and
+// SnapshotModuleVarsAll panics. Without Trace it also skips the calls
+// of procs whose sliced stream only binds and returns. Trace fires at
 // every proc entry, in the walker's order, and is accepted on one-lane
 // VMs only: the lanes of a wider batch enter procs together, so no
 // member's entry sequence could be told apart.
 //
-// A VM of the program's shape released with the same column count and
-// batch width is reset in place instead of allocated: its register
-// files are zeroed and the program's module-level initializers
-// replayed, its capture maps cleared and its lane errors dropped, so it
-// starts in exactly a fresh VM's state. Each size has its own pool, so
-// batches of different widths over one shape (an 8-lane chunk and the
-// 2-lane remainder of a 10-member set) do not evict each other's VMs.
+// A VM of the program's shape released with the same column count,
+// batch width and stream (sliced or full) is reset in place instead of
+// allocated: its register files are zeroed and the program's
+// module-level initializers replayed, its capture maps cleared and its
+// lane errors dropped, so it starts in exactly a fresh VM's state. Each
+// size and stream has its own pool, so batches of different widths
+// over one shape (an 8-lane chunk and the 2-lane remainder of a
+// 10-member set) do not evict each other's VMs, and a sliced VM, which
+// holds and clears only the held state, never runs the full stream.
 func (p *Program) NewBatchVM(cfg interp.Config, rngs []rng.Source) (*BatchVM, error) {
 	if p.initErr != nil {
 		return nil, p.initErr
@@ -199,12 +212,13 @@ func (p *Program) NewBatchVM(cfg interp.Config, rngs []rng.Source) (*BatchVM, er
 	if ncol <= 0 {
 		ncol = 16
 	}
-	pool := p.batchPool(ncol, nl)
+	k := batchSize{ncol, nl, !cfg.SnapshotAll && cfg.KernelWatch == ""}
+	pool := p.batchPool(k)
 	vm, _ := pool.Get().(*BatchVM)
 	if vm != nil {
 		vm.reset()
 	} else {
-		vm = p.allocBatchVM(ncol, nl)
+		vm = p.allocBatchVM(k)
 		vm.pool = pool
 	}
 	vm.prog = p
@@ -212,7 +226,7 @@ func (p *Program) NewBatchVM(cfg interp.Config, rngs []rng.Source) (*BatchVM, er
 	vm.trace = cfg.Trace
 	vm.kernelWatch = cfg.KernelWatch
 	vm.snapshotAll = cfg.SnapshotAll
-	vm.sliced = !cfg.SnapshotAll && cfg.KernelWatch == ""
+	vm.skipEmpty = vm.sliced && cfg.Trace == nil
 	vm.depth = 0
 	for _, si := range p.scalInit {
 		base := int(si.idx) * nl
@@ -221,7 +235,7 @@ func (p *Program) NewBatchVM(cfg interp.Config, rngs []rng.Source) (*BatchVM, er
 		}
 	}
 	for _, ai := range p.arrInit {
-		a := vm.garr[ai.idx]
+		a := vm.garr[ai.idx] // nil, so skipped, when not held
 		for i := range a {
 			a[i] = ai.val
 		}
@@ -233,13 +247,16 @@ func (p *Program) NewBatchVM(cfg interp.Config, rngs []rng.Source) (*BatchVM, er
 }
 
 // batchSize keys a shape's released BatchVMs: only a VM of equal column
-// count and batch width fits another run's register layout.
-type batchSize struct{ ncol, nl int }
+// count and batch width fits another run's register layout, and only a
+// VM of the same stream holds the state the run may touch.
+type batchSize struct {
+	ncol, nl int
+	sliced   bool
+}
 
 // batchPool returns the shape's pool of released VMs of one size,
 // creating it on first use.
-func (p *Program) batchPool(ncol, nl int) *sync.Pool {
-	k := batchSize{ncol, nl}
+func (p *Program) batchPool(k batchSize) *sync.Pool {
 	if v, ok := p.batchVMs.Load(k); ok {
 		return v.(*sync.Pool)
 	}
@@ -247,9 +264,13 @@ func (p *Program) batchPool(ncol, nl int) *sync.Pool {
 	return v.(*sync.Pool)
 }
 
-// allocBatchVM allocates a zeroed VM of the program's layout.
-func (p *Program) allocBatchVM(ncol, nl int) *BatchVM {
+// allocBatchVM allocates a zeroed VM of the program's layout: with
+// storage for every module array and derived cell, or for a sliced VM
+// only the held ones.
+func (p *Program) allocBatchVM(k batchSize) *BatchVM {
+	ncol, nl := k.ncol, k.nl
 	vm := &BatchVM{
+		sliced:  k.sliced,
 		ncol:    ncol,
 		nl:      nl,
 		gscal:   make([]float64, p.nGScal*nl),
@@ -261,13 +282,17 @@ func (p *Program) allocBatchVM(ncol, nl int) *BatchVM {
 		fma:     make([]bool, len(p.modules)),
 		free:    make([][]*bframe, len(p.procs)),
 	}
-	sz := ncol * nl
-	backing := make([]float64, p.nGArr*sz)
-	for i := 0; i < p.nGArr; i++ {
-		vm.garr[i] = backing[i*sz : (i+1)*sz]
+	arrs, drvs := p.held.arr, p.held.drv
+	if !k.sliced {
+		arrs, drvs = allCells(p.nGArr), allCells(len(p.gdrvs))
 	}
-	for i, dt := range p.gdrvs {
-		vm.gdrv[i] = newBdval(dt, ncol, nl)
+	sz := ncol * nl
+	vm.backing = make([]float64, len(arrs)*sz)
+	for i, g := range arrs {
+		vm.garr[g] = vm.backing[i*sz : (i+1)*sz]
+	}
+	for _, g := range drvs {
+		vm.gdrv[g] = newBdval(p.gdrvs[g], ncol, nl)
 	}
 	for l := range vm.results {
 		vm.results[l] = interp.NewResults()
@@ -275,16 +300,28 @@ func (p *Program) allocBatchVM(ncol, nl int) *BatchVM {
 	return vm
 }
 
+// allCells returns the indices 0..n-1.
+func allCells(n int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(i)
+	}
+	return out
+}
+
 // reset returns a released VM's state to allocBatchVM's: zeroed
-// registers, empty capture maps, no lane errors. Frames stay on the
-// free lists; getFrame resets each before use.
+// registers, empty capture maps, no lane errors. It clears only the
+// state the VM holds, which for a sliced VM is the program's held
+// state: a VM never changes stream, so a full VM holds and clears every
+// module cell. Frames stay on the free lists; getFrame resets each
+// before use.
 func (vm *BatchVM) reset() {
 	clear(vm.gscal)
-	for _, a := range vm.garr {
-		clear(a)
-	}
+	clear(vm.backing)
 	for _, d := range vm.gdrv {
-		d.reset()
+		if d != nil {
+			d.reset()
+		}
 	}
 	for l := range vm.results {
 		clear(vm.results[l].Outputs)
@@ -377,40 +414,51 @@ func (vm *BatchVM) CallAll(module, name string) []error {
 	return vm.errs
 }
 
+// ErrNotHeld is LaneArray's refusal of a module array that a VM
+// running the output slice does not hold: no instruction of the sliced
+// streams reads or writes it, so neither would a write through it.
+var ErrNotHeld = errors.New("bytecode: module array not held by a VM that runs the output slice")
+
 // LaneArray resolves a module-level array variable to one lane's
 // contiguous block view — the batched counterpart of
 // Engine.ModuleArray, used by the model's per-member
-// initial-condition perturbations.
-func (vm *BatchVM) LaneArray(lane int, module string, path ...string) (interp.LaneSlice, bool) {
+// initial-condition perturbations. On a VM that runs the output slice
+// it returns an error wrapping ErrNotHeld for an array the sliced
+// streams do not bind.
+func (vm *BatchVM) LaneArray(lane int, module string, path ...string) (interp.LaneSlice, error) {
 	if len(path) == 0 || lane < 0 || lane >= vm.nl {
-		return interp.LaneSlice{}, false
+		return interp.LaneSlice{}, errf("no module array %s on lane %d", arrayName(module, path), lane)
 	}
 	g, ok := vm.prog.moduleVars[module][path[0]]
-	if !ok {
-		return interp.LaneSlice{}, false
-	}
 	rest := path[1:]
-	laneBlock := func(a []float64) interp.LaneSlice {
-		n := len(a) / vm.nl
-		return interp.LaneSlice{Data: a[lane*n : (lane+1)*n], Stride: 1, Off: 0}
-	}
-	switch g.kind {
-	case kArr:
-		if len(rest) != 0 {
-			return interp.LaneSlice{}, false
+	var a []float64
+	switch {
+	case !ok:
+	case g.kind == kArr && len(rest) == 0:
+		if a = vm.garr[g.idx]; a == nil {
+			return interp.LaneSlice{}, fmt.Errorf("%w: %s", ErrNotHeld, arrayName(module, path))
 		}
-		return laneBlock(vm.garr[g.idx]), true
-	case kDrv:
-		if len(rest) != 1 {
-			return interp.LaneSlice{}, false
-		}
+	case g.kind == kDrv && len(rest) == 1:
 		fi, ok := g.dt.fidx[rest[0]]
 		if !ok || !g.dt.fields[fi].arr {
-			return interp.LaneSlice{}, false
+			break
 		}
-		return laneBlock(vm.gdrv[g.idx].arr[g.dt.fields[fi].slot]), true
+		d := vm.gdrv[g.idx]
+		if d == nil {
+			return interp.LaneSlice{}, fmt.Errorf("%w: %s", ErrNotHeld, arrayName(module, path))
+		}
+		a = d.arr[g.dt.fields[fi].slot]
 	}
-	return interp.LaneSlice{}, false
+	if a == nil {
+		return interp.LaneSlice{}, errf("no module array %s", arrayName(module, path))
+	}
+	n := len(a) / vm.nl
+	return interp.LaneSlice{Data: a[lane*n : (lane+1)*n], Stride: 1}, nil
+}
+
+// arrayName spells a module array path for an error.
+func arrayName(module string, path []string) string {
+	return module + "::" + strings.Join(path, "%")
 }
 
 // SnapshotModuleVarsAll records module-level variables into every live
@@ -464,6 +512,13 @@ func mergeDone(g, merged []int) []int {
 	out = append(out, merged...)
 	sort.Ints(out)
 	return out
+}
+
+// skips reports whether the VM skips a call of p: an untraced run of
+// the output slice, a proc whose sliced stream only binds and returns,
+// and a call depth at which entering p cannot fail.
+func (vm *BatchVM) skips(p *proc) bool {
+	return vm.skipEmpty && p.slicedEmpty && vm.depth < maxDepth
 }
 
 // callBatch runs one activation bound from a call site for a group of

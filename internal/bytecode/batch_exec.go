@@ -792,6 +792,9 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 
 		case opCallSub:
 			cs := vm.prog.calls[in.a]
+			if vm.skips(cs.proc) {
+				break
+			}
 			cf, done := vm.callBatch(cs, fr, g)
 			if cf != nil {
 				vm.putFrame(cs.proc, cf)
@@ -804,6 +807,13 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 			}
 		case opCallFunS:
 			cs := vm.prog.calls[in.a]
+			if vm.skips(cs.proc) {
+				dbase := int(in.d) * nl
+				for _, l := range g {
+					scal[dbase+l] = 0
+				}
+				break
+			}
 			cf, done := vm.callBatch(cs, fr, g)
 			if cf != nil {
 				dbase := int(in.d) * nl
@@ -1040,6 +1050,13 @@ func (vm *BatchVM) batchSlowBinV(in *instr, fr *bframe, g []int) {
 func (vm *BatchVM) elemBroadcastBatch(cs *callSite, caller *bframe, out []float64, g []int) []int {
 	p := cs.proc
 	nl := vm.nl
+	on := len(out) / nl
+	if vm.skips(p) {
+		for _, l := range g {
+			clear(out[l*on : l*on+on])
+		}
+		return g
+	}
 	for col := 0; col < vm.ncol && len(g) > 0; col++ {
 		if vm.depth >= maxDepth {
 			err := errf("call depth exceeded at %s", p.fullName)
@@ -1088,7 +1105,6 @@ func (vm *BatchVM) elemBroadcastBatch(cs *callSite, caller *bframe, out []float6
 		done := vm.exec(p, fr, g, 0)
 		vm.exitSnapshotsBatch(p, fr, g)
 		vm.depth--
-		on := len(out) / nl
 		for _, l := range done {
 			out[l*on+col] = retScalLane(p, fr, nl, l)
 		}

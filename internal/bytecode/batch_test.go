@@ -280,16 +280,16 @@ end module fz
 	}
 	bvm.CallAll("fz", "fzinit")
 	for l := 0; l < lanes; l++ {
-		ts, ok := bvm.LaneArray(l, "fz", "st", "t")
-		if !ok {
-			t.Fatal("LaneArray state temperature missing")
+		ts, err := bvm.LaneArray(l, "fz", "st", "t")
+		if err != nil {
+			t.Fatalf("LaneArray state temperature: %v", err)
 		}
 		for i := 0; i < ts.Len(); i++ {
 			ts.Add(i, float64(l+1)*0.25)
 		}
-		ws, ok := bvm.LaneArray(l, "fz", "w")
-		if !ok {
-			t.Fatal("LaneArray w missing")
+		ws, err := bvm.LaneArray(l, "fz", "w")
+		if err != nil {
+			t.Fatalf("LaneArray w: %v", err)
 		}
 		if ws.Len() != 4 {
 			t.Fatalf("LaneArray w Len = %d, want 4", ws.Len())

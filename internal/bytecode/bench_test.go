@@ -3,8 +3,10 @@ package bytecode
 import (
 	"testing"
 
+	"github.com/climate-rca/rca/internal/corpus"
 	"github.com/climate-rca/rca/internal/fortran"
 	"github.com/climate-rca/rca/internal/interp"
+	"github.com/climate-rca/rca/internal/rng"
 )
 
 // The VM-level counterparts of interp's BenchmarkInterpreterStep*:
@@ -88,5 +90,43 @@ func BenchmarkVMCompile(b *testing.B) {
 		if p := Compile(mods); p.Err() != nil {
 			b.Fatal(p.Err())
 		}
+	}
+}
+
+// BenchmarkNewBatchVMRecycled measures taking a recycled 8-lane,
+// 16-column VM of the benchmark corpus (AuxModules 40, Seed 2) from
+// its shape's pool and releasing it again — NewBatchVM's reset and
+// initializer replay — for a VM that runs the output slice and for one
+// that runs the full stream.
+func BenchmarkNewBatchVMRecycled(b *testing.B) {
+	mods, err := corpus.Generate(corpus.Config{AuxModules: 40, Seed: 2}).Parse()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := Compile(mods)
+	rngs := make([]rng.Source, 8)
+	for l := range rngs {
+		rngs[l] = rng.NewKISS(uint64(l + 1))
+	}
+	for _, bc := range []struct {
+		name string
+		cfg  interp.Config
+	}{{"sliced", interp.Config{Ncol: 16}}, {"full", interp.Config{Ncol: 16, SnapshotAll: true}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			vm, err := p.NewBatchVM(bc.cfg, rngs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			vm.Release()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				vm, err := p.NewBatchVM(bc.cfg, rngs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				vm.Release()
+			}
+		})
 	}
 }

@@ -259,6 +259,22 @@ contains
     v = v * 0.5 + amt
     amt = amt + 1.0
   end subroutine
+  subroutine nop(v, amt)
+    real :: v(:), amt
+    real :: w(:)
+    w = v * amt + a1
+  end subroutine
+  function zfn(x) result(r)
+    real :: x, r
+    real :: u
+    u = x * 3.0 + s1
+  end function
+  elemental function zefn(v) result(r)
+    real, intent(in) :: v
+    real :: r
+    real :: u
+    u = v * 2.0
+  end function
   subroutine fzinit()
     integer :: i
     do i = 1, size(a0)
@@ -274,12 +290,19 @@ contains
     s2 = pconst
   end subroutine
   subroutine main()
+    call nop(a1, s1)
+    s2 = s2 + zfn(s0)
+    a2 = a2 + zefn(a0)
 `)
 	n := 3 + g.pick(8)
 	for i := 0; i < n; i++ {
 		g.stmt(2)
 	}
-	g.sb.WriteString("  end subroutine\nend module fz\n")
+	// A binds-only call after an element-view argument whose index may
+	// fault (ncol is 6); drawn last, so earlier choices keep their bytes.
+	fmt.Fprintf(&g.sb, "    if (%s > %s) then\n", g.expr(1, false), g.lit())
+	fmt.Fprintf(&g.sb, "      call nop(a2(%d), s0)\n", 1+g.pick(7))
+	g.sb.WriteString("    end if\n  end subroutine\nend module fz\n")
 	return g.sb.String()
 }
 
@@ -354,32 +377,38 @@ func diffVsTree(t *testing.T, src string, mods []*fortran.Module, prog *Program,
 	if len(treeSeq) == 0 || strings.Join(treeSeq, " ") != strings.Join(vmSeq, " ") {
 		t.Fatalf("Trace sequences differ:\ntree %v\nvm   %v\n%s", treeSeq, vmSeq, src)
 	}
-	// The output slice: a VM that takes no snapshots must trace the same
-	// entries, fail with the same error and, when the run completes,
-	// produce the tree walker's Outputs.
-	var slicedSeq []string
-	sliced := mk(&slicedSeq)
-	sliced.SnapshotAll, sliced.KernelWatch = false, ""
-	svm, err := newOneLane(prog, sliced)
-	if err != nil {
-		t.Fatalf("NewBatchVM: %v\n%s", err, src)
-	}
-	var serr error
-	for _, call := range [][2]string{{"fz", "fzinit"}, {"fz", "main"}} {
-		if serr = svm.Call(call[0], call[1]); serr != nil {
-			break
+	// The output slice: a VM that takes no snapshots must fail with the
+	// same error and, when the run completes, produce the tree walker's
+	// Outputs; traced, it must trace the same entries, and untraced it
+	// also skips the calls of binds-only procs.
+	for _, traced := range []bool{true, false} {
+		var slicedSeq []string
+		sliced := mk(&slicedSeq)
+		sliced.SnapshotAll, sliced.KernelWatch = false, ""
+		if !traced {
+			sliced.Trace = nil
 		}
+		svm, err := newOneLane(prog, sliced)
+		if err != nil {
+			t.Fatalf("NewBatchVM: %v\n%s", err, src)
+		}
+		var serr error
+		for _, call := range [][2]string{{"fz", "fzinit"}, {"fz", "main"}} {
+			if serr = svm.Call(call[0], call[1]); serr != nil {
+				break
+			}
+		}
+		if (serr == nil) != (vmErr == nil) || (serr != nil && serr.Error() != vmErr.Error()) {
+			t.Fatalf("sliced run (traced %v) error %v, full run %v\n%s", traced, serr, vmErr, src)
+		}
+		if traced && strings.Join(treeSeq, " ") != strings.Join(slicedSeq, " ") {
+			t.Fatalf("sliced Trace differs:\ntree   %v\nsliced %v\n%s", treeSeq, slicedSeq, src)
+		}
+		if failed == nil {
+			compareLane(t, 0, &interp.Results{Outputs: m.Outputs}, &interp.Results{Outputs: svm.Captured().Outputs}, src)
+		}
+		svm.Release()
 	}
-	if (serr == nil) != (vmErr == nil) || (serr != nil && serr.Error() != vmErr.Error()) {
-		t.Fatalf("sliced run error %v, full run %v\n%s", serr, vmErr, src)
-	}
-	if strings.Join(treeSeq, " ") != strings.Join(slicedSeq, " ") {
-		t.Fatalf("sliced Trace differs:\ntree   %v\nsliced %v\n%s", treeSeq, slicedSeq, src)
-	}
-	if failed == nil {
-		compareLane(t, 0, &interp.Results{Outputs: m.Outputs}, &interp.Results{Outputs: svm.Captured().Outputs}, src)
-	}
-	svm.Release()
 	if failed != nil {
 		return
 	}

@@ -160,12 +160,15 @@ type proc struct {
 	isFunc   bool
 
 	code []instr
-	// sliced is code less every assignment no output depends on, the
-	// stream a run without snapshots executes; cut lists the removed
-	// [start, end) ranges of code in order. It is code itself when
-	// nothing is cut. See slice.go.
-	sliced []instr
-	cut    [][2]int32
+	// sliced is code less every assignment no output depends on and
+	// every bind no remaining instruction names, the stream a run
+	// without snapshots executes; cut lists the removed assignments'
+	// [start, end) ranges of code. It is code itself when nothing is
+	// removed. slicedEmpty marks a sliced stream that only binds and
+	// returns, whose call a run without Trace skips. See slice.go.
+	sliced      []instr
+	cut         [][2]int32
+	slicedEmpty bool
 
 	nScal, nPtr, nArr, nDrv, nInt, nTouch int
 
@@ -199,6 +202,12 @@ type argSlot struct {
 type cellInit struct {
 	idx int32
 	val float64
+}
+
+// heldSet lists global array cells (arr) and derived cells (drv) by
+// index, in increasing order.
+type heldSet struct {
+	arr, drv []int32
 }
 
 // moduleSnap is the SnapshotModuleVars metadata for one module.
@@ -244,6 +253,10 @@ type Program struct {
 
 	snapModules []moduleSnap
 
+	// held is the module state the sliced streams bind; a VM that
+	// runs the output slice holds storage for it alone.
+	held heldSet
+
 	// initErr is the construction failure the tree walker's NewMachine
 	// would report (duplicate modules, bad module-level initializers,
 	// unknown derived types); NewBatchVM returns it.
@@ -251,8 +264,8 @@ type Program struct {
 
 	// batchVMs holds released BatchVMs, frames included, for NewBatchVM
 	// to reset in place: one *sync.Pool per batchSize, created on first
-	// use. Every Rebind copy shares it: copies share procs and register
-	// layout, so a VM fits every program of the shape.
+	// use. Every Rebind copy shares it: copies share procs, register
+	// layout and held state, so a VM fits every program of the shape.
 	batchVMs *sync.Map
 }
 

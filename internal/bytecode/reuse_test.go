@@ -1,6 +1,7 @@
 package bytecode
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/climate-rca/rca/internal/interp"
@@ -64,33 +65,50 @@ func kissLanes(n int, seed uint64) []rng.Source {
 }
 
 // reacquire releases vm and returns it from p.NewBatchVM, reset for
-// cfg and rngs. sync.Pool may miss a Put (the race detector drops some
-// at random; a goroutine that changes P between Put and Get misses its
-// private slot); vm then still holds its previous use, and the release
-// is repeated.
+// cfg and rngs (take).
 func reacquire(t *testing.T, p *Program, vm *BatchVM, cfg interp.Config, rngs []rng.Source) *BatchVM {
 	t.Helper()
+	vm.Release()
+	return take(t, p, vm, cfg, rngs)
+}
+
+// take returns vm, released earlier, from p.NewBatchVM, reset for cfg
+// and rngs. Every VM NewBatchVM hands out on the way must run the
+// stream cfg asks for: sliced and full VMs are pooled apart, so a
+// pooled VM never changes stream. sync.Pool may miss a Put (the race
+// detector drops some at random; a goroutine that changes P between
+// Put and Get misses its private slot); vm then still holds its
+// previous use, and the release is repeated.
+func take(t *testing.T, p *Program, vm *BatchVM, cfg interp.Config, rngs []rng.Source) *BatchVM {
+	t.Helper()
+	sliced := !cfg.SnapshotAll && cfg.KernelWatch == ""
 	for i := 0; i < 100; i++ {
-		vm.Release()
 		got, err := p.NewBatchVM(cfg, rngs)
 		if err != nil {
 			t.Fatalf("NewBatchVM: %v", err)
 		}
+		if got.sliced != sliced {
+			t.Fatalf("NewBatchVM handed out a VM of the other stream (sliced %v, want %v)", got.sliced, sliced)
+		}
 		if got == vm {
 			return got
 		}
+		vm.Release()
 	}
 	t.Fatal("NewBatchVM never handed the released VM back")
 	return nil
 }
 
-// runCalls runs the calls on every live lane, then snapshots module
-// variables, as the fuzz harness's fresh runs do.
+// runCalls runs the calls on every live lane, then, unless the VM runs
+// the output slice, snapshots module variables, as the fuzz harness's
+// fresh runs do.
 func runCalls(vm *BatchVM, calls ...[2]string) batchRun {
 	for _, c := range calls {
 		vm.CallAll(c[0], c[1])
 	}
-	vm.SnapshotModuleVarsAll()
+	if !vm.sliced {
+		vm.SnapshotModuleVarsAll()
+	}
 	return copyRun(vm)
 }
 
@@ -106,44 +124,67 @@ func otherFMA(mode int) func(string) bool {
 	return nil
 }
 
-// checkRecycled runs a generated program on a recycled VM and requires
-// the run a fresh VM of the same configuration produced (want). The VM
-// is first dirtied by a use that differs in every per-run input: other
-// lane seeds, another FMA set, KernelWatch and SnapshotAll on, and one
-// lane that erred after init. Then the same VM runs cfg with
-// KernelWatch and SnapshotAll off — the output slice, after the full
-// stream — whose Outputs and lane errors must match want's and whose
-// Kernel and AllValues maps must be empty, and finally cfg itself, the
-// full stream after the slice, which must repeat want bit for bit.
+// checkRecycled runs a generated program on recycled VMs of both
+// streams and requires the run a fresh VM of the same configuration
+// produced (want). The full VM that produced want is first dirtied by
+// a use that differs in every per-run input: other lane seeds, another
+// FMA set, KernelWatch and SnapshotAll on, and one lane that erred
+// after init. A sliced VM, taken while the full one waits in the
+// shape's pool, is dirtied alike. Then, on one shape, the sliced VM
+// runs cfg with KernelWatch and SnapshotAll off — Outputs and lane
+// errors must match want's, Kernel and AllValues stay empty — the full
+// VM runs cfg itself, which must repeat want bit for bit, and the
+// sliced VM runs again. Neither VM ever comes back as the other stream
+// (take).
 func checkRecycled(t *testing.T, prog *Program, vm *BatchVM, cfg interp.Config, fmaMode int, seed uint64, want batchRun, src string) {
 	t.Helper()
 	lanes := vm.Lanes()
 	calls := [][2]string{{"fz", "fzinit"}, {"fz", "main"}}
+	dirtyRun := func(vm *BatchVM) {
+		vm.CallAll("fz", "fzinit")
+		vm.errs[lanes-1] = errf("lane failure left by an earlier use")
+		vm.CallAll("fz", "main")
+	}
 	dirty := interp.Config{Ncol: cfg.Ncol, SnapshotAll: true, KernelWatch: "fz::main", FMA: otherFMA(fmaMode)}
 	vm = reacquire(t, prog, vm, dirty, kissLanes(lanes, seed+500))
-	vm.CallAll("fz", "fzinit")
-	vm.errs[lanes-1] = errf("lane failure left by an earlier use")
-	vm.CallAll("fz", "main")
+	dirtyRun(vm)
 	vm.SnapshotModuleVarsAll()
+	vm.Release()
 
 	quiet := cfg
 	quiet.KernelWatch, quiet.SnapshotAll = "", false
-	vm = reacquire(t, prog, vm, quiet, kissLanes(lanes, seed))
-	for _, c := range calls {
-		vm.CallAll(c[0], c[1])
+	dirtyQuiet := quiet
+	dirtyQuiet.FMA = otherFMA(fmaMode)
+	svm, err := prog.NewBatchVM(dirtyQuiet, kissLanes(lanes, seed+700))
+	if err != nil {
+		t.Fatalf("NewBatchVM: %v", err)
 	}
-	got := copyRun(vm)
-	for l := range want.res {
-		if n := len(got.res[l].Kernel) + len(got.res[l].AllValues); n != 0 {
-			t.Fatalf("lane %d: %d snapshot entries with KernelWatch and SnapshotAll off\n%s", l, n, src)
-		}
-		got.res[l].Kernel, got.res[l].AllValues = want.res[l].Kernel, want.res[l].AllValues
+	if svm == vm || !svm.sliced {
+		t.Fatalf("a run without snapshots took the released full VM\n%s", src)
 	}
-	compareRuns(t, "recycled VM, snapshots off", want, got, src)
+	dirtyRun(svm)
+	svm.Release()
 
-	vm = reacquire(t, prog, vm, cfg, kissLanes(lanes, seed))
+	slicedRun := func() {
+		svm = take(t, prog, svm, quiet, kissLanes(lanes, seed))
+		for _, c := range calls {
+			svm.CallAll(c[0], c[1])
+		}
+		got := copyRun(svm)
+		svm.Release()
+		for l := range want.res {
+			if n := len(got.res[l].Kernel) + len(got.res[l].AllValues); n != 0 {
+				t.Fatalf("lane %d: %d snapshot entries with KernelWatch and SnapshotAll off\n%s", l, n, src)
+			}
+			got.res[l].Kernel, got.res[l].AllValues = want.res[l].Kernel, want.res[l].AllValues
+		}
+		compareRuns(t, "recycled sliced VM", want, got, src)
+	}
+	slicedRun()
+	vm = take(t, prog, vm, cfg, kissLanes(lanes, seed))
 	compareRuns(t, "recycled VM", want, runCalls(vm, calls...), src)
 	vm.Release()
+	slicedRun()
 }
 
 // reuseSrc accumulates into every kind of module-level state, so a VM
@@ -179,30 +220,60 @@ contains
 end module fz
 `
 
-// TestBatchVMReuseResetsState runs reuseSrc on a fresh VM, dirties the
-// VM with a longer run on other seeds with one erred lane, and requires
-// the recycled VM to repeat the fresh run bit for bit.
+// TestBatchVMReuseResetsState runs reuseSrc on a fresh full VM and a
+// fresh sliced VM, dirties each with a longer run of its own stream on
+// other seeds with one erred lane, and then, on the one shape, requires
+// the recycled sliced VM, the recycled full VM and the sliced VM again
+// to repeat their fresh runs bit for bit. Every output reads module
+// state with an initializer or an accumulator, so a sliced reset that
+// left the held arrays stale, or skipped the arrInit replay, diverges.
 func TestBatchVMReuseResetsState(t *testing.T) {
 	prog := Compile(parseAll(t, reuseSrc))
 	const lanes = 4
-	cfg := interp.Config{Ncol: 5, SnapshotAll: true, KernelWatch: "fz::main"}
+	full := interp.Config{Ncol: 5, SnapshotAll: true, KernelWatch: "fz::main"}
+	sliced := interp.Config{Ncol: 5}
 	calls := [][2]string{{"fz", "fzinit"}, {"fz", "main"}, {"fz", "main"}}
-	vm, err := prog.NewBatchVM(cfg, kissLanes(lanes, 1))
-	if err != nil {
-		t.Fatal(err)
+	fresh := func(cfg interp.Config) (*BatchVM, batchRun) {
+		vm, err := prog.NewBatchVM(cfg, kissLanes(lanes, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vm, runCalls(vm, calls...)
 	}
-	want := runCalls(vm, calls...)
+	vm, wantFull := fresh(full)
+	svm, wantSliced := fresh(sliced)
+	if !svm.sliced || vm.sliced {
+		t.Fatal("the fresh VMs do not run the streams their configs ask for")
+	}
+	slicedPart := batchRun{errs: wantSliced.errs}
+	for l, r := range wantFull.res {
+		slicedPart.res = append(slicedPart.res, &interp.Results{Outputs: r.Outputs, Kernel: wantSliced.res[l].Kernel, AllValues: wantSliced.res[l].AllValues})
+	}
+	compareRuns(t, "fresh sliced VM against the full stream", slicedPart, wantSliced, reuseSrc)
 
-	vm = reacquire(t, prog, vm, interp.Config{Ncol: 5, FMA: func(string) bool { return true }}, kissLanes(lanes, 40))
-	vm.CallAll("fz", "fzinit")
-	vm.errs[1] = errf("lane failure left by an earlier use")
-	for i := 0; i < 3; i++ {
-		vm.CallAll("fz", "main")
+	fma := func(string) bool { return true }
+	for _, d := range []struct {
+		vm  **BatchVM
+		cfg interp.Config
+	}{{&vm, interp.Config{Ncol: 5, SnapshotAll: true, FMA: fma}}, {&svm, interp.Config{Ncol: 5, FMA: fma}}} {
+		*d.vm = reacquire(t, prog, *d.vm, d.cfg, kissLanes(lanes, 40))
+		(*d.vm).CallAll("fz", "fzinit")
+		(*d.vm).errs[1] = errf("lane failure left by an earlier use")
+		for i := 0; i < 3; i++ {
+			(*d.vm).CallAll("fz", "main")
+		}
+		(*d.vm).Release()
 	}
 
-	vm = reacquire(t, prog, vm, cfg, kissLanes(lanes, 1))
-	compareRuns(t, "recycled VM", want, runCalls(vm, calls...), reuseSrc)
+	svm = take(t, prog, svm, sliced, kissLanes(lanes, 1))
+	compareRuns(t, "recycled sliced VM", wantSliced, runCalls(svm, calls...), reuseSrc)
+	svm.Release()
+	vm = take(t, prog, vm, full, kissLanes(lanes, 1))
+	compareRuns(t, "recycled full VM", wantFull, runCalls(vm, calls...), reuseSrc)
 	vm.Release()
+	svm = take(t, prog, svm, sliced, kissLanes(lanes, 1))
+	compareRuns(t, "sliced VM recycled after a full run", wantSliced, runCalls(svm, calls...), reuseSrc)
+	svm.Release()
 }
 
 // TestBatchVMReuseAcrossRebind releases a VM of one program and takes
@@ -245,23 +316,23 @@ end module fz
 		t.Fatal("Rebind copy does not share the shape's VM pool")
 	}
 	const lanes = 3
-	cfg := interp.Config{Ncol: 4, SnapshotAll: true}
 	calls := [][2]string{{"fz", "fzinit"}, {"fz", "main"}, {"fz", "main"}}
+	for _, cfg := range []interp.Config{{Ncol: 4, SnapshotAll: true}, {Ncol: 4}} {
+		fresh, err := Compile(modsB).NewBatchVM(cfg, kissLanes(lanes, 9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := runCalls(fresh, calls...)
 
-	fresh, err := Compile(modsB).NewBatchVM(cfg, kissLanes(lanes, 9))
-	if err != nil {
-		t.Fatal(err)
+		vm, err := progA.NewBatchVM(cfg, kissLanes(lanes, 70))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runCalls(vm, calls...)
+		vm = reacquire(t, progB, vm, cfg, kissLanes(lanes, 9))
+		compareRuns(t, fmt.Sprintf("VM of A recycled for A.Rebind(B), sliced %v", vm.sliced), want, runCalls(vm, calls...), srcB)
+		vm.Release()
 	}
-	want := runCalls(fresh, calls...)
-
-	vm, err := progA.NewBatchVM(cfg, kissLanes(lanes, 70))
-	if err != nil {
-		t.Fatal(err)
-	}
-	runCalls(vm, calls...)
-	vm = reacquire(t, progB, vm, cfg, kissLanes(lanes, 9))
-	compareRuns(t, "VM of A recycled for A.Rebind(B)", want, runCalls(vm, calls...), srcB)
-	vm.Release()
 }
 
 // TestBatchVMSizesKeepTheirOwnVMs interleaves batches of two widths and

@@ -1,6 +1,10 @@
 package bytecode
 
-import "github.com/climate-rca/rca/internal/fortran"
+import (
+	"slices"
+
+	"github.com/climate-rca/rca/internal/fortran"
+)
 
 // The output slice. A run that takes no snapshots observes only its
 // outfld Outputs, its lane errors and its Trace of proc entries, so an
@@ -14,7 +18,8 @@ import "github.com/climate-rca/rca/internal/fortran"
 // program then marks the output-live cells: a root is live, and so is
 // every cell an assignment to a live cell reads. Each proc's sliced
 // stream is its code less the ranges of the assignments the rule in
-// slice removes.
+// slice removes and less the binds nothing left names; the module
+// state the sliced streams still bind is all a sliced VM holds.
 
 // cell is one storage cell: a module-level scalar, array or derived
 // variable (proc -1), or a frame register of one proc specialization.
@@ -64,7 +69,8 @@ func (f *pcomp) index(e fortran.Expr) opnd {
 	return o
 }
 
-// slice computes the output-live cells and every proc's sliced stream.
+// slice computes the output-live cells, every proc's sliced stream
+// and the program's held state.
 // An assignment is removed only when its left-hand side is a whole
 // scalar or array cell that is not output-live and not a dummy
 // argument, and its range runs only opcodes that cannot fail and have
@@ -110,8 +116,10 @@ func (c *compiler) slice() {
 		}
 	}
 	for _, p := range c.prog.procs {
-		p.sliced = cutCode(p.code, p.cut)
+		p.sliced = sliceStream(p, c.prog.calls)
+		p.slicedEmpty = skippable(p)
 	}
+	c.prog.held = heldState(c.prog)
 }
 
 // removable applies the removal rule to one assignment.
@@ -151,31 +159,158 @@ func isJump(op opcode) bool {
 	return false
 }
 
-// cutCode returns code less the sorted, disjoint ranges in cut, with
-// every jump target moved to the instruction it lands on afterwards: a
-// target at a removed range lands on the first instruction after it.
-// Targets must lie in [0, len(code)]. With nothing to cut it returns
-// code itself.
-func cutCode(code []instr, cut [][2]int32) []instr {
-	if len(cut) == 0 {
-		return code
+// isBind reports whether an opcode binds an array or derived register
+// to existing storage.
+func isBind(op opcode) bool {
+	return op == opBindG || op == opBindGD || op == opBindDF
+}
+
+// sliceStream returns p's sliced stream: its code less the cut ranges
+// and less every bind whose destination register no remaining
+// instruction reads or writes, in one cutCode pass.
+func sliceStream(p *proc, calls []*callSite) []instr {
+	keep := make([]bool, len(p.code))
+	for i := range keep {
+		keep[i] = true
 	}
-	n := len(code)
-	for _, c := range cut {
-		n -= int(c[1] - c[0])
+	for _, r := range p.cut {
+		for i := r[0]; i < r[1]; i++ {
+			keep[i] = false
+		}
+	}
+	// The array (A) and derived (D) registers that the kept
+	// instructions other than binds name. A function's result register
+	// is a frame variable, which no bind targets.
+	useA := make([]bool, p.nArr)
+	useD := make([]bool, p.nDrv)
+	use := func(file byte, r int32) {
+		if file == 'A' {
+			useA[r] = true
+		} else {
+			useD[r] = true
+		}
+	}
+	for i, in := range p.code {
+		if keep[i] && !isBind(in.op) {
+			regsOf(in, calls, use)
+		}
+	}
+	// A field bind is live when its array register is used, and then
+	// uses its derived register; a global bind is live when its
+	// register is used.
+	for i, in := range p.code {
+		if keep[i] && in.op == opBindDF {
+			if keep[i] = useA[in.d]; keep[i] {
+				use('D', in.a)
+			}
+		}
+	}
+	for i, in := range p.code {
+		switch {
+		case !keep[i]:
+		case in.op == opBindG:
+			keep[i] = useA[in.d]
+		case in.op == opBindGD:
+			keep[i] = useD[in.d]
+		}
+	}
+	return cutCode(p.code, keep)
+}
+
+// regsOf calls use with every array ('A') and derived ('D') register
+// an instruction other than a bind reads or writes, its call site's
+// operands included. It panics on an opcode it does not know, so a new
+// opcode cannot drop a bind its operands need.
+func regsOf(in instr, calls []*callSite, use func(file byte, r int32)) {
+	switch op := in.op; {
+	case op == opAnyV, op == opIdx, op == opLoadElem, op == opStoreElem,
+		op == opCollapse, op == opSumV:
+		use('A', in.a)
+	case op == opOutV:
+		use('A', in.b)
+	case op == opLoadDF, op == opLoadDF0:
+		use('D', in.a)
+	case op == opStoreDF, op == opStoreDF0:
+		use('D', in.d)
+	case op == opBroadV, op == opRandV:
+		use('A', in.d)
+	case op == opCopyV, op == opShiftV, op >= opNegV && op <= opFloorV:
+		use('A', in.d)
+		use('A', in.a)
+	case op >= opAddV && op <= opMaxV:
+		use('A', in.d)
+		if in.e != 2 && in.e != 4 {
+			use('A', in.a)
+		}
+		if in.e != 1 && in.e != 3 {
+			use('A', in.b)
+		}
+	case op == opFMAV:
+		use('A', in.d)
+		for k, r := range [3]int32{in.a, in.b, in.c} {
+			if in.e&(4<<k) != 0 {
+				use('A', r)
+			}
+		}
+	case op == opLinV:
+		use('A', in.d)
+		use('A', in.a)
+		use('A', in.c)
+	case op >= opCallSub && op <= opCallElem:
+		switch op {
+		case opCallFunV, opCallElem:
+			use('A', in.d)
+		case opCallFunD:
+			use('D', in.d)
+		}
+		cs := calls[in.a]
+		for _, mv := range cs.args {
+			switch mv.mode {
+			case amRefArr, amValArr:
+				use('A', mv.a)
+			case amRefDrv, amValDrv, amRefScalDF, amValScalDF:
+				use('D', mv.a)
+			}
+		}
+		for _, ea := range cs.elem {
+			switch ea.space {
+			case esArr:
+				use('A', ea.a)
+			case esFieldS, esDrvF:
+				use('D', ea.a)
+			}
+		}
+	case op <= opBrNoFMA, op >= opConst && op <= opStoreP,
+		op >= opAddS && op <= opFMAS, op == opNcol, op == opRandS,
+		op == opOutS, op == opTouch, op >= opLoopInit && op <= opLoopInc:
+		// scalar, pointer, integer and control operands only
+	default:
+		panic(errf("regsOf: unknown opcode %d", in.op))
+	}
+}
+
+// cutCode returns the instructions of code that keep marks, with every
+// jump target moved to the instruction it lands on afterwards: a
+// target at a dropped instruction lands on the first kept one after
+// it. Targets must lie in [0, len(code)]. With everything kept it
+// returns code itself.
+func cutCode(code []instr, keep []bool) []instr {
+	n := 0
+	for _, k := range keep {
+		if k {
+			n++
+		}
+	}
+	if n == len(code) {
+		return code
 	}
 	at := make([]int32, len(code)+1)
 	out := make([]instr, 0, n)
-	k := 0
 	for i := range code {
 		at[i] = int32(len(out))
-		for k < len(cut) && int32(i) >= cut[k][1] {
-			k++
+		if keep[i] {
+			out = append(out, code[i])
 		}
-		if k < len(cut) && int32(i) >= cut[k][0] {
-			continue
-		}
-		out = append(out, code[i])
 	}
 	at[len(code)] = int32(len(out))
 	for i := range out {
@@ -184,4 +319,55 @@ func cutCode(code []instr, cut [][2]int32) []instr {
 		}
 	}
 	return out
+}
+
+// skippable reports whether a run of the output slice without Trace
+// may skip a call of p (below the depth limit): its sliced stream binds
+// registers at most before it returns — its first instruction that is
+// not a bind is opRet, or it has none — and, for a function, its
+// result is a scalar frame register that no argument binds, which
+// reads 0 in a fresh frame. Binding the arguments cannot fail: a
+// faulting element index is the caller's own instruction and stays in
+// its stream.
+func skippable(p *proc) bool {
+	for _, in := range p.sliced {
+		if !isBind(in.op) {
+			if in.op != opRet {
+				return false
+			}
+			break
+		}
+	}
+	if !p.isFunc {
+		return true
+	}
+	if p.ret.kind != kScal || p.ret.space != ssScal {
+		return false
+	}
+	for _, a := range p.argBind {
+		if a.mode == 'S' && a.reg == p.ret.reg {
+			return false
+		}
+	}
+	return true
+}
+
+// heldState returns the module arrays and derived cells that the
+// sliced streams bind, in increasing order: no other module array or
+// derived cell can be read or written by a run of the output slice.
+func heldState(p *Program) heldSet {
+	var h heldSet
+	for _, pr := range p.procs {
+		for _, in := range pr.sliced {
+			switch in.op {
+			case opBindG:
+				h.arr = append(h.arr, in.a)
+			case opBindGD:
+				h.drv = append(h.drv, in.a)
+			}
+		}
+	}
+	slices.Sort(h.arr)
+	slices.Sort(h.drv)
+	return heldSet{slices.Compact(h.arr), slices.Compact(h.drv)}
 }

@@ -1,6 +1,7 @@
 package bytecode
 
 import (
+	"errors"
 	"math/rand"
 	"regexp"
 	"strings"
@@ -115,11 +116,49 @@ func keepReason(c *compiler, a *asgRec) string {
 	return "live"
 }
 
+// skipReasons counts the call instructions of p's sliced streams whose
+// callee's sliced stream only binds and returns, so that a run without
+// Trace skips them, by opcode ("skip sub", "skip fun", "skip elem"),
+// and, as "skip after fault", the subroutine calls among them that
+// pass an element view whose bounds-checked index may fault: the
+// index is the caller's own instruction and stays in its stream, so
+// the lane error still appears.
+func skipReasons(p *Program, counts map[string]int) {
+	for _, pr := range p.procs {
+		elem := map[int32]bool{} // scalar registers last written by opLoadElem
+		for _, in := range pr.sliced {
+			switch {
+			case in.op == opLoadElem:
+				elem[in.d] = true
+				continue
+			case in.op < opCallSub || !p.calls[in.a].proc.slicedEmpty:
+				continue
+			}
+			switch in.op {
+			case opCallSub:
+				counts["skip sub"]++
+				for _, mv := range p.calls[in.a].args {
+					if mv.mode == amValScalS && elem[mv.a] {
+						counts["skip after fault"]++
+					}
+				}
+			case opCallElem:
+				counts["skip elem"]++
+			default:
+				counts["skip fun"]++
+			}
+		}
+	}
+}
+
 // TestProgGenReachesSliceRules pins the fuzz generator's reach into the
 // output slice: over 1,000 pseudo-random programs, the slice must both
 // remove assignments and keep, for each keep rule, an assignment whose
 // value nothing reads — an element index that may fault, a user call,
-// a dummy-argument left-hand side and a construction error.
+// a dummy-argument left-hand side and a construction error — and must
+// make binds-only procs whose calls an untraced run skips: a
+// subroutine, a function, an elemental broadcast and a subroutine
+// passed an element view whose index may fault.
 func TestProgGenReachesSliceRules(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	counts := map[string]int{}
@@ -134,8 +173,10 @@ func TestProgGenReachesSliceRules(t *testing.T) {
 		for _, a := range c.asgs {
 			counts[keepReason(c, a)]++
 		}
+		skipReasons(p, counts)
 	}
-	for _, k := range []string{"removed", "index", "call", "dummy", "error"} {
+	for _, k := range []string{"removed", "index", "call", "dummy", "error",
+		"skip sub", "skip fun", "skip elem", "skip after fault"} {
 		if counts[k] == 0 {
 			t.Errorf("no %q assignment in 1,000 generated programs", k)
 		}
@@ -323,4 +364,240 @@ end module`
 		}
 	}()
 	vm.SnapshotModuleVarsAll()
+}
+
+// TestSlicedStateCorpus pins the state the output slice leaves a VM on
+// the benchmark corpus (AuxModules 40, Seed 2): no bind of a sliced
+// stream targets a register no other instruction of that stream names;
+// some procs only bind and return there, so untraced runs skip their
+// calls; the held module arrays are a small superset of the
+// output-live ones; and an 8-lane, 16-column sliced VM allocates
+// backing for the held arrays only, where a full VM holds them all.
+func TestSlicedStateCorpus(t *testing.T) {
+	c := corpus.Generate(corpus.Config{AuxModules: 40, Seed: 2})
+	mods, err := c.Parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, comp := compile(mods)
+	if p.Err() != nil {
+		t.Fatal(p.Err())
+	}
+	binds, empty := 0, 0
+	for _, pr := range p.procs {
+		usedA := map[int32]bool{}
+		usedD := map[int32]bool{}
+		for _, in := range pr.sliced {
+			if isBind(in.op) {
+				continue
+			}
+			regsOf(in, p.calls, func(file byte, r int32) {
+				if file == 'A' {
+					usedA[r] = true
+				} else {
+					usedD[r] = true
+				}
+			})
+		}
+		for _, in := range pr.sliced {
+			if in.op == opBindDF && usedA[in.d] {
+				usedD[in.a] = true
+			}
+		}
+		for _, in := range pr.sliced {
+			dead := false
+			switch in.op {
+			case opBindG, opBindDF:
+				dead = !usedA[in.d]
+			case opBindGD:
+				dead = !usedD[in.d]
+			default:
+				continue
+			}
+			binds++
+			if dead {
+				t.Errorf("%s: sliced stream binds register %d, which nothing else names: %+v", pr.fullName, in.d, in)
+			}
+		}
+		if pr.slicedEmpty {
+			empty++
+		}
+	}
+	if empty == 0 {
+		t.Error("no proc of the corpus only binds and returns on the sliced stream")
+	}
+	held := map[int32]bool{}
+	for _, g := range p.held.arr {
+		held[g] = true
+	}
+	live := 0
+	for x := range comp.live {
+		if x.proc == -1 && x.space == vsGArr {
+			live++
+			if !held[x.reg] {
+				t.Errorf("output-live module array %d is not held", x.reg)
+			}
+		}
+	}
+	if len(held) < live || 10*len(held) > p.nGArr {
+		t.Errorf("%d of %d module arrays held, %d output-live: want a superset of the live ones under a tenth of all", len(held), p.nGArr, live)
+	}
+	vmBytes := func(cfg interp.Config) int {
+		rngs := make([]rng.Source, 8)
+		for l := range rngs {
+			rngs[l] = rng.NewKISS(uint64(l + 1))
+		}
+		vm, err := p.NewBatchVM(cfg, rngs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer vm.Release()
+		return 8 * len(vm.backing)
+	}
+	sliced, full := vmBytes(interp.Config{Ncol: 16}), vmBytes(interp.Config{Ncol: 16, SnapshotAll: true})
+	if want := 8 * len(p.held.arr) * 16 * 8; sliced != want || full != 8*p.nGArr*16*8 {
+		t.Errorf("garr backing: sliced %d B (want %d), full %d B (want %d)", sliced, want, full, 8*p.nGArr*16*8)
+	}
+	t.Logf("%d binds left in the sliced streams; %d of %d procs binds-only; %d of %d module arrays held (%d output-live), %d of %d derived cells; garr backing at 8 lanes x 16 columns: sliced %d B, full %d B",
+		binds, empty, len(p.procs), len(held), p.nGArr, live, len(p.held.drv), len(p.gdrvs), sliced, full)
+}
+
+// TestLaneArrayRefusesUnheld pins LaneArray on a VM that runs the
+// output slice: an array the sliced streams bind is handed out, one
+// they never touch is refused with ErrNotHeld rather than as a nil or
+// stale view, and a full VM hands out both.
+func TestLaneArrayRefusesUnheld(t *testing.T) {
+	src := `module m
+  type cell
+    real :: t(:)
+  end type
+  type(cell) :: st
+  real :: o(:), dead(:)
+contains
+  subroutine run()
+    dead = o * 2.0
+    o = st%t + 1.0
+    call outfld('O', o)
+  end subroutine
+end module`
+	p := Compile(parseAll(t, src))
+	for _, cfg := range []interp.Config{{Ncol: 3}, {Ncol: 3, SnapshotAll: true}} {
+		vm, err := p.NewBatchVM(cfg, []rng.Source{rng.NewKISS(1), rng.NewKISS(2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range [][]string{{"o"}, {"st", "t"}} {
+			if s, err := vm.LaneArray(1, "m", path...); err != nil || s.Len() != 3 {
+				t.Errorf("SnapshotAll %v: LaneArray %v: len %d, %v", cfg.SnapshotAll, path, s.Len(), err)
+			}
+		}
+		_, err = vm.LaneArray(1, "m", "dead")
+		if got := errors.Is(err, ErrNotHeld); got != !cfg.SnapshotAll {
+			t.Errorf("SnapshotAll %v: LaneArray dead: %v", cfg.SnapshotAll, err)
+		}
+		if _, err := vm.LaneArray(0, "m", "nosuch"); err == nil || errors.Is(err, ErrNotHeld) {
+			t.Errorf("LaneArray of an undeclared array: %v", err)
+		}
+		vm.Release()
+	}
+}
+
+// TestSkippedCallsMatchTree runs programs whose calls of binds-only
+// procs an untraced run of the output slice skips, on the tree walker
+// and on such a VM, and requires the same failing call, the full
+// stream's error text and bit-identical Outputs: a skipped function
+// must still yield its 0 result, a skipped elemental broadcast its 0
+// columns, an element-view argument its fault, and a call at the depth
+// limit its error.
+func TestSkippedCallsMatchTree(t *testing.T) {
+	const procs = `
+  subroutine nop(x)
+    real :: x
+    real :: u
+    u = x * 2.0
+  end subroutine
+  function zfn(x) result(r)
+    real :: x, r
+    real :: u
+    u = x * 3.0
+  end function
+  elemental function zefn(v) result(r)
+    real, intent(in) :: v
+    real :: r
+    real :: u
+    u = v * 2.0
+  end function
+  subroutine down(n)
+    real :: n
+    if (n > 0.5) then
+      call down(n - 1.0)
+    else
+      call nop(n)
+    end if
+  end subroutine`
+	cases := []struct {
+		name, body string
+		wantErr    bool
+	}{
+		{"function result", `
+    real :: q
+    q = 5.0
+    q = zfn(3.0)
+    o = 1.0 + q
+    call outfld('O', o)`, false},
+		{"elemental result", `
+    o = 7.0
+    o = shift(o, 1)
+    o = zefn(o) + o
+    call outfld('O', o)`, false},
+		{"element-view fault", `
+    o = 1.0
+    call outfld('O', o)
+    call nop(o(7))`, true},
+		{"below the depth limit", `
+    o = 1.0
+    call outfld('O', o)
+    d = 197.0
+    call down(d)`, false},
+		{"at the depth limit", `
+    o = 1.0
+    call outfld('O', o)
+    d = 198.0
+    call down(d)`, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src := "module m\n  real :: o(:), d\ncontains\n" + procs +
+				"\n  subroutine run()" + tc.body + "\n  end subroutine\nend module\n"
+			mods := parseAll(t, src)
+			cfg := interp.Config{Ncol: 4, RNG: rng.NewKISS(3)}
+			m, err := interp.NewMachine(mods, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := Compile(mods)
+			for _, name := range []string{"m::nop", "m::zfn", "m::zefn"} {
+				for _, pr := range p.procs {
+					if pr.fullName == name && !pr.slicedEmpty {
+						t.Fatalf("%s is not binds-only on the sliced stream", name)
+					}
+				}
+			}
+			vm, err := newOneLane(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer vm.Release()
+			full, err := newOneLane(p, interp.Config{Ncol: 4, RNG: rng.NewKISS(3), SnapshotAll: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer full.Release()
+			em, ev, ef := m.Call("m", "run"), vm.Call("m", "run"), full.Call("m", "run")
+			if (em != nil) != tc.wantErr || (ev == nil) != (em == nil) || (ev != nil && ev.Error() != ef.Error()) {
+				t.Fatalf("tree error %v, sliced VM error %v, full VM error %v; want an error: %v", em, ev, ef, tc.wantErr)
+			}
+			diffMaps(t, "Outputs", m.Outputs, vm.Captured().Outputs)
+		})
+	}
 }

@@ -13,6 +13,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -292,7 +293,14 @@ func (r *Runner) integrate(base RunConfig, members []int, harvest func(vm *bytec
 			continue
 		}
 		wrap[l] = perturb(func(module string, path ...string) (interp.LaneSlice, bool) {
-			return vm.LaneArray(l, module, path...)
+			s, err := vm.LaneArray(l, module, path...)
+			if errors.Is(err, bytecode.ErrNotHeld) {
+				// No instruction of the sliced stream touches the
+				// array. perturb still draws its values, into
+				// scratch, so every later draw is the full stream's.
+				return interp.LaneSlice{Data: make([]float64, vm.Ncol()), Stride: 1}, true
+			}
+			return s, err == nil
 		}, m, cfg.PertScale)
 	}
 	for s := 0; s < steps(cfg); s++ {
