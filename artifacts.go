@@ -8,9 +8,9 @@ import (
 )
 
 // ArtifactStore is a content-addressed on-disk artifact store shared
-// by any number of sessions and processes: generated corpora,
-// coverage-filtered metagraphs, verdicts and finished outcomes are
-// stored once under their scenario fingerprints
+// by any number of sessions and processes: search verdicts and
+// incumbents and finished outcomes are stored once under their
+// fingerprints
 // (sha-256 path layout, atomic writes, integrity-verified reads,
 // size-capped LRU eviction) and rebuilt at most once across every
 // process on the same directory via lock-file singleflight. See
@@ -50,11 +50,10 @@ func WithStoreBreaker(threshold int, cooldown time.Duration) ArtifactStoreOption
 	return artifact.WithBreaker(threshold, cooldown)
 }
 
-// WithArtifacts attaches an artifact store to a session: corpus
-// builds and compiled metagraphs gain a write-through/read-back disk
-// layer keyed by the session's cache keys, so a fresh process pointed
-// at a warm store skips generation and metagraph construction (it
-// compiles each program shape once, and the two-step coverage trace
-// that keys the metagraph still runs), and concurrent processes
-// sharing the store build each artifact exactly once.
+// WithArtifacts attaches an artifact store to a session for the
+// layers that share answers across processes: the scenario search
+// stores its verdicts and incumbents there, and rcad its finished
+// outcomes. The session persists no inputs: a fresh process rebuilds
+// each corpus and metagraph from source (a few milliseconds each) and
+// compiles each program shape once.
 func WithArtifacts(store *ArtifactStore) Option { return experiments.WithArtifacts(store) }

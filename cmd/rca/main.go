@@ -85,7 +85,7 @@ func main() {
 		graded    = flag.Bool("magnitudes", false, "use graded (magnitude-ranked) sampling (§6.3 extension)")
 		parallel  = flag.Int("parallel", 0, "worker pool per investigation: ensemble members and graph kernels (0 = GOMAXPROCS); results are identical at every setting")
 		server    = flag.String("server", "", "rcad base URL: run scenarios on a daemon instead of in-process (corpus/ensemble sizing then comes from the daemon's flags)")
-		storeDir  = flag.String("store", "", "artifact store directory: persist corpora and metagraphs so later runs (and rcad daemons) start warm")
+		storeDir  = flag.String("store", "", "artifact store directory: persist -search verdicts and incumbents so later searches (and rcad daemons) reuse them")
 		faults    = flag.String("faults", os.Getenv("RCAD_FAULTS"), "deterministic fault-injection spec for -store I/O, e.g. 'artifact.put:eio@0.1' (default $RCAD_FAULTS)")
 		faultSd   = flag.Uint64("fault-seed", defaultFaultSeed(), "fault-injection seed: same spec + seed replays the same fault sequence (default $RCAD_FAULT_SEED or 1)")
 	)

@@ -6,7 +6,7 @@
 // identical in-flight investigations (singleflight on the scenario
 // fingerprints) and serves repeat submissions from its outcome store,
 // a bounded in-memory tier by default. With -store DIR outcomes and
-// build artifacts persist in a content-addressed on-disk store
+// search verdicts persist in a content-addressed on-disk store
 // instead: a restarted daemon (or a second
 // daemon on the same directory) serves previously investigated
 // scenarios warm, without re-running the pipeline, and -worker-id
@@ -69,7 +69,7 @@ func main() {
 		parallel = flag.Int("parallel", 0, "worker pool per investigation (0 = GOMAXPROCS)")
 		workers  = flag.Int("workers", 2, "concurrent pipeline executions")
 		queue    = flag.Int("queue", 64, "bounded job-queue capacity")
-		storeDir = flag.String("store", "", "artifact store directory: persist corpora, metagraphs and outcomes so restarts serve warm and concurrent daemons share work")
+		storeDir = flag.String("store", "", "artifact store directory: persist finished outcomes, search verdicts and incumbents so restarts serve warm and concurrent daemons share work")
 		storeMax = flag.Int64("store-max-bytes", 0, "artifact store size cap in bytes (0 = default 512 MiB); least-recently-used blobs are evicted beyond it")
 		workerID = flag.String("worker-id", "", "drain the artifact store's shared job queue under this worker name (requires -store)")
 		peersCSV = flag.String("worker-peers", "", "comma-separated worker names sharing the queue (affinity hashing); default just -worker-id")

@@ -32,7 +32,7 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	plane(t, "artifact.put:eio", 1)
 
 	for i := 0; i < 3; i++ {
-		if err := s.Put(ClassCorpus, "key", []byte("payload")); err == nil {
+		if err := s.Put(ClassOutcome, "key", []byte("payload")); err == nil {
 			t.Fatalf("put %d succeeded under a 100%% eio plane", i)
 		}
 	}
@@ -45,15 +45,15 @@ func TestBreakerTripAndRecover(t *testing.T) {
 
 	// While degraded (and before the cooldown's probe window), puts are
 	// error-free pass-throughs to the memory tier and gets serve from it.
-	if err := s.Put(ClassCorpus, "mem-only", []byte("kept in memory")); err != nil {
+	if err := s.Put(ClassOutcome, "mem-only", []byte("kept in memory")); err != nil {
 		t.Fatalf("degraded put errored: %v", err)
 	}
-	got, ok := s.Get(ClassCorpus, "mem-only")
+	got, ok := s.Get(ClassOutcome, "mem-only")
 	if !ok || !bytes.Equal(got, []byte("kept in memory")) {
 		t.Fatalf("degraded get = %q, %v; want the memory tier's payload", got, ok)
 	}
 	// The earlier failed puts also parked their payloads in the tier.
-	if got, ok := s.Get(ClassCorpus, "key"); !ok || !bytes.Equal(got, []byte("payload")) {
+	if got, ok := s.Get(ClassOutcome, "key"); !ok || !bytes.Equal(got, []byte("payload")) {
 		t.Fatalf("failed put's payload not recoverable from the memory tier: %q, %v", got, ok)
 	}
 
@@ -61,14 +61,14 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	// half-open probe, succeeds, and closes the breaker.
 	fault.SetGlobal(nil)
 	time.Sleep(40 * time.Millisecond)
-	if err := s.Put(ClassCorpus, "healed", []byte("back on disk")); err != nil {
+	if err := s.Put(ClassOutcome, "healed", []byte("back on disk")); err != nil {
 		t.Fatalf("probe put errored: %v", err)
 	}
 	if s.Degraded() {
 		t.Fatal("successful probe did not close the breaker")
 	}
-	a := addr(ClassCorpus, "healed")
-	if _, err := os.Stat(s.blobPath(ClassCorpus, a)); err != nil {
+	a := addr(ClassOutcome, "healed")
+	if _, err := os.Stat(s.blobPath(ClassOutcome, a)); err != nil {
 		t.Fatalf("post-recovery blob not on disk: %v", err)
 	}
 }
@@ -331,23 +331,23 @@ func TestQueueDoneFaultPoint(t *testing.T) {
 // the integrity check delete the blob; the next GetOrBuild rebuilds.
 func TestGetCorruptionFaultHealsByRebuild(t *testing.T) {
 	s := openTest(t)
-	if err := s.Put(ClassCorpus, "p", []byte("compiled bytes")); err != nil {
+	if err := s.Put(ClassOutcome, "p", []byte("outcome bytes")); err != nil {
 		t.Fatal(err)
 	}
 	plane(t, "artifact.get:corrupt@times=1", 3)
-	if _, ok := s.Get(ClassCorpus, "p"); ok {
+	if _, ok := s.Get(ClassOutcome, "p"); ok {
 		t.Fatal("tampered read reported a hit")
 	}
-	a := addr(ClassCorpus, "p")
-	if _, err := os.Stat(s.blobPath(ClassCorpus, a)); !os.IsNotExist(err) {
+	a := addr(ClassOutcome, "p")
+	if _, err := os.Stat(s.blobPath(ClassOutcome, a)); !os.IsNotExist(err) {
 		t.Fatalf("corrupt blob not deleted: %v", err)
 	}
 	builds := 0
-	got, built, err := s.GetOrBuild(context.Background(), ClassCorpus, "p", func() ([]byte, error) {
+	got, built, err := s.GetOrBuild(context.Background(), ClassOutcome, "p", func() ([]byte, error) {
 		builds++
-		return []byte("compiled bytes"), nil
+		return []byte("outcome bytes"), nil
 	})
-	if err != nil || !built || builds != 1 || !bytes.Equal(got, []byte("compiled bytes")) {
+	if err != nil || !built || builds != 1 || !bytes.Equal(got, []byte("outcome bytes")) {
 		t.Fatalf("rebuild after corruption: got=%q built=%v builds=%d err=%v", got, built, builds, err)
 	}
 }

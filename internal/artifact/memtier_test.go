@@ -133,17 +133,17 @@ func TestDegradedMemTierByteBound(t *testing.T) {
 	}
 	payload := func(i int) []byte { return buf[i : i+size] }
 	for i := 0; i < n; i++ {
-		if err := s.Put(ClassCorpus, fmt.Sprintf("p%d", i), payload(i)); err != nil {
+		if err := s.Put(ClassOutcome, fmt.Sprintf("p%d", i), payload(i)); err != nil {
 			t.Fatalf("degraded put %d: %v", i, err)
 		}
 	}
 	if got := s.Stats().MemBytes; got > memTierMaxBytes {
 		t.Fatalf("memory tier holds %d bytes; cap %d", got, memTierMaxBytes)
 	}
-	if got, ok := s.Get(ClassCorpus, fmt.Sprintf("p%d", n-1)); !ok || !bytes.Equal(got, payload(n-1)) {
+	if got, ok := s.Get(ClassOutcome, fmt.Sprintf("p%d", n-1)); !ok || !bytes.Equal(got, payload(n-1)) {
 		t.Fatalf("most recent payload not served (ok=%v)", ok)
 	}
-	if _, ok := s.Get(ClassCorpus, "p0"); ok {
+	if _, ok := s.Get(ClassOutcome, "p0"); ok {
 		t.Fatal("oldest payload survived past the byte cap")
 	}
 }

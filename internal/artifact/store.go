@@ -1,8 +1,8 @@
 // Package artifact is the content-addressed on-disk artifact store
 // that makes the pipeline's layered cache fingerprints (sourceKey ⊂
 // buildKey ⊂ scenarioKey) durable identities instead of in-process map
-// keys. Generated corpora, compiled metagraphs, verdicts and finished
-// outcomes are written once under sha-256-derived paths and shared by
+// keys. Verdicts, search incumbents and finished outcomes are
+// written once under sha-256-derived paths and shared by
 // every process pointed at the same directory: a restarted rcad
 // warm-starts from disk, and N rcad workers deduplicate builds across
 // process boundaries through O_EXCL lock files (cross-process
@@ -58,11 +58,6 @@ import (
 // Artifact classes. The class is folded into the content address, so
 // the same key never collides across classes.
 const (
-	// ClassCorpus stores generated+patched source trees per sourceKey.
-	ClassCorpus = "corpus"
-	// ClassCompiled stores coverage-filtered metagraphs per program
-	// shape key plus coverage trace key (coverage.Trace.Key).
-	ClassCompiled = "compiled"
 	// ClassOutcome stores finished investigation outcomes per scenarioKey.
 	ClassOutcome = "outcome"
 	// ClassVerdict stores UF-ECT failure rates per buildKey — the unit

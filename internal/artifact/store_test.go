@@ -24,18 +24,18 @@ func openTest(t *testing.T, opts ...Option) *Store {
 func TestPutGetRoundTrip(t *testing.T) {
 	s := openTest(t)
 	payload := []byte("the artifact body")
-	if _, ok := s.Get(ClassCorpus, "k1"); ok {
+	if _, ok := s.Get(ClassOutcome, "k1"); ok {
 		t.Fatal("empty store reported a hit")
 	}
-	if err := s.Put(ClassCorpus, "k1", payload); err != nil {
+	if err := s.Put(ClassOutcome, "k1", payload); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Get(ClassCorpus, "k1")
+	got, ok := s.Get(ClassOutcome, "k1")
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("Get = %q, %v; want the stored payload", got, ok)
 	}
 	// The class is part of the address: same key, other class misses.
-	if _, ok := s.Get(ClassCompiled, "k1"); ok {
+	if _, ok := s.Get(ClassVerdict, "k1"); ok {
 		t.Fatal("key leaked across classes")
 	}
 	st := s.Stats()
@@ -73,10 +73,10 @@ func TestReopenSeesBlobsAndBytes(t *testing.T) {
 // is deleted, and GetOrBuild rebuilds cleanly.
 func TestCorruptBlobFallsBackToRebuild(t *testing.T) {
 	s := openTest(t)
-	if err := s.Put(ClassCorpus, "k", []byte("valid payload")); err != nil {
+	if err := s.Put(ClassOutcome, "k", []byte("valid payload")); err != nil {
 		t.Fatal(err)
 	}
-	path := s.blobPath(ClassCorpus, addr(ClassCorpus, "k"))
+	path := s.blobPath(ClassOutcome, addr(ClassOutcome, "k"))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -85,21 +85,21 @@ func TestCorruptBlobFallsBackToRebuild(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(ClassCorpus, "k"); ok {
+	if _, ok := s.Get(ClassOutcome, "k"); ok {
 		t.Fatal("corrupt blob served as a hit")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("corrupt blob not deleted: %v", err)
 	}
 	rebuilt := false
-	data, built, err := s.GetOrBuild(context.Background(), ClassCorpus, "k", func() ([]byte, error) {
+	data, built, err := s.GetOrBuild(context.Background(), ClassOutcome, "k", func() ([]byte, error) {
 		rebuilt = true
 		return []byte("rebuilt payload"), nil
 	})
 	if err != nil || !built || !rebuilt || string(data) != "rebuilt payload" {
 		t.Fatalf("GetOrBuild after corruption = %q, built=%v, err=%v", data, built, err)
 	}
-	if got, ok := s.Get(ClassCorpus, "k"); !ok || string(got) != "rebuilt payload" {
+	if got, ok := s.Get(ClassOutcome, "k"); !ok || string(got) != "rebuilt payload" {
 		t.Fatalf("rebuilt blob not persisted: %q, %v", got, ok)
 	}
 }
@@ -110,24 +110,24 @@ func TestEvictionDropsLeastRecentlyUsed(t *testing.T) {
 	s := openTest(t, WithMaxBytes(3*140))
 	payload := bytes.Repeat([]byte("x"), 100)
 	for i := 0; i < 3; i++ {
-		if err := s.Put(ClassCorpus, fmt.Sprintf("k%d", i), payload); err != nil {
+		if err := s.Put(ClassOutcome, fmt.Sprintf("k%d", i), payload); err != nil {
 			t.Fatal(err)
 		}
 		// Distinct mtimes so LRU order is deterministic.
-		path := s.blobPath(ClassCorpus, addr(ClassCorpus, fmt.Sprintf("k%d", i)))
+		path := s.blobPath(ClassOutcome, addr(ClassOutcome, fmt.Sprintf("k%d", i)))
 		stamp := time.Now().Add(time.Duration(i-10) * time.Minute)
 		if err := os.Chtimes(path, stamp, stamp); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Put(ClassCorpus, "k3", payload); err != nil {
+	if err := s.Put(ClassOutcome, "k3", payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(ClassCorpus, "k0"); ok {
+	if _, ok := s.Get(ClassOutcome, "k0"); ok {
 		t.Fatal("oldest blob survived eviction")
 	}
 	for _, k := range []string{"k1", "k2", "k3"} {
-		if _, ok := s.Get(ClassCorpus, k); !ok {
+		if _, ok := s.Get(ClassOutcome, k); !ok {
 			t.Fatalf("recent blob %s evicted", k)
 		}
 	}
@@ -148,7 +148,7 @@ func TestGetOrBuildBuildsOnceUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			data, _, err := s.GetOrBuild(context.Background(), ClassCompiled, "shared", func() ([]byte, error) {
+			data, _, err := s.GetOrBuild(context.Background(), ClassVerdict, "shared", func() ([]byte, error) {
 				builds.Add(1)
 				time.Sleep(10 * time.Millisecond) // widen the race window
 				return []byte("built once"), nil
@@ -167,7 +167,7 @@ func TestGetOrBuildBuildsOnceUnderConcurrency(t *testing.T) {
 func TestLockStaleSteal(t *testing.T) {
 	s := openTest(t, WithLockStale(50*time.Millisecond))
 	// Simulate a crashed holder: a lock file nobody will release.
-	name := addr(ClassCompiled, "orphaned")
+	name := addr(ClassVerdict, "orphaned")
 	path := filepath.Join(s.dir, "locks", name+".lock")
 	if err := os.WriteFile(path, []byte("99999"), 0o644); err != nil {
 		t.Fatal(err)

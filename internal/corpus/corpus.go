@@ -143,7 +143,7 @@ func (c *Corpus) Config() Config { return c.cfg }
 
 func (c *Corpus) add(name, component string, core bool, src string) {
 	modName := strings.TrimSuffix(name, ".F90")
-	c.Files = append(c.Files, File{Name: name, Source: intern(src), Component: component, Core: core})
+	c.Files = append(c.Files, File{Name: name, Source: cached(src).text, Component: component, Core: core})
 	c.ComponentOf[modName] = component
 }
 
@@ -151,8 +151,8 @@ func (c *Corpus) add(name, component string, core bool, src string) {
 // text and of each distinct parsed subprogram.
 //
 // parseCache maps a file text to its entry: the canonical copy of the
-// text, which every corpus holding that text shares (Generate, Decode
-// and Apply store their texts through it), and the text's modules once
+// text, which every corpus holding that text shares (Generate and
+// Apply store their texts through it), and the text's modules once
 // parsed. A `param:` perturbation changes module-level parameter lines
 // only: every file it leaves alone is a hit, and the files it changes
 // (one for `turbcoef` or `fmagain`, every `aux_phys` file for
@@ -216,9 +216,6 @@ func cached(text string) *source {
 	}
 	return s
 }
-
-// intern returns the process's canonical copy of text.
-func intern(text string) string { return cached(text).text }
 
 // parseCached returns the canonical copy of text and its modules,
 // parsing it on first use.

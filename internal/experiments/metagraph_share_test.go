@@ -1,8 +1,8 @@
 package experiments_test
 
 import (
-	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	rca "github.com/climate-rca/rca"
@@ -39,10 +39,10 @@ func scaleScenarios() []experiments.Scenario {
 // TestSharedMetagraphMatchesFreshBuild is the differential check
 // behind sharing: on the bench corpus, the one Compiled a session hands
 // every parameter variant, and every `scale:` variant of one
-// assignment, encodes byte for byte like a fresh trace → filter →
-// Build of that variant's own modules. The scale variants differ only
-// in a statement literal, so this also pins that the metagraph reads
-// no literal value.
+// assignment, equals (reflect.DeepEqual, unexported fields included) a
+// fresh trace → filter → Build of that variant's own modules. The
+// scale variants differ only in a statement literal, so this also pins
+// that the metagraph reads no literal value.
 func TestSharedMetagraphMatchesFreshBuild(t *testing.T) {
 	ctx := context.Background()
 	s := experiments.NewSession(corpus.Config{AuxModules: 40, Seed: 2})
@@ -58,14 +58,8 @@ func TestSharedMetagraphMatchesFreshBuild(t *testing.T) {
 			} else if comp != shared {
 				t.Fatalf("%s: got its own experiments.Compiled; want the one %s built", sc.Name(), group[0].Name())
 			}
-			want := freshCompiled(t, s, sc)
-			got, err := experiments.EncodeCompiled(comp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s: shared experiments.Compiled encodes to %d bytes, a fresh build to %d; contents differ",
-					sc.Name(), len(got), len(want))
+			if !reflect.DeepEqual(comp, freshCompiled(t, s, sc)) {
+				t.Fatalf("%s: shared experiments.Compiled differs from a fresh build", sc.Name())
 			}
 		}
 	}
@@ -75,8 +69,8 @@ func TestSharedMetagraphMatchesFreshBuild(t *testing.T) {
 }
 
 // freshCompiled traces, filters and builds sc's experimental tree
-// without the session's compile path and returns its encoding.
-func freshCompiled(t *testing.T, s *experiments.Session, sc experiments.Scenario) []byte {
+// without the session's compile path.
+func freshCompiled(t *testing.T, s *experiments.Session, sc experiments.Scenario) *experiments.Compiled {
 	t.Helper()
 	b, err := s.Builds(context.Background(), sc)
 	if err != nil {
@@ -92,19 +86,15 @@ func freshCompiled(t *testing.T, s *experiments.Session, sc experiments.Scenario
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := experiments.EncodeCompiled(&experiments.Compiled{Coverage: rep, Metagraph: mg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return enc
+	return &experiments.Compiled{Coverage: rep, Metagraph: mg}
 }
 
 // TestSessionParamScenariosShareMetagraph runs CLEAN and three
 // parameter perturbations concurrently on one store-backed session
-// (RunAll): all four get
-// one *Compiled, the store builds one compiled blob (four corpora, one
-// metagraph), and every outcome is byte-identical to a
-// fresh session's run of that scenario alone.
+// (RunAll): all four get one *Compiled, three of them through
+// MetagraphShares, the store builds nothing (the session persists no
+// corpus or metagraph), and every outcome is byte-identical to a fresh
+// session's run of that scenario alone.
 func TestSessionParamScenariosShareMetagraph(t *testing.T) {
 	ctx := context.Background()
 	cfg := corpus.Config{AuxModules: 8, Seed: 9300}
@@ -144,7 +134,7 @@ func TestSessionParamScenariosShareMetagraph(t *testing.T) {
 	if n := s.MetagraphShares(); n != 3 {
 		t.Fatalf("MetagraphShares = %d; want 3", n)
 	}
-	if n := store.Stats().Builds; n != 4+1 {
-		t.Fatalf("store builds = %d; want 5 (4 corpora + 1 metagraph)", n)
+	if n := store.Stats().Builds; n != 0 {
+		t.Fatalf("store builds = %d; want 0 (the session stores no corpus or metagraph)", n)
 	}
 }

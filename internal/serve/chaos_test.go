@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -166,9 +167,12 @@ func TestChaosEIOStormTwoWorkers(t *testing.T) {
 }
 
 // TestChaosBlobCorruption submits concurrently while half of all blob
-// writes are torn by a one-byte flip. Integrity-checked reads must
-// detect every tampered blob (delete → miss → rebuild), so results
-// stay bit-identical to the fault-free golden run.
+// writes are torn by a one-byte flip, then resubmits every scenario.
+// The resubmissions read the stored outcomes back: integrity-checked
+// reads must detect every tampered blob (delete → miss → re-execute),
+// so every text stays bit-identical to the fault-free golden run, and
+// seed 7's plane tears at least one outcome, so the second pass runs
+// at least one investigation again.
 func TestChaosBlobCorruption(t *testing.T) {
 	scenarios := rca.Experiments()[:4]
 	reference := referenceTexts(t, scenarios)
@@ -178,35 +182,53 @@ func TestChaosBlobCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.New(serve.Config{Session: storeSession(t, store), Artifacts: store, Workers: 2})
+	var execs atomic.Int64
+	srv := serve.New(serve.Config{Session: storeSession(t, store), Artifacts: store, Workers: 2,
+		RunHook: func(string) { execs.Add(1) }})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	var wg sync.WaitGroup
-	errs := make(chan error, len(scenarios))
+	bodies := make(map[string][]byte, len(scenarios))
 	for _, sc := range scenarios {
 		body, err := rca.ScenarioToJSON(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wg.Add(1)
-		go func(name string, body []byte) {
-			defer wg.Done()
-			reply, status, err := postJob(ts.URL, body, true)
-			if err != nil || status != http.StatusOK {
-				errs <- fmt.Errorf("%s: status %d, err %v", name, status, err)
-				return
-			}
-			if reply.Outcome == nil || reply.Outcome.Text != reference[name] {
-				errs <- fmt.Errorf("%s: outcome diverged under blob corruption", name)
-			}
-		}(sc.Name(), body)
+		bodies[sc.Name()] = body
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	var firstPass int64
+	for pass := 1; pass <= 2; pass++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, len(bodies))
+		for name, body := range bodies {
+			wg.Add(1)
+			go func(name string, body []byte) {
+				defer wg.Done()
+				reply, status, err := postJob(ts.URL, body, true)
+				if err != nil || status != http.StatusOK {
+					errs <- fmt.Errorf("pass %d: %s: status %d, err %v", pass, name, status, err)
+					return
+				}
+				if reply.Outcome == nil || reply.Outcome.Text != reference[name] {
+					errs <- fmt.Errorf("pass %d: %s: outcome diverged under blob corruption", pass, name)
+				}
+			}(name, body)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		if pass == 1 {
+			firstPass = execs.Load()
+		}
+	}
+	if firstPass != int64(len(bodies)) {
+		t.Errorf("first pass executed %d investigations; want %d", firstPass, len(bodies))
+	}
+	if execs.Load() == firstPass {
+		t.Error("no stored outcome was torn and read back; the resubmissions re-executed nothing")
 	}
 }
 
