@@ -95,6 +95,20 @@ func main() {
 		"search candidate injection (repeatable, same grammar as -inject); used with -search")
 	flag.Parse()
 
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if *server != "" {
+		if bad := unforwardable(set); len(bad) > 0 {
+			fmt.Fprintf(os.Stderr, "rca: -server cannot forward -%s (they configure an in-process run)\n",
+				strings.Join(bad, ", -"))
+			os.Exit(2)
+		}
+	}
+	if name, needs, ok := inert(set); ok {
+		fmt.Fprintf(os.Stderr, "rca: -%s has no effect without -%s\n", name, needs)
+		os.Exit(2)
+	}
+
 	if *faults != "" {
 		plane, err := fault.Parse(*faults, *faultSd)
 		if err != nil {
@@ -123,13 +137,6 @@ func main() {
 	defer stop()
 
 	if *server != "" {
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if bad := unforwardable(set); len(bad) > 0 {
-			fmt.Fprintf(os.Stderr, "rca: -server cannot forward -%s (they configure an in-process run)\n",
-				strings.Join(bad, ", -"))
-			os.Exit(2)
-		}
 		c := newClient(*server)
 		var err error
 		switch {
@@ -300,6 +307,24 @@ func unforwardable(set map[string]bool) []string {
 		}
 	}
 	return bad
+}
+
+// flagNeeds pairs a flag with the flag it has no effect without:
+// -store persists only -search verdicts and incumbents, and -faults
+// injects faults only into -store I/O.
+var flagNeeds = [][2]string{{"store", "search"}, {"faults", "store"}}
+
+// inert reports the first explicitly set flag (set holds flag.Visit's
+// names) whose required flag is unset, and the flag it needs. A -faults
+// spec that comes from $RCAD_FAULTS alone is not refused: the variable
+// may be exported for an rcad daemon in the same shell.
+func inert(set map[string]bool) (name, needs string, ok bool) {
+	for _, p := range flagNeeds {
+		if set[p[0]] && !set[p[1]] {
+			return p[0], p[1], true
+		}
+	}
+	return "", "", false
 }
 
 // resolveScenario picks the investigation: -scenario JSON wins, then

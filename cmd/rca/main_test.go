@@ -28,3 +28,30 @@ func TestUnforwardable(t *testing.T) {
 		}
 	}
 }
+
+// TestInert pins the refusal of flags that would do nothing: -store
+// outside -search, and -faults without -store.
+func TestInert(t *testing.T) {
+	for _, tc := range []struct {
+		set         []string
+		name, needs string
+	}{
+		{nil, "", ""},
+		{[]string{"experiment", "aux", "parallel"}, "", ""},
+		{[]string{"search", "pool", "store"}, "", ""},
+		{[]string{"search", "pool", "store", "faults", "fault-seed"}, "", ""},
+		{[]string{"experiment", "store"}, "store", "search"},
+		{[]string{"all", "store", "faults"}, "store", "search"},
+		{[]string{"search", "pool", "faults"}, "faults", "store"},
+		{[]string{"experiment", "faults"}, "faults", "store"},
+	} {
+		set := map[string]bool{}
+		for _, name := range tc.set {
+			set[name] = true
+		}
+		name, needs, ok := inert(set)
+		if name != tc.name || needs != tc.needs || ok != (tc.name != "") {
+			t.Errorf("inert(%v) = %q, %q, %v; want %q, %q", tc.set, name, needs, ok, tc.name, tc.needs)
+		}
+	}
+}

@@ -76,7 +76,7 @@ func main() {
 		warm     = flag.Bool("warm", true, "precompute the control-ensemble fingerprint at startup")
 		faults   = flag.String("faults", os.Getenv("RCAD_FAULTS"), "deterministic fault-injection spec, e.g. 'artifact.put:eio@0.1;worker.exec:crash@after=2' (default $RCAD_FAULTS; see DESIGN.md 'Failure model')")
 		faultSd  = flag.Uint64("fault-seed", defaultFaultSeed(), "fault-injection seed: same spec + seed replays the same fault sequence (default $RCAD_FAULT_SEED or 1)")
-		maxAtt   = flag.Int("max-attempts", 3, "attempt budget per job before it is dead-lettered (terminal failed state)")
+		maxAtt   = flag.Int("max-attempts", 3, "execution budget per job: transient failures retry in-process up to this many runs; a queued job is dead-lettered when it fails or after this many crashed claims")
 		jobTO    = flag.Duration("job-timeout", 0, "per-job execution deadline; a timed-out attempt counts against -max-attempts (0 = none)")
 	)
 	flag.Parse()

@@ -3,8 +3,10 @@ package artifact
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,113 +110,80 @@ func TestDegradedOpenUnusableDir(t *testing.T) {
 	release()
 }
 
-// TestQueueRetryBackoffDLQ drives one job through the full retry
-// lifecycle: claim (attempt 1) → Fail → invisible during backoff →
-// claim (attempt 2) → Fail at budget → dead letter with the cause,
-// attempts, and original payload preserved.
-func TestQueueRetryBackoffDLQ(t *testing.T) {
-	s := openTest(t)
-	q, err := s.Queue()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.MaxAttempts = 2
-	q.BackoffBase = 20 * time.Millisecond
-	payload := []byte("job body")
-	if err := q.Enqueue("job1", "aff", payload); err != nil {
-		t.Fatal(err)
-	}
-
-	c, ok, err := q.Claim("w1", nil)
-	if err != nil || !ok {
-		t.Fatalf("first claim: ok=%v err=%v", ok, err)
-	}
-	if c.Attempt != 1 {
-		t.Fatalf("first claim Attempt = %d; want 1", c.Attempt)
-	}
-	dead, err := c.Fail("transient wobble")
-	if err != nil || dead {
-		t.Fatalf("first Fail: dead=%v err=%v; want retryable", dead, err)
-	}
-
-	// Backing off: the job must be invisible to claimers until the
-	// deadline passes (base 20ms + jitter < 40ms).
-	if _, ok, _ := q.Claim("w1", nil); ok {
-		t.Fatal("claimed a job inside its backoff window")
-	}
-	deadline := time.Now().Add(time.Second)
-	var c2 *Claimed
-	for time.Now().Before(deadline) {
-		c2, ok, err = q.Claim("w1", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if c2 == nil {
-		t.Fatal("job never became claimable after backoff")
-	}
-	if c2.Attempt != 2 {
-		t.Fatalf("second claim Attempt = %d; want 2", c2.Attempt)
-	}
-	dead, err = c2.Fail("still broken")
-	if err != nil || !dead {
-		t.Fatalf("final Fail: dead=%v err=%v; want dead letter", dead, err)
-	}
-
-	fj, ok := q.Failed("job1")
-	if !ok {
-		t.Fatal("dead-lettered job has no failure record")
-	}
-	if fj.Error != "still broken" || fj.Attempts != 2 || !bytes.Equal(fj.Payload, payload) {
-		t.Fatalf("failure record = %+v; want cause/attempts/payload preserved", fj)
-	}
-	if fj.At.IsZero() {
-		t.Fatal("failure record missing timestamp")
-	}
-	if got := q.FailedCount(); got != 1 {
-		t.Fatalf("FailedCount = %d; want 1", got)
-	}
-	if got := q.Pending(); got != 0 {
-		t.Fatalf("Pending = %d after dead-letter; want 0", got)
-	}
-	// Terminal: re-enqueueing the same id must not resurrect it.
-	if err := q.Enqueue("job1", "aff", payload); err != nil {
-		t.Fatal(err)
-	}
-	if got := q.Pending(); got != 0 {
-		t.Fatalf("dead-lettered job resurrected by Enqueue (pending=%d)", got)
-	}
-}
-
-// TestQueueRejectDeadLettersImmediately: permanent failures skip the
-// retry budget entirely.
+// TestQueueRejectDeadLettersImmediately: a reported failure is never
+// requeued. Fail dead-letters the job at once with its cause, its
+// original payload and the executions charged to it, and re-enqueueing
+// the same id cannot resurrect it.
 func TestQueueRejectDeadLettersImmediately(t *testing.T) {
 	s := openTest(t)
 	q, err := s.Queue()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Enqueue("poison", "aff", []byte("garbage")); err != nil {
+	payload := []byte("job body")
+	if err := q.Enqueue("poison", "aff", payload); err != nil {
 		t.Fatal(err)
 	}
 	c, ok, err := q.Claim("w1", nil)
 	if err != nil || !ok {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}
-	if err := c.Reject("malformed payload"); err != nil {
+	c.Release() // a claim that never reported back still charged one attempt
+	c, ok, err = q.Claim("w1", nil)
+	if err != nil || !ok || c.Attempt != 2 {
+		t.Fatalf("second claim: ok=%v err=%v; want attempt 2", ok, err)
+	}
+	// This claim ran the job twice (its worker retried in-process).
+	if err := c.Fail("unknown subprogram", 2); err != nil {
 		t.Fatal(err)
 	}
 	fj, ok := q.Failed("poison")
-	if !ok || fj.Error != "malformed payload" {
+	if !ok || fj.Error != "unknown subprogram" {
 		t.Fatalf("Failed = %+v, %v; want immediate dead letter", fj, ok)
+	}
+	if fj.Attempts != 3 || !bytes.Equal(fj.Payload, payload) || fj.At.IsZero() {
+		t.Fatalf("failure record = %+v; want 1 earlier claim + 2 executions, payload and time kept", fj)
 	}
 	if got := q.Pending(); got != 0 {
 		t.Fatalf("Pending = %d; want 0", got)
 	}
+	if got := q.FailedCount(); got != 1 {
+		t.Fatalf("FailedCount = %d; want 1", got)
+	}
+	// Terminal: re-enqueueing the same id must not resurrect it.
+	if err := q.Enqueue("poison", "aff", payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := q.Claim("w1", nil); ok || q.Pending() != 0 {
+		t.Fatal("dead-lettered job resurrected by Enqueue")
+	}
+}
+
+// TestQueueLegacyAttemptRecord: an attempts record written while
+// failures were still requeued carries a backoff deadline and the last
+// error. It must still decode, and the deadline no longer hides the job.
+func TestQueueLegacyAttemptRecord(t *testing.T) {
+	s := openTest(t)
+	q, err := s.Queue()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Enqueue("old", "aff", []byte("body")); err != nil {
+		t.Fatal(err)
+	}
+	legacy := fmt.Sprintf(`{"attempts":1,"not_before_unix_ns":%d,"last_error":"wobble"}`,
+		time.Now().Add(time.Hour).UnixNano())
+	if err := os.WriteFile(filepath.Join(s.dir, "queue", "attempts", "old"), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, ok, err := q.Claim("w1", nil)
+	if err != nil || !ok {
+		t.Fatalf("claim over a legacy record: ok=%v err=%v", ok, err)
+	}
+	if c.Attempt != 2 {
+		t.Fatalf("Attempt = %d; want 2 (the legacy count plus this claim)", c.Attempt)
+	}
+	c.Release()
 }
 
 // TestQueueCrashLoopDeadLetters simulates a poison pill that never
@@ -228,7 +197,6 @@ func TestQueueCrashLoopDeadLetters(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.MaxAttempts = 2
-	q.BackoffBase = time.Millisecond
 	if err := q.Enqueue("pill", "aff", []byte("kills workers")); err != nil {
 		t.Fatal(err)
 	}
@@ -261,6 +229,9 @@ func TestQueueCrashLoopDeadLetters(t *testing.T) {
 	}
 	if fj.Attempts != 2 {
 		t.Fatalf("dead letter attempts = %d; want 2", fj.Attempts)
+	}
+	if !strings.Contains(fj.Error, "crashed") {
+		t.Fatalf("dead letter cause %q does not name the crash", fj.Error)
 	}
 }
 
@@ -349,54 +320,5 @@ func TestGetCorruptionFaultHealsByRebuild(t *testing.T) {
 	})
 	if err != nil || !built || builds != 1 || !bytes.Equal(got, []byte("outcome bytes")) {
 		t.Fatalf("rebuild after corruption: got=%q built=%v builds=%d err=%v", got, built, builds, err)
-	}
-}
-
-// TestBackoffZeroValueQueueGrows is the regression test for the
-// zero-value Queue{} backoff bug: with no BackoffMax configured, the
-// doubling loop's `d < q.BackoffMax` guard was false from the first
-// iteration, so every retry waited only the base delay. A directly
-// constructed Queue must now grow exponentially up to the default cap.
-func TestBackoffZeroValueQueueGrows(t *testing.T) {
-	q := &Queue{} // deliberately NOT via NewQueue: no defaults applied
-	jitterless := func(attempt int) time.Duration {
-		d := q.backoff("job-x", attempt)
-		// Strip the deterministic jitter (always < base).
-		return d - d%DefaultBackoffBase
-	}
-	prev := jitterless(1)
-	if prev != DefaultBackoffBase {
-		t.Fatalf("attempt 1 backoff = %v, want %v", prev, DefaultBackoffBase)
-	}
-	for attempt := 2; attempt <= 7; attempt++ {
-		d := jitterless(attempt)
-		if d != 2*prev {
-			t.Fatalf("attempt %d backoff = %v, want %v (exponential growth)", attempt, d, 2*prev)
-		}
-		prev = d
-	}
-	// Far past the doubling range the delay must cap at the default max.
-	if d := jitterless(40); d != DefaultBackoffMax {
-		t.Fatalf("attempt 40 backoff = %v, want capped %v", d, DefaultBackoffMax)
-	}
-}
-
-// TestBackoffHelperDefaults pins the shared helper's contract: both
-// knobs default when non-positive, the cap binds, and the jitter is a
-// deterministic pure function of (id, attempt).
-func TestBackoffHelperDefaults(t *testing.T) {
-	if a, b := Backoff("id", 3, 0, 0), Backoff("id", 3, DefaultBackoffBase, DefaultBackoffMax); a != b {
-		t.Fatalf("zero knobs %v != explicit defaults %v", a, b)
-	}
-	base, max := 100*time.Millisecond, 300*time.Millisecond
-	d := Backoff("id", 10, base, max)
-	if d < max || d >= max+base {
-		t.Fatalf("capped delay %v outside [%v, %v)", d, max, max+base)
-	}
-	if Backoff("id", 5, base, max) != Backoff("id", 5, base, max) {
-		t.Fatal("jitter is not deterministic")
-	}
-	if Backoff("a", 5, base, max) == Backoff("b", 5, base, max) {
-		t.Fatal("jitter ignores the id")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"time"
 
 	"github.com/climate-rca/rca/internal/binenc"
@@ -27,7 +26,7 @@ import (
 //	pending/<id>   job payload (affinity key + body, framed)
 //	leases/<id>.lock   held while a worker runs the job
 //	done/<id>      completion marker (result bytes, framed)
-//	attempts/<id>  retry bookkeeping (attempt count, backoff deadline)
+//	attempts/<id>  claim bookkeeping (attempts charged)
 //	failed/<id>    dead-letter record (error, attempts, payload, framed)
 //
 // Claim orders candidates by consistent-hash affinity: jobs whose
@@ -36,31 +35,25 @@ import (
 // worker and share its hot in-process caches) while still stealing
 // another worker's backlog when idle.
 //
-// Jobs retry with exponential backoff and a bounded attempt budget.
-// Attempts are counted at claim time, not completion time, so a
-// worker that crashes mid-job still burns an attempt — a poison pill
-// that kills every worker it touches lands in the dead-letter
-// directory after MaxAttempts instead of crash-looping the fleet
-// forever. The backoff jitter is a pure function of (id, attempt), so
-// chaos runs reproduce byte-for-byte from a seed.
+// The queue never retries a job a worker reports as failed: Fail
+// dead-letters it at once, and retrying a transient failure is the
+// worker's own business. What only the queue can see is a worker that
+// never reports back. Attempts are therefore charged at claim time,
+// not completion time, so a worker that crashes mid-job still burns
+// an attempt — a poison pill that kills every worker it touches lands
+// in the dead-letter directory after MaxAttempts claims instead of
+// crash-looping the fleet forever.
 type Queue struct {
 	s   *Store
 	dir string
 
-	// MaxAttempts is the per-job attempt budget before dead-lettering
-	// (counted at claim). BackoffBase/BackoffMax shape the exponential
-	// retry delay. All three carry usable defaults from Store.Queue.
+	// MaxAttempts is the per-job claim budget before dead-lettering
+	// (default DefaultMaxAttempts from Store.Queue).
 	MaxAttempts int
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 }
 
-// Retry-policy defaults installed by Store.Queue.
-const (
-	DefaultMaxAttempts = 3
-	DefaultBackoffBase = 250 * time.Millisecond
-	DefaultBackoffMax  = 30 * time.Second
-)
+// DefaultMaxAttempts is the claim budget installed by Store.Queue.
+const DefaultMaxAttempts = 3
 
 // ErrMemoryOnly rejects Queue on a memory-only store: the queue is
 // shared through the store directory, and there is none.
@@ -75,8 +68,6 @@ func (s *Store) Queue() (*Queue, error) {
 		s:           s,
 		dir:         filepath.Join(s.dir, "queue"),
 		MaxAttempts: DefaultMaxAttempts,
-		BackoffBase: DefaultBackoffBase,
-		BackoffMax:  DefaultBackoffMax,
 	}
 	for _, sub := range []string{"pending", "leases", "done", "attempts", "failed"} {
 		if err := os.MkdirAll(filepath.Join(q.dir, sub), 0o755); err != nil {
@@ -94,8 +85,8 @@ type Job struct {
 }
 
 // Claimed is a leased job; exactly one worker holds it at a time.
-// Attempt is this execution's 1-based attempt number (already charged
-// against the budget).
+// Attempt is this claim's 1-based number (already charged against the
+// budget).
 type Claimed struct {
 	Job
 	Attempt int
@@ -161,11 +152,7 @@ func (q *Queue) Claim(workerID string, peers []string) (*Claimed, bool, error) {
 			others = append(others, id)
 		}
 	}
-	now := time.Now().UnixNano()
 	for _, id := range append(own, others...) {
-		if meta := q.readAttempts(id); meta.NotBefore > now {
-			continue // backing off; not eligible yet
-		}
 		release, ok := q.tryLease(id)
 		if !ok {
 			continue
@@ -181,17 +168,18 @@ func (q *Queue) Claim(workerID string, peers []string) (*Claimed, bool, error) {
 			release()
 			continue
 		}
-		// Charge the attempt under the lease. A job already at its
-		// budget got here via a crashed (or failed) final attempt:
-		// dead-letter it rather than run it again.
+		// Charge the attempt under the lease. A failed job never
+		// returns to pending, so a job already at its budget got here
+		// only through claims that never reported back (a crash, or a
+		// Release): dead-letter it rather than run it again.
 		meta := q.readAttempts(id)
 		if meta.Attempts >= q.MaxAttempts {
-			_ = q.deadLetter(id, payload, meta.Attempts, meta.LastError)
+			_ = q.deadLetter(id, payload, meta.Attempts,
+				"attempt budget exhausted: no claim reported back (worker crashed mid-job or released the job)")
 			release()
 			continue
 		}
 		meta.Attempts++
-		meta.NotBefore = 0
 		q.writeAttempts(id, meta)
 		return &Claimed{
 			Job:     Job{ID: id, Affinity: aff, Payload: payload},
@@ -262,75 +250,24 @@ func (c *Claimed) Done(result []byte) error {
 // crash loops stay bounded.
 func (c *Claimed) Release() { c.release() }
 
-// Fail records a failed execution attempt. If budget remains the job
-// stays pending with an exponential-backoff deadline (no claimer
-// touches it until the deadline passes); otherwise it is dead-lettered
-// and dead=true is returned. Either way the lease is released.
-func (c *Claimed) Fail(cause string) (dead bool, err error) {
+// Fail dead-letters the claimed job with its cause and releases the
+// lease; the queue never runs a reported failure again. executions is
+// how many times this claim ran the job (0 for a payload it could not
+// start), so the record counts the executions charged to the job: the
+// claims before this one plus this claim's own.
+func (c *Claimed) Fail(cause string, executions int) error {
 	defer c.release()
-	if c.Attempt >= c.q.MaxAttempts {
-		return true, c.q.deadLetter(c.ID, c.Payload, c.Attempt, cause)
-	}
-	meta := c.q.readAttempts(c.ID)
-	meta.Attempts = c.Attempt
-	meta.NotBefore = time.Now().Add(c.q.backoff(c.ID, c.Attempt)).UnixNano()
-	meta.LastError = cause
-	c.q.writeAttempts(c.ID, meta)
-	return false, nil
+	return c.q.deadLetter(c.ID, c.Payload, c.Attempt-1+executions, cause)
 }
 
-// Reject dead-letters the claimed job immediately — for permanent
-// failures (malformed payloads, unbuildable requests) where retrying
-// cannot help.
-func (c *Claimed) Reject(cause string) error {
-	defer c.release()
-	return c.q.deadLetter(c.ID, c.Payload, c.Attempt, cause)
-}
-
-// Backoff returns the retry delay after a given failed attempt: base
-// doubled per attempt, capped at max, plus a deterministic jitter
-// derived from (id, attempt) so co-failing workers spread out
-// identically on every replay of a seeded run. Non-positive base and
-// max fall back to DefaultBackoffBase and DefaultBackoffMax, so a
-// zero-value caller still gets exponential growth with a sane cap.
-// It is the one backoff schedule shared by the queue's retry plane
-// and rcad's in-process flight retries.
-func Backoff(id string, attempt int, base, max time.Duration) time.Duration {
-	if base <= 0 {
-		base = DefaultBackoffBase
-	}
-	if max <= 0 {
-		max = DefaultBackoffMax
-	}
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	h.Write([]byte(strconv.Itoa(attempt)))
-	return d + time.Duration(h.Sum64()%uint64(base))
-}
-
-// backoff is the queue's retry delay (see Backoff). A directly
-// constructed Queue{} — no BackoffBase/BackoffMax set — previously
-// never grew past the base delay because the doubling loop compared
-// against a zero cap; the shared helper defaults both knobs.
-func (q *Queue) backoff(id string, attempt int) time.Duration {
-	return Backoff(id, attempt, q.BackoffBase, q.BackoffMax)
-}
-
-// attemptMeta is the per-job retry bookkeeping at queue/attempts/<id>.
+// attemptMeta is the per-job claim bookkeeping at queue/attempts/<id>.
+// Records written before failures stopped being requeued also carry
+// not_before_unix_ns and last_error; decoding ignores them.
 type attemptMeta struct {
-	Attempts  int    `json:"attempts"`
-	NotBefore int64  `json:"not_before_unix_ns,omitempty"`
-	LastError string `json:"last_error,omitempty"`
+	Attempts int `json:"attempts"`
 }
 
-// readAttempts loads a job's retry bookkeeping; a missing or torn file
+// readAttempts loads a job's claim bookkeeping; a missing or torn file
 // reads as the zero meta (fresh job).
 func (q *Queue) readAttempts(id string) attemptMeta {
 	var meta attemptMeta
@@ -366,9 +303,6 @@ type FailedJob struct {
 // from pending and attempts bookkeeping. The record is written before
 // the pending file is removed (same crash ordering as Done).
 func (q *Queue) deadLetter(id string, payload []byte, attempts int, cause string) error {
-	if cause == "" {
-		cause = "attempt budget exhausted (worker crashed mid-job?)"
-	}
 	w := binenc.NewWriter(len(payload) + len(cause) + 64)
 	w.String(cause)
 	w.Int(attempts)

@@ -233,10 +233,12 @@ func TestChaosBlobCorruption(t *testing.T) {
 }
 
 // TestDeadLetterSurfacesViaJobsAPI: a job whose every execution hits
-// an injected worker.exec fault exhausts its attempt budget, lands in
-// queue/failed, and surfaces as a terminal failed job — with its
-// structured error and attempt count — through GET /v1/jobs/{id} and
-// GET /v1/queue/{id}, plus the dead-letter and retry counters.
+// an injected worker.exec fault exhausts its attempt budget in the
+// flight's retry loop — exactly MaxAttempts executions, the queue adds
+// none — lands in queue/failed, and surfaces as a terminal failed job
+// with its structured error and attempt count through GET
+// /v1/jobs/{id} and GET /v1/queue/{id}, plus the dead-letter and
+// retry counters.
 func TestDeadLetterSurfacesViaJobsAPI(t *testing.T) {
 	installPlane(t, "worker.exec:eio", 1)
 	store, err := rca.OpenArtifactStore(t.TempDir())
@@ -257,26 +259,7 @@ func TestDeadLetterSurfacesViaJobsAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeQueue(ctx, "w1", nil, 10*time.Millisecond) }()
-
-	q, err := store.Queue()
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(time.Minute)
-	for {
-		if _, failed := q.Failed(id); failed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never dead-lettered under a 100% worker.exec fault")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	cancel()
-	<-done
+	drainUntilFailed(t, srv, store, id)
 
 	// GET /v1/jobs/{id} answers for the dead-lettered id even though it
 	// never entered this daemon's in-process registry under that name.
@@ -325,11 +308,101 @@ func TestDeadLetterSurfacesViaJobsAPI(t *testing.T) {
 	if v := metricValue(t, ts.URL, "rcad_jobs_dead_lettered_total"); v < 1 {
 		t.Fatalf("rcad_jobs_dead_lettered_total = %d; want >= 1", v)
 	}
-	if v := metricValue(t, ts.URL, "rcad_job_retries_total"); v < 1 {
-		t.Fatalf("rcad_job_retries_total = %d; want >= 1", v)
+	if v := metricValue(t, ts.URL, "rcad_job_retries_total"); v != 1 {
+		t.Fatalf("rcad_job_retries_total = %d; want 1 (MaxAttempts-1)", v)
 	}
-	if v := metricValue(t, ts.URL, "rcad_fault_injected_total"); v < 2 {
-		t.Fatalf("rcad_fault_injected_total = %d; want >= 2", v)
+	if v := metricValue(t, ts.URL, "rcad_fault_injected_total"); v != 2 {
+		t.Fatalf("rcad_fault_injected_total = %d; want exactly MaxAttempts = 2 executions", v)
+	}
+}
+
+// drainUntilFailed runs srv's queue worker until the job id is
+// dead-lettered, then stops the worker and returns the record.
+func drainUntilFailed(t *testing.T, srv *serve.Server, store *rca.ArtifactStore, id string) (errText string, attempts int) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.ServeQueue(ctx, "w1", nil, 10*time.Millisecond) }()
+	defer func() { cancel(); <-done }()
+	q, err := store.Queue()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Minute)
+	for {
+		if fj, failed := q.Failed(id); failed {
+			return fj.Error, fj.Attempts
+		}
+		if q.IsDone(id) {
+			t.Fatalf("job %s completed; want dead-lettered", id)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never dead-lettered (pending=%d)", id, q.Pending())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestQueuedScenarioFailureDeadLettersOnce: a queued scenario whose
+// pipeline fails for a deterministic reason (an injection into a
+// subprogram the corpus lacks) runs once and is dead-lettered with its
+// cause; the queue does not run it again.
+func TestQueuedScenarioFailureDeadLettersOnce(t *testing.T) {
+	store, err := rca.OpenArtifactStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var execs atomic.Int64
+	srv := serve.New(serve.Config{
+		Session:     storeSession(t, store),
+		Artifacts:   store,
+		MaxAttempts: 3,
+		RunHook:     func(string) { execs.Add(1) },
+	})
+	defer srv.Close()
+
+	id, _, err := srv.Enqueue([]byte(`{"name":"NOSUCH","inject":["nosuch_sub.x*=1.1"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cause, attempts := drainUntilFailed(t, srv, store, id)
+	if n := execs.Load(); n != 1 {
+		t.Fatalf("%d executions; want 1", n)
+	}
+	if attempts != 1 || !strings.Contains(cause, "unknown subprogram") {
+		t.Fatalf("dead letter = (%q, attempts %d); want the unknown-subprogram cause after 1 attempt", cause, attempts)
+	}
+}
+
+// TestQueuedSearchFailureDeadLettersOnce: the same deterministic
+// failure as a search candidate fails the queued search once, and the
+// search is dead-lettered with its cause instead of re-run.
+func TestQueuedSearchFailureDeadLettersOnce(t *testing.T) {
+	store, err := rca.OpenArtifactStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(serve.Config{
+		Session:     storeSession(t, store),
+		Artifacts:   store,
+		MaxAttempts: 3,
+	})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	id, _, err := srv.Enqueue([]byte(`{"search": {"objective": "maxdelta", "pool": [
+		{"kind":"scale","module":"micro_mg","subprogram":"micro_mg_tend","var":"tlat","factor":1.00015},
+		{"kind":"scale","module":"nosuch","subprogram":"nosuch_sub","var":"x","factor":1.1}]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cause, attempts := drainUntilFailed(t, srv, store, id)
+	if n := metricValue(t, ts.URL, "rcad_searches_started_total"); n != 1 {
+		t.Fatalf("%d search executions; want 1", n)
+	}
+	if attempts != 1 || !strings.Contains(cause, "unknown subprogram") {
+		t.Fatalf("dead letter = (%q, attempts %d); want the unknown-subprogram cause after 1 attempt", cause, attempts)
 	}
 }
 

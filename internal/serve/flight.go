@@ -20,6 +20,11 @@ type flight struct {
 	ctx      context.Context
 	cancel   context.CancelFunc
 
+	// executions counts the pipeline executions runFlight attempted.
+	// It is written before finishFlight finishes the subscribers, so a
+	// job that finishFlight failed reads it after <-done without a lock.
+	executions int
+
 	mu       sync.Mutex
 	jobs     []*job
 	started  bool

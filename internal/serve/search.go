@@ -166,29 +166,11 @@ func (s *Server) startSearch(req *rca.SearchRequest) (*searchJob, error) {
 	return j, nil
 }
 
-// registerSearch records a search, pruning the oldest terminal ones
-// beyond the registry cap (live searches are never evicted).
+// registerSearch records a search in the bounded registry.
 func (s *Server) registerSearch(j *searchJob) {
 	s.smu.Lock()
 	defer s.smu.Unlock()
-	s.searches[j.id] = j
-	s.searchOrder = append(s.searchOrder, j.id)
-	if len(s.searches) <= s.jobsCap {
-		return
-	}
-	keep := make([]string, 0, len(s.searches))
-	for _, id := range s.searchOrder {
-		old, ok := s.searches[id]
-		if !ok {
-			continue
-		}
-		if len(s.searches) > s.jobsCap && old.isTerminal() {
-			delete(s.searches, id)
-			continue
-		}
-		keep = append(keep, id)
-	}
-	s.searchOrder = keep
+	s.searchOrder = register(s.searches, s.searchOrder, j.id, j, s.jobsCap)
 }
 
 // searchByID looks a search up in the registry.

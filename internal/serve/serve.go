@@ -30,6 +30,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"strconv"
 	"sync"
 	"time"
 
@@ -66,30 +68,36 @@ type Config struct {
 	// fingerprint (so a restarted daemon serves them without
 	// re-running the pipeline), executions take a cross-process
 	// scenario lease (so N daemons sharing the store never run the
-	// same investigation concurrently), and the session's
-	// corpus/program/metagraph artifacts warm-start from the same
-	// directory when the session was built WithArtifacts. When nil,
-	// New opens a memory-only store: outcomes live in its bounded
-	// memory tier and the shared queue is unavailable.
+	// same investigation concurrently), and a session built
+	// WithArtifacts on the same store shares its search verdicts and
+	// incumbents. When nil, New opens a memory-only store: outcomes
+	// live in its bounded memory tier and the shared queue is
+	// unavailable.
 	Artifacts *rca.ArtifactStore
 	// MaxAttempts is the per-job execution budget (default 3): a
 	// flight whose failure is transient — an injected fault or a job
 	// deadline — retries with exponential backoff up to this many
-	// attempts, and the shared work queue dead-letters jobs after the
-	// same budget.
+	// executions. The shared work queue dead-letters a job whose
+	// claims reach the same budget without a worker reporting back
+	// (a worker that crashes mid-job).
 	MaxAttempts int
 	// JobTimeout bounds one pipeline execution attempt (0 = none). A
 	// timed-out attempt counts as transient and retries under the
 	// MaxAttempts budget.
 	JobTimeout time.Duration
-	// RetryBase is the first retry's backoff delay (default 250ms),
-	// doubling per attempt with deterministic per-fingerprint jitter.
-	// It also seeds the shared queue's backoff policy.
+	// RetryBase is the first retry's backoff delay (default
+	// DefaultRetryBase), doubling per attempt up to
+	// DefaultBackoffMax, plus a deterministic per-fingerprint jitter.
 	RetryBase time.Duration
-	// RetryMax caps the doubled backoff delay (default 30s, the shared
-	// queue's cap).
-	RetryMax time.Duration
 }
+
+// Retry schedule defaults: the first retry waits DefaultRetryBase
+// unless Config.RetryBase says otherwise, and the doubling stops at
+// DefaultBackoffMax.
+const (
+	DefaultRetryBase  = 250 * time.Millisecond
+	DefaultBackoffMax = 30 * time.Second
+)
 
 // ErrJobTimeout marks an execution attempt aborted by Config.JobTimeout
 // (transient: it retries under the attempt budget).
@@ -147,7 +155,6 @@ type Server struct {
 	maxAttempts int
 	jobTimeout  time.Duration
 	retryBase   time.Duration
-	retryMax    time.Duration
 
 	mu       sync.Mutex
 	closed   bool
@@ -205,10 +212,7 @@ func New(cfg Config) *Server {
 		cfg.MaxAttempts = artifact.DefaultMaxAttempts
 	}
 	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = artifact.DefaultBackoffBase
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = artifact.DefaultBackoffMax
+		cfg.RetryBase = DefaultRetryBase
 	}
 	if cfg.Artifacts == nil {
 		// Open("") touches no filesystem and cannot fail.
@@ -227,7 +231,6 @@ func New(cfg Config) *Server {
 		maxAttempts: cfg.MaxAttempts,
 		jobTimeout:  cfg.JobTimeout,
 		retryBase:   cfg.RetryBase,
-		retryMax:    cfg.RetryMax,
 		jobs:        make(map[string]*job),
 		flights:     make(map[string]*flight),
 		t1:          make(map[string]*t1flight),
@@ -338,29 +341,35 @@ func (s *Server) newJobID() string {
 	return fmt.Sprintf("j-%06d", s.nextID)
 }
 
-// registerJob records a job (caller holds s.mu), pruning the oldest
-// terminal jobs beyond the registry cap. Completed outcomes stay
-// reachable by fingerprint through the store; only the per-job view
-// ages out. Live jobs are never evicted.
+// registerJob records a job (caller holds s.mu). Completed outcomes
+// stay reachable by fingerprint through the store; only the per-job
+// view ages out of the registry.
 func (s *Server) registerJob(j *job) {
-	s.jobs[j.id] = j
-	s.jobOrder = append(s.jobOrder, j.id)
-	if len(s.jobs) <= s.jobsCap {
-		return
+	s.jobOrder = register(s.jobs, s.jobOrder, j.id, j, s.jobsCap)
+}
+
+// register adds v to a bounded registry (m plus its insertion order)
+// and returns the new order. Beyond limit, the oldest terminal entries
+// are forgotten; live ones are never evicted.
+func register[V interface{ isTerminal() bool }](m map[string]V, order []string, id string, v V, limit int) []string {
+	m[id] = v
+	order = append(order, id)
+	if len(m) <= limit {
+		return order
 	}
-	keep := make([]string, 0, len(s.jobs))
-	for _, id := range s.jobOrder {
-		old, ok := s.jobs[id]
+	keep := make([]string, 0, len(m))
+	for _, id := range order {
+		old, ok := m[id]
 		if !ok {
 			continue
 		}
-		if len(s.jobs) > s.jobsCap && old.isTerminal() {
-			delete(s.jobs, id)
+		if len(m) > limit && old.isTerminal() {
+			delete(m, id)
 			continue
 		}
 		keep = append(keep, id)
 	}
-	s.jobOrder = keep
+	return keep
 }
 
 // jobByID looks a job up in the registry.
@@ -434,9 +443,12 @@ func (s *Server) runFlight(fl *flight) {
 	// deadline hits — back off (exponential, deterministic jitter) and
 	// re-run, as long as a subscriber is still interested. Anything
 	// else (pipeline errors, client cancellation) surfaces immediately.
+	// This loop is rcad's only retry: the shared queue dead-letters a
+	// failure its worker reports, charging it fl.executions.
 	var out *rca.Outcome
 	for attempt := 1; ; attempt++ {
 		out, err = s.runOnce(fl)
+		fl.executions = attempt
 		if err == nil || !transientErr(err) || attempt >= s.maxAttempts || fl.ctx.Err() != nil {
 			break
 		}
@@ -511,15 +523,29 @@ func transientErr(err error) bool {
 	return fault.IsInjected(err) || errors.Is(err, ErrJobTimeout)
 }
 
-// retryDelay is the backoff before re-running a flight: RetryBase
-// doubled per attempt, capped at RetryMax, plus a jitter that is a
-// pure function of (fingerprint, attempt), so seeded chaos runs
-// replay the same schedule. It delegates to the queue's shared
-// artifact.Backoff — one schedule for both retry planes (a local
-// duplicate used to hardcode the 30s cap, ignoring any configured
-// maximum).
+// retryDelay is the backoff before re-running a flight after its
+// attempt-th execution failed (see backoff).
 func (s *Server) retryDelay(key string, attempt int) time.Duration {
-	return artifact.Backoff(key, attempt, s.retryBase, s.retryMax)
+	return backoff(key, attempt, s.retryBase)
+}
+
+// backoff returns the delay before the retry that follows a key's
+// attempt-th failed execution: base (which must be positive) doubled
+// per attempt, capped at DefaultBackoffMax, plus a jitter in [0, base)
+// that is a pure function of (key, attempt), so seeded chaos runs
+// replay the same schedule.
+func backoff(key string, attempt int, base time.Duration) time.Duration {
+	d := base
+	for i := 1; i < attempt && d < DefaultBackoffMax; i++ {
+		d *= 2
+	}
+	if d > DefaultBackoffMax {
+		d = DefaultBackoffMax
+	}
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	h.Write([]byte(strconv.Itoa(attempt)))
+	return d + time.Duration(h.Sum64()%uint64(base))
 }
 
 // finishFlight publishes a flight's result: the flight leaves the

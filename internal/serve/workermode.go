@@ -45,12 +45,9 @@ func (s *Server) jobQueue() (*artifact.Queue, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The queue's retry policy follows the server's: one -max-attempts
-		// budget governs both in-process flight retries and cross-process
-		// claim counting, under one backoff base and cap.
+		// One -max-attempts budget bounds both a flight's executions
+		// and a job's claims (crash loops).
 		q.MaxAttempts = s.maxAttempts
-		q.BackoffBase = s.retryBase
-		q.BackoffMax = s.retryMax
 		s.q = q
 	}
 	return s.q, nil
@@ -182,9 +179,9 @@ func (s *Server) runQueued(ctx context.Context, c *artifact.Claimed) {
 	}
 	sc, err := rca.ScenarioFromJSON(c.Payload)
 	if err != nil {
-		// Malformed payloads are permanent failures: dead-letter them
-		// immediately, retrying cannot fix the bytes.
-		_ = c.Reject(fmt.Sprintf("bad scenario: %v", err))
+		// Malformed payloads never run: dead-letter them, retrying
+		// cannot fix the bytes.
+		_ = c.Fail(fmt.Sprintf("bad scenario: %v", err), 0)
 		return
 	}
 	j, err := s.submit(sc)
@@ -197,7 +194,7 @@ func (s *Server) runQueued(ctx context.Context, c *artifact.Claimed) {
 	if err != nil {
 		// Planner rejection (conflicting injections, unknown parameter):
 		// permanent, straight to the dead-letter directory.
-		_ = c.Reject(err.Error())
+		_ = c.Fail(err.Error(), 0)
 		return
 	}
 	select {
@@ -219,11 +216,10 @@ func (s *Server) runQueued(ctx context.Context, c *artifact.Claimed) {
 		return
 	}
 	if state == StateFailed {
-		// Failed after the in-process retry budget. Fail charges the
-		// attempt and either schedules a backoff re-claim or, at the
-		// cross-process budget, retires the job to queue/failed where
-		// GET /v1/jobs/{id} surfaces it as terminal.
-		_, _ = c.Fail(res.Error)
+		// The flight already retried what was transient, so the job
+		// goes to queue/failed at once, charged the flight's
+		// executions; GET /v1/jobs/{id} surfaces it as terminal.
+		_ = c.Fail(res.Error, j.fl.executions)
 		return
 	}
 	finish(res)
@@ -236,7 +232,7 @@ func (s *Server) runQueued(ctx context.Context, c *artifact.Claimed) {
 func (s *Server) runQueuedSearch(ctx context.Context, c *artifact.Claimed, raw json.RawMessage, finish func(queueResult)) {
 	req, err := rca.SearchRequestFromJSON(raw)
 	if err != nil {
-		_ = c.Reject(fmt.Sprintf("bad search request: %v", err))
+		_ = c.Fail(fmt.Sprintf("bad search request: %v", err), 0)
 		return
 	}
 	j, err := s.startSearch(req)
@@ -264,7 +260,8 @@ func (s *Server) runQueuedSearch(ctx context.Context, c *artifact.Claimed, raw j
 		res.Error = jerr.Error()
 	}
 	if state == StateFailed {
-		_, _ = c.Fail(res.Error)
+		// A search runs once per claim; its failure is final.
+		_ = c.Fail(res.Error, 1)
 		return
 	}
 	finish(res)
