@@ -128,7 +128,7 @@ func TestQueueRejectDeadLettersImmediately(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}
-	c.Release() // a claim that never reported back still charged one attempt
+	c.release() // a claim that never reported back (a crash) stays charged
 	c, ok, err = q.Claim("w1", nil)
 	if err != nil || !ok || c.Attempt != 2 {
 		t.Fatalf("second claim: ok=%v err=%v; want attempt 2", ok, err)
@@ -187,9 +187,11 @@ func TestQueueLegacyAttemptRecord(t *testing.T) {
 }
 
 // TestQueueCrashLoopDeadLetters simulates a poison pill that never
-// fails cleanly: each claim's lease is dropped by a "crash" (release
-// without Done/Fail). Attempts are charged at claim, so after the
-// budget the next claimer dead-letters the job instead of running it.
+// fails cleanly: each claim's lease is dropped by a "crash" (the lease
+// goes without Done, Fail or Release). Attempts are charged at claim,
+// so after the budget the next claimer dead-letters the job instead of
+// running it. Graceful Releases between the crashes are refunded and
+// do not bring the dead letter closer.
 func TestQueueCrashLoopDeadLetters(t *testing.T) {
 	s := openTest(t, WithLockStale(time.Nanosecond)) // leases instantly stale
 	q, err := s.Queue()
@@ -200,12 +202,19 @@ func TestQueueCrashLoopDeadLetters(t *testing.T) {
 	if err := q.Enqueue("pill", "aff", []byte("kills workers")); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 4; i++ {
 		c, ok, err := q.Claim("w1", nil)
 		if err != nil || !ok {
 			t.Fatalf("claim %d: ok=%v err=%v", i, ok, err)
 		}
-		c.Release() // worker "crashed"; attempt already charged
+		if want := 1 + i/2; c.Attempt != want {
+			t.Fatalf("claim %d: attempt %d; want %d", i, c.Attempt, want)
+		}
+		if i%2 == 0 {
+			c.Release() // graceful shutdown: the attempt is refunded
+		} else {
+			c.release() // worker "crashed"; the attempt stays charged
+		}
 	}
 	// Budget exhausted with no clean Fail: the next claim sweep must
 	// dead-letter the job rather than hand it out again.

@@ -169,13 +169,14 @@ func (q *Queue) Claim(workerID string, peers []string) (*Claimed, bool, error) {
 			continue
 		}
 		// Charge the attempt under the lease. A failed job never
-		// returns to pending, so a job already at its budget got here
-		// only through claims that never reported back (a crash, or a
-		// Release): dead-letter it rather than run it again.
+		// returns to pending and Release refunds its charge, so a job
+		// already at its budget got here only through claims that
+		// never reported back (crashes): dead-letter it rather than
+		// run it again.
 		meta := q.readAttempts(id)
 		if meta.Attempts >= q.MaxAttempts {
 			_ = q.deadLetter(id, payload, meta.Attempts,
-				"attempt budget exhausted: no claim reported back (worker crashed mid-job or released the job)")
+				"attempt budget exhausted: no claim reported back (worker crashed mid-job)")
 			release()
 			continue
 		}
@@ -243,12 +244,15 @@ func (c *Claimed) Done(result []byte) error {
 	return os.Remove(filepath.Join(c.q.dir, "pending", c.ID))
 }
 
-// Release returns the job to the queue un-run (worker shutting down).
-// The attempt already charged at claim stands — a lease that is taken
-// and released without running still burned budget; graceful shutdown
-// paths that want the attempt back can live with the small loss, and
-// crash loops stay bounded.
-func (c *Claimed) Release() { c.release() }
+// Release returns the job to the queue un-run (worker shutting down,
+// or too busy to start it) and refunds the attempt charged at claim,
+// so graceful shutdowns never use up a job's budget. A worker that
+// crashes never calls Release, so its claims stay charged and crash
+// loops stay bounded by MaxAttempts.
+func (c *Claimed) Release() {
+	defer c.release()
+	c.q.writeAttempts(c.ID, attemptMeta{Attempts: c.Attempt - 1})
+}
 
 // Fail dead-letters the claimed job with its cause and releases the
 // lease; the queue never runs a reported failure again. executions is

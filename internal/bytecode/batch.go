@@ -43,6 +43,12 @@ type BatchVM struct {
 	kernelWatch string
 	snapshotAll bool
 	fma         []bool
+	// powBase is the prelude of the last literal base a ** kernel ran
+	// with: both of goff_gratch's sites raise 10.0, so each kernel
+	// invocation reuses it instead of recomputing Log and Frexp. It
+	// depends on the base's value alone (the zero value is the prelude
+	// of +0), so a Rebind copy's VM can keep it.
+	powBase powLitBase
 	// sliced VMs run each proc's sliced stream and take no snapshot;
 	// they hold storage only for the program's held state, and every
 	// other garr and gdrv slot is nil. Fixed at allocation: sliced and
@@ -56,8 +62,13 @@ type BatchVM struct {
 	backing []float64
 
 	results []interp.Results
-	errs    []error
-	live    []int // CallAll's group of live lanes, reused per call
+	// outs[l*len(prog.labels)+k] is the slice lane l's Outputs holds
+	// under label k, once the lane has written it since the last reset
+	// or DetachLaneResults: outfld writes through it without a map
+	// lookup.
+	outs [][]float64
+	errs []error
+	live []int // CallAll's group of live lanes, reused per call
 
 	depth int
 	free  [][]*bframe // released frames per proc id
@@ -277,6 +288,7 @@ func (p *Program) allocBatchVM(k batchSize) *BatchVM {
 		garr:    make([][]float64, p.nGArr),
 		gdrv:    make([]*bdval, len(p.gdrvs)),
 		results: make([]interp.Results, nl),
+		outs:    make([][]float64, nl*len(p.labels)),
 		errs:    make([]error, nl),
 		live:    make([]int, 0, nl),
 		fma:     make([]bool, len(p.modules)),
@@ -328,6 +340,7 @@ func (vm *BatchVM) reset() {
 		clear(vm.results[l].Kernel)
 		clear(vm.results[l].AllValues)
 	}
+	clear(vm.outs)
 	clear(vm.errs)
 }
 
@@ -356,6 +369,8 @@ func (vm *BatchVM) LaneResults(l int) *interp.Results { return &vm.results[l] }
 func (vm *BatchVM) DetachLaneResults(l int) interp.Results {
 	r := vm.results[l]
 	vm.results[l] = interp.NewResults()
+	k := len(vm.prog.labels)
+	clear(vm.outs[l*k : l*k+k])
 	return r
 }
 

@@ -238,10 +238,7 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 				scal[db+l] = scal[ab+l] / scal[bb+l]
 			}
 		case opPowS:
-			ab, bb, db := int(in.a)*nl, int(in.b)*nl, int(in.d)*nl
-			for _, l := range g {
-				scal[db+l] = math.Pow(scal[ab+l], scal[bb+l])
-			}
+			vm.powS(in, fr, g)
 		case opEqS:
 			ab, bb, db := int(in.a)*nl, int(in.b)*nl, int(in.d)*nl
 			for _, l := range g {
@@ -578,7 +575,9 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 					}
 				}
 			}
-		case opMinV, opMaxV, opPowV, opEqV, opNeV, opLtV, opLeV, opGtV, opGeV, opAndV, opOrV, opModV, opSignV:
+		case opPowV:
+			vm.powV(in, fr, g)
+		case opMinV, opMaxV, opEqV, opNeV, opLtV, opLeV, opGtV, opGeV, opAndV, opOrV, opModV, opSignV:
 			vm.batchSlowBinV(in, fr, g)
 		case opNegV:
 			out, a := fr.arr[in.d], fr.arr[in.a]
@@ -717,28 +716,15 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 				}
 			}
 		case opOutS:
-			lbl := vm.prog.labels[in.a]
 			bbase := int(in.b) * nl
 			for _, l := range g {
-				m := vm.results[l].Outputs
-				if dst, ok := m[lbl]; ok && len(dst) == 1 {
-					dst[0] = scal[bbase+l]
-				} else {
-					m[lbl] = []float64{scal[bbase+l]}
-				}
+				vm.outSlot(l, in.a, 1)[0] = scal[bbase+l]
 			}
 		case opOutV:
-			lbl := vm.prog.labels[in.a]
 			src := fr.arr[in.b]
 			n := len(src) / nl
 			for _, l := range g {
-				m := vm.results[l].Outputs
-				dst, ok := m[lbl]
-				if !ok || len(dst) != n {
-					dst = make([]float64, n)
-					m[lbl] = dst
-				}
-				copy(dst, src[l*n:l*n+n])
+				copy(vm.outSlot(l, in.a, n), src[l*n:l*n+n])
 			}
 		case opTouch:
 			abase := int(in.a) * nl
@@ -892,6 +878,20 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 	return mergeDone(g, merged)
 }
 
+// outSlot returns lane l's Outputs slice for label k, of length n:
+// the one the lane last stored under the label when it has that
+// length, else a new one it stores in Outputs and in the lane's slot.
+func (vm *BatchVM) outSlot(l int, k int32, n int) []float64 {
+	i := l*len(vm.prog.labels) + int(k)
+	if dst := vm.outs[i]; dst != nil && len(dst) == n {
+		return dst
+	}
+	dst := make([]float64, n)
+	vm.results[l].Outputs[vm.prog.labels[k]] = dst
+	vm.outs[i] = dst
+	return dst
+}
+
 // wholeGroup is the lane list spans hands a full group: lane 0 with a
 // block that covers every lane's columns.
 var wholeGroup = []int{0}
@@ -971,6 +971,70 @@ func (vm *BatchVM) fmaScalar(r int32, lit bool, fr *bframe, l int) float64 {
 		return vm.prog.consts[r]
 	}
 	return fr.scal[int(r)*vm.nl+l]
+}
+
+// litBase returns the prelude of the literal base consts[k], from
+// vm.powBase when the last base had the same bits.
+func (vm *BatchVM) litBase(k int32) *powLitBase {
+	if c := vm.prog.consts[k]; math.Float64bits(c) != math.Float64bits(vm.powBase.c) {
+		vm.powBase = newPowLitBase(c)
+	}
+	return &vm.powBase
+}
+
+// powS runs opPowS. e 0 is scal[a] ** scal[b]; e 3 has the literal
+// exponent consts[b] and e 4 the literal base consts[a], each through
+// pow.go's hoisted math.Pow.
+func (vm *BatchVM) powS(in *instr, fr *bframe, g []int) {
+	nl, scal := vm.nl, fr.scal
+	db := int(in.d) * nl
+	switch in.e {
+	case 3:
+		ab, p := int(in.a)*nl, newPowLitExp(vm.prog.consts[in.b])
+		for _, l := range g {
+			scal[db+l] = p.pow(scal[ab+l])
+		}
+	case 4:
+		bb, p := int(in.b)*nl, vm.litBase(in.a)
+		for _, l := range g {
+			scal[db+l] = p.pow(scal[bb+l])
+		}
+	default:
+		ab, bb := int(in.a)*nl, int(in.b)*nl
+		for _, l := range g {
+			scal[db+l] = math.Pow(scal[ab+l], scal[bb+l])
+		}
+	}
+}
+
+// powV runs opPowV: the literal shapes of e (3 and 4) through pow.go's
+// hoisted math.Pow, the others through batchSlowBinV.
+func (vm *BatchVM) powV(in *instr, fr *bframe, g []int) {
+	if in.e < 3 {
+		vm.batchSlowBinV(in, fr, g)
+		return
+	}
+	out := fr.arr[in.d]
+	ls, n := vm.spans(g, len(out))
+	if in.e == 3 {
+		a, p := fr.arr[in.a], newPowLitExp(vm.prog.consts[in.b])
+		for _, l := range ls {
+			ob := out[l*n : l*n+n]
+			ab := a[l*n : l*n+n][:len(ob)]
+			for i := range ob {
+				ob[i] = p.pow(ab[i])
+			}
+		}
+		return
+	}
+	p, b := vm.litBase(in.a), fr.arr[in.b]
+	for _, l := range ls {
+		ob := out[l*n : l*n+n]
+		bb := b[l*n : l*n+n][:len(ob)]
+		for i := range ob {
+			ob[i] = p.pow(bb[i])
+		}
+	}
 }
 
 // batchSlowBinV covers the colder elementwise binaries with one

@@ -217,6 +217,22 @@ func (f *pcomp) plainBinary(b *fortran.BinaryExpr, d dst) opnd {
 		return f.emitErr("arithmetic on derived value")
 	}
 	if lo.kind == kScal && ro.kind == kScal {
+		// ** with a literal operand reads the literal's consts slot in
+		// the kernel, as the vector forms below do.
+		if b.Op == fortran.POW && ro.ok == oConst {
+			lm := f.matS(lo)
+			rd := f.pickS(d)
+			f.emit(instr{op: opPowS, d: rd.reg, a: lm.reg, b: ro.cidx, e: 3})
+			f.release(lm)
+			return rd
+		}
+		if b.Op == fortran.POW && lo.ok == oConst {
+			rm := f.matS(ro)
+			rd := f.pickS(d)
+			f.emit(instr{op: opPowS, d: rd.reg, a: lo.cidx, b: rm.reg, e: 4})
+			f.release(rm)
+			return rd
+		}
 		lm := f.matS(lo)
 		rm := f.matS(ro)
 		rd := f.pickS(d)
@@ -226,10 +242,10 @@ func (f *pcomp) plainBinary(b *fortran.BinaryExpr, d dst) opnd {
 		return rd
 	}
 	// An array operand against a literal reads the literal's consts
-	// slot in the kernel under +, -, * and /.
+	// slot in the kernel under +, -, *, / and **.
 	rd := f.pickA(d)
 	vop := binOpV[b.Op]
-	constForm := vop == opAddV || vop == opSubV || vop == opMulV || vop == opDivV
+	constForm := vop == opAddV || vop == opSubV || vop == opMulV || vop == opDivV || vop == opPowV
 	switch {
 	case lo.kind == kArr && ro.kind == kArr:
 		f.emit(instr{op: vop, d: rd.reg, a: lo.reg, b: ro.reg, e: 0})

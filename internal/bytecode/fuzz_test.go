@@ -91,7 +91,7 @@ func (g *progGen) expr(depth int, array bool) string {
 	if depth <= 0 {
 		return g.atom(array)
 	}
-	switch g.pick(10) {
+	switch g.pick(11) {
 	case 0:
 		return g.atom(array)
 	case 1:
@@ -121,6 +121,15 @@ func (g *progGen) expr(depth int, array bool) string {
 			return fmt.Sprintf("%s %s (%s)", g.plit(), op, g.expr(depth-1, array))
 		}
 		return fmt.Sprintf("(%s) %s %s", g.expr(depth-1, array), op, g.plit())
+	case 10: // a power with a literal base, a literal exponent or neither
+		switch g.pick(3) {
+		case 0:
+			return fmt.Sprintf("%s ** (%s)", g.plit(), g.expr(depth-1, array))
+		case 1:
+			return fmt.Sprintf("(%s) ** %s", g.expr(depth-1, array), g.plit())
+		default:
+			return fmt.Sprintf("(%s) ** %s", g.expr(depth-1, array), g.atom(array))
+		}
 	default:
 		if array {
 			switch g.pick(3) {
@@ -489,9 +498,10 @@ func TestRebindLiteralsVsTree(t *testing.T) {
 }
 
 // TestProgGenReachesVectorKernels pins the generator's reach into the
-// literal-operand forms of the elementwise arithmetic, both signs of
-// the one-pass X*lit ± Y*lit and rotations by at least ncol columns
-// either way: each must show up in 1,000 pseudo-random programs.
+// literal-operand forms of the elementwise arithmetic and of scalar and
+// elementwise `**`, both signs of the one-pass X*lit ± Y*lit and
+// rotations by at least ncol columns either way: each must show up in
+// 1,000 pseudo-random programs.
 func TestProgGenReachesVectorKernels(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	counts := map[string]int{}
@@ -515,14 +525,14 @@ func TestProgGenReachesVectorKernels(t *testing.T) {
 				switch {
 				case in.op == opLinV:
 					counts[fmt.Sprintf("lin e&1=%d", in.e&1)]++
-				case in.op >= opAddV && in.op <= opDivV && in.e >= 3:
+				case (in.op >= opAddV && in.op <= opPowV || in.op == opPowS) && in.e >= 3:
 					counts[fmt.Sprintf("op%d e=%d", in.op, in.e)]++
 				}
 			}
 		}
 	}
 	want := []string{"lin e&1=0", "lin e&1=1", "shift k<=-ncol", "shift k>=ncol"}
-	for op := opAddV; op <= opDivV; op++ {
+	for _, op := range []opcode{opAddV, opSubV, opMulV, opDivV, opPowV, opPowS} {
 		want = append(want, fmt.Sprintf("op%d e=3", op), fmt.Sprintf("op%d e=4", op))
 	}
 	for _, k := range want {

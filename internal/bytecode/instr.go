@@ -54,6 +54,8 @@ const (
 	opSubS
 	opMulS
 	opDivS
+	// e 0: scal[a] ** scal[b]; 3: scal[a] ** consts[b]; 4: consts[a]
+	// ** scal[b], as opPowV's literal shapes.
 	opPowS
 	opEqS
 	opNeS
@@ -81,9 +83,9 @@ const (
 
 	// Array elementwise binary: arr[d][i] = x op y with e selecting the
 	// broadcast shape — 0: arr[a] op arr[b]; 1: arr[a] op scal[b];
-	// 2: scal[a] op arr[b]. Add, Sub, Mul and Div also take a literal
-	// operand read from consts — 3: arr[a] op consts[b]; 4: consts[a]
-	// op arr[b].
+	// 2: scal[a] op arr[b]. Add, Sub, Mul, Div and Pow also take a
+	// literal operand read from consts — 3: arr[a] op consts[b]; 4:
+	// consts[a] op arr[b].
 	opAddV
 	opSubV
 	opMulV

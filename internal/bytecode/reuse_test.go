@@ -373,3 +373,36 @@ func TestBatchVMSizesKeepTheirOwnVMs(t *testing.T) {
 	}
 	t.Fatal("batches of other sizes evicted every released 4-lane VM")
 }
+
+// TestDetachedOutputsNeverWritten pins DetachLaneResults' hand-off:
+// once lane 0's maps are detached, further runs on the same VM write
+// fresh Outputs slices for that lane and leave the detached ones
+// exactly as they were handed over.
+func TestDetachedOutputsNeverWritten(t *testing.T) {
+	p := Compile(parseAll(t, `
+module m
+  real :: x, a(:)
+contains
+  subroutine step()
+    x = x + 1.0
+    a = a + x
+    call outfld('X', x)
+    call outfld('A', a)
+  end subroutine
+end module
+`))
+	vm, err := p.NewBatchVM(interp.Config{Ncol: 3}, kissLanes(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vm.Release()
+	vm.CallAll("m", "step")
+	got := vm.DetachLaneResults(0)
+	want := map[string][]float64{"X": {1}, "A": {1, 1, 1}}
+	diffMaps(t, "detached Outputs", want, got.Outputs)
+	vm.CallAll("m", "step")
+	diffMaps(t, "detached Outputs after another step", want, got.Outputs)
+	again := map[string][]float64{"X": {2}, "A": {3, 3, 3}}
+	diffMaps(t, "lane 0 Outputs after another step", again, vm.LaneResults(0).Outputs)
+	diffMaps(t, "lane 1 Outputs after another step", again, vm.LaneResults(1).Outputs)
+}

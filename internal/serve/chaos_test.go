@@ -476,6 +476,74 @@ func TestShutdownReleasesLease(t *testing.T) {
 	srv.Close()
 }
 
+// TestShutdownRefundsAttempt: a graceful shutdown hands the job back
+// with its claim-time attempt refunded. A job released by three
+// ServeQueue shutdowns in a row, as many as its MaxAttempts, still
+// completes on the next worker, charged one attempt, with its done
+// marker. (TestQueueCrashLoopDeadLetters pins the other half: claims
+// that never report back stay charged.)
+func TestShutdownRefundsAttempt(t *testing.T) {
+	store, err := rca.OpenArtifactStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{"experiment":"GOFFGRATCH"}`)
+	for i := 0; i < 3; i++ {
+		entered := make(chan struct{}, 1)
+		gate := make(chan struct{})
+		srv := serve.New(serve.Config{
+			Session:     storeSession(t, store),
+			Artifacts:   store,
+			MaxAttempts: 3,
+			RunHook:     func(string) { entered <- struct{}{}; <-gate },
+		})
+		if _, _, err := srv.Enqueue(body); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- srv.ServeQueue(ctx, "w1", nil, 10*time.Millisecond) }()
+		<-entered // claimed and executing
+		cancel()
+		if err := <-done; err != context.Canceled {
+			t.Fatalf("shutdown %d: ServeQueue returned %v", i+1, err)
+		}
+		close(gate)
+		srv.Close()
+	}
+	srv := serve.New(serve.Config{Session: storeSession(t, store), Artifacts: store, MaxAttempts: 3})
+	defer srv.Close()
+	id, _, err := srv.Enqueue(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := store.Queue()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Pending() != 1 || q.Attempts(id) != 0 {
+		t.Fatalf("after 3 shutdowns: pending=%d attempts=%d; want the job pending with no attempt charged", q.Pending(), q.Attempts(id))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.ServeQueue(ctx, "w2", nil, 10*time.Millisecond) }()
+	deadline := time.Now().Add(60 * time.Second)
+	for !q.IsDone(id) {
+		if _, failed := q.Failed(id); failed || time.Now().After(deadline) {
+			cancel()
+			t.Fatalf("job never completed (dead-lettered %v, pending %d)", failed, q.Pending())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	cancel()
+	if err := <-done; err != context.Canceled {
+		t.Fatalf("ServeQueue returned %v", err)
+	}
+	if n := q.Attempts(id); n != 1 {
+		t.Fatalf("completed job charged %d attempts; want 1", n)
+	}
+}
+
 // TestDegradedModeUnwritableStoreDir is the acceptance criterion: a
 // daemon pointed at an uncreatable store directory (a regular file
 // blocks the path — chmod is useless when tests run as root) must

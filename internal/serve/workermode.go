@@ -158,51 +158,61 @@ func (s *Server) ServeQueue(ctx context.Context, workerID string, peers []string
 			}
 			continue
 		}
-		s.runQueued(ctx, claimed)
+		if s.runQueued(ctx, claimed) {
+			// Handed back un-run, its attempt refunded: wait before
+			// claiming again rather than spin on a job this worker
+			// cannot start yet.
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(idle):
+			}
+		}
 	}
 }
 
-// runQueued executes one claimed queue job through the submit path.
-func (s *Server) runQueued(ctx context.Context, c *artifact.Claimed) {
-	finish := func(res queueResult) {
+// runQueued executes one claimed queue job through the submit path and
+// reports whether it released the job back to the queue un-finished.
+func (s *Server) runQueued(ctx context.Context, c *artifact.Claimed) (released bool) {
+	finish := func(res queueResult) bool {
 		data, err := json.Marshal(res)
 		if err != nil {
 			c.Release()
-			return
+			return true
 		}
 		_ = c.Done(data)
+		return false
 	}
 	var env queueEnvelope
 	if err := json.Unmarshal(c.Payload, &env); err == nil && len(env.Search) > 0 {
-		s.runQueuedSearch(ctx, c, env.Search, finish)
-		return
+		return s.runQueuedSearch(ctx, c, env.Search, finish)
 	}
 	sc, err := rca.ScenarioFromJSON(c.Payload)
 	if err != nil {
 		// Malformed payloads never run: dead-letter them, retrying
 		// cannot fix the bytes.
 		_ = c.Fail(fmt.Sprintf("bad scenario: %v", err), 0)
-		return
+		return false
 	}
 	j, err := s.submit(sc)
 	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrClosed) {
 		// Transient local saturation/shutdown: back into the queue for
 		// this or another worker.
 		c.Release()
-		return
+		return true
 	}
 	if err != nil {
 		// Planner rejection (conflicting injections, unknown parameter):
 		// permanent, straight to the dead-letter directory.
 		_ = c.Fail(err.Error(), 0)
-		return
+		return false
 	}
 	select {
 	case <-j.done:
 	case <-ctx.Done():
 		j.cancel()
 		c.Release()
-		return
+		return true
 	}
 	state, _, _, _, jerr := j.snapshot()
 	res := queueResult{Fingerprint: j.keys.Scenario, State: state}
@@ -213,39 +223,39 @@ func (s *Server) runQueued(ctx context.Context, c *artifact.Claimed) {
 		// Canceled by shutdown, not by a client: leave it for a
 		// surviving worker.
 		c.Release()
-		return
+		return true
 	}
 	if state == StateFailed {
 		// The flight already retried what was transient, so the job
 		// goes to queue/failed at once, charged the flight's
 		// executions; GET /v1/jobs/{id} surfaces it as terminal.
 		_ = c.Fail(res.Error, j.fl.executions)
-		return
+		return false
 	}
-	finish(res)
+	return finish(res)
 }
 
 // runQueuedSearch executes one claimed kind-tagged search through the
 // normal startSearch path, so the node-evaluation artifacts and the
 // shared-store incumbent bounds it publishes are visible to every
 // worker immediately.
-func (s *Server) runQueuedSearch(ctx context.Context, c *artifact.Claimed, raw json.RawMessage, finish func(queueResult)) {
+func (s *Server) runQueuedSearch(ctx context.Context, c *artifact.Claimed, raw json.RawMessage, finish func(queueResult) bool) (released bool) {
 	req, err := rca.SearchRequestFromJSON(raw)
 	if err != nil {
 		_ = c.Fail(fmt.Sprintf("bad search request: %v", err), 0)
-		return
+		return false
 	}
 	j, err := s.startSearch(req)
 	if errors.Is(err, ErrClosed) {
 		c.Release()
-		return
+		return true
 	}
 	select {
 	case <-j.done:
 	case <-ctx.Done():
 		j.abort()
 		c.Release()
-		return
+		return true
 	}
 	j.mu.Lock()
 	state, jerr := j.state, j.err
@@ -253,7 +263,7 @@ func (s *Server) runQueuedSearch(ctx context.Context, c *artifact.Claimed, raw j
 	if state == StateCanceled {
 		// Shutdown, not a client decision: leave it for a survivor.
 		c.Release()
-		return
+		return true
 	}
 	res := queueResult{Fingerprint: c.ID, State: state}
 	if jerr != nil {
@@ -262,9 +272,9 @@ func (s *Server) runQueuedSearch(ctx context.Context, c *artifact.Claimed, raw j
 	if state == StateFailed {
 		// A search runs once per claim; its failure is final.
 		_ = c.Fail(res.Error, 1)
-		return
+		return false
 	}
-	finish(res)
+	return finish(res)
 }
 
 // failedJSON is the wire rendering of a dead-letter record.
