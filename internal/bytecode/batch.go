@@ -65,10 +65,15 @@ type BatchVM struct {
 	// outs[l*len(prog.labels)+k] is the slice lane l's Outputs holds
 	// under label k, once the lane has written it since the last reset
 	// or DetachLaneResults: outfld writes through it without a map
-	// lookup.
-	outs [][]float64
-	errs []error
-	live []int // CallAll's group of live lanes, reused per call
+	// lookup. spares, at the same index, is the slice the lane last
+	// held under the label: reset keeps it, so a recycled VM's outfld
+	// reuses it and only re-inserts the map key. The maps are valid
+	// only until Release, so no caller still reads a spare; a detached
+	// lane's slices are the caller's, and DetachLaneResults drops them.
+	outs   [][]float64
+	spares [][]float64
+	errs   []error
+	live   []int // CallAll's group of live lanes, reused per call
 
 	depth int
 	free  [][]*bframe // released frames per proc id
@@ -289,6 +294,7 @@ func (p *Program) allocBatchVM(k batchSize) *BatchVM {
 		gdrv:    make([]*bdval, len(p.gdrvs)),
 		results: make([]interp.Results, nl),
 		outs:    make([][]float64, nl*len(p.labels)),
+		spares:  make([][]float64, nl*len(p.labels)),
 		errs:    make([]error, nl),
 		live:    make([]int, 0, nl),
 		fma:     make([]bool, len(p.modules)),
@@ -326,7 +332,7 @@ func allCells(n int) []int32 {
 // state the VM holds, which for a sliced VM is the program's held
 // state: a VM never changes stream, so a full VM holds and clears every
 // module cell. Frames stay on the free lists; getFrame resets each
-// before use.
+// before use. Output slices stay as the lanes' spares.
 func (vm *BatchVM) reset() {
 	clear(vm.gscal)
 	clear(vm.backing)
@@ -359,8 +365,9 @@ func (vm *BatchVM) Lanes() int { return vm.nl }
 func (vm *BatchVM) Ncol() int { return vm.ncol }
 
 // LaneResults exposes one lane's capture maps, bit-identical to a
-// tree-walker run of the same member. The maps are valid until
-// Release.
+// tree-walker run of the same member. The maps, and the slices they
+// hold, are valid until Release: a later run of the recycled VM
+// writes its outputs into the same slices.
 func (vm *BatchVM) LaneResults(l int) *interp.Results { return &vm.results[l] }
 
 // DetachLaneResults hands lane l's capture maps to the caller and gives
@@ -371,6 +378,7 @@ func (vm *BatchVM) DetachLaneResults(l int) interp.Results {
 	vm.results[l] = interp.NewResults()
 	k := len(vm.prog.labels)
 	clear(vm.outs[l*k : l*k+k])
+	clear(vm.spares[l*k : l*k+k])
 	return r
 }
 

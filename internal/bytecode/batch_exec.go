@@ -880,13 +880,19 @@ func (vm *BatchVM) exec(p *proc, fr *bframe, g []int, pc int) []int {
 
 // outSlot returns lane l's Outputs slice for label k, of length n:
 // the one the lane last stored under the label when it has that
-// length, else a new one it stores in Outputs and in the lane's slot.
+// length, else its spare of that length or a new one, which it stores
+// in Outputs and in the lane's slot. The caller overwrites all n
+// values, so a spare's old contents never show.
 func (vm *BatchVM) outSlot(l int, k int32, n int) []float64 {
 	i := l*len(vm.prog.labels) + int(k)
 	if dst := vm.outs[i]; dst != nil && len(dst) == n {
 		return dst
 	}
-	dst := make([]float64, n)
+	dst := vm.spares[i]
+	if dst == nil || len(dst) != n {
+		dst = make([]float64, n)
+		vm.spares[i] = dst
+	}
 	vm.results[l].Outputs[vm.prog.labels[k]] = dst
 	vm.outs[i] = dst
 	return dst

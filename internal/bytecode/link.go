@@ -78,6 +78,7 @@ func (l *linker) link() error {
 				if err := p.bindInit(mod.Name, name, d.Init, g); err != nil {
 					return err
 				}
+				p.cells = append(p.cells, g)
 				store[name] = g
 			}
 		}
@@ -167,7 +168,7 @@ func (l *linker) link() error {
 }
 
 // bindInit records the module-level initializer of global cell g —
-// phase 3's value half, which Rebind replays for a same-shape tree.
+// phase 3's value half, which Rebind repeats for a same-shape tree.
 // Derived targets only evaluate: the walker's assignInto is a no-op.
 func (p *Program) bindInit(module, name string, init fortran.Expr, g gref) error {
 	if init == nil {

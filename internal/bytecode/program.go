@@ -234,6 +234,13 @@ type Program struct {
 	scalInit []cellInit
 	arrInit  []cellInit
 
+	// cells is the cell linker phase 3 allocated to every module-level
+	// declared name, initialized or not, in declaration order (module,
+	// declaration, name). Allocation depends on the shape alone, so
+	// every Rebind copy shares the table and Rebind reads each name's
+	// cell from it.
+	cells []gref
+
 	// consts[:nLits] holds one slot per statement literal site, in the
 	// order of the modules' Lits lists; the deduplicated constants the
 	// compiler folds (local initializers, string placeholders) follow.

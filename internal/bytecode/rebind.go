@@ -12,54 +12,42 @@ import (
 
 // Rebind returns the program mods compile to, given that mods has the
 // shape p was compiled from (equal fortran.ShapeKey). Such trees differ
-// at most in their module-level initializer values and their statement
-// literal values, so the result shares p's procs, code, symbol tables
-// and frame pools and recomputes only scalInit/arrInit, exactly as
-// linker phase 3 would, and the literal-site prefix of consts, from
-// the parser's Lits lists. A tree whose initializers fail to evaluate
-// gets the error a fresh Compile reports. When the values are p's own,
-// Rebind returns p itself. A program whose own construction failed has
-// no code to share, and a tree whose literal count differs from p's is
-// not of its shape; Rebind then compiles mods afresh.
+// at most in their module-level initializer values — and in whether a
+// module-level declaration has an initializer at all, which is not
+// shape either — and in their statement literal values. So the result
+// shares p's procs, code, symbol tables, cell table and frame pools and
+// recomputes only scalInit/arrInit, exactly as linker phase 3 would,
+// and the literal-site prefix of consts, from the parser's Lits lists.
+// Each declared name's cell comes from p's cell table. A tree whose
+// initializers fail to evaluate gets the error a fresh Compile reports. When the values are
+// p's own, Rebind returns p itself. A program whose own construction
+// failed has no code to share, and a tree whose literal count or
+// declared-name count differs from p's is not of its shape; Rebind
+// then compiles mods afresh.
 func (p *Program) Rebind(mods []*fortran.Module) *Program {
 	consts, ok := p.rebindLits(mods)
-	if p.initErr != nil || !ok {
+	if p.initErr != nil || !ok || declaredNames(mods) != len(p.cells) {
 		return Compile(mods)
 	}
-	// Replay phase 3's allocation order to find each declaration's
-	// cell: derived instances take neither a scalar nor an array cell,
-	// array names take the next array cell, everything else the next
-	// scalar cell (allocate's case order). isArr caches IsArrayName per
-	// declaration — the first occurrence of a name decides — without
-	// its quadratic scan over long name lists.
-	var q Program
-	var nScal, nArr int32
-	isArr := map[string]bool{}
+	q := Program{
+		scalInit: make([]cellInit, 0, len(p.scalInit)),
+		arrInit:  make([]cellInit, 0, len(p.arrInit)),
+	}
+	i := 0
 	for _, mod := range mods {
-		for i := range mod.Decls {
-			d := &mod.Decls[i]
-			clear(isArr)
-			for j, name := range d.Names {
-				arr, seen := isArr[name]
-				if !seen {
-					arr = d.ArrayAt(j)
-					isArr[name] = arr
-				}
-				g := gref{kind: kDrv}
-				switch {
-				case d.IsType:
-				case arr:
-					g = gref{kind: kArr, idx: nArr}
-					nArr++
-				default:
-					g = gref{kind: kScal, idx: nScal}
-					nScal++
-				}
-				if err := q.bindInit(mod.Name, name, d.Init, g); err != nil {
+		for j := range mod.Decls {
+			d := &mod.Decls[j]
+			if d.Init == nil {
+				i += len(d.Names)
+				continue
+			}
+			for _, name := range d.Names {
+				if err := q.bindInit(mod.Name, name, d.Init, p.cells[i]); err != nil {
 					failed := *p
 					failed.initErr = err
 					return &failed
 				}
+				i++
 			}
 		}
 	}
@@ -72,6 +60,18 @@ func (p *Program) Rebind(mods []*fortran.Module) *Program {
 		r.consts = consts
 	}
 	return &r
+}
+
+// declaredNames counts the module-level declared names of mods, the
+// length of their program's cell table.
+func declaredNames(mods []*fortran.Module) int {
+	n := 0
+	for _, mod := range mods {
+		for i := range mod.Decls {
+			n += len(mod.Decls[i].Names)
+		}
+	}
+	return n
 }
 
 // rebindLits returns p's consts with the literal-site prefix rewritten

@@ -240,6 +240,87 @@ func TestRebindHandWrittenPair(t *testing.T) {
 	diffMaps(t, "AllValues", m.AllValues, vm.Captured().AllValues)
 }
 
+// initSrc is a module whose {a}, {r1}, {w}, {q} and {r2} slots take
+// an initializer or none. Initializer presence is not shape, so every
+// filling has one shape key, and every filling must rebind to what it
+// compiles to. Initialized names sit before and after each slot, so a
+// cell table that skipped uninitialized names would misplace them; r
+// is redeclared in a later declaration, and q repeats within one name
+// list, where the first occurrence decides its shape.
+const initSrc = `module m
+  real :: s0 = 1.0
+  real :: a{a}
+  real :: r{r1}
+  real :: w(:){w}
+  real :: t = 2.0, u(:) = 3.0
+  real :: q, q(:){q}
+  real :: r(:){r2}
+  real :: v = 4.0
+contains
+  subroutine run()
+    t = a + s0 + v
+    u = w * t
+  end subroutine
+end module
+`
+
+// initFill fills initSrc's slots, leaving those not named empty.
+func initFill(slots map[string]string) string {
+	src := initSrc
+	for _, k := range []string{"a", "r1", "w", "q", "r2"} {
+		src = strings.ReplaceAll(src, "{"+k+"}", slots[k])
+	}
+	return src
+}
+
+// TestRebindShapeBlindInitializers pins Rebind's cell table against the
+// one difference between same-shape trees that changes which names
+// carry an initializer. Each pair adds, drops or moves initializers;
+// the moves keep the number of initialized names. Rebinding either
+// tree's program to the other must equal compiling it. A tree with a
+// different declared-name count but the same literal count is not of
+// the shape and compiles afresh.
+func TestRebindShapeBlindInitializers(t *testing.T) {
+	pairs := map[string][2]map[string]string{
+		"scalar-added":    {nil, {"a": " = 5.0"}},
+		"array-added":     {nil, {"w": " = -1.5"}},
+		"scalar-to-array": {{"a": " = 5.0"}, {"w": " = 5.0"}},
+		"redeclared":      {{"r1": " = 0.25"}, {"r2": " = 0.25"}},
+		"repeated-added":  {nil, {"q": " = 0.75"}},
+		"repeated-moved":  {{"q": " = 0.75"}, {"a": " = 0.75", "w": " = 0.75"}},
+	}
+	for name, pair := range pairs {
+		t.Run(name, func(t *testing.T) {
+			a, b := parseAll(t, initFill(pair[0])), parseAll(t, initFill(pair[1]))
+			if fortran.ShapeKey(a) != fortran.ShapeKey(b) {
+				t.Fatal("initializer presence changed the shape key")
+			}
+			pa, pb := Compile(a), Compile(b)
+			if pa.Err() != nil || pb.Err() != nil {
+				t.Fatalf("compile: %v / %v", pa.Err(), pb.Err())
+			}
+			if Diff(pa, pb) == nil {
+				t.Fatal("pair compiles to one program; the test perturbs nothing")
+			}
+			mustSame(t, "Rebind(Compile(A), B) against Compile(B)", pa.Rebind(b), pb)
+			mustSame(t, "Rebind(Compile(B), A) against Compile(A)", pb.Rebind(a), Compile(a))
+		})
+	}
+
+	t.Run("name-count", func(t *testing.T) {
+		a := parseAll(t, initFill(nil))
+		more := parseAll(t, strings.Replace(initFill(nil), "real :: v = 4.0", "real :: v = 4.0, extra = 4.0", 1))
+		fewer := parseAll(t, strings.Replace(initFill(nil), "real :: s0 = 1.0\n", "", 1))
+		for _, other := range [][]*fortran.Module{more, fewer} {
+			if declaredNames(other) == declaredNames(a) {
+				t.Fatal("variant keeps the declared-name count")
+			}
+			mustSame(t, "Rebind across name counts against Compile", Compile(a).Rebind(other), Compile(other))
+			mustSame(t, "Rebind back across name counts against Compile", Compile(other).Rebind(a), Compile(a))
+		}
+	})
+}
+
 // TestDiffComparesBits pins the Rebind oracle itself: two compiles of
 // one tree are equal, a copy with its own pool of released VMs is
 // equal, and an edited instruction, or a sign-of-zero or NaN-payload

@@ -375,8 +375,9 @@ func TestBatchVMSizesKeepTheirOwnVMs(t *testing.T) {
 }
 
 // TestDetachedOutputsNeverWritten pins DetachLaneResults' hand-off:
-// once lane 0's maps are detached, further runs on the same VM write
-// fresh Outputs slices for that lane and leave the detached ones
+// once lane 0's maps are detached, further runs on the same VM, and
+// runs of the VM recycled after Release, write other Outputs slices
+// for that lane (not the lane's spares) and leave the detached ones
 // exactly as they were handed over.
 func TestDetachedOutputsNeverWritten(t *testing.T) {
 	p := Compile(parseAll(t, `
@@ -395,7 +396,6 @@ end module
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer vm.Release()
 	vm.CallAll("m", "step")
 	got := vm.DetachLaneResults(0)
 	want := map[string][]float64{"X": {1}, "A": {1, 1, 1}}
@@ -405,4 +405,10 @@ end module
 	again := map[string][]float64{"X": {2}, "A": {3, 3, 3}}
 	diffMaps(t, "lane 0 Outputs after another step", again, vm.LaneResults(0).Outputs)
 	diffMaps(t, "lane 1 Outputs after another step", again, vm.LaneResults(1).Outputs)
+	vm = reacquire(t, p, vm, interp.Config{Ncol: 3}, kissLanes(2, 1))
+	vm.CallAll("m", "step")
+	vm.CallAll("m", "step")
+	diffMaps(t, "detached Outputs after runs of the recycled VM", want, got.Outputs)
+	diffMaps(t, "lane 0 Outputs of the recycled VM", again, vm.LaneResults(0).Outputs)
+	vm.Release()
 }

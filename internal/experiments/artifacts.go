@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 
 	"github.com/climate-rca/rca/internal/artifact"
 	"github.com/climate-rca/rca/internal/corpus"
@@ -25,10 +27,10 @@ func (s *Session) ArtifactStore() *artifact.Store { return s.store }
 // corpusFor builds the generated+patched corpus for one source
 // fingerprint. Patches over the session's own configuration apply to
 // the session's clean corpus, which Generate would reproduce byte for
-// byte, so a session generates each configuration once. A patched
-// build takes the clean corpus, not the control runner: it neither
-// waits for the control tree's parse nor inherits the control build's
-// error.
+// byte, so the process generates each session configuration once. A
+// patched build takes the clean corpus, not the control runner: it
+// neither waits for the control tree's parse nor inherits the control
+// build's error.
 func (s *Session) corpusFor(ctx context.Context, key string, cfg corpus.Config, patches []corpus.Patch) (*corpus.Corpus, error) {
 	if key == s.cleanKey() {
 		return s.cleanCorpus(ctx)
@@ -46,12 +48,45 @@ func (s *Session) corpusFor(ctx context.Context, key string, cfg corpus.Config, 
 	return corpus.Apply(clean, patches...)
 }
 
-// cleanCorpus returns the control build's corpus, generated at most
-// once per session.
+// cleanCorpus returns the control build's corpus: the process-wide
+// one of the session's configuration.
 func (s *Session) cleanCorpus(ctx context.Context) (*corpus.Corpus, error) {
 	return s.clean.get(ctx, func() (*corpus.Corpus, error) {
-		return corpus.Generate(s.cfg), nil
+		return sharedClean(s.cfg), nil
 	})
+}
+
+// cleanCorpora shares the clean corpora of session configurations
+// process-wide, so a fresh session of a known configuration (a search
+// op, a catalog run) does not generate its corpus again. Generate is
+// deterministic and a corpus is never modified after it returns (see
+// DESIGN "Source table"), so sharing is safe. Only a session's own
+// configuration enters: a `param:` build's configuration is generated
+// per build, since its values come from a continuous range. The table
+// does not evict: past cleanCorporaMax configurations, each session of
+// a new one generates its own.
+var (
+	cleanCorpora     sync.Map // corpus.Config → *corpus.Corpus
+	cleanCorporaSize atomic.Int64
+)
+
+const cleanCorporaMax = 16
+
+// sharedClean returns the process-wide clean corpus of cfg, generating
+// it on first use.
+func sharedClean(cfg corpus.Config) *corpus.Corpus {
+	if v, ok := cleanCorpora.Load(cfg); ok {
+		return v.(*corpus.Corpus)
+	}
+	c := corpus.Generate(cfg)
+	if cleanCorporaSize.Load() >= cleanCorporaMax {
+		return c
+	}
+	if v, loaded := cleanCorpora.LoadOrStore(cfg, c); loaded {
+		return v.(*corpus.Corpus)
+	}
+	cleanCorporaSize.Add(1)
+	return c
 }
 
 // compiledFor runs the two-step coverage trace on the scenario's

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -418,7 +419,8 @@ func (s *Session) Builds(ctx context.Context, sc Scenario) (*Builds, error) {
 
 // Sources returns the scenario's (patched) experimental source tree —
 // the corpus the interpreter runs and the metagraph compiles. The
-// build is cached like any other stage.
+// build is cached like any other stage; the returned slice is a copy,
+// since the corpus behind it may be shared process-wide.
 func (s *Session) Sources(ctx context.Context, sc Scenario) ([]corpus.File, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -431,7 +433,7 @@ func (s *Session) Sources(ctx context.Context, sc Scenario) ([]corpus.File, erro
 	if err != nil {
 		return nil, err
 	}
-	return r.Corpus.Files, nil
+	return slices.Clone(r.Corpus.Files), nil
 }
 
 // runSet integrates members offset..offset+n-1 across a bounded pool

@@ -15,7 +15,10 @@ import (
 // their module-level variables start with (a perturbed `real, parameter
 // :: turbcoef = 0.013`) and in the values of their statement literals
 // (a `scale:` factor, a replaced constant), so they compile to the same
-// code, symbol tables and constant layout. Line numbers count as shape,
+// code, symbol tables, cell layout and constant layout. Initializer
+// presence is not shape either: `real :: w` and `real :: w = 3.0`
+// have one digest, since allocation gives every declared name a cell
+// whether or not it starts with a value. Line numbers count as shape,
 // and so does a body literal's place. Initializers of subprogram locals
 // and derived-type fields count with their values: the compiler folds
 // them into code at compile time.

@@ -288,6 +288,9 @@ func (r *Runner) integrate(base RunConfig, members []int, harvest func(vm *bytec
 	}
 	vm.CallAll(r.Corpus.DriverModule, r.Corpus.InitSub)
 	mark(func(e error) error { return fmt.Errorf("model: init: %w", e) })
+	// scratch takes the draws for arrays the VM does not hold; they
+	// are dropped, so every such array of every member shares it.
+	var scratch []float64
 	for l, m := range members {
 		if wrap[l] != nil {
 			continue
@@ -298,7 +301,10 @@ func (r *Runner) integrate(base RunConfig, members []int, harvest func(vm *bytec
 				// No instruction of the sliced stream touches the
 				// array. perturb still draws its values, into
 				// scratch, so every later draw is the full stream's.
-				return interp.LaneSlice{Data: make([]float64, vm.Ncol()), Stride: 1}, true
+				if scratch == nil {
+					scratch = make([]float64, vm.Ncol())
+				}
+				return interp.LaneSlice{Data: scratch, Stride: 1}, true
 			}
 			return s, err == nil
 		}, m, cfg.PertScale)
