@@ -2,18 +2,21 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
-
-	"github.com/climate-rca/rca/internal/binenc"
+	"time"
 )
 
-// FuzzArtifactCodec exercises the two codecs every blob passes
-// through: the integrity frame (frame/unframe) and the queue's
-// pending-record encoding (binenc String+Raw). Properties:
+// FuzzArtifactCodec exercises the integrity frame every blob passes
+// through (frame/unframe) and the queue's record codec (the JSON Job
+// and FailedJob inside the frame). Properties:
 //
-//  1. round trip: unframe(frame(p)) == p for any payload;
-//  2. robustness: unframe and the pending-record reader never panic on
-//     arbitrary bytes, they return errors;
+//  1. round trip: unframe(frame(p)) == p for any payload, and a
+//     pending or dead-letter record with a hex affinity and arbitrary
+//     payload decodes to what was encoded;
+//  2. robustness: unframe and the pending-record and dead-letter
+//     readers never panic on arbitrary bytes (framed or not), they
+//     return an error or a record;
 //  3. no false accepts: corrupting any byte of a framed payload is
 //     detected.
 //
@@ -52,24 +55,37 @@ func FuzzArtifactCodec(f *testing.F) {
 				t.Fatal("valid frame did not re-encode identically")
 			}
 		}
-		// Queue pending-record codec: encode, decode, compare; then
-		// decode the raw fuzz bytes, which must error or parse, never
-		// panic.
-		w := binenc.NewWriter(len(data) + 16)
-		w.String(string(data))
-		w.Raw(data)
-		r := binenc.NewReader(w.Bytes())
-		aff := r.String()
-		payload := r.Raw()
-		if err := r.Done(); err != nil {
+		// Queue records: encode, decode, compare. Affinities are hex
+		// hashes in practice; payloads are arbitrary bytes.
+		aff := hex.EncodeToString(data)
+		raw, err := encodeRecord(Job{Affinity: aff, Payload: data})
+		if err != nil {
+			t.Fatalf("encode pending record: %v", err)
+		}
+		var job Job
+		if err := decodeRecord(raw, &job); err != nil {
 			t.Fatalf("pending record round trip: %v", err)
 		}
-		if aff != string(data) || !bytes.Equal(payload, data) {
+		if job.Affinity != aff || !bytes.Equal(job.Payload, data) {
 			t.Fatal("pending record round trip changed fields")
 		}
-		rr := binenc.NewReader(data)
-		_ = rr.String()
-		_ = rr.Raw()
-		_ = rr.Done()
+		at := time.Unix(0, int64(len(data))*1e9+7)
+		raw, err = encodeRecord(FailedJob{Error: aff, Attempts: len(data), At: at, Payload: data})
+		if err != nil {
+			t.Fatalf("encode dead-letter record: %v", err)
+		}
+		var fj FailedJob
+		if err := decodeRecord(raw, &fj); err != nil {
+			t.Fatalf("dead-letter record round trip: %v", err)
+		}
+		if fj.Error != aff || fj.Attempts != len(data) || !fj.At.Equal(at) || !bytes.Equal(fj.Payload, data) {
+			t.Fatal("dead-letter record round trip changed fields")
+		}
+		// Arbitrary bytes, raw and framed, must error or parse, never
+		// panic.
+		for _, in := range [][]byte{data, frame(data)} {
+			_ = decodeRecord(in, new(Job))
+			_ = decodeRecord(in, new(FailedJob))
+		}
 	})
 }

@@ -9,9 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
-	"github.com/climate-rca/rca/internal/binenc"
 	"github.com/climate-rca/rca/internal/fault"
 )
 
@@ -23,11 +23,11 @@ import (
 //
 // Layout under <store>/queue:
 //
-//	pending/<id>   job payload (affinity key + body, framed)
+//	pending/<id>   job record (JSON Job: affinity key + body, framed)
 //	leases/<id>.lock   held while a worker runs the job
 //	done/<id>      completion marker (result bytes, framed)
 //	attempts/<id>  claim bookkeeping (attempts charged)
-//	failed/<id>    dead-letter record (error, attempts, payload, framed)
+//	failed/<id>    dead-letter record (JSON FailedJob, framed)
 //
 // Claim orders candidates by consistent-hash affinity: jobs whose
 // affinity key rendezvous-hashes to this worker come first, so N
@@ -77,11 +77,12 @@ func (s *Store) Queue() (*Queue, error) {
 	return q, nil
 }
 
-// Job is one queued unit of work.
+// Job is one queued unit of work. Its pending record is the JSON of
+// Affinity and Payload; the id is the file name.
 type Job struct {
-	ID       string
-	Affinity string // consistent-hash routing key (buildKey hash)
-	Payload  []byte
+	ID       string `json:"-"`
+	Affinity string `json:"affinity"` // consistent-hash routing key (buildKey hash)
+	Payload  []byte `json:"payload"`
 }
 
 // Claimed is a leased job; exactly one worker holds it at a time.
@@ -117,10 +118,11 @@ func (q *Queue) Enqueue(id, affinity string, payload []byte) error {
 	if _, err := os.Stat(path); err == nil {
 		return nil
 	}
-	w := binenc.NewWriter(len(payload) + 64)
-	w.String(affinity)
-	w.Raw(payload)
-	return atomicWrite(path, frame(w.Bytes()))
+	raw, err := encodeRecord(Job{Affinity: affinity, Payload: payload})
+	if err != nil {
+		return err
+	}
+	return atomicWrite(path, raw)
 }
 
 // Claim leases the best available job for this worker: own-affinity
@@ -128,25 +130,21 @@ func (q *Queue) Enqueue(id, affinity string, payload []byte) error {
 // anyone's backlog. ok=false means the pending queue is empty (jobs
 // leased by other workers are not available).
 func (q *Queue) Claim(workerID string, peers []string) (*Claimed, bool, error) {
-	entries, err := os.ReadDir(filepath.Join(q.dir, "pending"))
+	names, err := q.records("pending")
 	if err != nil {
 		return nil, false, fmt.Errorf("artifact: claim: %w", err)
 	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
 
 	var own, others []string
 	for _, id := range names {
-		aff, _, err := q.readPending(id)
-		if err != nil {
-			continue // claimed and completed since ReadDir, or torn write
+		// A record that does not decode is claimable like any other;
+		// whoever claims it dead-letters it below. One that cannot be
+		// read (gone since ReadDir, or an I/O error) is skipped.
+		job, raw, _ := q.readPending(id)
+		if raw == nil {
+			continue
 		}
-		if Owner(aff, peers) == workerID || len(peers) <= 1 {
+		if Owner(job.Affinity, peers) == workerID || len(peers) <= 1 {
 			own = append(own, id)
 		} else {
 			others = append(others, id)
@@ -157,14 +155,21 @@ func (q *Queue) Claim(workerID string, peers []string) (*Claimed, bool, error) {
 		if !ok {
 			continue
 		}
-		aff, payload, err := q.readPending(id)
-		if err != nil {
-			// Finished (or corrupt) under a stale lease; clean up.
-			release()
+		job, raw, err := q.readPending(id)
+		if raw == nil {
+			release() // finished under a stale lease since ReadDir, or unreadable for now
 			continue
 		}
 		if q.IsDone(id) {
 			_ = os.Remove(filepath.Join(q.dir, "pending", id))
+			release()
+			continue
+		}
+		meta := q.readAttempts(id)
+		if err != nil {
+			// A record that does not decode can never run: dead-letter
+			// it with its raw bytes, so it leaves pending for good.
+			_ = q.deadLetter(id, raw, meta.Attempts, "unreadable pending record: "+err.Error())
 			release()
 			continue
 		}
@@ -173,9 +178,8 @@ func (q *Queue) Claim(workerID string, peers []string) (*Claimed, bool, error) {
 		// already at its budget got here only through claims that
 		// never reported back (crashes): dead-letter it rather than
 		// run it again.
-		meta := q.readAttempts(id)
 		if meta.Attempts >= q.MaxAttempts {
-			_ = q.deadLetter(id, payload, meta.Attempts,
+			_ = q.deadLetter(id, job.Payload, meta.Attempts,
 				"attempt budget exhausted: no claim reported back (worker crashed mid-job)")
 			release()
 			continue
@@ -183,7 +187,7 @@ func (q *Queue) Claim(workerID string, peers []string) (*Claimed, bool, error) {
 		meta.Attempts++
 		q.writeAttempts(id, meta)
 		return &Claimed{
-			Job:     Job{ID: id, Affinity: aff, Payload: payload},
+			Job:     job,
 			Attempt: meta.Attempts,
 			q:       q,
 			release: release,
@@ -194,17 +198,26 @@ func (q *Queue) Claim(workerID string, peers []string) (*Claimed, bool, error) {
 
 // Pending reports how many jobs are queued (leased or not).
 func (q *Queue) Pending() int {
-	entries, err := os.ReadDir(filepath.Join(q.dir, "pending"))
+	names, _ := q.records("pending")
+	return len(names)
+}
+
+// records lists, sorted, the ids of the records in one queue
+// directory. atomicWrite's staging files are not records: one may be
+// empty or half written, and its writer is about to rename it.
+func (q *Queue) records(sub string) ([]string, error) {
+	entries, err := os.ReadDir(filepath.Join(q.dir, sub))
 	if err != nil {
-		return 0
+		return nil, err
 	}
-	n := 0
+	ids := make([]string, 0, len(entries))
 	for _, e := range entries {
-		if !e.IsDir() {
-			n++
+		if !e.IsDir() && !strings.HasPrefix(e.Name(), stagingPrefix) {
+			ids = append(ids, e.Name())
 		}
 	}
-	return n
+	sort.Strings(ids)
+	return ids, nil
 }
 
 // IsDone reports whether the job has a completion marker.
@@ -294,25 +307,25 @@ func (q *Queue) writeAttempts(id string, meta attemptMeta) {
 // Attempts reports how many executions the job has been charged for.
 func (q *Queue) Attempts(id string) int { return q.readAttempts(id).Attempts }
 
-// FailedJob is a dead-lettered job's terminal record.
+// FailedJob is a dead-lettered job's terminal record. Its file holds
+// the JSON of every field but the id, which is the file name.
 type FailedJob struct {
-	ID       string
-	Attempts int
-	Error    string
-	At       time.Time
-	Payload  []byte
+	ID       string    `json:"-"`
+	Error    string    `json:"error"`
+	Attempts int       `json:"attempts"`
+	At       time.Time `json:"at"`
+	Payload  []byte    `json:"payload"`
 }
 
 // deadLetter writes the terminal failure record and retires the job
 // from pending and attempts bookkeeping. The record is written before
 // the pending file is removed (same crash ordering as Done).
 func (q *Queue) deadLetter(id string, payload []byte, attempts int, cause string) error {
-	w := binenc.NewWriter(len(payload) + len(cause) + 64)
-	w.String(cause)
-	w.Int(attempts)
-	w.I64(time.Now().UnixNano())
-	w.Raw(payload)
-	if err := atomicWrite(filepath.Join(q.dir, "failed", jobID(id)), frame(w.Bytes())); err != nil {
+	raw, err := encodeRecord(FailedJob{Error: cause, Attempts: attempts, At: time.Now(), Payload: payload})
+	if err != nil {
+		return err
+	}
+	if err := atomicWrite(filepath.Join(q.dir, "failed", jobID(id)), raw); err != nil {
 		return err
 	}
 	_ = os.Remove(filepath.Join(q.dir, "pending", jobID(id)))
@@ -320,59 +333,38 @@ func (q *Queue) deadLetter(id string, payload []byte, attempts int, cause string
 	return nil
 }
 
-// Failed returns the dead-letter record for a job, if it has one.
+// Failed returns the dead-letter record for a job, if it has one. The
+// file's existence is what makes the id terminal: a record that does
+// not decode reads as Error "unreadable dead-letter record", so
+// Enqueue still refuses to resurrect the job.
 func (q *Queue) Failed(id string) (*FailedJob, bool) {
 	raw, err := os.ReadFile(filepath.Join(q.dir, "failed", jobID(id)))
 	if err != nil {
 		return nil, false
 	}
-	body, err := unframe(raw)
-	if err != nil {
-		return nil, false
+	fj := &FailedJob{}
+	if decodeRecord(raw, fj) != nil {
+		fj = &FailedJob{Error: "unreadable dead-letter record"}
 	}
-	r := binenc.NewReader(body)
-	fj := &FailedJob{ID: jobID(id)}
-	fj.Error = r.String()
-	fj.Attempts = r.Int()
-	fj.At = time.Unix(0, r.I64())
-	fj.Payload = r.Raw()
-	if err := r.Done(); err != nil {
-		return nil, false
-	}
+	fj.ID = jobID(id)
 	return fj, true
 }
 
 // FailedCount reports how many jobs are dead-lettered.
 func (q *Queue) FailedCount() int {
-	entries, err := os.ReadDir(filepath.Join(q.dir, "failed"))
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range entries {
-		if !e.IsDir() {
-			n++
-		}
-	}
-	return n
+	ids, _ := q.records("failed")
+	return len(ids)
 }
 
-func (q *Queue) readPending(id string) (affinity string, payload []byte, err error) {
-	raw, err := os.ReadFile(filepath.Join(q.dir, "pending", id))
-	if err != nil {
-		return "", nil, err
+// readPending loads a job's pending record. raw is nil when the file
+// could not be read; otherwise it holds the file's bytes and err
+// reports whether they decode.
+func (q *Queue) readPending(id string) (job Job, raw []byte, err error) {
+	job.ID = id
+	if raw, err = os.ReadFile(filepath.Join(q.dir, "pending", id)); err != nil {
+		return job, nil, err
 	}
-	body, err := unframe(raw)
-	if err != nil {
-		return "", nil, err
-	}
-	r := binenc.NewReader(body)
-	affinity = r.String()
-	payload = r.Raw()
-	if err := r.Done(); err != nil {
-		return "", nil, err
-	}
-	return affinity, payload, nil
+	return job, raw, decodeRecord(raw, &job)
 }
 
 // tryLease acquires the job's lease non-blockingly, stealing leases
@@ -416,9 +408,13 @@ func Owner(key string, peers []string) string {
 	return best
 }
 
+// stagingPrefix names the temporary files a write is staged in before
+// its rename.
+const stagingPrefix = ".tmp-"
+
 // atomicWrite writes a file via tmp+rename in its final directory.
 func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), stagingPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("artifact: write %s: %w", filepath.Base(path), err)
 	}

@@ -68,8 +68,9 @@ const (
 	ClassIncumbent = "incumbent"
 )
 
-// blobMagic versions the on-disk blob framing (not the per-class
-// payload codecs, which carry their own versions).
+// blobMagic versions the on-disk blob framing, not the JSON records
+// inside it: a record its reader cannot decode is handled by its class
+// (a miss for blobs, a dead letter for pending jobs).
 var blobMagic = []byte("RCAART1\n")
 
 const digestLen = sha256.Size
@@ -327,7 +328,7 @@ func (s *Store) diskPut(class, a string, framed []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("artifact: put %s: %w", class, err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), stagingPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("artifact: put %s: %w", class, err)
 	}

@@ -71,17 +71,9 @@ func BenchmarkGirvanNewmanOneRoundPar(b *testing.B) {
 	}
 }
 
-func BenchmarkLabelPropagation(b *testing.B) {
-	g := clusteredGraph(8, 100, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LabelPropagation(g, 30)
-	}
-}
-
 func BenchmarkModularity(b *testing.B) {
 	g := clusteredGraph(8, 100, 4)
-	comms := LabelPropagation(g, 30)
+	comms := Louvain(g, 0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Modularity(g, comms)

@@ -54,13 +54,6 @@ func EdgeBetweennessFlat(c *graph.CSR, par int) []float64 {
 	return e.score
 }
 
-func canonEdge(u, v int32) [2]int32 {
-	if u < v {
-		return [2]int32{u, v}
-	}
-	return [2]int32{v, u}
-}
-
 // GirvanNewman runs `iterations` rounds of the Girvan-Newman procedure
 // on the symmetric graph g. One round removes highest-betweenness edges
 // until the number of connected components increases (the practical
@@ -192,61 +185,4 @@ func Modularity(g *graph.Digraph, communities [][]int) float64 {
 		q += inSum[c]/m2 - (degSum[c]/m2)*(degSum[c]/m2)
 	}
 	return q
-}
-
-// LabelPropagation runs deterministic asynchronous label propagation on
-// the symmetric graph g: every node adopts the most frequent label among
-// its neighbors (ties broken by smallest label) until a fixed point or
-// maxRounds. It is the fast community-detection alternative used by the
-// ablation benches.
-func LabelPropagation(g *graph.Digraph, maxRounds int) [][]int {
-	n := g.NumNodes()
-	label := make([]int, n)
-	for i := range label {
-		label[i] = i
-	}
-	counts := make(map[int]int)
-	for round := 0; round < maxRounds; round++ {
-		changed := false
-		for u := 0; u < n; u++ {
-			if g.OutDegree(u) == 0 {
-				continue
-			}
-			for k := range counts {
-				delete(counts, k)
-			}
-			for _, v := range g.Out(u) {
-				counts[label[v]]++
-			}
-			best, bestCount := label[u], 0
-			for l, c := range counts {
-				if c > bestCount || (c == bestCount && l < best) {
-					best, bestCount = l, c
-				}
-			}
-			if best != label[u] {
-				label[u] = best
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	groups := make(map[int][]int)
-	for u, l := range label {
-		groups[l] = append(groups[l], u)
-	}
-	out := make([][]int, 0, len(groups))
-	for _, c := range groups {
-		sort.Ints(c)
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) > len(out[j])
-		}
-		return out[i][0] < out[j][0]
-	})
-	return out
 }

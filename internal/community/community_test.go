@@ -155,26 +155,6 @@ func TestModularityEmptyGraph(t *testing.T) {
 	}
 }
 
-func TestLabelPropagationCliques(t *testing.T) {
-	g, _ := twoCliquesBridge(6)
-	got := LabelPropagation(g, 50)
-	if len(got) > 3 {
-		t.Fatalf("too many communities: %v", got)
-	}
-	// All of clique A should share a community.
-	lbl := make(map[int]int)
-	for ci, c := range got {
-		for _, v := range c {
-			lbl[v] = ci
-		}
-	}
-	for i := 1; i < 6; i++ {
-		if lbl[i] != lbl[0] {
-			t.Fatalf("clique A split: %v", got)
-		}
-	}
-}
-
 // Property: G-N output is a partition of a subset of nodes (disjoint).
 func TestGirvanNewmanDisjointProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -222,7 +202,7 @@ func TestModularityBoundsProperty(t *testing.T) {
 				g.AddEdge(v, u)
 			}
 		}
-		comms := LabelPropagation(g, 20)
+		comms := Louvain(g, 0, 0)
 		q := Modularity(g, comms)
 		return q >= -1.0001 && q <= 1.0001
 	}

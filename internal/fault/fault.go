@@ -141,15 +141,6 @@ func New(seed uint64, rules []Rule) *Plane {
 // Seed returns the seed the plane was built with.
 func (p *Plane) Seed() uint64 { return p.seed }
 
-// Rules returns the plane's rules in spec order.
-func (p *Plane) Rules() []Rule {
-	out := make([]Rule, len(p.rules))
-	for i, rs := range p.rules {
-		out[i] = rs.Rule
-	}
-	return out
-}
-
 // ruleSeed folds the point name and rule index into the plan seed
 // (FNV-1a over the identity, xored into a splitmix64 warmup).
 func ruleSeed(seed uint64, point string, idx int) uint64 {
@@ -270,9 +261,6 @@ var global atomic.Pointer[Plane]
 
 // SetGlobal installs (or with nil, clears) the process-wide plane.
 func SetGlobal(p *Plane) { global.Store(p) }
-
-// Global returns the process-wide plane, or nil.
-func Global() *Plane { return global.Load() }
 
 type ctxKey struct{}
 

@@ -602,17 +602,6 @@ func (mg *Metagraph) ModulePartition() ([]int, []string) {
 	return part, names
 }
 
-// NodesInModules returns ids of nodes whose module satisfies keep.
-func (mg *Metagraph) NodesInModules(keep func(module string) bool) []int {
-	var out []int
-	for i := range mg.Nodes {
-		if keep(mg.Nodes[i].Module) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // ModuleNames returns the sorted module list.
 func (mg *Metagraph) ModuleNames() []string {
 	_, names := mg.ModulePartition()

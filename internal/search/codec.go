@@ -2,73 +2,31 @@ package search
 
 import (
 	"context"
-	"errors"
 
 	"github.com/climate-rca/rca/internal/artifact"
-	"github.com/climate-rca/rca/internal/binenc"
 )
 
-// verdictCodecVersion versions the durable verdict blob (a scenario's
-// UF-ECT failure rate keyed by build fingerprint + run sizes). Bump on
-// layout change: a mismatched version on disk decodes as an error and
-// the caller recomputes.
-const verdictCodecVersion = 1
-
-func encodeVerdict(rate float64) []byte {
-	w := binenc.NewWriter(16)
-	w.U32(verdictCodecVersion)
-	w.F64(rate)
-	return w.Bytes()
+// verdictRecord is the durable verdict blob: a scenario's UF-ECT
+// failure rate keyed by build fingerprint + run sizes.
+type verdictRecord struct {
+	Rate float64 `json:"rate"`
 }
 
-func decodeVerdict(data []byte) (float64, error) {
-	r := binenc.NewReader(data)
-	if v := r.U32(); v != verdictCodecVersion {
-		return 0, errors.New("search: verdict codec version mismatch")
-	}
-	rate := r.F64()
-	if err := r.Done(); err != nil {
-		return 0, err
-	}
-	return rate, nil
+// incumbentRecord is the shared incumbent blob.
+type incumbentRecord struct {
+	Wave int      `json:"wave"`
+	Rate float64  `json:"rate"`
+	IDs  []string `json:"ids"`
 }
 
-// incumbentCodecVersion versions the shared incumbent blob.
-const incumbentCodecVersion = 1
-
-func encodeIncumbent(n *node) []byte {
-	w := binenc.NewWriter(64)
-	w.U32(incumbentCodecVersion)
-	w.Int(n.wave)
-	w.F64(n.rate)
-	w.Len(len(n.ids))
-	for _, id := range n.ids {
-		w.String(id)
+// storedIncumbent reads the shared incumbent. A blob that does not
+// decode, or names more than MaxPool ids, reads as none.
+func (e *engine) storedIncumbent() (*node, bool) {
+	var r incumbentRecord
+	if !e.store.GetJSON(artifact.ClassIncumbent, e.fingerprint, &r) || len(r.IDs) > MaxPool {
+		return nil, false
 	}
-	return w.Bytes()
-}
-
-func decodeIncumbent(data []byte) (*node, error) {
-	r := binenc.NewReader(data)
-	if v := r.U32(); v != incumbentCodecVersion {
-		return nil, errors.New("search: incumbent codec version mismatch")
-	}
-	n := &node{wave: r.Int(), rate: r.F64()}
-	count := r.Len()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if count < 0 || count > MaxPool {
-		return nil, errors.New("search: incumbent id count out of range")
-	}
-	n.ids = make([]string, 0, count)
-	for i := 0; i < count; i++ {
-		n.ids = append(n.ids, r.String())
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return n, nil
+	return &node{wave: r.Wave, rate: r.Rate, ids: r.IDs}, true
 }
 
 // publishIncumbent shares the current incumbent through the artifact
@@ -85,13 +43,12 @@ func (e *engine) publishIncumbent(ctx context.Context) {
 		return // sharing is best-effort; the local search is unaffected
 	}
 	defer unlock()
-	if data, ok := e.store.Get(artifact.ClassIncumbent, e.fingerprint); ok {
-		if cur, derr := decodeIncumbent(data); derr == nil && !e.better(e.best, cur) {
-			e.published = e.best
-			return
-		}
+	if cur, ok := e.storedIncumbent(); ok && !e.better(e.best, cur) {
+		e.published = e.best
+		return
 	}
-	if e.store.Put(artifact.ClassIncumbent, e.fingerprint, encodeIncumbent(e.best)) == nil {
+	rec := incumbentRecord{Wave: e.best.wave, Rate: e.best.rate, IDs: e.best.ids}
+	if e.store.PutJSON(artifact.ClassIncumbent, e.fingerprint, rec) == nil {
 		e.published = e.best
 	}
 }
@@ -108,12 +65,8 @@ func (e *engine) adoptIncumbent(wave int) {
 	if e.store == nil {
 		return
 	}
-	data, ok := e.store.Get(artifact.ClassIncumbent, e.fingerprint)
-	if !ok {
-		return
-	}
-	peer, err := decodeIncumbent(data)
-	if err != nil || peer.wave >= wave || !e.better(peer, e.best) {
+	peer, ok := e.storedIncumbent()
+	if !ok || peer.wave >= wave || !e.better(peer, e.best) {
 		return
 	}
 	e.best = peer

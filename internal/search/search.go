@@ -378,8 +378,8 @@ type eval struct {
 
 // evalScenario measures one composed scenario's failure rate,
 // reporting feasible=false for conflicting injection sets. With a
-// store attached, the verdict travels through GetOrBuild keyed by the
-// build fingerprint plus the session's run sizes, so any process
+// store attached, the verdict travels through GetOrBuildJSON keyed by
+// the build fingerprint plus the session's run sizes, so any process
 // sharing the store computes it at most once.
 func (e *engine) evalScenario(ctx context.Context, sc experiments.Scenario) (eval, error) {
 	keys, err := e.session.Keys(sc)
@@ -390,20 +390,18 @@ func (e *engine) evalScenario(ctx context.Context, sc experiments.Scenario) (eva
 		return eval{}, err
 	}
 	if e.store != nil {
-		data, _, err := e.store.GetOrBuild(ctx, artifact.ClassVerdict, keys.Build+"|"+e.runKey, func() ([]byte, error) {
+		var rec verdictRecord
+		err := e.store.GetOrBuildJSON(ctx, artifact.ClassVerdict, keys.Build+"|"+e.runKey, &rec, func() (any, error) {
 			v, err := e.session.Verdict(ctx, sc)
 			if err != nil {
 				return nil, err
 			}
-			return encodeVerdict(v.FailureRate), nil
+			return verdictRecord{Rate: v.FailureRate}, nil
 		})
 		if err != nil {
 			return eval{}, err
 		}
-		if rate, derr := decodeVerdict(data); derr == nil {
-			return eval{rate: rate, feasible: true}, nil
-		}
-		// Stale codec on disk: fall through and recompute directly.
+		return eval{rate: rec.Rate, feasible: true}, nil
 	}
 	v, err := e.session.Verdict(ctx, sc)
 	if err != nil {

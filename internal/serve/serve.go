@@ -257,16 +257,22 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// storedOutcome reads a completed outcome from the store. A blob the
-// current codec cannot decode reads as a miss, so the investigation
-// re-runs.
+// storedOutcome reads a completed outcome from the store. A blob that
+// does not decode (one an older binary wrote) reads as a miss, so the
+// investigation re-runs and its putOutcome replaces the blob.
 func (s *Server) storedOutcome(key string) (*Outcome, bool) {
-	data, ok := s.artifacts.Get(artifact.ClassOutcome, key)
-	if !ok {
+	var o Outcome
+	if !s.artifacts.GetJSON(artifact.ClassOutcome, key, &o) {
 		return nil, false
 	}
-	o, err := decodeOutcome(data)
-	return o, err == nil
+	return &o, true
+}
+
+// putOutcome stores an outcome as its JSON. Put's error reports disk
+// persistence only; a failed write is still served from the memory
+// tier.
+func (s *Server) putOutcome(o *Outcome) {
+	_ = s.artifacts.PutJSON(artifact.ClassOutcome, o.Fingerprint, o)
 }
 
 // submit registers a job for a scenario: served from the outcome
@@ -471,11 +477,8 @@ func (s *Server) runFlight(fl *flight) {
 		// The write completes before the lease is released and before
 		// the flight leaves the dedup table, so a peer that wins the
 		// next lease, or a submission that finds no flight, always
-		// finds the outcome. Put's error reports disk persistence only;
-		// a failed write is still served from the memory tier.
-		if data, eerr := encodeOutcome(o); eerr == nil {
-			_ = s.artifacts.Put(artifact.ClassOutcome, fl.key, data)
-		}
+		// finds the outcome.
+		s.putOutcome(o)
 	}
 	release()
 	if errors.Is(err, rca.ErrCanceled) {
