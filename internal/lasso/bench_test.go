@@ -74,7 +74,19 @@ func benchSelectKSolver(b *testing.B, solver Solver) {
 	b.ReportMetric(float64(iters)/float64(b.N), "lassoiters")
 }
 
-func BenchmarkSelectKCD(b *testing.B)   { benchSelectKSolver(b, SolverCD) }
+// BenchmarkSelectKCD runs the screened engine with the packed row
+// pass and with the Go loops alone, in one binary.
+func BenchmarkSelectKCD(b *testing.B) {
+	b.Run("packed", func(b *testing.B) {
+		requirePackedRowPass(b)
+		benchSelectKSolver(b, SolverCD)
+	})
+	b.Run("go", func(b *testing.B) {
+		setPackedRowPass(b, false)
+		benchSelectKSolver(b, SolverCD)
+	})
+}
+
 func BenchmarkSelectKISTA(b *testing.B) { benchSelectKSolver(b, SolverISTA) }
 
 // TestSparseDotMatchesDense pins the bit-identity of the sparse-dot

@@ -36,18 +36,22 @@ const (
 // lambda-independent, paid once per path.
 type cdPath struct {
 	ds *design
-	// zT[j*n+i] = z[i*d+j]. Every pass over the design walks one
-	// column at a time: the dots add w_j·zT_j into per-row
-	// accumulators, and each gradient entry is one contiguous dot of
-	// the residuals with zT_j. Per accumulator the multiplicands and
-	// the order (rows ascending, columns ascending) are fitDense's, so
-	// the layout changes no emitted float.
+	// zT[j*stride+i] = z[i*d+j], with stride = n rounded up to a
+	// multiple of four and zero rows past n, so the packed row pass
+	// reads whole four-row groups of every column. Every pass over the
+	// design walks one column at a time: the row pass adds w_j·zT_j
+	// into per-row accumulators, and each gradient entry is one
+	// contiguous dot of the residuals with zT_j. Per accumulator the
+	// multiplicands and the order (rows ascending, columns ascending)
+	// are fitDense's, so the layout changes no emitted float.
 	zT      []float64
+	stride  int
 	colNorm []float64 // ‖z_j‖₂, the Cauchy–Schwarz column factors
 
 	// Scratch reused across probes (the path runs on one goroutine).
-	dot      []float64 // per-row dot accumulators
-	nz       []int     // support columns, ascending
+	t, sig   []float64 // per row: dot + b and its sigmoid (stride long)
+	cols     []int     // support columns ascending, as offsets j*stride into zT
+	ws       []float64 // their weights
 	grad     []float64 // exact gradient: live entries every iteration, all at a refresh
 	r, rref  []float64 // residuals: current iterate / last refresh
 	live     []int     // coordinates whose gradient is tracked exactly
@@ -56,12 +60,16 @@ type cdPath struct {
 
 func newCDPath(ds *design) *cdPath {
 	n, d := ds.n, ds.d
+	stride := (n + 3) &^ 3
 	c := &cdPath{
 		ds:       ds,
-		zT:       make([]float64, n*d),
+		zT:       make([]float64, stride*d),
+		stride:   stride,
 		colNorm:  make([]float64, d),
-		dot:      make([]float64, n),
-		nz:       make([]int, 0, d),
+		t:        make([]float64, stride),
+		sig:      make([]float64, stride),
+		cols:     make([]int, 0, d),
+		ws:       make([]float64, 0, d),
 		grad:     make([]float64, d),
 		r:        make([]float64, n),
 		rref:     make([]float64, n),
@@ -69,7 +77,7 @@ func newCDPath(ds *design) *cdPath {
 		screened: make([]int, 0, d),
 	}
 	for j := 0; j < d; j++ {
-		col := c.zT[j*n : j*n+n]
+		col := c.zT[j*stride : j*stride+n]
 		var s float64
 		for i := range col {
 			col[i] = ds.z[i*d+j]
@@ -96,13 +104,13 @@ func screenSafety(n int, lambda float64) float64 {
 // fitDense's per-row update builds it. Four columns run side by side
 // so their add chains overlap; that reorders nothing within a column.
 func (c *cdPath) gradCols(cols []int) {
-	r, n := c.r, c.ds.n
+	r, stride := c.r, c.stride
 	k := 0
 	for ; k+4 <= len(cols); k += 4 {
-		z0 := c.zT[cols[k]*n:][:len(r)]
-		z1 := c.zT[cols[k+1]*n:][:len(r)]
-		z2 := c.zT[cols[k+2]*n:][:len(r)]
-		z3 := c.zT[cols[k+3]*n:][:len(r)]
+		z0 := c.zT[cols[k]*stride:][:len(r)]
+		z1 := c.zT[cols[k+1]*stride:][:len(r)]
+		z2 := c.zT[cols[k+2]*stride:][:len(r)]
+		z3 := c.zT[cols[k+3]*stride:][:len(r)]
 		var g0, g1, g2, g3 float64
 		for i, ri := range r {
 			g0 += ri * z0[i]
@@ -113,7 +121,7 @@ func (c *cdPath) gradCols(cols []int) {
 		c.grad[cols[k]], c.grad[cols[k+1]], c.grad[cols[k+2]], c.grad[cols[k+3]] = g0, g1, g2, g3
 	}
 	for ; k < len(cols); k++ {
-		zj := c.zT[cols[k]*n:][:len(r)]
+		zj := c.zT[cols[k]*stride:][:len(r)]
 		var g float64
 		for i, ri := range r {
 			g += ri * zj[i]
@@ -151,10 +159,59 @@ func (c *cdPath) refresh(w []float64, lambda float64) (ddrLimit float64) {
 	return ddrLimit
 }
 
+// rowPass sets t[i] = Σ_{j∈S} w_j·z_ij + b and sig[i] = sigmoid(t[i])
+// for every row, where S is the support in cols and ws: fitDense's
+// sparse dot (support columns ascending, summed from +0) and its
+// sigmoid. The packed kernel, where packedRowPass holds, takes rows
+// four at a time up to the first group it cannot vouch for; the Go
+// loops take the rest. Both emit the same floats.
+func (c *cdPath) rowPass(b float64) {
+	n := c.ds.n
+	i0 := 0
+	if packedRowPass {
+		i0 = rowPassAVX2(c.zT, c.cols, c.ws, b, c.t, c.sig)
+	}
+	if i0 >= n {
+		return
+	}
+
+	// Dots over rows i0..n-1. Columns go in pairs to halve the
+	// accumulator traffic; Go sums left to right, so the order holds.
+	t := c.t[i0:n]
+	clear(t)
+	k := 0
+	for ; k+2 <= len(c.cols); k += 2 {
+		w0, w1 := c.ws[k], c.ws[k+1]
+		z0 := c.zT[c.cols[k]+i0:][:len(t)]
+		z1 := c.zT[c.cols[k+1]+i0:][:len(t)]
+		for i := range t {
+			t[i] = t[i] + w0*z0[i] + w1*z1[i]
+		}
+	}
+	for ; k < len(c.cols); k++ {
+		wj := c.ws[k]
+		zj := c.zT[c.cols[k]+i0:][:len(t)]
+		for i, v := range zj {
+			t[i] += wj * v
+		}
+	}
+	// Equal dots share one sigmoid, as in fitDense.
+	lastT := math.NaN()
+	var lastSig float64
+	for i := range t {
+		t[i] += b
+		if t[i] != lastT {
+			lastT, lastSig = t[i], sigmoid(t[i])
+		}
+		c.sig[i0+i] = lastSig
+	}
+}
+
 // fit runs one lambda from the zero iterate. Its emitted floats — dots,
 // sigmoids, residuals, live gradient entries, the proximal updates and
 // the convergence test — are computed by exactly the expressions
-// fitDense uses, in the same order, with exact-zero weight terms
+// fitDense uses (or, in the packed row pass, by instructions that
+// round as they do), in the same order, with exact-zero weight terms
 // skipped (exact on the finite designs this engine runs on); the only
 // other difference is that screened coordinates' gradient entries are
 // never accumulated and their (provably zero) updates never applied.
@@ -173,55 +230,16 @@ func (c *cdPath) fit(lambda float64, maxIter int, tol float64) *Result {
 	for j := 0; j < d; j++ {
 		c.screened = append(c.screened, j)
 	}
+	c.cols, c.ws = c.cols[:0], c.ws[:0]
 	ddrLimit := -1.0
 	var iters int
 	for iters = 0; iters < maxIter; iters++ {
-		// Dots: per row, the support terms in ascending column order —
-		// the sum fitDense's sparse dot forms. Columns go in pairs to
-		// halve the accumulator traffic; Go sums left to right, so the
-		// order holds.
-		dot := c.dot
-		for i := range dot {
-			dot[i] = 0
-		}
-		nz := c.nz[:0]
-		for j, wj := range w {
-			if wj != 0 {
-				nz = append(nz, j)
-			}
-		}
-		k := 0
-		for ; k+2 <= len(nz); k += 2 {
-			j0, j1 := nz[k], nz[k+1]
-			w0, w1 := w[j0], w[j1]
-			z0 := c.zT[j0*n:][:len(dot)]
-			z1 := c.zT[j1*n:][:len(dot)]
-			for i := range dot {
-				dot[i] = dot[i] + w0*z0[i] + w1*z1[i]
-			}
-		}
-		for ; k < len(nz); k++ {
-			wj := w[nz[k]]
-			zj := c.zT[nz[k]*n:][:len(dot)]
-			for i, v := range zj {
-				dot[i] += wj * v
-			}
-		}
-
-		// Residuals: fitDense's deduplicated sigmoid and residual
-		// arithmetic, stored for the gradient passes; the drift norm
-		// against the refresh point and the intercept gradient ride
-		// the same pass.
+		// Residuals, stored for the gradient passes; the drift norm
+		// against the refresh point and the intercept gradient ride the
+		// same pass, in row order.
+		c.rowPass(b)
 		var gradB, drift float64
-		lastDot := math.NaN()
-		var lastSig float64
-		for i, di := range dot {
-			di += b
-			sig := lastSig
-			if di != lastDot {
-				sig = sigmoid(di)
-				lastDot, lastSig = di, sig
-			}
+		for i, sig := range c.sig[:n] {
 			resid := sig - y[i]
 			c.r[i] = resid
 			dr := resid - c.rref[i]
@@ -247,14 +265,21 @@ func (c *cdPath) fit(lambda float64, maxIter int, tol float64) *Result {
 
 		// Proximal updates over the live coordinates only: a screened
 		// coordinate's update is certified to be exactly zero, so it
-		// contributes nothing to the iterate or to maxDelta.
+		// contributes nothing to the iterate or to maxDelta. Every
+		// nonzero weight is live and live is ascending, so the same
+		// loop lists the next row pass's support.
 		var maxDelta float64
+		c.cols, c.ws = c.cols[:0], c.ws[:0]
 		for _, j := range c.live {
 			nw := softThreshold(w[j]-step*c.grad[j]*inv, step*lambda)
 			if dd := math.Abs(nw - w[j]); dd > maxDelta {
 				maxDelta = dd
 			}
 			w[j] = nw
+			if nw != 0 {
+				c.cols = append(c.cols, j*c.stride)
+				c.ws = append(c.ws, nw)
+			}
 		}
 		nb := b - step*gradB*inv
 		if dd := math.Abs(nb - b); dd > maxDelta {

@@ -276,10 +276,10 @@ func (r *Result) Support() []int {
 }
 
 // PathStats aggregates solver effort over one SelectK path search:
-// the number of lambda fits the bisection ran and the total iteration
-// count they consumed (ISTA proximal-gradient iterations, or CD outer
-// quadratic-approximation iterations). rcad surfaces the totals at
-// /metrics and the benchmarks record them per stage.
+// the number of lambda fits the bisection ran and the total
+// proximal-gradient (ISTA) iterations they consumed. Both engines run
+// the same iterations, so the counts match between them. rcad surfaces
+// the totals at /metrics and the benchmarks record them per stage.
 type PathStats struct {
 	Fits  int
 	Iters int
