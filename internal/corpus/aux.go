@@ -80,8 +80,11 @@ func (c *Corpus) addAux() {
 		if r.Intn(2) == 0 {
 			sign = -1.0
 		}
-		gain := cfg.AuxFMAGain * (0.5 + r.Float64()) * sign
-		fmt.Fprintf(&b, "  real, parameter :: fgain_%03d = %.8g\n", i, gain)
+		factor := 0.5 + r.Float64()
+		gain := cfg.AuxFMAGain * factor * sign
+		fmt.Fprintf(&b, "  real, parameter :: fgain_%03d = ", i)
+		gainAt := b.Len()
+		fmt.Fprintf(&b, "%.8g\n", gain)
 		b.WriteString("contains\n")
 
 		// init: deterministic fields from the pressure profile.
@@ -134,6 +137,7 @@ func (c *Corpus) addAux() {
 			comp = "lnd"
 		}
 		c.add(name+".F90", comp, false, b.String())
+		c.addSite(auxFMAGain, gainAt, factor, sign)
 		c.AuxCalled = append(c.AuxCalled, name)
 	}
 

@@ -89,6 +89,7 @@ contains
   end subroutine turb_tend
 end module chaos_turb
 `, cfg.TurbCoef))
+	c.addParamSite(turbCoef, "turbcoef")
 
 	// Goff-Gratch saturation vapor pressure; the 8.1328e-3 coefficient
 	// is the GOFFGRATCH bug site (GoffGratchPatch).
@@ -203,6 +204,7 @@ contains
   end subroutine micro_mg_tend
 end module micro_mg
 `, cfg.FMAGain))
+	c.addParamSite(fmaGain, "fmagain")
 
 	// Cloud fraction: relative humidity + turbulence.
 	c.add("cldfrc.F90", "cam", true, `

@@ -119,6 +119,14 @@ type Corpus struct {
 	ComponentOf map[string]string
 	// AuxCalled lists auxiliary modules actually invoked by the driver.
 	AuxCalled []string
+
+	// srcs holds each file's parse-layer entry, parallel to Files (nil
+	// for a corpus built by hand).
+	srcs []*source
+	// sites lists the literals the parameter values render, in file
+	// order; Generate records them and Derive edits them. A patched
+	// corpus has none.
+	sites []site
 }
 
 // Generate synthesizes the corpus for a configuration.
@@ -143,44 +151,54 @@ func (c *Corpus) Config() Config { return c.cfg }
 
 func (c *Corpus) add(name, component string, core bool, src string) {
 	modName := strings.TrimSuffix(name, ".F90")
-	c.Files = append(c.Files, File{Name: name, Source: cached(src).text, Component: component, Core: core})
+	s := cached(src)
+	c.Files = append(c.Files, File{Name: name, Source: s.text, Component: component, Core: core})
+	c.srcs = append(c.srcs, s)
 	c.ComponentOf[modName] = component
 }
 
 // The parse layer keeps one process-wide copy of each distinct file
-// text and of each distinct parsed subprogram.
+// text and of each distinct parsed subprogram, and every corpus keeps
+// the parsed modules of its own files.
 //
 // parseCache maps a file text to its entry: the canonical copy of the
-// text, which every corpus holding that text shares (Generate and
-// Apply store their texts through it), and the text's modules once
-// parsed. A `param:` perturbation changes module-level parameter lines
-// only: every file it leaves alone is a hit, and the files it changes
-// (one for `turbcoef` or `fmagain`, every `aux_phys` file for
-// `auxfmagain`) parse once per value.
+// text, which every corpus holding that text shares (Generate, Derive
+// and Apply store their texts through it), and the text's modules once
+// parsed. A corpus holds the entry of each of its files (srcs), so a
+// file parses at most once per corpus even when the cache is full.
 //
-// Those parses share their subprograms through subprograms, keyed by
-// the enclosing module's name and the subprogram's exact tokens
-// (fortran.ParseFileShared): the perturbed line sits in a module
-// header, so a perturbed module keeps its own uses, declarations and
-// initializers but takes the clean tree's subprogram nodes. The key
-// holds the module name because the bytecode compiler keys its tables
-// by node pointer, so no two modules of one tree may share a node.
+// A `param:` perturbation changes module-level parameter lines only,
+// and Derive builds such a corpus from the clean one without lexing it:
+// every file it leaves alone keeps the clean entry, and each changed
+// file (one for `turbcoef` or `fmagain`, every `aux_phys` file for
+// `auxfmagain`) gets an entry whose module is a copy of the clean one
+// with the edited initializer re-parsed from its line
+// (fortran.WithInit). The copy shares the clean module's subprograms
+// and its other header nodes.
+//
+// Texts parsed from scratch share their subprograms through
+// subprograms, keyed by the enclosing module's name and the
+// subprogram's exact tokens (fortran.ParseFileShared): a patch or a
+// generated configuration that leaves a subprogram's text and lines
+// alone reuses the node already parsed. The key holds the module name
+// because the bytecode compiler keys its tables by node pointer, so no
+// two modules of one tree may share a node.
 //
 // Parsed modules are immutable: every consumer (metagraph, coverage,
 // both execution engines, the patch engine) only reads them, so sharing
 // is safe. fortran.ParseFile stays fresh for code that needs a tree of
 // its own to edit.
 //
-// Neither cache evicts. The text cache stops adding at parseCacheMax
-// (8,192) texts and the subprogram table at subprogramsMax (65,536)
-// nodes, for the life of the process. Traffic can reach both caps:
-// `param:` values come from a continuous range, and each `auxfmagain`
-// value adds 40 texts, so ~200 such jobs fill the text cache. Past its
-// cap a new text is neither cached nor shared: every corpus holding it
-// keeps its own copy, and every parse of it (the patch engine's
-// validation, each Runner's Parse) runs again. Past the table's cap,
-// new subprograms keep their fresh nodes. Results do not change; only
-// the sharing stops.
+// Neither process-wide cache evicts. The text cache stops adding at
+// parseCacheMax (8,192) texts and the subprogram table at
+// subprogramsMax (65,536) nodes, for the life of the process. Traffic
+// reaches the text cache's cap: `param:` values come from a continuous
+// range, and each `auxfmagain` value adds 40 texts, so ~200 such jobs
+// fill it. Past the cap a new text is not shared between corpora: each
+// corpus holding it keeps its own copy and its own entry, which a
+// derived corpus fills at derivation and any other corpus parses on
+// first use. Past the table's cap, new subprograms keep their fresh
+// nodes. Results do not change; only the sharing stops.
 var (
 	parseCache     sync.Map // text → *source
 	parseCacheSize atomic.Int64
@@ -188,6 +206,9 @@ var (
 	subprograms      sync.Map // fortran.ParseFileShared key → *fortran.Subprogram
 	subprogramsSize  atomic.Int64
 	subprogramShares atomic.Uint64
+
+	// fileParses counts the texts the parse layer has lexed and parsed.
+	fileParses atomic.Int64
 )
 
 const (
@@ -195,14 +216,14 @@ const (
 	subprogramsMax = 8 * parseCacheMax // a file holds a few subprograms
 )
 
-// source is one parse-cache entry.
+// source is one parse-layer entry.
 type source struct {
 	text string
 	mods atomic.Pointer[[]*fortran.Module] // nil until parsed
 }
 
 // cached returns text's parse-cache entry, adding it while the cache
-// has room.
+// has room; past the cap it returns a fresh entry no other text shares.
 func cached(text string) *source {
 	if v, ok := parseCache.Load(text); ok {
 		return v.(*source)
@@ -217,13 +238,12 @@ func cached(text string) *source {
 	return s
 }
 
-// parseCached returns the canonical copy of text and its modules,
-// parsing it on first use.
-func parseCached(text string) (string, []*fortran.Module, error) {
-	s := cached(text)
+// parse returns the entry's modules, parsing its text on first use.
+func (s *source) parse() ([]*fortran.Module, error) {
 	if ms := s.mods.Load(); ms != nil {
-		return s.text, *ms, nil
+		return *ms, nil
 	}
+	fileParses.Add(1)
 	ms, err := fortran.ParseFileShared(s.text, shareSubprogram)
 	if err != nil {
 		// Keep no entry for a text that does not parse (a rejected
@@ -231,14 +251,23 @@ func parseCached(text string) (string, []*fortran.Module, error) {
 		if parseCache.CompareAndDelete(s.text, s) {
 			parseCacheSize.Add(-1)
 		}
-		return "", nil, err
+		return nil, err
 	}
 	if !s.mods.CompareAndSwap(nil, &ms) {
 		// A concurrent first parse won the race: return its modules
 		// so identical texts always share pointer identity.
 		ms = *s.mods.Load()
 	}
-	return s.text, ms, nil
+	return ms, nil
+}
+
+// source returns file i's parse-layer entry: the one the corpus holds,
+// or, for a corpus built by hand, the cache's.
+func (c *Corpus) source(i int) *source {
+	if i < len(c.srcs) && c.srcs[i].text == c.Files[i].Source {
+		return c.srcs[i]
+	}
+	return cached(c.Files[i].Source)
 }
 
 // shareSubprogram returns the table's subprogram for key, adding sub
@@ -264,13 +293,14 @@ func shareSubprogram(key [32]byte, sub *fortran.Subprogram) *fortran.Subprogram 
 func SubprogramShares() uint64 { return subprogramShares.Load() }
 
 // Parse parses every file into FortLite modules, in generation order
-// (which is a valid use-dependency order). Files share their modules
-// through the process-wide parse cache, and modules share their
-// subprograms through its table, so the result must not be modified.
+// (which is a valid use-dependency order). Each file parses once per
+// corpus, and at most once per process while the parse cache has room;
+// a derived corpus's edited files are parsed already. Trees share
+// modules and subprograms, so the result must not be modified.
 func (c *Corpus) Parse() ([]*fortran.Module, error) {
 	var mods []*fortran.Module
-	for _, f := range c.Files {
-		_, ms, err := parseCached(f.Source)
+	for i, f := range c.Files {
+		ms, err := c.source(i).parse()
 		if err != nil {
 			return nil, fmt.Errorf("corpus: %s: %w", f.Name, err)
 		}

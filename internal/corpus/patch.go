@@ -136,9 +136,9 @@ func FormatFactor(f float64) string {
 
 // Apply returns a copy of the corpus with the patches applied in
 // order. The original corpus is not modified; patches on the same file
-// compose. Each edited file is parsed once, through the parse cache,
-// for validation, so the returned corpus always lexes, parses and
-// interprets, and its Parse finds every file already parsed.
+// compose. Each edited file is parsed once, for validation, into the
+// entry the returned corpus holds, so that corpus always lexes, parses
+// and interprets, and its Parse finds every edited file already parsed.
 func Apply(c *Corpus, patches ...Patch) (*Corpus, error) {
 	out := &Corpus{
 		Files:            append([]File(nil), c.Files...),
@@ -149,6 +149,10 @@ func Apply(c *Corpus, patches ...Patch) (*Corpus, error) {
 		OutputToInternal: c.OutputToInternal,
 		ComponentOf:      c.ComponentOf,
 		AuxCalled:        c.AuxCalled,
+		srcs:             make([]*source, len(c.Files)),
+	}
+	for i := range out.srcs {
+		out.srcs[i] = c.source(i)
 	}
 	for _, p := range patches {
 		if err := applyOne(out, p); err != nil {
@@ -169,7 +173,7 @@ func applyOne(c *Corpus, p Patch) error {
 		if t.Module != "" && modName != strings.ToLower(t.Module) {
 			continue
 		}
-		_, mods, err := parseCached(c.Files[i].Source)
+		mods, err := c.source(i).parse()
 		if err != nil {
 			return fmt.Errorf("corpus: %s: %w", c.Files[i].Name, err)
 		}
@@ -215,11 +219,12 @@ func applyOne(c *Corpus, p Patch) error {
 		return err
 	}
 	lines[line-1] = edited
-	src, _, err := parseCached(strings.Join(lines, "\n"))
-	if err != nil {
+	s := cached(strings.Join(lines, "\n"))
+	if _, err := s.parse(); err != nil {
 		return fmt.Errorf("%w: %s: patched source no longer parses: %v", ErrBadPatch, t, err)
 	}
-	c.Files[fi].Source = src
+	c.Files[fi].Source = s.text
+	c.srcs[fi] = s
 	return nil
 }
 

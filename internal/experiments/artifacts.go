@@ -25,27 +25,25 @@ func WithArtifacts(store *artifact.Store) Option {
 func (s *Session) ArtifactStore() *artifact.Store { return s.store }
 
 // corpusFor builds the generated+patched corpus for one source
-// fingerprint. Patches over the session's own configuration apply to
-// the session's clean corpus, which Generate would reproduce byte for
-// byte, so the process generates each session configuration once. A
-// patched build takes the clean corpus, not the control runner: it
+// fingerprint from the session's clean corpus: a configuration that
+// differs from the session's only in ensemble parameter values (every
+// `param:` plan) derives its corpus from the clean one by edit, and
+// patches apply on top (corpus.Derive and corpus.Apply reproduce
+// Generate byte for byte), so the process generates each session
+// configuration once. Any other configuration is generated. A patched
+// or derived build takes the clean corpus, not the control runner: it
 // neither waits for the control tree's parse nor inherits the control
 // build's error.
 func (s *Session) corpusFor(ctx context.Context, key string, cfg corpus.Config, patches []corpus.Patch) (*corpus.Corpus, error) {
-	if key == s.cleanKey() {
-		return s.cleanCorpus(ctx)
-	}
-	if len(patches) == 0 {
-		return corpus.Generate(cfg), nil
-	}
-	if cfg != s.cfg {
-		return corpus.Apply(corpus.Generate(cfg), patches...)
-	}
 	clean, err := s.cleanCorpus(ctx)
-	if err != nil {
-		return nil, err
+	if err != nil || key == s.cleanKey() {
+		return clean, err
 	}
-	return corpus.Apply(clean, patches...)
+	base := clean.Derive(cfg)
+	if len(patches) == 0 {
+		return base, nil
+	}
+	return corpus.Apply(base, patches...)
 }
 
 // cleanCorpus returns the control build's corpus: the process-wide
@@ -61,10 +59,10 @@ func (s *Session) cleanCorpus(ctx context.Context) (*corpus.Corpus, error) {
 // op, a catalog run) does not generate its corpus again. Generate is
 // deterministic and a corpus is never modified after it returns (see
 // DESIGN "Source table"), so sharing is safe. Only a session's own
-// configuration enters: a `param:` build's configuration is generated
-// per build, since its values come from a continuous range. The table
-// does not evict: past cleanCorporaMax configurations, each session of
-// a new one generates its own.
+// configuration enters: a `param:` build's corpus is derived per build
+// from its session's clean one, since its values come from a continuous
+// range. The table does not evict: past cleanCorporaMax configurations,
+// each session of a new one generates its own.
 var (
 	cleanCorpora     sync.Map // corpus.Config → *corpus.Corpus
 	cleanCorporaSize atomic.Int64

@@ -297,7 +297,9 @@ type paramInjection struct {
 // PerturbParameter perturbs one of the corpus generation parameters
 // that shape the ensemble: "turbcoef" (internal-variability coupling),
 // "fmagain" (the deterministic FMA-sensitive cancellation gain) or
-// "auxfmagain" (the distributed weak FMA kernels).
+// "auxfmagain" (the distributed weak FMA kernels). A zero value is
+// refused when the scenario is planned: corpus.Config reads 0 as the
+// default.
 func PerturbParameter(name string, value float64) Injection {
 	return paramInjection{name: strings.ToLower(name), value: value}
 }
@@ -321,6 +323,11 @@ func (i paramInjection) apply(p *plan) error {
 		p.cfg.AuxFMAGain = i.value
 	default:
 		return fmt.Errorf("unknown ensemble parameter %q (want turbcoef, fmagain or auxfmagain)", i.name)
+	}
+	if i.value == 0 {
+		// corpus.Config reads a zero parameter as unset, so a 0 would
+		// run the default value while reporting a perturbation.
+		return fmt.Errorf("parameter %s=0 is not a perturbation: 0 means the default value", i.name)
 	}
 	p.sourceIDs = append(p.sourceIDs, i.ID())
 	return nil

@@ -3,10 +3,12 @@ package experiments
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"github.com/climate-rca/rca/internal/corpus"
+	"github.com/climate-rca/rca/internal/fortran"
 )
 
 // artifactTestCfg is the small corpus the corpus-build tests share.
@@ -94,5 +96,78 @@ func TestPatchedSourcesWithoutControlRunner(t *testing.T) {
 	}
 	if _, err := s.Builds(ctx, sc); !errors.Is(err, failed) {
 		t.Errorf("Builds with a failed control build: %v, want %v", err, failed)
+	}
+}
+
+// TestParamCorpusDerivedMatchesGenerate pins corpusFor's `param:` path:
+// a scenario perturbing ensemble parameters (one, a pair, or one under
+// a catalog patch) derives its corpus from the session's clean corpus,
+// and the result must equal, field for field, the corpus of generating
+// its configuration (and patching it), while its runner's modules equal
+// a fresh parse of its texts, shape digests and literals included.
+// CI runs it at full size; -short samples fewer values.
+func TestParamCorpusDerivedMatchesGenerate(t *testing.T) {
+	n := 8
+	if testing.Short() {
+		n = 2
+	}
+	ctx := context.Background()
+	s := NewSession(corpus.Config{AuxModules: 40, Seed: 2})
+	r := rand.New(rand.NewSource(11))
+	params := []struct {
+		name string
+		def  float64
+	}{{"turbcoef", 0.01}, {"fmagain", 3000}, {"auxfmagain", 0.01}}
+	value := func(def float64) float64 {
+		v := def * (0.5 + 1.5*r.Float64())
+		if r.Intn(4) == 0 {
+			v = -v
+		}
+		return v
+	}
+	var scenarios []Scenario
+	for k := 0; k < n; k++ {
+		for i, p := range params {
+			q := params[(i+1)%len(params)]
+			one := PerturbParameter(p.name, value(p.def))
+			scenarios = append(scenarios,
+				NewScenario("ONE", ScenarioOptions{}, one),
+				NewScenario("PAIR", ScenarioOptions{}, one, PerturbParameter(q.name, value(q.def))),
+				NewScenario("PATCHED", ScenarioOptions{}, append([]Injection{one}, catalog[k%len(catalog)].Injections()...)...))
+		}
+	}
+	scenarios = append(scenarios,
+		NewScenario("EXP", ScenarioOptions{}, PerturbParameter("fmagain", 1e300), PerturbParameter("turbcoef", -1e-300)),
+		NewScenario("DEFAULT", ScenarioOptions{}, PerturbParameter("auxfmagain", 0.01)))
+	for _, sc := range scenarios {
+		p, err := buildPlan(s.cfg, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := joinIDs(p.sourceIDs)
+		run, err := s.runnerFor(ctx, p.sourceKey(), p.cfg, p.patches)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want := corpus.Generate(p.cfg)
+		if len(p.patches) > 0 {
+			if want, err = corpus.Apply(want, p.patches...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(run.Corpus, want) {
+			t.Fatalf("%s: derived corpus differs from Apply(Generate(cfg))", label)
+		}
+		var fresh []*fortran.Module
+		for _, f := range run.Corpus.Files {
+			ms, err := fortran.ParseFile(f.Source)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", label, f.Name, err)
+			}
+			fresh = append(fresh, ms...)
+		}
+		if !reflect.DeepEqual(run.Modules, fresh) {
+			t.Fatalf("%s: runner modules differ from a fresh parse of the derived texts", label)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/climate-rca/rca/internal/corpus"
@@ -363,5 +364,48 @@ func TestSiteOverrideSharesBuildCaches(t *testing.T) {
 	}
 	if k1 == k2 {
 		t.Fatal("differing Site overrides share a scenario fingerprint")
+	}
+}
+
+// TestParamZeroRejected: corpus.Config reads a zero parameter as unset,
+// so `param:NAME=0` would run the default while reporting a
+// perturbation. Every way a parameter enters a plan (the compact
+// syntax, the library constructor, the scenario JSON rcad reads)
+// refuses it, saying that 0 means the default; a nonzero value passes.
+func TestParamZeroRejected(t *testing.T) {
+	cfg := corpus.Config{AuxModules: 4, Seed: 1}
+	paths := []struct {
+		name string
+		plan func(param, value string) error
+	}{
+		{"ParseInjection", func(param, value string) error {
+			_, err := ParseInjection("param:" + param + "=" + value)
+			return err
+		}},
+		{"PerturbParameter", func(param, value string) error {
+			v, err := parseFinite(value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = buildPlan(cfg, NewScenario("P", ScenarioOptions{}, PerturbParameter(param, v)))
+			return err
+		}},
+		{"ScenarioFromJSON", func(param, value string) error {
+			_, err := ScenarioFromJSON([]byte(`{"name": "P", "inject": ["param:` + param + `=` + value + `"]}`))
+			return err
+		}},
+	}
+	for _, param := range []string{"turbcoef", "fmagain", "auxfmagain"} {
+		for _, p := range paths {
+			for _, zero := range []string{"0", "-0", "0.0e3"} {
+				err := p.plan(param, zero)
+				if err == nil || !strings.Contains(err.Error(), "0 means the default value") {
+					t.Errorf("%s: %s=%s: error %v, want one saying 0 means the default value", p.name, param, zero, err)
+				}
+			}
+			if err := p.plan(param, "0.02"); err != nil {
+				t.Errorf("%s: %s=0.02: %v", p.name, param, err)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -52,6 +53,46 @@ func ParseFileShared(src string, share func(key [32]byte, sub *Subprogram) *Subp
 		p.skipNewlines()
 	}
 	return mods, nil
+}
+
+// WithInit returns a shallow copy of m whose module-level declaration
+// at line is re-parsed from text, that line's new source. The new
+// declaration must differ from the old one at most in its initializer,
+// which is not shape, so the copy keeps m's Shape and Lits and shares
+// every other node with m: its uses, types, interfaces, subprograms and
+// other declarations. The copy equals what ParseFile gives for m's
+// source with that line replaced by text. Like a shared parse, m and
+// the copy must be treated as immutable.
+func WithInit(m *Module, line int, text string) (*Module, error) {
+	i := slices.IndexFunc(m.Decls, func(d VarDecl) bool { return d.Line == line })
+	if i < 0 {
+		return nil, fmt.Errorf("fortran: line %d: no module-level declaration in %s", line, m.Name)
+	}
+	toks, err := (&Lexer{src: text, line: line}).Tokens()
+	if err != nil {
+		return nil, err
+	}
+	p := &Parser{toks: toks}
+	if !p.atDeclStart() {
+		return nil, p.errorf("expected a declaration, found %s", p.cur())
+	}
+	d, err := p.parseVarDecl()
+	if err != nil {
+		return nil, err
+	}
+	if !p.at(EOF) {
+		return nil, p.errorf("unexpected %s after the declaration", p.cur())
+	}
+	old := m.Decls[i]
+	if !slices.Equal(d.Names, old.Names) || d.BaseType != old.BaseType || d.IsType != old.IsType ||
+		d.Array != old.Array || !slices.Equal(d.ArrayFlags, old.ArrayFlags) || d.Param != old.Param ||
+		d.Intent != old.Intent {
+		return nil, fmt.Errorf("fortran: line %d: new declaration differs beyond its initializer", line)
+	}
+	out := *m
+	out.Decls = slices.Clone(m.Decls)
+	out.Decls[i] = d
+	return &out, nil
 }
 
 // ParseModule parses a source string expected to contain exactly one

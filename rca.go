@@ -178,7 +178,8 @@ func MersennePRNG() Injection { return experiments.MersennePRNG() }
 func EnableFMA(modules ...string) Injection { return experiments.EnableFMA(modules...) }
 
 // PerturbParameter perturbs one of the ensemble-shaping corpus
-// parameters ("turbcoef", "fmagain", "auxfmagain").
+// parameters ("turbcoef", "fmagain", "auxfmagain"). A zero value is
+// refused: 0 means the default.
 func PerturbParameter(name string, value float64) Injection {
 	return experiments.PerturbParameter(name, value)
 }
